@@ -23,6 +23,19 @@ dxbar/dt = A xbar + B u + (D - S(X_j)) v, so
 and integrating over [t_{l-1}, t_l] gives one row per interval with the
 Kronecker identities a'Wb = (b (*) a)' vec(W) and vec(RK) =
 (I_n (*) R) vec(K), where (*) is the Kronecker product.
+
+The sweep needs no pass over the log per offset. With z = [x; v] every
+shifted state is linear in z, xbar_j = T_j z with T_j = [I_n, -X_j], so
+the integrands of all offsets are fixed linear images of three interval
+moments of z, each integrated once:
+
+    vecv(xbar_j)    = V(T_j) vecv(z),          V = matops.vecv_map,
+    xbar_j (*) u    = (T_j (*) I_m) (z (*) u),
+    xbar_j (*) v    = (T_j (*) I_q) (z (*) v).
+
+Integration is linear, so Ixx_j = M_zz V(T_j)', Gxu_j = M_zu (T_j (*) I_m)'
+and Gxv_j = M_zv (T_j (*) I_q)', where row l of M_zz, M_zu, M_zv holds the
+interval-l integrals of vecv(z), z (*) u and z (*) v.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv
+from .matops import kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv, vecv_map
 from .regulator import RegulatorSolution, _check_weights
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, exploration_noise, simulate
@@ -62,7 +75,8 @@ class RegressionBundle:
     the shifted state, ``Gxu`` and ``Gxv`` the integrated Kronecker
     products with the input and exostate, ``Dxx`` the vecv differences
     at interval endpoints, and ``Theta`` the assembled regression matrix
-    [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv].
+    [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv]. ``n``, ``m`` and ``q`` are the
+    state, input and exostate dimensions the blocks were built for.
     """
 
     j: int
@@ -71,31 +85,23 @@ class RegressionBundle:
     Gxv: np.ndarray
     Dxx: np.ndarray
     Theta: np.ndarray
+    n: int
+    m: int
+    q: int
 
     def __post_init__(self):
         rows = self.Ixx.shape[0]
         for name in ("Gxu", "Gxv", "Dxx", "Theta"):
             if getattr(self, name).shape[0] != rows:
                 raise ValueError(f"{name} row count differs from Ixx")
-        if self.Theta.shape[1] != self.Ixx.shape[1] + self.Gxu.shape[1] + self.Gxv.shape[1]:
+        ns = self.n * (self.n + 1) // 2
+        for name, cols in (("Ixx", ns), ("Dxx", ns), ("Gxu", self.n * self.m),
+                           ("Gxv", self.n * self.q)):
+            if getattr(self, name).shape[1] != cols:
+                raise ValueError(f"{name} must have {cols} columns for (n, m, q) = "
+                                 f"({self.n}, {self.m}, {self.q})")
+        if self.Theta.shape[1] != self.required_rank:
             raise ValueError("Theta column count must match the three blocks")
-
-    @property
-    def n(self):
-        # invert ns = n(n+1)/2
-        ns = self.Ixx.shape[1]
-        n = int(round((np.sqrt(8 * ns + 1) - 1) / 2))
-        if n * (n + 1) // 2 != ns:
-            raise ValueError(f"Ixx has {ns} columns, not a triangular number")
-        return n
-
-    @property
-    def m(self):
-        return self.Gxu.shape[1] // self.n
-
-    @property
-    def q(self):
-        return self.Gxv.shape[1] // self.n
 
     @property
     def rows(self):
@@ -103,7 +109,7 @@ class RegressionBundle:
 
     @property
     def required_rank(self):
-        return self.Ixx.shape[1] + self.Gxu.shape[1] + self.Gxv.shape[1]
+        return self.n * (self.n + 1) // 2 + (self.m + self.q) * self.n
 
 
 @dataclass
@@ -198,6 +204,19 @@ def assemble_regression(log, basis, R, interval):
     applied; the xbar factor is still averaged. Endpoint vecv
     differences form Dxx exactly.
 
+    The log is integrated once, as moments of z = [x; v]: M_zz holds the
+    trapezoidal integrals of vecv(z), M_zv those of z (*) v, and M_zu the
+    held-input integrals of z (*) u. Since xbar_j = T_j z with
+    T_j = [I_n, -X_j], each offset is then
+
+        Ixx_j = M_zz V(T_j)',  Gxu_j = M_zu (T_j (*) I_m)',
+        Gxv_j = M_zv (T_j (*) I_q)',
+
+    with V = :func:`adpdock.matops.vecv_map`. Interval sums are batched
+    products over (intervals, steps, columns) views of the log: the sum
+    of f over the left samples of the fine steps, plus half of f at the
+    interval's end minus half at its start, is the trapezoidal sum.
+
     Returns one :class:`RegressionBundle` per j, in sweep order.
     """
     R = np.asarray(R, dtype=float)
@@ -218,25 +237,37 @@ def assemble_regression(log, basis, R, interval):
         raise ValueError(f"basis shape {basis.X1.shape} does not match log dims ({n}, {q})")
     scale_u = 2.0 * kron(np.eye(n), R)
     ends = np.arange(0, n_fine + 1, steps)
-    u_held = u[:n_fine]
 
-    def per_interval(step_values):
-        return step_values[:n_fine].reshape(n_int, steps, -1).sum(axis=1)
+    d = n + q
+    z = np.hstack([x, v])
+    # (intervals, d, steps) views: z at the left and right end of each fine step
+    z_left = z[:n_fine].reshape(n_int, steps, d).transpose(0, 2, 1)
+    z_right = z[1 : n_fine + 1].reshape(n_int, steps, d).transpose(0, 2, 1)
+    u_held = u[:n_fine].reshape(n_int, steps, m)
+    z_end = z[ends]
+    zz_end = z_end[:, :, None] * z_end[:, None, :]
+    # per-interval integral of z z'; v is part of z, so z (*) v is its v columns
+    zz = dt * (np.matmul(z_left, z_left.transpose(0, 2, 1))
+               + 0.5 * (zz_end[1:] - zz_end[:-1]))
+    ic, ie = np.triu_indices(d)
+    M_zz = zz[:, ic, ie]
+    M_zv = zz[:, :, n:].reshape(n_int, d * q)
+    # held input: exact in u, trapezoidal in z
+    M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
+    M_zu = M_zu.reshape(n_int, d * m)
 
+    x_end, v_end = x[ends], v[ends]
     bundles = []
     for j, Xj in enumerate(basis.sequence()):
-        xbar = x - v @ Xj.T
-        vv = vecv(xbar)
-        xbar_avg = (0.5 * dt) * (xbar[:-1] + xbar[1:])
-        # held input: exact in u, trapezoidal in xbar
-        xu = np.einsum("ka,kb->kab", xbar_avg[:n_fine], u_held).reshape(n_fine, n * m)
-        xv = np.einsum("ka,kb->kab", xbar, v).reshape(len(log), n * q)
-        Ixx = per_interval((0.5 * dt) * (vv[:-1] + vv[1:]))
-        Gxu = per_interval(xu)
-        Gxv = per_interval((0.5 * dt) * (xv[:-1] + xv[1:]))
-        Dxx = vv[ends[1:]] - vv[ends[:-1]]
+        T = np.hstack([np.eye(n), -Xj])
+        Ixx = M_zz @ vecv_map(T).T
+        Gxu = M_zu @ kron(T, np.eye(m)).T
+        Gxv = M_zv @ kron(T, np.eye(q)).T
+        vv = vecv(x_end - v_end @ Xj.T)
+        Dxx = vv[1:] - vv[:-1]
         Theta = np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv])
-        bundles.append(RegressionBundle(j=j, Ixx=Ixx, Gxu=Gxu, Gxv=Gxv, Dxx=Dxx, Theta=Theta))
+        bundles.append(RegressionBundle(j=j, Ixx=Ixx, Gxu=Gxu, Gxv=Gxv, Dxx=Dxx,
+                                        Theta=Theta, n=n, m=m, q=q))
     return bundles
 
 

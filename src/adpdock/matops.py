@@ -16,6 +16,17 @@ The pairing of the two is the quadratic-form identity
 
 which the regression machinery in :mod:`adpdock.adp` relies on; both
 orderings are frozen because they define regression column layouts.
+
+* ``vecv_map(T)`` is the matrix that carries ``vecv`` through a linear
+  map: for any r x d matrix ``T`` and d-vector ``z``,
+
+      vecv(T z) == vecv_map(T) @ vecv(z),
+
+  with shape ``(r(r+1)/2, d(d+1)/2)``. Entry ((a, b), (c, e)) is
+  ``T[a, c] T[b, e] + T[a, e] T[b, c]`` for c < e and ``T[a, c] T[b, c]``
+  on the diagonal c == e. Together with ``kron(T, I) (z (*) w) ==
+  (T z) (*) w`` it lets a quadratic moment of ``z`` be integrated once
+  and then shifted to any ``T z``.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ __all__ = [
     "vecs",
     "unvecs",
     "vecv",
+    "vecv_map",
     "bdiag",
     "lstsq",
     "is_hurwitz",
@@ -146,6 +158,30 @@ def vecv(v):
         iu, ju = np.triu_indices(v.shape[1])
         return v[:, iu] * v[:, ju]
     raise ValueError(f"v must be 1-D or 2-D, got shape {v.shape}")
+
+
+def vecv_map(t):
+    """Linear map V with ``vecv(t @ z) == V @ vecv(z)`` for every z.
+
+    Parameters
+    ----------
+    t : array_like, shape (r, d)
+        Any real matrix.
+
+    Returns
+    -------
+    ndarray
+        Matrix of shape ``(r(r+1)/2, d(d+1)/2)`` in the ``vecv`` row and
+        column orderings.
+    """
+    t = _as_matrix(t, "t")
+    r, d = t.shape
+    ia, ib = np.triu_indices(r)
+    ic, ie = np.triu_indices(d)
+    # z_c z_e appears once in vecv(z) for c < e but twice in (Tz)_a (Tz)_b
+    v = t[ia][:, ic] * t[ib][:, ie] + t[ia][:, ie] * t[ib][:, ic]
+    v[:, ic == ie] *= 0.5
+    return v
 
 
 def bdiag(blocks):

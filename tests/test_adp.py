@@ -16,7 +16,7 @@ from adpdock import (
     solve_regulator_exact,
     vi_learn,
 )
-from adpdock.adp import interval_count, load_gains, save_gains
+from adpdock.adp import RegressionBundle, interval_count, load_gains, save_gains
 from adpdock.errors import (
     ConvergenceError,
     DivergenceError,
@@ -24,7 +24,7 @@ from adpdock.errors import (
     RankDeficiencyError,
 )
 from adpdock.matops import vec, vecs, vecv
-from adpdock.regulator import kernel_basis
+from adpdock.regulator import KernelBasis, kernel_basis
 
 rng = np.random.default_rng(1618)
 
@@ -37,6 +37,63 @@ def exact_recovery(model, exo, basis):
     """ModelRecovery built from the true matrices, bypassing the data path."""
     S = [sylvester_image(X, model.A, exo.E) for X in basis.sequence()[1:]]
     return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(), S_values=S)
+
+
+def reference_assembly(log, basis, R, interval):
+    """Per-offset integration of the log: one pass over every sample for
+    each X_j. Slow but literal; the moment algebra must reproduce it.
+    Returns (Ixx, Gxu, Gxv, Dxx, Theta) per offset, in sweep order."""
+    dt = log.dt
+    steps = int(round(interval / dt))
+    n_int = (len(log) - 1) // steps
+    n_fine = n_int * steps
+    x, u, v = log.x, log.u, log.v
+    n, m, q = x.shape[1], u.shape[1], v.shape[1]
+    scale_u = 2.0 * np.kron(np.eye(n), R)
+    ends = np.arange(0, n_fine + 1, steps)
+
+    def per_interval(step_values):
+        return step_values[:n_fine].reshape(n_int, steps, -1).sum(axis=1)
+
+    out = []
+    for Xj in basis.sequence():
+        xbar = x - v @ Xj.T
+        vv = vecv(xbar)
+        xbar_avg = (0.5 * dt) * (xbar[:-1] + xbar[1:])
+        xu = np.einsum("ka,kb->kab", xbar_avg[:n_fine], u[:n_fine]).reshape(n_fine, n * m)
+        xv = np.einsum("ka,kb->kab", xbar, v).reshape(len(log), n * q)
+        Ixx = per_interval((0.5 * dt) * (vv[:-1] + vv[1:]))
+        Gxu = per_interval(xu)
+        Gxv = per_interval((0.5 * dt) * (xv[:-1] + xv[1:]))
+        Dxx = vv[ends[1:]] - vv[ends[:-1]]
+        out.append((Ixx, Gxu, Gxv, Dxx, np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv])))
+    return out
+
+
+def assert_matches_reference(bundles, reference):
+    assert len(bundles) == len(reference)
+    for bundle, blocks in zip(bundles, reference):
+        for name, ref in zip(("Ixx", "Gxu", "Gxv", "Dxx", "Theta"), blocks):
+            got = getattr(bundle, name)
+            assert got.shape == ref.shape
+            if name == "Dxx":
+                assert np.array_equal(got, ref), f"Dxx differs at j = {bundle.j}"
+            else:
+                rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert rel <= 1e-12, f"{name} at j = {bundle.j}: relative error {rel:.2e}"
+
+
+def random_log_and_basis(n, m, q, n_samples, dt, generator):
+    """Unstructured data of the given dimensions and a random sweep."""
+    t = dt * np.arange(n_samples)
+    log = TrajectoryLog(t=t, x=generator.standard_normal((n_samples, n)),
+                        u=generator.standard_normal((n_samples, m)),
+                        v=generator.standard_normal((n_samples, q)),
+                        e=np.zeros((n_samples, 1)))
+    basis = KernelBasis(X0=np.zeros((n, q)), X1=generator.standard_normal((n, q)),
+                        basis=[generator.standard_normal((n, q)) for _ in range(3)])
+    R = generator.standard_normal((m, m))
+    return log, basis, R @ R.T + np.eye(m)
 
 
 def test_interval_count_and_log_length(docking, learning_data):
@@ -98,6 +155,32 @@ def test_bundle_dimensions(learning_data):
     assert b0.rows == 250
     assert b0.required_rank == 87
     assert b0.Theta.shape == (250, 87)
+
+
+def test_bundle_rejects_inconsistent_dimensions(learning_data):
+    b0 = learning_data.bundles[0]
+    blocks = dict(j=0, Ixx=b0.Ixx, Gxu=b0.Gxu, Gxv=b0.Gxv, Dxx=b0.Dxx, Theta=b0.Theta)
+    with pytest.raises(ValueError):
+        RegressionBundle(**blocks, n=6, m=8, q=3)
+    with pytest.raises(ValueError):
+        RegressionBundle(**blocks, n=5, m=3, q=8)
+
+
+def test_assembly_matches_per_offset_reference(docking, learning_data):
+    cfg = docking.config
+    reference = reference_assembly(learning_data.log, learning_data.basis, cfg.R,
+                                   cfg.interval)
+    assert_matches_reference(learning_data.bundles, reference)
+
+
+@pytest.mark.parametrize("n, m, q", [(1, 1, 1), (2, 1, 3), (4, 2, 1), (5, 3, 4)])
+def test_assembly_matches_reference_random_dims(n, m, q):
+    # 7 whole intervals of 20 steps plus a ragged tail the assembly must ignore
+    g = np.random.default_rng(100 * n + 10 * m + q)
+    log, basis, R = random_log_and_basis(n, m, q, 7 * 20 + 6, 0.01, g)
+    bundles = assemble_regression(log, basis, R, 0.2)
+    assert [(b.n, b.m, b.q, b.rows) for b in bundles] == [(n, m, q, 7)] * 5
+    assert_matches_reference(bundles, reference_assembly(log, basis, R, 0.2))
 
 
 def test_bundle_j0_difference_is_raw(docking, learning_data):

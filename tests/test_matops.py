@@ -6,6 +6,9 @@ equation in adp relies on; tolerances are machine-level.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adpdock.errors import RankDeficiencyError
 from adpdock.matops import (
@@ -19,6 +22,7 @@ from adpdock.matops import (
     vec,
     vecs,
     vecv,
+    vecv_map,
 )
 
 rng = np.random.default_rng(1234)
@@ -80,6 +84,36 @@ def test_vecv_batch_rows():
     assert batch.shape == (10, 10)
     for i in range(10):
         assert np.array_equal(batch[i], vecv(X[i]))
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def map_and_batch(draw):
+    """A rectangular r x d map T and a batch of d-vectors as rows."""
+    r, d, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    return draw(arrays(float, (r, d), elements=finite)), draw(arrays(float, (rows, d), elements=finite))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(map_and_batch())
+def test_vecv_map_carries_vecv_through_linear_maps(case):
+    # vecv(T z) == V(T) vecv(z), row by row over a batch of z
+    T, z = case
+    V = vecv_map(T)
+    r, d = T.shape
+    assert V.shape == (r * (r + 1) // 2, d * (d + 1) // 2)
+    scale = (1.0 + np.abs(T).max()) ** 2 * (1.0 + np.abs(z).max()) ** 2
+    assert np.allclose(vecv(z @ T.T), vecv(z) @ V.T, rtol=0.0, atol=1e-13 * scale)
+    assert np.allclose(vecv(T @ z[0]), V @ vecv(z[0]), rtol=0.0, atol=1e-13 * scale)
+
+
+def test_vecv_map_pinned_example():
+    # (a + 2b)^2, (a + 2b)(3a), (3a)^2 over vecv([a, b]) = [a^2, ab, b^2]
+    T = np.array([[1.0, 2.0], [3.0, 0.0]])
+    assert np.array_equal(vecv_map(T), [[1.0, 4.0, 4.0], [3.0, 6.0, 0.0], [9.0, 0.0, 0.0]])
+    assert np.array_equal(vecv_map(np.eye(4)), np.eye(10))
 
 
 def test_bdiag_layout():
