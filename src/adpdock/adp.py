@@ -47,8 +47,9 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv, vecv_map
-from .regulator import RegulatorSolution, _check_weights
+from .matops import (check_weights, kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs,
+                     vecv, vecv_map)
+from .regulator import RegulatorSolution
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, exploration_noise, simulate
 
@@ -124,10 +125,6 @@ class LearnedController:
     rank: int
     rank_required: int
     history: ViHistory | None = field(default=None, repr=False)
-
-    @property
-    def rank_checked(self):
-        return self.rank >= self.rank_required
 
     def feedback(self):
         """The control law u = -K x + L v as a simulate() callback."""
@@ -292,18 +289,24 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     the H and K blocks of theta give the update
     P <- P + eps_k (H + Q - K'RK), with the same diminishing-step and
     ball-reset rules as the model-based iteration. The data matrices are
-    fixed, so the least-squares operator is factored once up front.
+    fixed, so the least-squares operator is factored once up front and
+    composed with the vecs and unvecs maps: an iteration is one
+    matrix-vector product plus the K'RK term.
 
     Returns (P, K, history) with K the regression gain at the stopping
     iterate.
 
     Raises
     ------
+    ValueError
+        If Q or R is not a valid cost weight.
     RankDeficiencyError
         If the data matrix fails the rank condition.
     ConvergenceError
         If max_k passes without the increment test firing.
     """
+    n, m = bundle_j0.n, bundle_j0.m
+    Q, R = check_weights(Q, R, n, m)
     ok, rank, required = check_rank(bundle_j0)
     if not ok:
         raise RankDeficiencyError(
@@ -311,10 +314,6 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
             "extend the horizon or enrich the exploration signal",
             rank=rank, required=required,
         )
-    n, m = bundle_j0.n, bundle_j0.m
-    ns = n * (n + 1) // 2
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
     if P0 is None:
         P0 = np.eye(n)
     if eps_schedule is None:
@@ -323,18 +322,35 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
         ball_schedule = linear_balls()
 
     # Theta is fixed across iterations, so solve once for the operator
-    # mapping vecs(P) to the stacked unknowns.
+    # mapping vecs(P) to the stacked unknowns [vecs(H); vec(K); vec(M)].
     solve_op, _ = lstsq(bundle_j0.Theta, bundle_j0.Dxx)
+    return run_value_iteration(_data_residual(solve_op, Q, R, n, m), P0, eps,
+                               eps_schedule, ball_schedule, max_k, p_ref=p_ref)
+
+
+def _data_residual(solve_op, Q, R, n, m):
+    """P -> (H + Q - K'RK, K) through one precomputed map.
+
+    ``solve_op`` maps vecs(P) to [vecs(H); vec(K); vec(M)]; wrapped in
+    the vecs and unvecs maps it becomes vec(P) -> [vec(H); K row-major].
+    """
+    ns = n * (n + 1) // 2
+    # vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
+    # residual is exactly symmetric (the driver symmetrizes P0 and each
+    # iterate, and 0.5 (P + P') is exactly symmetric in IEEE arithmetic),
+    # so the symmetry check vecs would make per iteration can never fire.
+    units = np.eye(n * n).reshape(n * n, n, n)
+    to_vecs = np.column_stack([vecs(0.5 * (E + E.T)) for E in units])
+    from_vecs = np.column_stack([unvecs(e).ravel() for e in np.eye(ns)])
+    k_rows = ns + unvec(np.arange(m * n), m, n).ravel().astype(int)  # vec(K) row by row
+    step_map = np.vstack([from_vecs @ solve_op[:ns], solve_op[k_rows]]) @ to_vecs
 
     def residual_fn(P):
-        theta = solve_op @ vecs(P)
-        H = unvecs(theta[:ns])
-        K = unvec(theta[ns : ns + m * n], m, n)
-        return H + Q - K.T @ R @ K, K
+        theta = step_map @ P.ravel()
+        K = theta[n * n :].reshape(m, n)
+        return theta[: n * n].reshape(n, n) + Q - K.T @ R @ K, K
 
-    P, K, hist = run_value_iteration(residual_fn, P0, eps, eps_schedule,
-                                     ball_schedule, max_k, p_ref=p_ref)
-    return P, K, hist
+    return residual_fn
 
 
 def recover_model_artifacts(bundles, P_final, K_next_final, R):
@@ -394,7 +410,7 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
             "B_hat is rank deficient; the input does not excite all directions",
             rank=numerical_rank(B_hat), required=m,
         )
-    Qbar, Rbar = _check_weights(Qbar, Rbar, n, m)
+    Qbar, Rbar = check_weights(Qbar, Rbar, n, m, names=("Qbar", "Rbar"))
 
     S1 = recovery.S_values[0]
     S_dirs = [recovery.S_values[j] - S1 for j in range(1, h + 1)]

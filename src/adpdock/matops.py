@@ -54,8 +54,8 @@ __all__ = [
 SYMMETRY_ATOL = 1e-10
 
 
-def _as_matrix(a, name="matrix"):
-    a = np.asarray(a, dtype=float)
+def _as_matrix(a, name="matrix", dtype=float):
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -236,14 +236,40 @@ def lstsq(theta, rhs):
     return solution, residual_norm
 
 
-def numerical_rank(a):
-    """Numerical rank via SVD with the standard threshold."""
-    a = _as_matrix(a, "a")
+def numerical_rank(a, required=None):
+    """Numerical rank of a real or complex matrix via SVD.
+
+    Singular values above ``max(rows, cols) * eps * sigma_max`` count.
+    With ``required`` given, returns ``(rank, margin)`` where margin is
+    the ``required``-th largest singular value (0.0 if there are fewer).
+    """
+    a = np.asarray(a)
+    a = _as_matrix(a, "a", dtype=np.result_type(a, float))
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    threshold = max(a.shape) * np.finfo(float).eps * sv[0]
-    return int(np.sum(sv > threshold))
+    threshold = max(a.shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
+    rank = int(np.sum(sv > threshold))
+    if required is None:
+        return rank
+    return rank, float(sv[required - 1]) if sv.size >= required else 0.0
+
+
+def check_weights(Q, R, n, m, names=("Q", "R")):
+    """Validate a cost pair: Q symmetric PSD n x n, R symmetric PD m x m.
+
+    None stands for the identity and ``names`` label the pair in error
+    messages. Returns both as float arrays; raises ValueError otherwise.
+    """
+    q_name, r_name = names
+    Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
+    R = np.eye(m) if R is None else np.asarray(R, dtype=float)
+    for name, M, dim in ((q_name, Q, n), (r_name, R, m)):
+        if M.shape != (dim, dim) or not np.allclose(M, M.T):
+            raise ValueError(f"{name} must be symmetric {dim}x{dim}")
+    if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
+        raise ValueError(f"{q_name} must be positive semidefinite")
+    if np.min(np.linalg.eigvalsh(R)) <= 0:
+        raise ValueError(f"{r_name} must be positive definite")
+    return Q, R
 
 
 def is_hurwitz(a, margin=0.0):

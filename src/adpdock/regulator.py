@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import NoSolutionError
-from .matops import kron, unvec, vec
+from .matops import check_weights, kron, unvec, vec
 
 __all__ = [
     "RegulatorSolution",
@@ -107,19 +107,6 @@ def _min_trace_over_affine(z0, nullspace, weight):
     return z0 + nullspace @ alpha
 
 
-def _check_weights(Qbar, Rbar, n, m):
-    Qbar = np.eye(n) if Qbar is None else np.asarray(Qbar, dtype=float)
-    Rbar = np.eye(m) if Rbar is None else np.asarray(Rbar, dtype=float)
-    for name, M, dim in (("Qbar", Qbar, n), ("Rbar", Rbar, m)):
-        if M.shape != (dim, dim) or not np.allclose(M, M.T):
-            raise ValueError(f"{name} must be symmetric {dim}x{dim}")
-    if np.min(np.linalg.eigvalsh(Qbar)) < -1e-10:
-        raise ValueError("Qbar must be positive semidefinite")
-    if np.min(np.linalg.eigvalsh(Rbar)) <= 0:
-        raise ValueError("Rbar must be positive definite")
-    return Qbar, Rbar
-
-
 def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
     """Solve the regulator equations, minimizing Tr(X'QbarX + U'RbarU).
 
@@ -137,7 +124,7 @@ def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
     n, m, p, q = model.n, model.m, model.p, model.q
     if exo.q != q:
         raise ValueError(f"exosystem has q = {exo.q}, model expects {q}")
-    Qbar, Rbar = _check_weights(Qbar, Rbar, n, m)
+    Qbar, Rbar = check_weights(Qbar, Rbar, n, m, names=("Qbar", "Rbar"))
 
     I_n, I_q = np.eye(n), np.eye(q)
     # rows: vec(X E - A X - B U) = vec(D) and vec(C X) = vec(-F)

@@ -15,15 +15,15 @@ supplies the residual from trajectory data instead of (A, B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConvergenceError
-from .matops import is_hurwitz, kron, vec, unvec
+from .matops import check_weights, is_hurwitz, numerical_rank
 
 __all__ = [
-    "ValueIterate",
     "ViHistory",
     "harmonic_steps",
     "linear_balls",
@@ -35,16 +35,6 @@ __all__ = [
 ]
 
 _LYAP_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ValueIterate:
-    """Snapshot of a value-iteration state: matrix, index, resets, step."""
-
-    P: np.ndarray
-    k: int
-    r: int
-    eps: float
 
 
 @dataclass
@@ -64,7 +54,6 @@ class ViHistory:
     converged: bool
     iterations: int
     resets: int
-    final: ValueIterate | None = field(default=None, repr=False)
 
     @property
     def has_distance(self):
@@ -110,37 +99,16 @@ def _symmetrize(P):
     return 0.5 * (P + P.T)
 
 
-def _check_cost(Q, R, n, m):
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if Q.shape != (n, n) or not np.allclose(Q, Q.T):
-        raise ValueError(f"Q must be symmetric {n}x{n}")
-    if R.shape != (m, m) or not np.allclose(R, R.T):
-        raise ValueError(f"R must be symmetric {m}x{m}")
-    if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
-        raise ValueError("Q must be positive semidefinite")
-    if np.min(np.linalg.eigvalsh(R)) <= 0:
-        raise ValueError("R must be positive definite")
-    return Q, R
-
-
 def _sqrt_psd(Q):
     w, V = np.linalg.eigh(Q)
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _complex_rank(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    return int(np.sum(sv > max(mat.shape) * np.finfo(float).eps * sv[0]))
-
-
 def lyapunov_solve(a_cl, m):
     """Solve a_cl' P + P a_cl + m = 0 for symmetric P, a_cl Hurwitz.
 
-    Uses the kron-stacked linear system; O(n^6) but exact at the sizes
-    handled here.
+    Bartels-Stewart via :func:`scipy.linalg.solve_continuous_lyapunov`,
+    O(n^3); the residual is checked afterwards.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -151,9 +119,7 @@ def lyapunov_solve(a_cl, m):
         raise ValueError("m must be symmetric")
     if not is_hurwitz(a_cl):
         raise ValueError("a_cl must be Hurwitz for a unique definite solution")
-    I_n = np.eye(n)
-    coeff = kron(I_n, a_cl.T) + kron(a_cl.T, I_n)
-    P = _symmetrize(unvec(np.linalg.solve(coeff, -vec(m)), n, n))
+    P = _symmetrize(solve_continuous_lyapunov(a_cl.T, -m))
     residual = np.linalg.norm(a_cl.T @ P + P @ a_cl + m)
     if residual > _LYAP_RTOL * (1.0 + np.linalg.norm(m)):
         raise ValueError(f"Lyapunov solve failed: residual {residual:.3e}")
@@ -188,7 +154,7 @@ def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
     """
     A, B = model.A, model.B
     n = model.n
-    Q, R = _check_cost(Q, R, n, model.m)
+    Q, R = check_weights(Q, R, n, model.m)
     K = np.asarray(K0, dtype=float)
     if K.shape != (model.m, n):
         raise ValueError(f"K0 must be {model.m}x{n}")
@@ -197,7 +163,7 @@ def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
     sqrt_q = _sqrt_psd(Q)
     for lam in np.linalg.eigvals(A):
         pencil = np.vstack([A - lam * np.eye(n), sqrt_q])
-        if _complex_rank(pencil) < n:
+        if numerical_rank(pencil) < n:
             raise ValueError("(A, sqrt(Q)) must be observable")
 
     iterates = []
@@ -251,7 +217,6 @@ def run_value_iteration(residual_fn, P0, stop_eps, eps_schedule, ball_schedule,
             converged=converged,
             iterations=iterations,
             resets=r,
-            final=ValueIterate(P=P, k=iterations, r=r, eps=epss[-1] if epss else np.nan),
         )
 
     for k in range(1, max_k + 1):
@@ -291,7 +256,7 @@ def model_based_vi(model, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     with K = R^{-1} B' P at the stopping iterate.
     """
     A, B = model.A, model.B
-    Q, R = _check_cost(Q, R, model.n, model.m)
+    Q, R = check_weights(Q, R, model.n, model.m)
     if P0 is None:
         P0 = np.eye(model.n)
     if eps_schedule is None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .matops import bdiag
+from .matops import bdiag, numerical_rank
 
 __all__ = [
     "CwParams",
@@ -473,14 +473,6 @@ class AssumptionReport:
         }
 
 
-def _rank_and_margin(mat, required):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    threshold = max(mat.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
-    rank = int(np.sum(sv > threshold))
-    margin = float(sv[required - 1]) if sv.size >= required else 0.0
-    return rank, margin
-
-
 def _distinct(eigenvalues):
     seen = []
     for lam in eigenvalues:
@@ -504,19 +496,19 @@ def check_assumptions(model, exo):
     for lam in _distinct(np.linalg.eigvals(A)):
         if lam.real >= -1e-12:
             pencil = np.hstack([A - lam * np.eye(n), B])
-            rank, margin = _rank_and_margin(pencil, n)
+            rank, margin = numerical_rank(pencil, n)
             report.records.append(PbhRecord("stabilizability", complex(lam), rank, n, margin))
 
     for lam in _distinct(np.linalg.eigvals(A)):
         pencil = np.vstack([A - lam * np.eye(n), C])
-        rank, margin = _rank_and_margin(pencil, n)
+        rank, margin = numerical_rank(pencil, n)
         report.records.append(PbhRecord("observability", complex(lam), rank, n, margin))
 
     for lam in _distinct(np.linalg.eigvals(exo.E)):
         top = np.hstack([A - lam * np.eye(n), B])
         bottom = np.hstack([C, np.zeros((p, model.m))])
         pencil = np.vstack([top, bottom])
-        rank, margin = _rank_and_margin(pencil, n + p)
+        rank, margin = numerical_rank(pencil, n + p)
         report.records.append(PbhRecord("regulator_rank", complex(lam), rank, n + p, margin))
 
     return report

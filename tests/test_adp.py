@@ -1,8 +1,12 @@
 """Data pipeline: collection, regression assembly, learning, recovery,
 and the data-driven regulator solve."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adpdock import (
     ModelRecovery,
@@ -11,20 +15,30 @@ from adpdock import (
     assemble_regression,
     check_rank,
     collect_data,
+    harmonic_steps,
+    linear_balls,
+    model_based_vi,
     recover_model_artifacts,
     solve_problem1_datadriven,
     solve_regulator_exact,
     vi_learn,
 )
-from adpdock.adp import RegressionBundle, interval_count, load_gains, save_gains
+from adpdock.adp import (
+    RegressionBundle,
+    _data_residual,
+    interval_count,
+    load_gains,
+    save_gains,
+)
 from adpdock.errors import (
     ConvergenceError,
     DivergenceError,
     NoSolutionError,
     RankDeficiencyError,
 )
-from adpdock.matops import vec, vecs, vecv
+from adpdock.matops import lstsq, unvec, unvecs, vec, vecs, vecv
 from adpdock.regulator import KernelBasis, kernel_basis
+from adpdock.riccati import run_value_iteration
 
 rng = np.random.default_rng(1618)
 
@@ -68,6 +82,22 @@ def reference_assembly(log, basis, R, interval):
         Dxx = vv[ends[1:]] - vv[ends[:-1]]
         out.append((Ixx, Gxu, Gxv, Dxx, np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv])))
     return out
+
+
+def reference_vi_residual(solve_op, Q, R, n, m):
+    """The data-side VI residual as a round-trip through the orderings:
+    theta = solve_op vecs(P), then H and K rebuilt from its blocks. Slow
+    but literal; the fixed-coordinate map in vi_learn must reproduce it.
+    Returns residual_fn(P) -> (H + Q - K'RK, K)."""
+    ns = n * (n + 1) // 2
+
+    def residual_fn(P):
+        theta = solve_op @ vecs(P)
+        H = unvecs(theta[:ns])
+        K = unvec(theta[ns : ns + m * n], m, n)
+        return H + Q - K.T @ R @ K, K
+
+    return residual_fn
 
 
 def assert_matches_reference(bundles, reference):
@@ -281,6 +311,60 @@ def test_vi_learn_fixed_point(docking, oracle, learning_data):
                              P0=oracle.P_star)
     assert history.iterations == 2
     assert np.allclose(P, oracle.P_star, atol=1e-8)
+
+
+def test_vi_learn_matches_reference_residual_loop(docking, learning_data, learned):
+    # the same driver run on the round-trip residual visits the same iterates
+    cfg = docking.config
+    bundle = learning_data.bundles[0]
+    solve_op, _ = lstsq(bundle.Theta, bundle.Dxx)
+    P, K, history = run_value_iteration(
+        reference_vi_residual(solve_op, cfg.Q, cfg.R, bundle.n, bundle.m), np.eye(bundle.n),
+        1e-3, harmonic_steps(), linear_balls(), 200000)
+    assert np.abs(learned.P - P).max() <= 1e-12
+    assert np.abs(learned.K - K).max() <= 1e-12
+    assert learned.history.iterations == history.iterations
+    assert learned.history.resets == history.resets
+
+
+@st.composite
+def regression_and_state(draw):
+    """A full-column-rank regression solve operator, a symmetric P and weights."""
+    n, m, q = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (4, 2, 1), (5, 3, 4)]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ns = n * (n + 1) // 2
+    cols = ns + (m + q) * n
+    solve_op, _ = lstsq(g.standard_normal((cols + 5, cols)), g.standard_normal((cols + 5, ns)))
+    S, W, V = g.standard_normal((n, n)), g.standard_normal((n, n)), g.standard_normal((m, m))
+    return n, m, solve_op, S + S.T, W @ W.T, V @ V.T + np.eye(m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(regression_and_state())
+def test_data_residual_matches_reference(case):
+    n, m, solve_op, P, Q, R = case
+    delta, K = _data_residual(solve_op, Q, R, n, m)(P)
+    ref_delta, ref_K = reference_vi_residual(solve_op, Q, R, n, m)(P)
+    assert K.shape == (m, n)
+    assert np.linalg.norm(delta - ref_delta) <= 1e-12 * np.linalg.norm(ref_delta)
+    assert np.linalg.norm(K - ref_K) <= 1e-12 * np.linalg.norm(ref_K)
+
+
+def test_vi_learn_rejects_bad_weights_like_model_based_vi(docking, learning_data):
+    cfg = docking.config
+    asym_Q, asym_R = cfg.Q.copy(), cfg.R.copy()
+    asym_Q[0, 1] += 1.0
+    asym_R[0, 1] += 1.0
+    bad = [
+        (asym_Q, cfg.R), (np.eye(5), cfg.R), (-np.eye(6), cfg.R),
+        (cfg.Q, asym_R), (cfg.Q, np.eye(2)), (cfg.Q, np.diag([1.0, -1.0, 1.0])),
+        (cfg.Q, np.zeros((3, 3))),
+    ]
+    for Q, R in bad:
+        with pytest.raises(ValueError) as expected:
+            model_based_vi(docking.model, Q, R)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            vi_learn(learning_data.bundles[0], Q, R)
 
 
 def test_vi_learn_does_not_mutate_data(docking, learning_data):

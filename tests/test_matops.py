@@ -164,6 +164,20 @@ def test_numerical_rank():
     assert numerical_rank(np.zeros((4, 4))) == 0
 
 
+def test_numerical_rank_complex_pbh_pencil():
+    # oscillator modes at s = +-i: [A - iI, B] loses rank exactly when B
+    # misses the mode, and the margin is the n-th singular value
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for B, expected in ((np.array([[0.0], [1.0]]), 2), (np.zeros((2, 1)), 1)):
+        pencil = np.hstack([A - 1j * np.eye(2), B])
+        sv = np.linalg.svd(pencil, compute_uv=False)
+        assert numerical_rank(pencil) == expected
+        rank, margin = numerical_rank(pencil, 2)
+        assert rank == expected and margin == float(sv[1])
+    assert numerical_rank(pencil, 3) == (1, 0.0)
+    assert numerical_rank(np.zeros((0, 3)), 1) == (0, 0.0)
+
+
 def test_is_hurwitz():
     assert is_hurwitz(np.array([[-1.0, 0.0], [0.0, -2.0]]))
     assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # marginal
