@@ -54,6 +54,7 @@ from .riccati import (
 from .sysmodels import (
     CwParams,
     Exosystem,
+    LinearPolicy,
     NoiseSpec,
     StateSpaceModel,
     TrajectoryLog,

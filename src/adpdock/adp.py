@@ -47,11 +47,11 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import (check_weights, kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs,
-                     vecv, vecv_map)
+from .matops import (check_weights, equilibrate, kron, lstsq, numerical_rank, unvec, unvecs,
+                     vec, vecs, vecv, vecv_map)
 from .regulator import RegulatorSolution
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
-from .sysmodels import Exosystem, exploration_noise, simulate
+from .sysmodels import Exosystem, LinearPolicy, simulate
 
 __all__ = [
     "RegressionBundle",
@@ -127,8 +127,8 @@ class LearnedController:
     history: ViHistory | None = field(default=None, repr=False)
 
     def feedback(self):
-        """The control law u = -K x + L v as a simulate() callback."""
-        return lambda x, v, t: -self.K @ x + self.L @ v
+        """The control law u = -K x + L v as a simulate() controller."""
+        return LinearPolicy(self.K, self.L)
 
 
 @dataclass
@@ -161,18 +161,8 @@ def collect_data(model, exo, K0, noise, x0, v0=None, horizon=25.0, dt=1e-3,
     n_int = interval_count(horizon, interval)
     if n_int < 1:
         raise ValueError("horizon must cover at least one interval")
-    if noise is not None and noise.channels != model.m:
-        raise ValueError(f"noise must have {model.m} channels, got {noise.channels}")
-
-    if noise is None:
-        def controller(x, v, t):
-            return -K0 @ x
-    else:
-        def controller(x, v, t):
-            return -K0 @ x + exploration_noise(noise, t)
-
     exo_run = exo if v0 is None else Exosystem(E=exo.E, v0=v0)
-    return simulate(model, exo_run, controller, x0, horizon, dt)
+    return simulate(model, exo_run, LinearPolicy(K0, noise=noise), x0, horizon, dt)
 
 
 def interval_count(horizon, interval):
@@ -269,15 +259,18 @@ def assemble_regression(log, basis, R, interval):
 
 
 def check_rank(bundle):
-    """Rank of the raw data matrix [Ixx | Gxu | Gxv] vs the required count.
+    """Rank of the column-equilibrated regression matrix vs the required count.
 
     Full column rank (n(n+1)/2 + (m+q)n, which is 87 for the docking
-    scenario) makes the per-iteration regression uniquely solvable.
+    scenario) makes the per-iteration regression uniquely solvable. The
+    rank is that of ``equilibrate(bundle.Theta)`` under the
+    ``max(shape) * eps * sigma_max`` threshold: the matrix and the rule
+    with which :func:`matops.lstsq` accepts or rejects the value-iteration
+    solve.
     Returns (ok, rank, required); diagnostic only.
     """
-    raw = np.hstack([bundle.Ixx, bundle.Gxu, bundle.Gxv])
     required = bundle.required_rank
-    rank = numerical_rank(raw) if bundle.rows else 0
+    rank = numerical_rank(equilibrate(bundle.Theta)[0]) if bundle.rows else 0
     return rank >= required, rank, required
 
 

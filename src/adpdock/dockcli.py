@@ -178,21 +178,27 @@ def _parse_floats(text):
 
 
 def load_config(path):
-    """Read an INI config; missing keys fall back to defaults."""
+    """Read an INI config; missing keys fall back to defaults.
+
+    An unknown section or key is rejected with a ValueError naming it,
+    so a misspelled knob cannot silently fall back to its default.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     defaults = default_config()
+    known = {}  # section -> keys this reader looks up
 
     def get(section, key, cast, fallback):
+        known.setdefault(section, set()).add(key)
         if parser.has_option(section, key):
             if cast is bool:
                 return parser.getboolean(section, key)
             return cast(parser.get(section, key))
         return fallback
 
-    orbit = CwParams(
+    orbit = dict(
         mean_motion=get("orbit", "mean_motion", float, defaults.orbit.mean_motion),
         r_ref=get("orbit", "r_ref", float, defaults.orbit.r_ref),
         earth_radius=get("orbit", "earth_radius", float, defaults.orbit.earth_radius),
@@ -202,10 +208,9 @@ def load_config(path):
         ),
         include_j2=get("orbit", "include_j2", bool, defaults.orbit.include_j2),
     )
-    freqs = tuple(get("exosystem", "frequencies", _parse_floats, list(defaults.frequencies)))
-    return ExperimentConfig(
-        orbit=orbit,
-        frequencies=freqs,
+    fields = dict(
+        frequencies=tuple(get("exosystem", "frequencies", _parse_floats,
+                              list(defaults.frequencies))),
         v0=get("exosystem", "v0", _parse_floats, None),
         disturbance_gain=get("exosystem", "disturbance_gain", float, defaults.disturbance_gain),
         Q=get("cost", "q", _parse_floats, None),
@@ -233,6 +238,14 @@ def load_config(path):
         value_tol=get("pipeline", "value_tol", float, defaults.value_tol),
         out_dir=get("output", "directory", str, defaults.out_dir),
     )
+    present = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    for section in present:
+        if section not in known:
+            raise ValueError(f"{path}: unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in known[section]:
+                raise ValueError(f"{path}: unknown key '{key}' in section [{section}]")
+    return ExperimentConfig(orbit=CwParams(**orbit), **fields)
 
 
 def save_config(config, path):

@@ -45,6 +45,7 @@ __all__ = [
     "vecv",
     "vecv_map",
     "bdiag",
+    "equilibrate",
     "lstsq",
     "is_hurwitz",
 ]
@@ -192,6 +193,21 @@ def bdiag(blocks):
     return block_diag(*[_as_matrix(b, "block") for b in blocks])
 
 
+def equilibrate(theta):
+    """Scale every column of ``theta`` to unit 2-norm; returns (scaled, scales).
+
+    Rescaling columns does not change the unique full-rank least-squares
+    solution, but it makes the rank decision independent of column scales
+    that span many orders of magnitude. Zero columns keep scale 1. This is
+    the one matrix on which both :func:`lstsq` and the data-rank check
+    decide rank.
+    """
+    theta = _as_matrix(theta, "theta")
+    col_scale = np.linalg.norm(theta, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    return theta / col_scale, col_scale
+
+
 def lstsq(theta, rhs):
     """Least-squares solve with an explicit full-column-rank requirement.
 
@@ -212,20 +228,17 @@ def lstsq(theta, rhs):
     Raises
     ------
     RankDeficiencyError
-        If the numerical rank of ``theta`` falls below its column count.
-        The threshold is ``max(rows, cols) * eps * sigma_max``.
+        If the numerical rank of the column-equilibrated ``theta`` (see
+        :func:`equilibrate`) falls below its column count. The threshold
+        is ``max(rows, cols) * eps * sigma_max``.
     """
     theta = _as_matrix(theta, "theta")
     rhs = np.asarray(rhs, dtype=float)
     rows, cols = theta.shape
     if rows < cols:
         raise ValueError(f"theta has {rows} rows < {cols} cols; system is underdetermined")
-    # Column equilibration: rescaling columns to comparable norms does not
-    # change the unique full-rank solution but sharpens the rank decision
-    # when column scales span several orders of magnitude.
-    col_scale = np.linalg.norm(theta, axis=0)
-    col_scale[col_scale == 0.0] = 1.0
-    scaled = theta / col_scale
+    scaled, col_scale = equilibrate(theta)
+    # rcond=None is numerical_rank's threshold max(rows, cols) * eps * sigma_max
     solution, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
     if rank < cols:
         raise RankDeficiencyError(

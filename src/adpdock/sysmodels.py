@@ -34,6 +34,7 @@ __all__ = [
     "Exosystem",
     "TrajectoryLog",
     "NoiseSpec",
+    "LinearPolicy",
     "PbhRecord",
     "AssumptionReport",
     "build_cw_plant",
@@ -262,10 +263,50 @@ def sinusoid_noise(channels, terms=10, amplitude=0.1, freq_range=(0.1, 10.0), se
 
 
 def exploration_noise(spec, t):
-    """Evaluate the exploration signal at time ``t``; one value per channel."""
-    return np.sum(
-        spec.amplitudes * np.sin(spec.frequencies * t + spec.phases), axis=1
-    )
+    """Evaluate the exploration signal at time ``t``; one value per channel.
+
+    ``t`` may also be an array of times; the result then has shape
+    ``t.shape + (channels,)`` and each entry equals the scalar evaluation.
+    """
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return np.sum(spec.amplitudes * np.sin(spec.frequencies * t + spec.phases), axis=-1)
+
+
+@dataclass(frozen=True)
+class LinearPolicy:
+    """The control law u = -K x + L v + eta(t) as a structured controller.
+
+    ``L`` None means no feedforward term and ``noise`` None no
+    exploration signal eta. :func:`simulate` folds the gains into its
+    step map instead of calling back once per step; calling the policy
+    evaluates the law at one sample, so it also serves anywhere a plain
+    ``controller(x, v, t)`` callback does.
+    """
+
+    K: np.ndarray
+    L: np.ndarray | None = None
+    noise: NoiseSpec | None = None
+
+    def __post_init__(self):
+        K = np.asarray(self.K, dtype=float)
+        if K.ndim != 2:
+            raise ValueError(f"K must be a 2-D m x n gain, got shape {K.shape}")
+        object.__setattr__(self, "K", K)
+        if self.L is not None:
+            L = np.asarray(self.L, dtype=float)
+            if L.ndim != 2 or L.shape[0] != K.shape[0]:
+                raise ValueError(f"L must be a 2-D gain with {K.shape[0]} rows, got shape {L.shape}")
+            object.__setattr__(self, "L", L)
+        if self.noise is not None and self.noise.channels != K.shape[0]:
+            raise ValueError(f"noise must have {K.shape[0]} channels, got {self.noise.channels}")
+
+    def __call__(self, x, v, t):
+        u = -self.K @ x
+        if self.L is not None:
+            u = u + self.L @ v
+        if self.noise is not None:
+            u = u + exploration_noise(self.noise, t)
+        return u
 
 
 def build_cw_plant(params):
@@ -338,17 +379,41 @@ def build_docking_scenario(params, exo_frequencies=(1.0, 2.0, 3.0, 4.0),
     return model, Exosystem(E=E, v0=np.asarray(v0, dtype=float))
 
 
+#: Steps between divergence checks in :func:`simulate`.
+_CHUNK = 1000
+
+
 def simulate(model, exo, controller, x0, t_span, dt):
     """Fixed-step RK4 propagation of the joint (x, v) dynamics.
 
     The control is evaluated once per step at the left endpoint and held
     constant across the step (zero-order hold), so the integrated system
-    is piecewise-LTI with exact meaning at any dt. The error
-    e = C x + F v is recorded per sample.
+    is piecewise-LTI with exact meaning at any dt. For an LTI plant with
+    a held input one RK4 step is exactly the linear map
+
+        z+ = Phi z + Gamma u,    z = [x; v],
+        Phi = sum_{i<=4} (dt J)^i / i!,
+        Gamma = dt sum_{i<=3} (dt J)^i / (i+1)! G,
+
+    with J = [[A, D], [0, E]] and G = [B; 0]. (Phi, Gamma) are built once
+    and the run takes one of two drivers:
+
+    * a :class:`LinearPolicy` u = -K x + L v + eta(t) runs the
+      closed-loop map Phi - Gamma [K, -L], with eta evaluated once on
+      the whole time grid and Gamma eta added per chunk of steps; the
+      logged input is recovered afterwards as -X K' + V L' + eta;
+    * any other callable(x, v, t) -> u is called once per step and the
+      open-loop map is applied to its output.
+
+    The error e = C x + F v is recorded per sample, and the input at the
+    trailing sample is evaluated too so the log is rectangular.
+    Non-finiteness is checked once per chunk of steps; the reported time
+    is that of the first non-finite sample, so it is the same as with a
+    per-step check.
 
     Parameters
     ----------
-    controller : callable(x, v, t) -> u
+    controller : LinearPolicy or callable(x, v, t) -> u
     t_span : float
         Total duration; integration starts at t = 0.
     dt : float
@@ -368,49 +433,89 @@ def simulate(model, exo, controller, x0, t_span, dt):
     if abs(n_steps * dt - t_span) > 1e-9 * max(1.0, t_span):
         raise ValueError(f"t_span = {t_span} is not an integer multiple of dt = {dt}")
 
+    n, m, q = model.n, model.m, exo.q
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have length {n}")
+    phi, gamma = _rk4_map(model, exo, dt)
+
+    times = np.arange(n_steps + 1) * dt
+    zs = np.empty((n_steps + 1, n + q))
+    zs[0, :n], zs[0, n:] = x0, exo.v0
+    # overflow to inf is detected and reported, so keep numpy quiet about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(controller, LinearPolicy):
+            K = controller.K
+            L = np.zeros((m, q)) if controller.L is None else controller.L
+            if K.shape != (m, n) or L.shape != (m, q):
+                raise ValueError(f"LinearPolicy gains must be K {m}x{n} and L {m}x{q}, "
+                                 f"got {K.shape} and {L.shape}")
+            # us holds eta until the state is known, then becomes u in place;
+            # eta is evaluated in chunks to bound the per-term temporaries
+            us = np.zeros((n_steps + 1, m))
+            if controller.noise is not None:
+                for k0 in range(0, n_steps + 1, _CHUNK):
+                    us[k0 : k0 + _CHUNK] = exploration_noise(controller.noise,
+                                                             times[k0 : k0 + _CHUNK])
+            phi_cl = phi - gamma @ np.hstack([K, -L])
+            for k0 in range(0, n_steps, _CHUNK):
+                k1 = min(k0 + _CHUNK, n_steps)
+                forced = us[k0:k1] @ gamma.T
+                z = zs[k0]
+                for k in range(k0, k1):
+                    z = phi_cl @ z + forced[k - k0]
+                    zs[k + 1] = z
+                _check_finite(zs, times, k0, k1)
+            xs, vs = zs[:, :n], zs[:, n:]
+            us -= xs @ K.T
+            us += vs @ L.T
+        else:
+            us = np.empty((n_steps + 1, m))
+            for k0 in range(0, n_steps, _CHUNK):
+                k1 = min(k0 + _CHUNK, n_steps)
+                z = zs[k0]
+                for k in range(k0, k1):
+                    us[k] = _held_input(controller, z[:n], z[n:], times[k], m)
+                    z = phi @ z + gamma @ us[k]
+                    zs[k + 1] = z
+                _check_finite(zs, times, k0, k1)
+            xs, vs = zs[:, :n], zs[:, n:]
+            us[n_steps] = _held_input(controller, xs[-1], vs[-1], times[n_steps], m)
+
+    errors = xs @ model.C.T + vs @ model.F.T
+    return TrajectoryLog(t=times, x=xs, u=us, v=vs, e=errors)
+
+
+def _rk4_map(model, exo, dt):
+    """(Phi, Gamma) with one RK4 step of the joint dynamics z+ = Phi z + Gamma u."""
     n, q = model.n, exo.q
     joint = np.zeros((n + q, n + q))
     joint[:n, :n] = model.A
     joint[:n, n:] = model.D
     joint[n:, n:] = exo.E
     gain_u = np.vstack([model.B, np.zeros((q, model.m))])
+    step = dt * joint
+    # Horner form of sum_{i<=4} step^i / i! and sum_{i<=3} step^i / (i+1)!
+    eye = np.eye(n + q)
+    series = eye + step / 4.0
+    series = eye + step @ series / 3.0
+    series = eye + step @ series / 2.0
+    return eye + step @ series, dt * series @ gain_u
 
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have length {n}")
-    z = np.concatenate([x0, exo.v0])
 
-    times = np.arange(n_steps + 1) * dt
-    xs = np.empty((n_steps + 1, n))
-    vs = np.empty((n_steps + 1, q))
-    us = np.empty((n_steps + 1, model.m))
-    xs[0], vs[0] = z[:n], z[n:]
+def _held_input(controller, x, v, t, m):
+    u = np.asarray(controller(x, v, t), dtype=float).ravel()
+    if u.shape != (m,):
+        raise ValueError(f"controller must return an m-vector of length {m}")
+    return u
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # overflow to inf is detected and reported, so keep numpy quiet about it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            u = np.asarray(controller(z[:n], z[n:], times[k]), dtype=float).ravel()
-            if u.shape != (model.m,):
-                raise ValueError(f"controller must return an m-vector of length {model.m}")
-            us[k] = u
-            forced = gain_u @ u
-            k1 = joint @ z + forced
-            k2 = joint @ (z + half * k1) + forced
-            k3 = joint @ (z + half * k2) + forced
-            k4 = joint @ (z + dt * k3) + forced
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
-                raise DivergenceError(
-                    f"state became non-finite at t = {times[k + 1]:.6g}", time=float(times[k + 1])
-                )
-            xs[k + 1], vs[k + 1] = z[:n], z[n:]
-    # trailing sample: evaluate the controller once more so the log is rectangular
-    us[n_steps] = np.asarray(controller(z[:n], z[n:], times[n_steps]), dtype=float).ravel()
 
-    errors = xs @ model.C.T + vs @ model.F.T
-    return TrajectoryLog(t=times, x=xs, u=us, v=vs, e=errors)
+def _check_finite(zs, times, k0, k1):
+    """Raise DivergenceError at the first non-finite sample of rows k0+1..k1."""
+    finite = np.isfinite(zs[k0 + 1 : k1 + 1]).all(axis=1)
+    if not finite.all():
+        t = float(times[k0 + 1 + np.argmin(finite)])
+        raise DivergenceError(f"state became non-finite at t = {t:.6g}", time=t)
 
 
 @dataclass(frozen=True)

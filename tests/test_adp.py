@@ -36,7 +36,7 @@ from adpdock.errors import (
     NoSolutionError,
     RankDeficiencyError,
 )
-from adpdock.matops import lstsq, unvec, unvecs, vec, vecs, vecv
+from adpdock.matops import lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
 
@@ -274,6 +274,40 @@ def test_rank_check(docking, learning_data):
                                        cfg.interval)[0]
     ok, rank, required = check_rank(short_bundle)
     assert not ok and rank < required
+
+
+def _scaled_bundle(theta):
+    """A (n, m, q) = (2, 1, 1) bundle with R = I around a given Theta."""
+    rows = theta.shape[0]
+    return RegressionBundle(j=0, Ixx=theta[:, :3], Gxu=theta[:, 3:5] / 2.0,
+                            Gxv=theta[:, 5:] / 2.0, Dxx=np.ones((rows, 3)),
+                            Theta=theta, n=2, m=1, q=1)
+
+
+def test_rank_check_agrees_with_lstsq_across_column_scales():
+    g = np.random.default_rng(27)
+    cases = []
+    for span in (0.0, 6.0, 9.0, 12.0):
+        theta = g.standard_normal((40, 7)) * 10.0 ** np.linspace(-span, span, 7)
+        dependent = theta.copy()
+        dependent[:, 6] = 1e-9 * theta[:, 0] + 1e9 * theta[:, 3]
+        cases += [theta, dependent]
+    cases.append(np.zeros((40, 7)))
+    verdicts = []
+    for theta in cases:
+        ok, rank, required = check_rank(_scaled_bundle(theta))
+        try:
+            lstsq(theta, np.ones(40))
+            solvable = True
+        except RankDeficiencyError:
+            solvable = False
+        assert ok == solvable and required == 7
+        verdicts.append((ok, rank))
+    assert verdicts[-1] == (False, 0)
+    assert [ok for ok, _ in verdicts[:-1]] == [True, False] * 4
+    # the widest spans defeat a rank test on the unscaled blocks
+    raw = np.hstack([cases[6][:, :3], cases[6][:, 3:5] / 2.0, cases[6][:, 5:] / 2.0])
+    assert numerical_rank(raw) < 7 and verdicts[6] == (True, 7)
 
 
 def test_vi_learn_requires_rank(docking, learning_data):

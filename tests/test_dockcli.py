@@ -2,6 +2,11 @@
 stage-keyed exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,8 @@ from adpdock import (
 )
 from adpdock.dockcli import main
 from adpdock.sysmodels import AssumptionReport, PbhRecord
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_default_config_values():
@@ -70,6 +77,27 @@ def test_config_roundtrip(tmp_path):
     assert back.max_k == cfg.max_k
     assert back.abort_on_assumption_failure is False
     assert back.orbit == cfg.orbit
+
+
+def test_load_config_reference_file_and_roundtrip(tmp_path):
+    # every section and key of the shipped config is known to the reader
+    shipped = load_config(REPO / "configs" / "docking.cfg")
+    assert shipped.to_dict() == default_config().to_dict()
+    path = tmp_path / "saved.cfg"
+    save_config(shipped, path)
+    assert load_config(path).to_dict() == shipped.to_dict()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[orbit]\nmean_motion = 0.001\nmean_motoin = 0.002\n", "'mean_motoin' in section [orbit]"),
+    ("[noise]\nseed = 3\n\n[noize]\nseed = 4\n", "section [noize]"),
+])
+def test_load_config_rejects_unknown_names(tmp_path, text, named):
+    path = tmp_path / "typo.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_config(path)
+    assert main(["check", "--config", str(path)]) == 1
 
 
 def test_load_config_missing_file(tmp_path):
@@ -181,3 +209,16 @@ def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_python_dash_m_entry_point():
+    # the package runs as `python -m adpdock` without runpy's double-import warning
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "adpdock", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "usage: adpdock" in proc.stdout

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from adpdock import (
     CwParams,
     Exosystem,
+    LinearPolicy,
     StateSpaceModel,
     TrajectoryLog,
     build_cw_plant,
@@ -95,6 +98,109 @@ def test_docking_scenario_options():
         build_docking_scenario(CwParams(), exo_frequencies=(1.0, 2.0))
     with pytest.raises(ValueError):
         build_docking_scenario(CwParams(), exo_frequencies=(1.0, 1.0))
+
+
+def reference_rk4(model, exo, controller, x0, t_span, dt):
+    """The stage-by-stage RK4 loop: four joint-matrix products per step
+    around one held controller output. Slow but literal; both drivers
+    of simulate must reproduce it."""
+    n, q = model.n, exo.q
+    n_steps = int(round(t_span / dt))
+    joint = np.block([[model.A, model.D], [np.zeros((q, n)), exo.E]])
+    gain_u = np.vstack([model.B, np.zeros((q, model.m))])
+    z = np.concatenate([np.asarray(x0, dtype=float), exo.v0])
+    times = np.arange(n_steps + 1) * dt
+    zs = np.empty((n_steps + 1, n + q))
+    us = np.empty((n_steps + 1, model.m))
+    zs[0] = z
+    half, sixth = 0.5 * dt, dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            us[k] = controller(z[:n], z[n:], times[k])
+            forced = gain_u @ us[k]
+            k1 = joint @ z + forced
+            k2 = joint @ (z + half * k1) + forced
+            k3 = joint @ (z + half * k2) + forced
+            k4 = joint @ (z + dt * k3) + forced
+            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(z)):
+                raise DivergenceError("non-finite", time=float(times[k + 1]))
+            zs[k + 1] = z
+    us[n_steps] = controller(z[:n], z[n:], times[n_steps])
+    xs, vs = zs[:, :n], zs[:, n:]
+    return TrajectoryLog(t=times, x=xs, u=us, v=vs, e=xs @ model.C.T + vs @ model.F.T)
+
+
+@st.composite
+def random_closed_loop(draw):
+    """A random plant, a rotation exosystem, and a LinearPolicy with noise."""
+    n, m, q = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (4, 2, 1), (6, 3, 8)]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = 2
+    model = StateSpaceModel(A=g.standard_normal((n, n)) / np.sqrt(n),
+                            B=g.standard_normal((n, m)), C=g.standard_normal((p, n)),
+                            D=g.standard_normal((n, q)), F=g.standard_normal((p, q)))
+    W = g.standard_normal((q, q))
+    exo = Exosystem(E=W - W.T, v0=g.standard_normal(q))
+    noise = sinusoid_noise(m, terms=3, amplitude=0.5, seed=int(g.integers(1000)))
+    policy = LinearPolicy(0.3 * g.standard_normal((m, n)), g.standard_normal((m, q)), noise)
+    return model, exo, policy, g.standard_normal(n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(random_closed_loop())
+def test_simulate_drivers_match_reference_rk4(case):
+    model, exo, policy, x0 = case
+    t_span, dt = 1.2, 0.001  # 1200 steps: crosses a divergence-check chunk boundary
+    ref = reference_rk4(model, exo, policy, x0, t_span, dt)
+    structured = simulate(model, exo, policy, x0, t_span, dt)
+    callback = simulate(model, exo, lambda x, v, t: policy(x, v, t), x0, t_span, dt)
+    for log in (structured, callback):
+        assert np.array_equal(log.t, ref.t)
+        for name in ("x", "u", "v", "e"):
+            got, want = getattr(log, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_exploration_noise_on_a_grid_matches_pointwise():
+    spec = sinusoid_noise(3, terms=10, amplitude=0.1, seed=7)
+    t = np.arange(2001) * 1e-3 + 0.5
+    grid = exploration_noise(spec, t)
+    assert grid.shape == (t.size, 3)
+    pointwise = np.array([exploration_noise(spec, tk) for tk in t])
+    assert np.max(np.abs(grid - pointwise)) <= 1e-15
+
+
+def test_linear_policy_validation(docking):
+    model, exo = docking.model, docking.exo
+    with pytest.raises(ValueError):
+        LinearPolicy(np.zeros(6))  # K must be 2-D
+    with pytest.raises(ValueError):
+        LinearPolicy(np.zeros((3, 6)), np.zeros((2, 8)))  # L rows differ from K
+    with pytest.raises(ValueError):
+        LinearPolicy(np.zeros((3, 6)), noise=sinusoid_noise(2))  # noise channels
+    for policy in (LinearPolicy(np.zeros((3, 5))), LinearPolicy(np.zeros((2, 6))),
+                   LinearPolicy(np.zeros((3, 6)), np.zeros((3, 7)))):
+        with pytest.raises(ValueError):
+            simulate(model, exo, policy, np.zeros(6), 1.0, 0.1)
+
+
+def test_linear_policy_divergence_reports_time():
+    model = StateSpaceModel(A=[[40.0]], B=[[1.0]], C=[[1.0]],
+                            D=np.zeros((1, 1)), F=np.zeros((1, 1)))
+    exo = Exosystem(E=[[0.0]], v0=[0.0])
+    policy = LinearPolicy([[-1.0]])
+    with pytest.raises(DivergenceError) as excinfo:
+        simulate(model, exo, policy, [1.0], 50.0, 0.01)
+    t_fail = excinfo.value.time
+    assert 10.0 < t_fail <= 50.0  # past the first divergence-check chunk
+    # the reported sample is the first non-finite one
+    before = simulate(model, exo, policy, [1.0], t_fail - 0.01, 0.01)
+    assert np.all(np.isfinite(before.x)) and before.x[-1, 0] > 1e300
+    with pytest.raises(DivergenceError) as callback:
+        simulate(model, exo, lambda x, v, t: policy(x, v, t), [1.0], 50.0, 0.01)
+    assert callback.value.time == t_fail
 
 
 def test_simulate_rk4_fourth_order(docking):
