@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConvergenceError
-from .matops import check_weights, is_hurwitz, numerical_rank
+from .matops import check_weights, is_hurwitz, numerical_rank, write_csv
 
 __all__ = [
     "ViHistory",
@@ -79,8 +79,7 @@ class ViHistory:
         else:
             raise ValueError(f"unknown history export kind {kind!r}")
         data = np.column_stack([self.k, self.eps, third, self.reset_count])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   fmt=["%d", "%.17g", "%.17g", "%d"])
+        write_csv(path, data, header, fmt=["%d", "%.17g", "%.17g", "%d"])
 
 
 def harmonic_steps():

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .matops import bdiag, numerical_rank
+from .matops import bdiag, numerical_rank, write_csv
 
 __all__ = [
     "CwParams",
@@ -193,13 +193,13 @@ class TrajectoryLog:
             + [f"e{i+1}" for i in range(self.e.shape[1])]
         )
         data = np.hstack([self.t[:, None], self.x, self.u, self.v, self.e])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, data, header)
 
     @classmethod
     def from_csv(cls, path):
         with open(path) as fh:
             names = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         counts = {}
         for name in names:
             counts[name[0]] = counts.get(name[0], 0) + 1

@@ -222,3 +222,22 @@ def test_python_dash_m_entry_point():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "usage: adpdock" in proc.stdout
+
+
+def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):
+    # the forked CSV writer runs under -W error with BLAS threads alive,
+    # and a rerun in a fresh process writes the same bytes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "adpdock", "run",
+         "--config", str(REPO / "configs" / "docking.cfg"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    names = sorted(p.name for p in pipeline.out.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (pipeline.out / name).read_bytes(), name

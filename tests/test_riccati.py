@@ -182,6 +182,15 @@ def test_history_csv_schemas(tmp_path, docking, oracle):
     inc_path = tmp_path / "inc.csv"
     oracle.vi_history.to_csv(inc_path, kind="increment")
     assert inc_path.read_text().splitlines()[0] == "k,eps_k,frob_P_increment,reset_count"
+    # np.savetxt is the reference writer for both schemas
+    for hist, kind, third, written in ((with_ref, "distance", with_ref.distance, path),
+                                       (oracle.vi_history, "increment",
+                                        oracle.vi_history.increment, inc_path)):
+        reference = tmp_path / f"reference_{kind}.csv"
+        np.savetxt(reference, np.column_stack([hist.k, hist.eps, third, hist.reset_count]),
+                   delimiter=",", header=written.read_text().splitlines()[0], comments="",
+                   fmt=["%d", "%.17g", "%.17g", "%d"])
+        assert written.read_bytes() == reference.read_bytes()
     with pytest.raises(ValueError):
         oracle.vi_history.to_csv(tmp_path / "bad.csv", kind="distance")
     with pytest.raises(ValueError):

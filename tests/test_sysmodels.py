@@ -288,6 +288,27 @@ def test_trajectory_log_csv_roundtrip(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(log, name))
 
 
+def test_trajectory_log_csv_bytes_match_savetxt(tmp_path, learning_data):
+    # the 25k-row collection log, with edge values spliced into x, against
+    # np.savetxt as the reference writer; the reader gives the arrays back
+    log = learning_data.log
+    x = log.x.copy()
+    x[:3, 0] = [-0.0, 5e-324, -1e300]
+    log = TrajectoryLog(t=log.t, x=x, u=log.u, v=log.v, e=log.e)
+    path = tmp_path / "log.csv"
+    log.to_csv(path)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+    reference = tmp_path / "reference.csv"
+    np.savetxt(reference, np.hstack([log.t[:, None], log.x, log.u, log.v, log.e]),
+               delimiter=",", header=header, comments="", fmt="%.17g")
+    assert path.read_bytes() == reference.read_bytes()
+    back = TrajectoryLog.from_csv(path)
+    for name in ("t", "x", "u", "v", "e"):
+        assert np.array_equal(getattr(back, name), getattr(log, name))
+    assert np.signbit(back.x[0, 0])
+
+
 def test_trajectory_log_grid_validation():
     with pytest.raises(ValueError):
         TrajectoryLog(t=[0.0, 0.1, 0.3], x=np.zeros((3, 1)), u=np.zeros((3, 1)),
