@@ -46,6 +46,7 @@ from .riccati import (
     ViHistory,
     are_residual,
     harmonic_steps,
+    kleinman_from_care,
     kleinman_pi,
     linear_balls,
     lyapunov_solve,

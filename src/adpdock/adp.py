@@ -44,12 +44,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import (check_weights, equilibrate, kron, lstsq, numerical_rank, unvec, unvecs,
-                     vec, vecs, vecv, vecv_map)
-from .regulator import RegulatorSolution
+from .matops import (check_weights, equilibrate, kron, lstsq, null_space, numerical_rank, unvec,
+                     unvecs, vec, vecs, vecv, vecv_map)
+from .regulator import RegulatorSolution, _min_trace_over_affine
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, simulate
 
@@ -422,8 +421,9 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
         )
 
     nullspace = null_space(M)
+    y = y0
     if nullspace.shape[1]:
-        # trace cost in terms of y = (alpha, vec U): X = X1 + sum alpha_j N_j
+        # trace cost in terms of y = (alpha, vec U): [vec X; vec U] = T y + c
         T = np.zeros((n * q + m * q, h + m * q))
         T[: n * q, :h] = np.column_stack([vec(N) for N in basis.basis])
         T[n * q :, h:] = np.eye(m * q)
@@ -431,12 +431,7 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
         W = np.zeros((n * q + m * q, n * q + m * q))
         W[: n * q, : n * q] = kron(np.eye(q), Qbar)
         W[n * q :, n * q :] = kron(np.eye(q), Rbar)
-        G = nullspace.T @ T.T @ W @ T @ nullspace
-        g = nullspace.T @ T.T @ (W @ (T @ y0 + c))
-        a, *_ = np.linalg.lstsq(G, -g, rcond=None)
-        y = y0 + nullspace @ a
-    else:
-        y = y0
+        y = _min_trace_over_affine(y0, nullspace, T.T @ W @ T, shift=T.T @ (W @ c))
 
     alpha = y[:h]
     U = unvec(y[h:], m, q)

@@ -4,8 +4,11 @@ One invocation runs the full pipeline: assumption checks, off-policy
 data collection, regression assembly, rank verification, data-driven
 value iteration, model recovery, the data-driven regulator solve, and a
 closed-loop evaluation of the learned controller, with model-based
-oracles (Kleinman PI and the exact regulator solver) computed alongside
-for comparison. Everything is driven by a flat INI config whose
+oracles (Kleinman PI started from the Schur CARE solution, and the
+exact regulator solver) computed alongside for comparison. The oracle
+stage of ``run`` is the only part of the command line that loads
+:mod:`scipy.linalg`; ``check``, ``compare`` and the learning stages use
+numpy alone. Everything is driven by a flat INI config whose
 defaults reproduce the reference docking run; all artifacts are plain
 CSV/JSON with full-precision floats so runs diff cleanly.
 """
@@ -461,13 +464,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         rank=rank, rank_required=required, history=history,
     )
 
-    # model-based oracles: VI bootstraps a stabilizing gain, PI refines it
+    # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
+    # polishes it; the only stage that loads scipy
     def oracles():
-        _, K_vi, _ = riccati.model_based_vi(
-            model, config.Q, config.R, P0=P0, eps=config.eps,
-            ball_schedule=riccati.linear_balls(config.ball_base), max_k=config.max_k,
-        )
-        P_star, K_star, iterates = riccati.kleinman_pi(model, config.Q, config.R, K_vi)
+        P_star, K_star, iterates = riccati.kleinman_from_care(model, config.Q, config.R)
         exact = regulator.solve_regulator_exact(model, exo, config.Qbar, config.Rbar)
         L_star = regulator.feedforward_gain(exact, K_star)
         return {

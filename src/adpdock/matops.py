@@ -40,7 +40,6 @@ import signal
 import warnings
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import RankDeficiencyError
 
@@ -55,6 +54,7 @@ __all__ = [
     "bdiag",
     "equilibrate",
     "lstsq",
+    "null_space",
     "is_hurwitz",
     "write_csv",
 ]
@@ -195,11 +195,21 @@ def vecv_map(t):
 
 
 def bdiag(blocks):
-    """Block-diagonal composition of a nonempty list of matrices."""
-    blocks = list(blocks)
+    """Block-diagonal composition of a nonempty list of matrices.
+
+    Blocks need not be square; block i occupies the rows and columns
+    that follow those of block i - 1, and every other entry is zero.
+    """
+    blocks = [_as_matrix(b, "block") for b in blocks]
     if not blocks:
         raise ValueError("bdiag requires at least one block")
-    return block_diag(*[_as_matrix(b, "block") for b in blocks])
+    rows, cols = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros((rows, cols))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def equilibrate(theta):
@@ -268,11 +278,33 @@ def numerical_rank(a, required=None):
     a = np.asarray(a)
     a = _as_matrix(a, "a", dtype=np.result_type(a, float))
     sv = np.linalg.svd(a, compute_uv=False)
-    threshold = max(a.shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > threshold))
+    rank = _svd_rank(sv, a.shape)
     if required is None:
         return rank
     return rank, float(sv[required - 1]) if sv.size >= required else 0.0
+
+
+def _svd_rank(sv, shape):
+    """Count of the singular values ``sv`` above ``max(shape) * eps * sigma_max``."""
+    threshold = max(shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
+    return int(np.sum(sv > threshold))
+
+
+def null_space(a):
+    """Orthonormal basis of the null space of a real matrix, one vector per column.
+
+    The basis is the trailing right singular vectors of ``a``, those past
+    its :func:`numerical_rank`, so the column count is always
+    ``cols - numerical_rank(a)``: rank is decided by the one threshold
+    ``max(rows, cols) * eps * sigma_max``. A matrix without entries (no
+    rows or no columns) has the whole space as its null space.
+    """
+    a = _as_matrix(a, "a")
+    cols = a.shape[1]
+    if a.size == 0:
+        return np.eye(cols)
+    _, sv, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_svd_rank(sv, a.shape):].T
 
 
 def check_weights(Q, R, n, m, names=("Q", "R")):

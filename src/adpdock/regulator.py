@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import NoSolutionError
-from .matops import check_weights, kron, unvec, vec
+from .matops import check_weights, kron, null_space, unvec, vec
 
 __all__ = [
     "RegulatorSolution",
@@ -97,12 +96,18 @@ def kernel_basis(model):
     return KernelBasis(X0=np.zeros((n, q)), X1=X1, basis=basis)
 
 
-def _min_trace_over_affine(z0, nullspace, weight):
-    """argmin_z z' W z over {z0 + N a}; returns the minimizer."""
+def _min_trace_over_affine(z0, nullspace, weight, shift=None):
+    """argmin_z z' W z + 2 shift' z over {z0 + N a}; returns the minimizer.
+
+    ``shift`` (default zero) is the linear term a constant offset brings
+    in: minimizing (T z + c)' W (T z + c) is this problem with weight
+    T' W T and shift T' W c.
+    """
     if nullspace.shape[1] == 0:
         return z0
+    gradient = weight @ z0 if shift is None else weight @ z0 + shift
     gram = nullspace.T @ weight @ nullspace
-    rhs = nullspace.T @ (weight @ z0)
+    rhs = nullspace.T @ gradient
     alpha, *_ = np.linalg.lstsq(gram, -rhs, rcond=None)
     return z0 + nullspace @ alpha
 

@@ -11,6 +11,10 @@ the Riccati residual with diminishing steps eps_k, resetting to P0
 whenever the iterate escapes a growing sequence of Frobenius-norm balls.
 The value-iteration driver is shared with the data-driven learner, which
 supplies the residual from trajectory data instead of (A, B).
+
+The Lyapunov and CARE solves come from :mod:`scipy.linalg`, imported
+where they are called: the data-driven learner, which shares this
+module's value-iteration loop, never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import ConvergenceError
 from .matops import check_weights, is_hurwitz, numerical_rank, write_csv
@@ -29,6 +32,7 @@ __all__ = [
     "linear_balls",
     "lyapunov_solve",
     "kleinman_pi",
+    "kleinman_from_care",
     "model_based_vi",
     "run_value_iteration",
     "are_residual",
@@ -118,6 +122,8 @@ def lyapunov_solve(a_cl, m):
         raise ValueError("m must be symmetric")
     if not is_hurwitz(a_cl):
         raise ValueError("a_cl must be Hurwitz for a unique definite solution")
+    from scipy.linalg import solve_continuous_lyapunov
+
     P = _symmetrize(solve_continuous_lyapunov(a_cl.T, -m))
     residual = np.linalg.norm(a_cl.T @ P + P @ a_cl + m)
     if residual > _LYAP_RTOL * (1.0 + np.linalg.norm(m)):
@@ -178,6 +184,22 @@ def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
         f"policy iteration did not converge in {max_iter} iterations",
         iterations=max_iter,
     )
+
+
+def kleinman_from_care(model, Q, R):
+    """Kleinman policy iteration seeded with the Schur solution of the ARE.
+
+    :func:`scipy.linalg.solve_continuous_are` (Arnold & Laub, Proc. IEEE
+    1984) gives a stabilizing P whose gain K0 = R^{-1} B' P starts
+    :func:`kleinman_pi` (Kleinman, IEEE TAC 1968), which polishes it to
+    its default tolerance. Returns :func:`kleinman_pi`'s (P, K, iterates).
+    """
+    from scipy.linalg import solve_continuous_are
+
+    Q, R = check_weights(Q, R, model.n, model.m)
+    P0 = solve_continuous_are(model.A, model.B, Q, R)
+    K0 = np.linalg.solve(R, model.B.T @ P0)
+    return kleinman_pi(model, Q, R, K0)
 
 
 def run_value_iteration(residual_fn, P0, stop_eps, eps_schedule, ball_schedule,

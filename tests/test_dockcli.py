@@ -224,6 +224,64 @@ def test_python_dash_m_entry_point():
     assert "usage: adpdock" in proc.stdout
 
 
+# Runs in a fresh interpreter; prints one line per step that left
+# scipy.linalg out of sys.modules and stops at the first that did not.
+_SCIPY_FREE_STEPS = """
+import runpy, sys
+
+def step(name):
+    assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by " + name
+    print(name)
+
+def cli(*argv):
+    sys.argv = ["adpdock", *argv]
+    try:
+        runpy.run_module("adpdock", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code in (0, None), (argv, exc.code)
+
+import adpdock
+step("import")
+
+from adpdock import adp, regulator
+cfg = adpdock.load_config(sys.argv[1])
+model, exo = cfg.scenario()
+log = adp.collect_data(model, exo, None, cfg.noise_spec(), cfg.x0,
+                       horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
+basis = regulator.kernel_basis(model)
+bundles = adp.assemble_regression(log, basis, cfg.R, cfg.interval)
+P, K, _ = adp.vi_learn(bundles[0], cfg.Q, cfg.R, eps=cfg.eps)
+recovery = adp.recover_model_artifacts(bundles, P, K, cfg.R)
+solution = adp.solve_problem1_datadriven(recovery, basis, cfg.Qbar, cfg.Rbar)
+regulator.feedforward_gain(solution, K)
+step("learn")
+
+config, learned, oracle = sys.argv[1:4]
+cli("check", "--config", config)
+step("check")
+cli("compare", "--learned", learned, "--oracle", oracle)
+step("compare")
+cli("--help")
+step("help")
+"""
+
+
+def test_learning_path_never_loads_scipy_linalg(pipeline):
+    # only the oracle stage of `run` needs scipy; import, the data->(K, L)
+    # chain, check, compare and --help must not pay for loading it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_STEPS, str(REPO / "configs" / "docking.cfg"),
+         str(pipeline.out / "learned_gains.json"), str(pipeline.out / "oracle_gains.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = [line for line in proc.stdout.splitlines()
+             if line in ("import", "learn", "check", "compare", "help")]
+    assert steps == ["import", "learn", "check", "compare", "help"]
+
+
 def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):
     # the forked CSV writer runs under -W error with BLAS threads alive,
     # and a rerun in a fresh process writes the same bytes

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,6 +22,7 @@ from adpdock.matops import (
     is_hurwitz,
     kron,
     lstsq,
+    null_space,
     numerical_rank,
     unvec,
     unvecs,
@@ -128,6 +130,58 @@ def test_bdiag_layout():
     assert np.array_equal(bdiag(blocks), expected)
     with pytest.raises(ValueError):
         bdiag([])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5))
+def test_bdiag_matches_scipy_block_diag(shapes):
+    # scipy's block_diag is the reference the numpy composition replaced
+    blocks = [rng.standard_normal(shape) for shape in shapes]
+    assert np.array_equal(bdiag(blocks), scipy.linalg.block_diag(*blocks))
+
+
+def test_bdiag_row_and_column_blocks():
+    blocks = [np.arange(1.0, 4.0)[None, :], np.arange(4.0, 7.0)[:, None],
+              np.array([[7.0]]), np.ones((2, 3)), np.arange(1.0, 3.0)[:, None]]
+    assert np.array_equal(bdiag(blocks), scipy.linalg.block_diag(*blocks))
+    assert bdiag(blocks).shape == (9, 9)
+
+
+@st.composite
+def rank_deficient(draw):
+    """A rows x cols matrix whose columns repeat, negate or zero out those of a
+    random base, so its rank is below cols exactly, not only up to round-off."""
+    rows, rank = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    base = draw(arrays(float, (rows, rank), elements=finite))
+    extra = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from([1.0, -1.0, 0.0])),
+                          min_size=1, max_size=4))
+    columns = [base[:, i] for i in range(rank)] + [sign * base[:, i] for i, sign in extra]
+    order = draw(st.permutations(range(len(columns))))
+    return np.column_stack([columns[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rank_deficient())
+def test_null_space_property(a):
+    rows, cols = a.shape
+    N = null_space(a)
+    assert N.shape == (cols, cols - numerical_rank(a))
+    assert np.allclose(N.T @ N, np.eye(N.shape[1]), rtol=0.0, atol=1e-12)
+    scale = 1.0 + np.linalg.norm(a, 2)
+    assert np.allclose(a @ N, 0.0, rtol=0.0, atol=16 * max(rows, cols) * np.finfo(float).eps * scale)
+    # the null space itself, whatever basis spans it, is scipy's
+    reference = scipy.linalg.null_space(a)
+    assert np.allclose(N @ N.T, reference @ reference.T, rtol=0.0, atol=1e-9)
+
+
+def test_null_space_edge_cases():
+    assert np.array_equal(null_space(np.zeros((0, 3))), np.eye(3))
+    N = null_space(np.zeros((2, 3)))
+    assert np.allclose(N @ N.T, np.eye(3), rtol=0.0, atol=1e-15)
+    assert null_space(np.eye(4)).shape == (4, 0)
+    assert null_space(np.ones((3, 0))).shape == (0, 0)
+    with pytest.raises(ValueError):
+        null_space(np.ones(3))
 
 
 def test_lstsq_recovers_solution():
