@@ -31,13 +31,17 @@ orderings are frozen because they define regression column layouts.
 :func:`write_csv` is the one CSV artifact writer. Its bytes equal
 ``numpy.savetxt(path, data, delimiter=",", header=header, comments="",
 fmt=fmt)``, and it splits the formatting across forked workers.
+:func:`read_csv` reads such a file back, splitting the parsing across
+forked workers the same way; its values equal a serial ``numpy.loadtxt``.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import signal
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "null_space",
     "is_hurwitz",
     "write_csv",
+    "read_csv",
 ]
 
 #: Tolerance under which a nominally symmetric matrix is accepted and
@@ -351,6 +356,10 @@ CSV_BLOCK_ROWS = 256
 #: Fewest values worth a forked worker. A worker costs milliseconds: split
 #: over two CPUs, the 28k-value VI history took 8 ms longer to write.
 FORK_MIN_VALUES = 1 << 16
+#: Bytes that :func:`read_csv` counts as one value when it sizes its ranges:
+#: a ``%.17g`` double with its delimiter averages 20 bytes (42.7 MB for the
+#: 2.1M values of a 100 s trajectory).
+CSV_VALUE_BYTES = 20
 _PIPE_READ_BYTES = 1 << 16
 
 
@@ -361,26 +370,29 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _format_rows(data, row_fmt, start, stop, write):
-    """Pass rows ``start:stop`` of ``data`` to ``write`` as ASCII, one block at a time."""
-    for lo in range(start, stop, CSV_BLOCK_ROWS):
-        block = data[lo:min(lo + CSV_BLOCK_ROWS, stop)]
-        write((row_fmt * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
+def _worker_count(values):
+    """Ranges to split ``values`` values of work into.
+
+    One per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
+    values, and a single range where ``os.fork`` is missing.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_usable_cpus(), values // FORK_MIN_VALUES))
 
 
-def _fork_worker(data, row_fmt, start, stop):
-    """Fork a child that sends rows ``start:stop`` down a pipe; returns (pid, read fd).
+def _fork_worker(send):
+    """Fork a child that calls ``send(pipe)`` on the write end of a new pipe; returns (pid, read fd).
 
     Forking with OpenBLAS threads alive is safe because the child only
-    formats, writes and leaves through ``os._exit``: it calls no BLAS
-    routine, takes no lock another thread could have held at the fork,
-    and runs none of the parent's exit handlers or buffer flushes. The
-    DeprecationWarning that Python 3.12+ gives for forking a
+    formats or parses, writes and leaves through ``os._exit``: it calls no
+    BLAS routine, takes no lock another thread could have held at the
+    fork, and runs none of the parent's exit handlers or buffer flushes.
+    The DeprecationWarning that Python 3.12+ gives for forking a
     multi-threaded process is therefore silenced. (OpenBLAS's own at-fork
     handler stops its pool; the parent restarts it on its next BLAS call,
     which costs it just under 1 MB of resident memory once.) The child
-    formats its whole range before writing, so a full pipe does not stall
-    it while the parent formats range 0.
+    exits with code 0 if ``send`` returns and 1 if it raises.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -395,15 +407,70 @@ def _fork_worker(data, row_fmt, start, stop):
         status = 1
         try:
             os.close(read_fd)
-            chunks = []
-            _format_rows(data, row_fmt, start, stop, chunks.append)
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.writelines(chunks)
+                send(pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
     return pid, read_fd
+
+
+def _run_forked(tasks, parent):
+    """Run each of ``tasks`` in a forked child while ``parent(read_fds)`` runs here.
+
+    A task is called in its child with the write end of the child's pipe,
+    a binary file. ``parent`` gets the read ends in task order, does this
+    process's share of the work and reads the pipes; its result is
+    returned once every child is reaped, and a child that exited non-zero
+    raises OSError. However this function leaves, every pipe is closed and
+    every child reaped; children still running at an error are killed.
+    """
+    children = []
+    try:
+        for task in tasks:
+            children.append(_fork_worker(task))
+        result = parent([read_fd for _, read_fd in children])
+        while children:
+            pid, read_fd = children[0]
+            os.close(read_fd)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise OSError(f"CSV worker {pid} exited with code {code}")
+        return result
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _read_into(fd, buf):
+    """Fill the 1-D byte buffer ``buf`` from ``fd``; returns the bytes read, fewer only at EOF."""
+    view = memoryview(buf)
+    got = 0
+    while got < len(view) and (size := os.readv(fd, [view[got:]])):
+        got += size
+    return got
+
+
+def _format_rows(data, row_fmt, start, stop, write):
+    """Pass rows ``start:stop`` of ``data`` to ``write`` as ASCII, one block at a time."""
+    for lo in range(start, stop, CSV_BLOCK_ROWS):
+        block = data[lo:min(lo + CSV_BLOCK_ROWS, stop)]
+        write((row_fmt * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
+
+
+def _send_rows(data, row_fmt, start, stop, pipe):
+    """Format rows ``start:stop`` whole, then write them to ``pipe``.
+
+    Formatting before writing keeps a full pipe from stalling the child
+    while the parent formats its own range.
+    """
+    chunks = []
+    _format_rows(data, row_fmt, start, stop, chunks.append)
+    pipe.writelines(chunks)
 
 
 def write_csv(path, data, header, fmt="%.17g"):
@@ -441,35 +508,163 @@ def write_csv(path, data, header, fmt="%.17g"):
     if len(fmts) != cols:
         raise ValueError(f"{len(fmts)} formats for {cols} columns")
     row_fmt = ",".join(fmts) + "\n"
-    workers = 1
-    if hasattr(os, "fork"):
-        workers = max(1, min(_usable_cpus(), rows * cols // FORK_MIN_VALUES))
+    workers = _worker_count(rows * cols)
     bounds = [rows * i // workers for i in range(workers + 1)]
-    children = []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append((*_fork_worker(data, row_fmt, start, stop), stop - start))
-        with open(path, "wb") as fh:
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    with open(path, "wb") as fh:
+
+        def parent(read_fds):
             if header:
                 fh.write((header + "\n").encode("ascii"))
-            _format_rows(data, row_fmt, 0, bounds[1], fh.write)
+            _format_rows(data, row_fmt, *ranges[0], fh.write)
             # one reused buffer: a fresh bytes object per read grows the heap
             buf = bytearray(_PIPE_READ_BYTES)
             view = memoryview(buf)
-            while children:
-                pid, read_fd, expected = children[0]
-                received = 0
+            received = []
+            for read_fd in read_fds:
+                received.append(0)
                 while size := os.readv(read_fd, [buf]):
-                    received += buf.count(b"\n", 0, size)
+                    received[-1] += buf.count(b"\n", 0, size)
                     fh.write(view[:size])
-                os.close(read_fd)
-                children.pop(0)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0 or received != expected:
-                    raise OSError(f"CSV worker {pid} exited with code {code} "
-                                  f"after sending {received} of {expected} rows")
-    finally:
-        for pid, read_fd, _ in children:
-            os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            return received
+
+        tasks = [partial(_send_rows, data, row_fmt, start, stop) for start, stop in ranges[1:]]
+        received = _run_forked(tasks, parent)
+    for (start, stop), count in zip(ranges[1:], received):
+        if count != stop - start:
+            raise OSError(f"CSV worker for rows {start}:{stop} exited after sending "
+                          f"{count} of {stop - start} rows")
+
+
+class _Bounded(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, as a stream of their own."""
+
+    def __init__(self, raw, size):
+        super().__init__()
+        self._raw, self._left = raw, size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        size = self._raw.readinto(memoryview(buf)[:self._left])
+        self._left -= size
+        return size
+
+
+def _parse_range(path, start, stop):
+    """``numpy.loadtxt`` of bytes ``start:stop`` of ``path``, whole lines, read in bounded chunks."""
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        text = io.TextIOWrapper(io.BufferedReader(_Bounded(raw, stop - start), _PIPE_READ_BYTES),
+                                encoding="ascii")
+        with warnings.catch_warnings():
+            # a range of blank lines holds no rows, which a serial read would not warn about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(text, delimiter=",", ndmin=2)
+
+
+def _send_parsed(path, start, stop, pipe):
+    """Parse bytes ``start:stop`` of ``path`` and send the result down ``pipe``.
+
+    The record is ``[rows, cols]`` as two int64 and then the float64 rows,
+    or ``[-1, length]`` and the UTF-8 message of the ValueError that a row
+    raised.
+    """
+    try:
+        part = _parse_range(path, start, stop)
+    except ValueError as exc:
+        message = str(exc).encode()
+        pipe.write(np.array([-1, len(message)], dtype=np.int64).tobytes() + message)
+        return
+    pipe.write(np.array(part.shape, dtype=np.int64).tobytes())
+    pipe.write(part.reshape(-1).view(np.uint8))
+
+
+def _range_error(path, start, stop, reason):
+    return ValueError(f"{path}, bytes {start}:{stop}: {reason}")
+
+
+def read_csv(path):
+    """Read a header line and comma-separated rows of floats; returns (header, data).
+
+    The counterpart of :func:`write_csv`. The values equal those of
+    ``numpy.loadtxt(fh, delimiter=",", ndmin=2)`` with ``fh`` positioned
+    after the header line.
+
+    The body is split into contiguous byte ranges, each starting and
+    ending on a line boundary: one per usable CPU, but no more than one
+    per :data:`FORK_MIN_VALUES` values (a value counted as
+    :data:`CSV_VALUE_BYTES` bytes), and a single range where ``os.fork``
+    is missing. This process parses the first range; a forked child
+    parses each other range and sends its row count and raw float64 rows
+    down a pipe, and the rows are put into one array in file order. Every
+    range is read in bounded chunks, so the whole text is never held in
+    memory.
+
+    Returns
+    -------
+    header : str
+        The first line without its line ending.
+    data : ndarray, shape (rows, cols)
+        The rows, with as many columns as the header has comma-separated
+        fields; no rows for a file that holds only its header.
+
+    Raises
+    ------
+    ValueError
+        If a row does not parse or holds another number of values than
+        the header names. The message names the file.
+    OSError
+        If a child fails or sends a short range. Every child is reaped
+        before this function returns or raises.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").rstrip("\r\n")
+        bounds = [fh.tell()]
+        size = os.fstat(fh.fileno()).st_size
+        workers = _worker_count((size - bounds[0]) // CSV_VALUE_BYTES)
+        for offset in [bounds[0] + (size - bounds[0]) * i // workers for i in range(1, workers)]:
+            # the next range starts after the first newline at or past offset - 1
+            fh.seek(offset - 1)
+            fh.readline()
+            bounds.append(fh.tell())
+    bounds.append(size)
+    ranges = [(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]) if start < stop]
+    fields = header.count(",") + 1
+    if not ranges:
+        return header, np.empty((0, fields))
+
+    def parent(read_fds):
+        try:
+            first = _parse_range(path, *ranges[0])
+        except ValueError as exc:
+            raise _range_error(path, *ranges[0], exc) from exc
+        shapes = [first.shape]
+        for read_fd, (start, stop) in zip(read_fds, ranges[1:]):
+            head = np.zeros(2, dtype=np.int64)
+            if _read_into(read_fd, head.view(np.uint8)) != head.nbytes:
+                raise OSError(f"CSV worker for bytes {start}:{stop} sent no row count")
+            rows, cols = head.tolist()
+            if rows < 0:
+                message = bytearray(cols)
+                _read_into(read_fd, message)
+                raise _range_error(path, start, stop, message.decode(errors="replace"))
+            shapes.append((rows, cols))
+        for (start, stop), (rows, cols) in zip(ranges, shapes):
+            if rows and cols != fields:
+                raise _range_error(path, start, stop,
+                                   f"rows hold {cols} values, the header names {fields} columns")
+        offsets = np.cumsum([0] + [rows for rows, _ in shapes])
+        data = np.empty((offsets[-1], fields))
+        data[:offsets[1]] = first
+        del first  # freed before the children's rows land, so the peak is ``data`` alone
+        for read_fd, (start, stop), lo, hi in zip(read_fds, ranges[1:], offsets[1:], offsets[2:]):
+            chunk = data[lo:hi].reshape(-1).view(np.uint8)
+            if _read_into(read_fd, chunk) != chunk.nbytes:
+                raise OSError(f"CSV worker for bytes {start}:{stop} sent a short range")
+        return data
+
+    tasks = [partial(_send_parsed, path, start, stop) for start, stop in ranges[1:]]
+    return header, _run_forked(tasks, parent)

@@ -275,6 +275,13 @@ def model_based_vi(model, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     Needs no stabilizing initial gain; P0 defaults to the identity,
     steps to 1/k, ball radii to 10 (r + 1). Returns (P, K, history)
     with K = R^{-1} B' P at the stopping iterate.
+
+    With these defaults it may stop with :class:`ConvergenceError` on
+    plants other than the docking one: of 12 small random plants
+    (n <= 4, m <= 3, Q = R = I, drawn like the tests' ``random_solvable``)
+    it stalled on 4, three of them single-input. It is a library tool and
+    a test reference, not an oracle: use :func:`kleinman_from_care` for
+    ground truth.
     """
     A, B = model.A, model.B
     Q, R = check_weights(Q, R, model.n, model.m)

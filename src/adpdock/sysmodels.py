@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .matops import bdiag, numerical_rank, write_csv
+from .matops import bdiag, numerical_rank, read_csv, write_csv
 
 __all__ = [
     "CwParams",
@@ -185,26 +185,30 @@ class TrajectoryLog:
 
     def to_csv(self, path):
         """Write `t,x1..,u1..,v1..,e1..` rows in full double precision."""
-        header = ",".join(
-            ["t"]
-            + [f"x{i+1}" for i in range(self.x.shape[1])]
-            + [f"u{i+1}" for i in range(self.u.shape[1])]
-            + [f"v{i+1}" for i in range(self.v.shape[1])]
-            + [f"e{i+1}" for i in range(self.e.shape[1])]
-        )
+        dims = [arr.shape[1] for arr in (self.x, self.u, self.v, self.e)]
         data = np.hstack([self.t[:, None], self.x, self.u, self.v, self.e])
-        write_csv(path, data, header)
+        write_csv(path, data, _csv_header(dims))
 
     @classmethod
     def from_csv(cls, path):
-        with open(path) as fh:
-            names = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        counts = {}
-        for name in names:
-            counts[name[0]] = counts.get(name[0], 0) + 1
-        n, m, q, p = counts["x"], counts["u"], counts["v"], counts["e"]
-        cols = np.cumsum([1, n, m, q, p])
+        """Read a log written by :meth:`to_csv`.
+
+        Raises
+        ------
+        ValueError
+            Naming the file, if the header is not ``t`` followed by
+            nonempty ``x``, ``u``, ``v`` and ``e`` groups numbered from 1,
+            if a row does not parse or holds another number of values than
+            the header names, or if the file has no data rows.
+        """
+        header, data = read_csv(path)
+        dims = [sum(name[:1] == group for name in header.split(",")) for group in "xuve"]
+        if min(dims) == 0 or header != _csv_header(dims):
+            raise ValueError(f"{path}: header {header!r} is not t,x1..,u1..,v1..,e1.. "
+                             "with every group nonempty")
+        if len(data) == 0:
+            raise ValueError(f"{path}: no data rows after the header")
+        cols = np.cumsum([1, *dims])
         return cls(
             t=data[:, 0],
             x=data[:, cols[0] : cols[1]],
@@ -212,6 +216,12 @@ class TrajectoryLog:
             v=data[:, cols[2] : cols[3]],
             e=data[:, cols[3] : cols[4]],
         )
+
+
+def _csv_header(dims):
+    """The `t,x1..,u1..,v1..,e1..` header for group widths ``dims`` = (n, m, q, p)."""
+    return ",".join(["t"] + [f"{group}{i + 1}" for group, width in zip("xuve", dims)
+                             for i in range(width)])
 
 
 @dataclass(frozen=True)

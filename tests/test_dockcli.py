@@ -256,6 +256,10 @@ solution = adp.solve_problem1_datadriven(recovery, basis, cfg.Qbar, cfg.Rbar)
 regulator.feedforward_gain(solution, K)
 step("learn")
 
+back = adpdock.TrajectoryLog.from_csv(sys.argv[4])
+assert all((getattr(back, name) == getattr(log, name)).all() for name in "txuve")
+step("read")
+
 config, learned, oracle = sys.argv[1:4]
 cli("check", "--config", config)
 step("check")
@@ -273,13 +277,41 @@ def test_learning_path_never_loads_scipy_linalg(pipeline):
         [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_FREE_STEPS, str(REPO / "configs" / "docking.cfg"),
-         str(pipeline.out / "learned_gains.json"), str(pipeline.out / "oracle_gains.json")],
+         str(pipeline.out / "learned_gains.json"), str(pipeline.out / "oracle_gains.json"),
+         str(pipeline.out / "trajectory_learning.csv")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     steps = [line for line in proc.stdout.splitlines()
-             if line in ("import", "learn", "check", "compare", "help")]
-    assert steps == ["import", "learn", "check", "compare", "help"]
+             if line in ("import", "learn", "read", "check", "compare", "help")]
+    assert steps == ["import", "learn", "read", "check", "compare", "help"]
+
+
+_MULTI_RANGE_READ = """
+import os, sys
+from adpdock import TrajectoryLog, matops
+
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(None))
+matops._usable_cpus = lambda: 3
+log = TrajectoryLog.from_csv(sys.argv[1])
+assert len(forks) == 2 and len(log) > 0, (len(forks), len(log))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_multi_range_read_is_warning_free(pipeline):
+    # the forked CSV reader runs under -W error with BLAS threads alive
+    # (Python 3.12+ warns about forking a multi-threaded process)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _MULTI_RANGE_READ,
+         str(pipeline.out / "trajectory_learning.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):

@@ -278,6 +278,24 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def counting_forks(mp):
+    """Record the pid of every fork made while the patch holds."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+    return pids
+
+
 @st.composite
 def csv_tables(draw):
     """Tables at the block edges (0, 1, one below a block, one block) or with a ragged tail."""
@@ -370,12 +388,11 @@ def test_write_csv_failed_fork_raises_and_reaps(tmp_path, monkeypatch):
 
     force_workers(monkeypatch, 3, min_values=1)
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    fds = open_fds()
     with pytest.raises(BlockingIOError):
         write_csv(tmp_path / "t.csv", np.ones((3 * BLOCK, 2)), "a,b")
     assert_no_child_left()
-    if fds is not None:
-        assert set(os.listdir("/proc/self/fd")) <= fds
+    assert open_fds() <= fds
 
 
 def test_write_csv_one_cpu_never_forks(tmp_path, monkeypatch):
@@ -390,16 +407,8 @@ def test_write_csv_one_cpu_never_forks(tmp_path, monkeypatch):
 
 @needs_fork
 def test_write_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
-
     force_workers(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", counting_fork)
+    pids = counting_forks(monkeypatch)
     data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
     # small tables are not worth a fork: one range per FORK_MIN_VALUES values
     for rows, forks in ((len(data), 2), (len(data) - 1, 1), (len(data) // 3 - 1, 0)):
@@ -435,3 +444,187 @@ def test_write_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
         with pytest.raises(DeprecationWarning):
             warn()  # the same warning outside the writer is an error
     assert_no_child_left()
+
+
+# --- read_csv: values equal np.loadtxt, the reference reader ------------
+
+def force_ranges(mp, cpus, min_values=1):
+    """Make ``cpus`` CPUs usable and a parsing range worth ``min_values`` values."""
+    mp.setattr(matops, "_usable_cpus", lambda: cpus)
+    mp.setattr(matops, "FORK_MIN_VALUES", min_values)
+
+
+def loadtxt_reference(path):
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(csv_tables())
+def test_read_csv_round_trips_write_csv(tmp_path_factory, data):
+    # bit for bit, so -0.0 keeps its sign and subnormals, +-1e300, nan and
+    # +-inf come back; one, two and three ranges give the same array
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    header = ",".join(f"c{j}" for j in range(data.shape[1]))
+    write_csv(path, data, header)
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            force_ranges(mp, cpus)
+            back_header, back = matops.read_csv(path)
+        assert back_header == header
+        assert back.shape == data.shape and back.dtype == np.float64
+        assert back.tobytes() == data.tobytes()
+        if len(data):
+            assert np.array_equal(back, loadtxt_reference(path)[1], equal_nan=True)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_read_csv_splits_on_line_boundaries(tmp_path, monkeypatch):
+    # rows of growing width move the split offsets across every position in
+    # a line, including onto a newline and just past one; with and without
+    # a trailing newline the array equals a serial np.loadtxt
+    path = tmp_path / "t.csv"
+    hits = set()
+    for rows in range(4, 40):
+        data = np.arange(2 * rows).reshape(rows, 2) * 7
+        for trailing in (True, False):
+            write_csv(path, data, "a,b", fmt="%d")
+            text = path.read_bytes()
+            if not trailing:
+                path.write_bytes(text[:-1])
+                text = text[:-1]
+            body = text.index(b"\n") + 1
+            for ranges in (2, 3):
+                values = (len(text) - body) // matops.CSV_VALUE_BYTES
+                if values < ranges:
+                    continue
+                for i in range(1, ranges):
+                    offset = body + (len(text) - body) * i // ranges
+                    hits.add("after" if text[offset - 1:offset] == b"\n" else
+                             "on" if text[offset:offset + 1] == b"\n" else "inside")
+                with pytest.MonkeyPatch.context() as mp:
+                    force_ranges(mp, ranges)
+                    pids = counting_forks(mp)
+                    header, back = matops.read_csv(path)
+                assert pids, "the table was read in one range"
+                assert header == "a,b"
+                assert np.array_equal(back, loadtxt_reference(path)[1])
+                assert np.array_equal(back, data)
+    assert hits == {"after", "on", "inside"}
+    assert_no_child_left()
+
+
+@needs_fork
+def test_read_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
+    # a range is worth FORK_MIN_VALUES values, counted as CSV_VALUE_BYTES bytes each
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"h\n" + b"1\n" * (4 * matops.CSV_VALUE_BYTES // 2))
+    expected = loadtxt_reference(path)[1]
+    force_ranges(monkeypatch, 3)
+    pids = counting_forks(monkeypatch)
+    for min_values, forks in ((1, 2), (2, 1), (3, 0), (5, 0)):
+        monkeypatch.setattr(matops, "FORK_MIN_VALUES", min_values)
+        pids.clear()
+        assert np.array_equal(matops.read_csv(path)[1], expected)
+        assert len(pids) == forks
+    assert_no_child_left()
+
+
+def test_read_csv_one_cpu_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called with one usable CPU")
+
+    force_ranges(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    data = np.arange(3 * BLOCK, dtype=float).reshape(-1, 3) / 7.0
+    write_csv(tmp_path / "t.csv", data, "a,b,c")
+    assert np.array_equal(matops.read_csv(tmp_path / "t.csv")[1], data)
+
+
+def test_read_csv_checks_columns_against_header(tmp_path, monkeypatch):
+    # a header-only file, or one with only blank lines after the header,
+    # reads as no rows, and a range of blank lines as none of its rows,
+    # without numpy's empty-input warning (the forked children inherit
+    # the warning filter)
+    path = tmp_path / "t.csv"
+    force_ranges(monkeypatch, 2)
+    for text, rows in ((b"a,b,c\n", 0), (b"a,b,c\n" + b"\n" * 60, 0),
+                       (b"a,b,c\n" + b"1,2,3\n" * 30 + b"\n" * 200, 30)):
+        path.write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, data = matops.read_csv(path)
+        assert header == "a,b,c" and data.shape == (rows, 3)
+        assert np.all(data == [1, 2, 3])
+    for text in (b"a,b,c\n1,2\n3,4\n", b"a,b\n1,2,3\n"):
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="t.csv.*header names"):
+            matops.read_csv(path)
+
+
+@needs_fork
+@pytest.mark.parametrize("row", [0, BLOCK, 3 * BLOCK - 1])
+@pytest.mark.parametrize("bad", [b"1.5", b"1.5,2.5,x"])
+def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, row, bad):
+    # a short row or one that does not parse, in the range this process
+    # parses (row 0), in the first child's range or in the last one's
+    lines = [b"%d.5,%d.5,3" % (k, k) for k in range(3 * BLOCK)]
+    lines[row] = bad
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b,c\n" + b"\n".join(lines) + b"\n")
+    force_ranges(monkeypatch, 3)
+    pids = counting_forks(monkeypatch)
+    fds = open_fds()
+    with pytest.raises(ValueError, match="bad.csv, bytes"):
+        matops.read_csv(path)
+    assert len(pids) == 2
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+@needs_fork
+def test_read_csv_short_range_raises_and_reaps(tmp_path, monkeypatch):
+    # the forked children inherit the patch: each sends one float64 too few
+    class Short:
+        def __init__(self, pipe):
+            self.pipe = pipe
+
+        def write(self, b):
+            self.pipe.write(b[:-8] if len(b) > 16 else b)
+
+    real = matops._send_parsed
+    monkeypatch.setattr(matops, "_send_parsed",
+                        lambda path, start, stop, pipe: real(path, start, stop, Short(pipe)))
+    force_ranges(monkeypatch, 3)
+    data = np.ones((3 * BLOCK, 2))
+    write_csv(tmp_path / "t.csv", data, "a,b")
+    fds = open_fds()
+    with pytest.raises(OSError, match="sent a short range"):
+        matops.read_csv(tmp_path / "t.csv")
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+@needs_fork
+def test_read_csv_failed_fork_raises_and_reaps(tmp_path, monkeypatch):
+    # the second fork fails: the first worker is reaped and no pipe is left open
+    real_fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return real_fork()
+
+    write_csv(tmp_path / "t.csv", np.ones((3 * BLOCK, 2)), "a,b")
+    force_ranges(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    fds = open_fds()
+    with pytest.raises(BlockingIOError):
+        matops.read_csv(tmp_path / "t.csv")
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert open_fds() <= fds

@@ -1,6 +1,7 @@
 """Scenario builders, the fixed-step simulator, and PBH diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,24 @@ def test_trajectory_log_csv_bytes_match_savetxt(tmp_path, learning_data):
     for name in ("t", "x", "u", "v", "e"):
         assert np.array_equal(getattr(back, name), getattr(log, name))
     assert np.signbit(back.x[0, 0])
+
+
+@pytest.mark.parametrize("text, mismatch", [
+    (b"t,x1,u1,v1,e1,e2\n0,1,2,3,4\n", "header names 6"),  # header wider than the rows
+    (b"t,x1,u1,v1,e1\n0,1,2,3,4,5\n", "header names 5"),  # rows wider than the header
+    (b"t,x1,u1,v1\n0,1,2,3\n", "header"),  # no e* group
+    (b"t,x1,x3,u1,v1,e1\n0,1,2,3,4,5\n", "header"),  # a gap in the numbering
+    (b"t,x1,u1,v1,e1\n", "no data rows"),  # header only
+    (b"t,x1,u1,v1,e1\n0,1,2,3,4\n0.1,1,2,3\n", "bytes 14:34"),  # ragged row
+])
+def test_trajectory_log_from_csv_rejects_mismatch(tmp_path, text, mismatch):
+    # each raises a ValueError naming the file, and numpy warns about nothing
+    path = tmp_path / "log.csv"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"log.csv.*{mismatch}"):
+            TrajectoryLog.from_csv(path)
 
 
 def test_trajectory_log_grid_validation():
