@@ -129,6 +129,18 @@ class LearnedController:
         """The control law u = -K x + L v as a simulate() controller."""
         return LinearPolicy(self.K, self.L)
 
+    def to_dict(self):
+        """The gains and diagnostics as JSON types; the payload of save_gains."""
+        return {
+            "K": np.asarray(self.K).tolist(),
+            "L": np.asarray(self.L).tolist(),
+            "P": np.asarray(self.P).tolist(),
+            "iterations": int(self.iterations),
+            "resets": int(self.resets),
+            "rank": int(self.rank),
+            "rank_required": int(self.rank_required),
+        }
+
 
 @dataclass
 class ModelRecovery:
@@ -449,17 +461,8 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
 
 def save_gains(path, controller):
     """Write the learned gains and run diagnostics as JSON."""
-    payload = {
-        "K": np.asarray(controller.K).tolist(),
-        "L": np.asarray(controller.L).tolist(),
-        "P": np.asarray(controller.P).tolist(),
-        "iterations": int(controller.iterations),
-        "resets": int(controller.resets),
-        "rank": int(controller.rank),
-        "rank_required": int(controller.rank_required),
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(controller.to_dict(), fh, indent=2)
         fh.write("\n")
 
 

@@ -21,7 +21,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,10 +85,10 @@ class ExperimentConfig:
             self.v0 = np.tile([1.0, 0.0], q // 2)
         self.v0 = np.asarray(self.v0, dtype=float)
         self.x0 = np.zeros(6) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        self.Q = _resolve_weight(20.0 if self.Q is None else self.Q, 6)
-        self.R = _resolve_weight(2.0 if self.R is None else self.R, 3)
-        self.Qbar = _resolve_weight(1.0 if self.Qbar is None else self.Qbar, 6)
-        self.Rbar = _resolve_weight(1.0 if self.Rbar is None else self.Rbar, 3)
+        self.Q = _resolve_weight(20.0 if self.Q is None else self.Q, 6, "Q")
+        self.R = _resolve_weight(2.0 if self.R is None else self.R, 3, "R")
+        self.Qbar = _resolve_weight(1.0 if self.Qbar is None else self.Qbar, 6, "Qbar")
+        self.Rbar = _resolve_weight(1.0 if self.Rbar is None else self.Rbar, 3, "Rbar")
         for name in ("horizon", "dt", "interval", "eval_horizon", "eps",
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
             if getattr(self, name) <= 0:
@@ -109,56 +111,10 @@ class ExperimentConfig:
         )
 
     def to_dict(self):
-        return {
-            "orbit": {
-                "mean_motion": self.orbit.mean_motion,
-                "r_ref": self.orbit.r_ref,
-                "earth_radius": self.orbit.earth_radius,
-                "j2": self.orbit.j2,
-                "inclination_deg": math.degrees(self.orbit.inclination),
-                "include_j2": self.orbit.include_j2,
-            },
-            "exosystem": {
-                "frequencies": list(self.frequencies),
-                "v0": self.v0.tolist(),
-                "disturbance_gain": self.disturbance_gain,
-            },
-            "cost": {
-                "Q": self.Q.tolist(),
-                "R": self.R.tolist(),
-                "Qbar": self.Qbar.tolist(),
-                "Rbar": self.Rbar.tolist(),
-            },
-            "noise": {
-                "amplitude": self.noise_amplitude,
-                "terms": self.noise_terms,
-                "freq_min": self.noise_freq_min,
-                "freq_max": self.noise_freq_max,
-                "seed": self.seed,
-            },
-            "simulation": {
-                "x0": self.x0.tolist(),
-                "horizon": self.horizon,
-                "dt": self.dt,
-                "interval": self.interval,
-                "eval_horizon": self.eval_horizon,
-            },
-            "learning": {
-                "eps": self.eps,
-                "max_k": self.max_k,
-                "ball_base": self.ball_base,
-                "p0_scale": self.p0_scale,
-            },
-            "pipeline": {
-                "abort_on_assumption_failure": self.abort_on_assumption_failure,
-                "gain_tol": self.gain_tol,
-                "value_tol": self.value_tol,
-            },
-            "output": {"directory": self.out_dir},
-        }
+        return _sections(self, "echo")
 
 
-def _resolve_weight(value, dim):
+def _resolve_weight(value, dim, name="weight"):
     """Scalar -> scale*I, dim values -> diagonal, dim^2 values -> full."""
     arr = np.asarray(value, dtype=float).ravel()
     if arr.size == 1:
@@ -168,7 +124,7 @@ def _resolve_weight(value, dim):
     elif arr.size == dim * dim:
         mat = arr.reshape(dim, dim)
     else:
-        raise ValueError(f"weight needs 1, {dim}, or {dim * dim} values, got {arr.size}")
+        raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {arr.size}")
     return mat
 
 
@@ -176,71 +132,124 @@ def default_config():
     return ExperimentConfig()
 
 
-def _parse_floats(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _same(value):
+    return value
+
+
+class _Codec(NamedTuple):
+    """One kind of knob: INI text -> value, value -> INI text, value -> JSON."""
+
+    parse: Callable
+    format: Callable
+    echo: Callable = _same
+
+
+def _parse_bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text}") from None
+
+
+def _degrees(inclination):
+    """Degrees of ``inclination``, to 15 digits when those give it back.
+
+    So 30 degrees reads back as 30.0, not as 29.999999999999996.
+    """
+    deg = math.degrees(inclination)
+    short = float(f"{deg:.15g}")
+    return short if math.radians(short) == inclination else deg
+
+
+_FLOAT = _Codec(float, repr)
+_INT = _Codec(int, str)
+_BOOL = _Codec(_parse_bool, lambda value: str(value).lower())
+_STR = _Codec(str, str)
+_FLOATS = _Codec(lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
+                 lambda value: ", ".join(repr(float(x)) for x in np.asarray(value).ravel()),
+                 lambda value: np.asarray(value).tolist())
+_DEGREES = _Codec(lambda text: math.radians(float(text)), lambda rad: repr(_degrees(rad)),
+                  _degrees)
+
+
+def _weight(dim):
+    """A dim x dim weight, written as its diagonal when it is diagonal."""
+    def format_weight(mat):
+        diagonal = np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+        return _FLOATS.format(np.diag(mat) if diagonal else mat)
+    return _Codec(lambda text: _resolve_weight(_FLOATS.parse(text), dim), format_weight,
+                  lambda mat: mat.tolist())
+
+
+# One row per knob: (INI section, key, ExperimentConfig attribute, codec).
+# Row order is the order of the sections and keys in save_config's file and
+# in to_dict. configparser lowercases keys in the file, so Q is written q.
+_SCHEMA = (
+    ("orbit", "mean_motion", "orbit.mean_motion", _FLOAT),
+    ("orbit", "r_ref", "orbit.r_ref", _FLOAT),
+    ("orbit", "earth_radius", "orbit.earth_radius", _FLOAT),
+    ("orbit", "j2", "orbit.j2", _FLOAT),
+    ("orbit", "inclination_deg", "orbit.inclination", _DEGREES),
+    ("orbit", "include_j2", "orbit.include_j2", _BOOL),
+    ("exosystem", "frequencies", "frequencies", _FLOATS),
+    ("exosystem", "v0", "v0", _FLOATS),
+    ("exosystem", "disturbance_gain", "disturbance_gain", _FLOAT),
+    ("cost", "Q", "Q", _weight(6)),
+    ("cost", "R", "R", _weight(3)),
+    ("cost", "Qbar", "Qbar", _weight(6)),
+    ("cost", "Rbar", "Rbar", _weight(3)),
+    ("noise", "amplitude", "noise_amplitude", _FLOAT),
+    ("noise", "terms", "noise_terms", _INT),
+    ("noise", "freq_min", "noise_freq_min", _FLOAT),
+    ("noise", "freq_max", "noise_freq_max", _FLOAT),
+    ("noise", "seed", "seed", _INT),
+    ("simulation", "x0", "x0", _FLOATS),
+    ("simulation", "horizon", "horizon", _FLOAT),
+    ("simulation", "dt", "dt", _FLOAT),
+    ("simulation", "interval", "interval", _FLOAT),
+    ("simulation", "eval_horizon", "eval_horizon", _FLOAT),
+    ("learning", "eps", "eps", _FLOAT),
+    ("learning", "max_k", "max_k", _INT),
+    ("learning", "ball_base", "ball_base", _FLOAT),
+    ("learning", "p0_scale", "p0_scale", _FLOAT),
+    ("pipeline", "abort_on_assumption_failure", "abort_on_assumption_failure", _BOOL),
+    ("pipeline", "gain_tol", "gain_tol", _FLOAT),
+    ("pipeline", "value_tol", "value_tol", _FLOAT),
+    ("output", "directory", "out_dir", _STR),
+)
+
+
+def _sections(config, kind):
+    """``{section: {key: value}}`` of ``config``, each value through its codec's ``kind``."""
+    out = {}
+    for section, key, attr, codec in _SCHEMA:
+        out.setdefault(section, {})[key] = getattr(codec, kind)(attrgetter(attr)(config))
+    return out
 
 
 def load_config(path):
     """Read an INI config; missing keys fall back to defaults.
 
     An unknown section or key is rejected with a ValueError naming it,
-    so a misspelled knob cannot silently fall back to its default.
+    so a misspelled knob cannot silently fall back to its default, and
+    a value that does not parse with a ValueError naming the file, its
+    section and its key.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    defaults = default_config()
-    known = {}  # section -> keys this reader looks up
-
-    def get(section, key, cast, fallback):
+    known = {}  # section -> keys of the schema, as they read in the file
+    values = {}
+    for section, key, attr, codec in _SCHEMA:
+        key = parser.optionxform(key)
         known.setdefault(section, set()).add(key)
         if parser.has_option(section, key):
-            if cast is bool:
-                return parser.getboolean(section, key)
-            return cast(parser.get(section, key))
-        return fallback
-
-    orbit = dict(
-        mean_motion=get("orbit", "mean_motion", float, defaults.orbit.mean_motion),
-        r_ref=get("orbit", "r_ref", float, defaults.orbit.r_ref),
-        earth_radius=get("orbit", "earth_radius", float, defaults.orbit.earth_radius),
-        j2=get("orbit", "j2", float, defaults.orbit.j2),
-        inclination=math.radians(
-            get("orbit", "inclination_deg", float, math.degrees(defaults.orbit.inclination))
-        ),
-        include_j2=get("orbit", "include_j2", bool, defaults.orbit.include_j2),
-    )
-    fields = dict(
-        frequencies=tuple(get("exosystem", "frequencies", _parse_floats,
-                              list(defaults.frequencies))),
-        v0=get("exosystem", "v0", _parse_floats, None),
-        disturbance_gain=get("exosystem", "disturbance_gain", float, defaults.disturbance_gain),
-        Q=get("cost", "q", _parse_floats, None),
-        R=get("cost", "r", _parse_floats, None),
-        Qbar=get("cost", "qbar", _parse_floats, None),
-        Rbar=get("cost", "rbar", _parse_floats, None),
-        noise_amplitude=get("noise", "amplitude", float, defaults.noise_amplitude),
-        noise_terms=get("noise", "terms", int, defaults.noise_terms),
-        noise_freq_min=get("noise", "freq_min", float, defaults.noise_freq_min),
-        noise_freq_max=get("noise", "freq_max", float, defaults.noise_freq_max),
-        seed=get("noise", "seed", int, defaults.seed),
-        x0=get("simulation", "x0", _parse_floats, None),
-        horizon=get("simulation", "horizon", float, defaults.horizon),
-        dt=get("simulation", "dt", float, defaults.dt),
-        interval=get("simulation", "interval", float, defaults.interval),
-        eval_horizon=get("simulation", "eval_horizon", float, defaults.eval_horizon),
-        eps=get("learning", "eps", float, defaults.eps),
-        max_k=get("learning", "max_k", int, defaults.max_k),
-        ball_base=get("learning", "ball_base", float, defaults.ball_base),
-        p0_scale=get("learning", "p0_scale", float, defaults.p0_scale),
-        abort_on_assumption_failure=get(
-            "pipeline", "abort_on_assumption_failure", bool, defaults.abort_on_assumption_failure
-        ),
-        gain_tol=get("pipeline", "gain_tol", float, defaults.gain_tol),
-        value_tol=get("pipeline", "value_tol", float, defaults.value_tol),
-        out_dir=get("output", "directory", str, defaults.out_dir),
-    )
+            text = parser.get(section, key)
+            try:
+                values[attr] = codec.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key} = {text!r}: {exc}") from None
     present = parser.sections() + ([parser.default_section] if parser.defaults() else [])
     for section in present:
         if section not in known:
@@ -248,69 +257,17 @@ def load_config(path):
         for key in parser.options(section):
             if key not in known[section]:
                 raise ValueError(f"{path}: unknown key '{key}' in section [{section}]")
-    return ExperimentConfig(orbit=CwParams(**orbit), **fields)
+    orbit = {attr.removeprefix("orbit."): values.pop(attr)
+             for attr in list(values) if attr.startswith("orbit.")}
+    return ExperimentConfig(orbit=CwParams(**orbit), **values)
 
 
 def save_config(config, path):
     """Write the config as an INI file that load_config reads back."""
     parser = configparser.ConfigParser()
-
-    def fmt(value):
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return ", ".join(repr(float(x)) for x in np.asarray(value).ravel())
-        return str(value)
-
-    parser["orbit"] = {
-        "mean_motion": repr(config.orbit.mean_motion),
-        "r_ref": repr(config.orbit.r_ref),
-        "earth_radius": repr(config.orbit.earth_radius),
-        "j2": repr(config.orbit.j2),
-        "inclination_deg": repr(math.degrees(config.orbit.inclination)),
-        "include_j2": str(config.orbit.include_j2).lower(),
-    }
-    parser["exosystem"] = {
-        "frequencies": fmt(config.frequencies),
-        "v0": fmt(config.v0),
-        "disturbance_gain": repr(config.disturbance_gain),
-    }
-    parser["cost"] = {
-        "q": fmt(np.diag(config.Q)) if _is_diagonal(config.Q) else fmt(config.Q),
-        "r": fmt(np.diag(config.R)) if _is_diagonal(config.R) else fmt(config.R),
-        "qbar": fmt(np.diag(config.Qbar)) if _is_diagonal(config.Qbar) else fmt(config.Qbar),
-        "rbar": fmt(np.diag(config.Rbar)) if _is_diagonal(config.Rbar) else fmt(config.Rbar),
-    }
-    parser["noise"] = {
-        "amplitude": repr(config.noise_amplitude),
-        "terms": str(config.noise_terms),
-        "freq_min": repr(config.noise_freq_min),
-        "freq_max": repr(config.noise_freq_max),
-        "seed": str(config.seed),
-    }
-    parser["simulation"] = {
-        "x0": fmt(config.x0),
-        "horizon": repr(config.horizon),
-        "dt": repr(config.dt),
-        "interval": repr(config.interval),
-        "eval_horizon": repr(config.eval_horizon),
-    }
-    parser["learning"] = {
-        "eps": repr(config.eps),
-        "max_k": str(config.max_k),
-        "ball_base": repr(config.ball_base),
-        "p0_scale": repr(config.p0_scale),
-    }
-    parser["pipeline"] = {
-        "abort_on_assumption_failure": str(config.abort_on_assumption_failure).lower(),
-        "gain_tol": repr(config.gain_tol),
-        "value_tol": repr(config.value_tol),
-    }
-    parser["output"] = {"directory": config.out_dir}
+    parser.read_dict(_sections(config, "format"))
     with open(path, "w") as fh:
         parser.write(fh)
-
-
-def _is_diagonal(mat):
-    return np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
 
 
 @dataclass
@@ -331,15 +288,7 @@ class ExperimentReport:
             "config": self.config,
             "assumptions": self.assumptions,
             "rank": self.rank,
-            "learned": {
-                "K": self.learned.K.tolist(),
-                "L": self.learned.L.tolist(),
-                "P": self.learned.P.tolist(),
-                "iterations": self.learned.iterations,
-                "resets": self.learned.resets,
-                "rank": self.learned.rank,
-                "rank_required": self.learned.rank_required,
-            },
+            "learned": self.learned.to_dict(),
             "oracle": {key: np.asarray(val).tolist() if key in ("K", "L", "P") else val
                        for key, val in self.oracle.items()},
             "comparison": self.comparison,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import signal
 import warnings
 from functools import partial
@@ -582,7 +583,38 @@ def _send_parsed(path, start, stop, pipe):
 
 
 def _range_error(path, start, stop, reason):
+    """A ValueError naming the file, the byte range and, for a bad row, its file line.
+
+    ``numpy.loadtxt`` names a bad row by its place among the rows of the
+    range, from 1 for a changed column count and from 0 for a value that
+    does not convert; its "at row N" becomes "at line L" of the file.
+    """
+    reason = str(reason)
+    match = re.search(r"at row (\d+)", reason)
+    if match:
+        line = _file_line(path, start, int(match[1]) - ("columns changed" in reason))
+        if line is not None:
+            reason = f"{reason[:match.start()]}at line {line}{reason[match.end():]}"
     return ValueError(f"{path}, bytes {start}:{stop}: {reason}")
+
+
+def _file_line(path, start, row):
+    """The line number (from 1) of row ``row`` (from 0) of the range at byte ``start``.
+
+    Every line before ``start`` is counted; from ``start`` on, only the
+    lines ``numpy.loadtxt`` reads as rows, all but empty lines and lines
+    starting with '#'. Only a failed read calls this, so a good read
+    makes no extra pass over the file.
+    """
+    with open(path, "rb") as fh:
+        offset = 0
+        for line, text in enumerate(fh, 1):
+            if offset >= start and text.rstrip(b"\r\n") and not text.startswith(b"#"):
+                if row == 0:
+                    return line
+                row -= 1
+            offset += len(text)
+    return None
 
 
 def read_csv(path):
@@ -614,7 +646,8 @@ def read_csv(path):
     ------
     ValueError
         If a row does not parse or holds another number of values than
-        the header names. The message names the file.
+        the header names. The message names the file, the byte range and,
+        for a row that ``numpy.loadtxt`` rejects, its line in the file.
     OSError
         If a child fails or sends a short range. Every child is reaped
         before this function returns or raises.

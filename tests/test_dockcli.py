@@ -1,11 +1,14 @@
 """Config handling, report comparison, and the CLI surface with its
 stage-keyed exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +21,18 @@ from adpdock import (
     load_config,
     save_config,
 )
-from adpdock.dockcli import main
-from adpdock.sysmodels import AssumptionReport, PbhRecord
+from adpdock.dockcli import _SCHEMA, main
+from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=300):
+    """Run this interpreter with ``args`` and the package's source tree on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def test_default_config_values():
@@ -45,7 +56,7 @@ def test_config_weight_forms():
     assert np.allclose(diag.Q, np.diag([1, 2, 3, 4, 5, 6]))
     full = ExperimentConfig(R=np.arange(9.0))
     assert np.allclose(full.R, np.arange(9.0).reshape(3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Q needs 1, 6, or 36 values, got 2"):
         ExperimentConfig(Q=[1.0, 2.0])
 
 
@@ -98,6 +109,106 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         load_config(path)
     assert main(["check", "--config", str(path)]) == 1
+
+
+def test_save_config_default_writes_shipped_file(tmp_path):
+    path = tmp_path / "default.cfg"
+    save_config(default_config(), path)
+    assert path.read_bytes() == (REPO / "configs" / "docking.cfg").read_bytes()
+
+
+# (section, key) -> a non-default value in the file, and the one attribute it sets
+_NON_DEFAULT = {
+    ("orbit", "mean_motion"): ("0.002", "orbit.mean_motion"),
+    ("orbit", "r_ref"): ("7100.0", "orbit.r_ref"),
+    ("orbit", "earth_radius"): ("6400.0", "orbit.earth_radius"),
+    ("orbit", "j2"): ("0.0", "orbit.j2"),
+    ("orbit", "inclination_deg"): ("30", "orbit.inclination"),
+    ("orbit", "include_j2"): ("false", "orbit.include_j2"),
+    ("exosystem", "frequencies"): ("1.0, 2.0, 3.0, 5.0", "frequencies"),
+    ("exosystem", "v0"): ("0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5", "v0"),
+    ("exosystem", "disturbance_gain"): ("2.0", "disturbance_gain"),
+    ("cost", "Q"): ("5", "Q"),
+    ("cost", "R"): ("1, 2, 3", "R"),
+    ("cost", "Qbar"): ("1, 2, 3, 4, 5, 6", "Qbar"),
+    ("cost", "Rbar"): ("2, 1, 0, 1, 2, 0, 0, 0, 2", "Rbar"),
+    ("noise", "amplitude"): ("0.2", "noise_amplitude"),
+    ("noise", "terms"): ("5", "noise_terms"),
+    ("noise", "freq_min"): ("0.2", "noise_freq_min"),
+    ("noise", "freq_max"): ("5.0", "noise_freq_max"),
+    ("noise", "seed"): ("3", "seed"),
+    ("simulation", "x0"): ("1, 0, 0, 0, 0, 0", "x0"),
+    ("simulation", "horizon"): ("12.0", "horizon"),
+    ("simulation", "dt"): ("0.002", "dt"),
+    ("simulation", "interval"): ("0.2", "interval"),
+    ("simulation", "eval_horizon"): ("10.0", "eval_horizon"),
+    ("learning", "eps"): ("1e-4", "eps"),
+    ("learning", "max_k"): ("1000", "max_k"),
+    ("learning", "ball_base"): ("5.0", "ball_base"),
+    ("learning", "p0_scale"): ("2.0", "p0_scale"),
+    ("pipeline", "abort_on_assumption_failure"): ("no", "abort_on_assumption_failure"),
+    ("pipeline", "gain_tol"): ("0.05", "gain_tol"),
+    ("pipeline", "value_tol"): ("0.05", "value_tol"),
+    ("output", "directory"): ("elsewhere", "out_dir"),
+}
+
+
+def _attributes(cfg):
+    names = ["orbit." + f.name for f in dataclasses.fields(CwParams)]
+    names += [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "orbit"]
+    return {name: attrgetter(name)(cfg) for name in names}
+
+
+@pytest.mark.parametrize("section, key", [row[:2] for row in _SCHEMA],
+                         ids=[f"{row[0]}.{row[1]}" for row in _SCHEMA])
+def test_schema_row_sets_one_attribute_and_entry(tmp_path, section, key):
+    # a file holding one non-default key changes that key's attribute and
+    # report entry and nothing else, and survives save_config -> load_config
+    assert set(_NON_DEFAULT) == {row[:2] for row in _SCHEMA}
+    text, attribute = _NON_DEFAULT[section, key]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    cfg = load_config(path)
+    base = default_config()
+    got, want = _attributes(cfg), _attributes(base)
+    assert {name for name in got if not np.array_equal(got[name], want[name])} == {attribute}
+    echo, base_echo = cfg.to_dict(), base.to_dict()
+    assert [(s, k) for s in echo for k in echo[s] if echo[s][k] != base_echo[s][k]] == \
+        [(section, key)]
+    save_config(cfg, tmp_path / "saved.cfg")
+    back = load_config(tmp_path / "saved.cfg")
+    assert back.to_dict() == echo
+    assert all(np.array_equal(value, got[name]) for name, value in _attributes(back).items())
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[simulation]\nhorizon = 2O.0\n",
+     "[simulation] horizon = '2O.0': could not convert string to float"),
+    ("[pipeline]\nabort_on_assumption_failure = maybe\n",
+     "[pipeline] abort_on_assumption_failure = 'maybe': not a boolean: maybe"),
+    ("[noise]\nterms = 2.5\n", "[noise] terms = '2.5': invalid literal for int()"),
+    ("[cost]\nq = 1, 2\n", "[cost] q = '1, 2': weight needs 1, 6, or 36 values, got 2"),
+])
+def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        load_config(path)
+    assert main(["check", "--config", str(path)]) == 1
+
+
+def test_inclination_degrees_echo_as_written(tmp_path):
+    # degrees(radians(30)) is 29.999999999999996; the echo and the saved
+    # file show 30.0, and reading the saved file gives the same radians
+    path, saved = tmp_path / "orbit.cfg", tmp_path / "saved.cfg"
+    for deg in [*range(181), 97.8]:
+        path.write_text(f"[orbit]\ninclination_deg = {deg}\n")
+        cfg = load_config(path)
+        assert cfg.orbit.inclination == math.radians(deg)
+        assert repr(cfg.to_dict()["orbit"]["inclination_deg"]) == repr(float(deg))
+        save_config(cfg, saved)
+        assert f"inclination_deg = {float(deg)!r}\n" in saved.read_text()
+        assert load_config(saved).orbit.inclination == cfg.orbit.inclination
 
 
 def test_load_config_missing_file(tmp_path):
@@ -213,12 +324,7 @@ def test_cli_requires_subcommand():
 
 def test_python_dash_m_entry_point():
     # the package runs as `python -m adpdock` without runpy's double-import warning
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "adpdock", "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "adpdock", "--help", timeout=120)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "usage: adpdock" in proc.stdout
@@ -273,14 +379,10 @@ step("help")
 def test_learning_path_never_loads_scipy_linalg(pipeline):
     # only the oracle stage of `run` needs scipy; import, the data->(K, L)
     # chain, check, compare and --help must not pay for loading it
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_STEPS, str(REPO / "configs" / "docking.cfg"),
-         str(pipeline.out / "learned_gains.json"), str(pipeline.out / "oracle_gains.json"),
-         str(pipeline.out / "trajectory_learning.csv")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python("-c", _SCIPY_FREE_STEPS, str(REPO / "configs" / "docking.cfg"),
+                      str(pipeline.out / "learned_gains.json"),
+                      str(pipeline.out / "oracle_gains.json"),
+                      str(pipeline.out / "trajectory_learning.csv"))
     assert proc.returncode == 0, proc.stderr
     steps = [line for line in proc.stdout.splitlines()
              if line in ("import", "learn", "read", "check", "compare", "help")]
@@ -303,13 +405,8 @@ assert len(forks) == 2 and len(log) > 0, (len(forks), len(log))
 def test_multi_range_read_is_warning_free(pipeline):
     # the forked CSV reader runs under -W error with BLAS threads alive
     # (Python 3.12+ warns about forking a multi-threaded process)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", _MULTI_RANGE_READ,
-         str(pipeline.out / "trajectory_learning.csv")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python("-W", "error", "-c", _MULTI_RANGE_READ,
+                      str(pipeline.out / "trajectory_learning.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 
@@ -317,14 +414,9 @@ def test_multi_range_read_is_warning_free(pipeline):
 def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):
     # the forked CSV writer runs under -W error with BLAS threads alive,
     # and a rerun in a fresh process writes the same bytes
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "adpdock", "run",
-         "--config", str(REPO / "configs" / "docking.cfg"), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    proc = run_python("-W", "error", "-m", "adpdock", "run",
+                      "--config", str(REPO / "configs" / "docking.cfg"), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     names = sorted(p.name for p in pipeline.out.iterdir())

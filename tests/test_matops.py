@@ -569,7 +569,9 @@ def test_read_csv_checks_columns_against_header(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad", [b"1.5", b"1.5,2.5,x"])
 def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, row, bad):
     # a short row or one that does not parse, in the range this process
-    # parses (row 0), in the first child's range or in the last one's
+    # parses (row 0), in the first child's range or in the last one's; the
+    # message names its file line (the header is line 1), except that a
+    # short first row sets the range's width, so the next line is named
     lines = [b"%d.5,%d.5,3" % (k, k) for k in range(3 * BLOCK)]
     lines[row] = bad
     path = tmp_path / "bad.csv"
@@ -577,7 +579,8 @@ def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, row, bad):
     force_ranges(monkeypatch, 3)
     pids = counting_forks(monkeypatch)
     fds = open_fds()
-    with pytest.raises(ValueError, match="bad.csv, bytes"):
+    line = row + 3 if (row, bad) == (0, b"1.5") else row + 2
+    with pytest.raises(ValueError, match=rf"bad.csv, bytes \d+:\d+: .* at line {line}\b"):
         matops.read_csv(path)
     assert len(pids) == 2
     assert_no_child_left()
