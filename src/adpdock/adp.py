@@ -36,6 +36,11 @@ moments of z, each integrated once:
 Integration is linear, so Ixx_j = M_zz V(T_j)', Gxu_j = M_zu (T_j (*) I_m)'
 and Gxv_j = M_zv (T_j (*) I_q)', where row l of M_zz, M_zu, M_zv holds the
 interval-l integrals of vecv(z), z (*) u and z (*) v.
+
+Assembly, the rank check, value iteration, recovery and the regulator
+solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
+their matrices are at most a few thousand by a hundred, where a second
+BLAS thread costs more in wake-ups than it saves.
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import (check_weights, equilibrate, kron, lstsq, null_space, numerical_rank, unvec,
-                     unvecs, vec, vecs, vecv, vecv_map)
+from .matops import (check_weights, equilibrate, kron, lstsq, null_space, numerical_rank,
+                     one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map)
 from .regulator import RegulatorSolution, _min_trace_over_affine
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, simulate
@@ -191,6 +196,7 @@ def _steps_per_interval(interval, dt):
     return steps
 
 
+@one_blas_thread()
 def assemble_regression(log, basis, R, interval):
     """Integrate the data matrices for every offset in the basis sweep.
 
@@ -269,6 +275,7 @@ def assemble_regression(log, basis, R, interval):
     return bundles
 
 
+@one_blas_thread()
 def check_rank(bundle):
     """Rank of the column-equilibrated regression matrix vs the required count.
 
@@ -285,6 +292,7 @@ def check_rank(bundle):
     return rank >= required, rank, required
 
 
+@one_blas_thread()
 def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
              ball_schedule=None, max_k=200000, p_ref=None):
     """Value iteration driven purely by the j = 0 regression equation.
@@ -357,6 +365,7 @@ def _data_residual(solve_op, Q, R, n, m):
     return residual_fn
 
 
+@one_blas_thread()
 def recover_model_artifacts(bundles, P_final, K_next_final, R):
     """Reconstruct D, B, and the Sylvester images S(X_j) from data.
 
@@ -386,6 +395,7 @@ def recover_model_artifacts(bundles, P_final, K_next_final, R):
     return ModelRecovery(D_hat=D_hat, B_hat=B_hat, S_values=S_values)
 
 
+@one_blas_thread()
 def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
     """Trace-optimal regulator pair (X, U) from recovered quantities only.
 

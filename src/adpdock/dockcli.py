@@ -19,7 +19,9 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import adp, regulator, riccati
 from .errors import ConvergenceError, RankDeficiencyError, StageFailure
-from .matops import is_hurwitz
+from .matops import is_hurwitz, one_blas_thread
 from .sysmodels import CwParams, build_docking_scenario, check_assumptions, simulate, sinusoid_noise
 
 __all__ = [
@@ -89,12 +91,16 @@ class ExperimentConfig:
         self.R = _resolve_weight(2.0 if self.R is None else self.R, 3, "R")
         self.Qbar = _resolve_weight(1.0 if self.Qbar is None else self.Qbar, 6, "Qbar")
         self.Rbar = _resolve_weight(1.0 if self.Rbar is None else self.Rbar, 3, "Rbar")
+        for name, value, length in (("x0", self.x0, 6), ("v0", self.v0, q)):
+            if value.shape != (length,):
+                raise ValueError(f"{name} must have length {length}, got {value.size}")
         for name in ("horizon", "dt", "interval", "eval_horizon", "eps",
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_k < 1 or self.noise_terms < 1:
-            raise ValueError("max_k and noise_terms must be at least 1")
+        for name in ("max_k", "noise_terms"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def scenario(self):
         return build_docking_scenario(
@@ -231,8 +237,9 @@ def load_config(path):
     """Read an INI config; missing keys fall back to defaults.
 
     An unknown section or key is rejected with a ValueError naming it,
-    so a misspelled knob cannot silently fall back to its default, and
-    a value that does not parse with a ValueError naming the file, its
+    so a misspelled knob cannot silently fall back to its default. A
+    value that does not parse, or that parses but fails a range or
+    length check, is rejected with a ValueError naming the file, its
     section and its key.
     """
     parser = configparser.ConfigParser()
@@ -241,15 +248,21 @@ def load_config(path):
         raise FileNotFoundError(f"config file not found: {path}")
     known = {}  # section -> keys of the schema, as they read in the file
     values = {}
+    given = {}  # attribute -> (section, key, text) of the keys the file sets
+
+    def bad_value(attr, exc):
+        section, key, text = given[attr]
+        return ValueError(f"{path}: [{section}] {key} = {text!r}: {exc}")
+
     for section, key, attr, codec in _SCHEMA:
         key = parser.optionxform(key)
         known.setdefault(section, set()).add(key)
         if parser.has_option(section, key):
-            text = parser.get(section, key)
+            given[attr] = section, key, parser.get(section, key)
             try:
-                values[attr] = codec.parse(text)
+                values[attr] = codec.parse(given[attr][2])
             except ValueError as exc:
-                raise ValueError(f"{path}: [{section}] {key} = {text!r}: {exc}") from None
+                raise bad_value(attr, exc) from None
     present = parser.sections() + ([parser.default_section] if parser.defaults() else [])
     for section in present:
         if section not in known:
@@ -259,7 +272,17 @@ def load_config(path):
                 raise ValueError(f"{path}: unknown key '{key}' in section [{section}]")
     orbit = {attr.removeprefix("orbit."): values.pop(attr)
              for attr in list(values) if attr.startswith("orbit.")}
-    return ExperimentConfig(orbit=CwParams(**orbit), **values)
+    try:
+        return ExperimentConfig(orbit=CwParams(**orbit), **values)
+    except ValueError as exc:
+        # a range or length check names the attributes it rejects: blame
+        # the first of them that the file sets
+        words = re.findall(r"\w+", str(exc))
+        named = sorted((words.index(name), attr) for attr in given
+                       if (name := attr.rpartition(".")[2]) in words)
+        if not named:
+            raise ValueError(f"{path}: {exc}") from None
+        raise bad_value(named[0][1], exc) from None
 
 
 def save_config(config, path):
@@ -353,117 +376,131 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     Stage order: assumptions, collection, assembly, rank check,
     value-iteration learning, model recovery, regulator solve,
     feedforward composition, oracle solves, comparison, closed-loop
-    evaluation. Artifacts are flushed as soon as their stage completes,
-    so a failed run leaves the earlier CSVs behind for inspection.
+    evaluation. The whole run holds numpy's OpenBLAS at one thread
+    (:class:`matops.one_blas_thread`). Where that pin holds, a forked
+    child writes ``trajectory_learning.csv`` while the stages after
+    collection run; the file is complete before the JSON artifacts are
+    written and, in a failed run, before StageFailure propagates. Where
+    it does not, the file is written before assembly starts. Every other
+    artifact is flushed as soon as its stage completes, so a failed run
+    leaves the earlier CSVs behind for inspection.
 
-    Raises StageFailure naming the stage on any error.
+    Raises StageFailure naming the stage on any error, and OSError if the
+    child writing the learning CSV fails.
     """
-    out = Path(config.out_dir if out_dir is None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
+    with one_blas_thread() as pinned, ExitStack() as learning_csv:
+        out = Path(config.out_dir if out_dir is None else out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        files = []
 
-    model, exo = _stage("setup", config.scenario)
-    noise = config.noise_spec(seed=seed)
+        model, exo = _stage("setup", config.scenario)
+        noise = config.noise_spec(seed=seed)
 
-    assumptions = _stage("assumptions", check_assumptions, model, exo)
-    if not assumptions.ok and config.abort_on_assumption_failure:
-        raise StageFailure("assumptions", RuntimeError(
-            "PBH checks failed: " + ", ".join(
-                f"{r.test}@{r.eigenvalue:.3g}" for r in assumptions.records if not r.ok
-            )
-        ))
-    log(f"assumptions: ok={assumptions.ok}")
+        assumptions = _stage("assumptions", check_assumptions, model, exo)
+        if not assumptions.ok and config.abort_on_assumption_failure:
+            raise StageFailure("assumptions", RuntimeError(
+                "PBH checks failed: " + ", ".join(
+                    f"{r.test}@{r.eigenvalue:.3g}" for r in assumptions.records if not r.ok
+                )
+            ))
+        log(f"assumptions: ok={assumptions.ok}")
 
-    learning_log = _stage(
-        "collect", adp.collect_data, model, exo, None, noise, config.x0,
-        horizon=config.horizon, dt=config.dt, interval=config.interval,
-    )
-    learning_log.to_csv(out / "trajectory_learning.csv")
-    files.append("trajectory_learning.csv")
-    log(f"collected {len(learning_log)} samples over {config.horizon} s")
+        learning_log = _stage(
+            "collect", adp.collect_data, model, exo, None, noise, config.x0,
+            horizon=config.horizon, dt=config.dt, interval=config.interval,
+        )
+        if pinned:
+            # the second CPU writes it while this one learns; ExitStack waits for it
+            learning_csv.enter_context(
+                learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
+        else:
+            learning_log.to_csv(out / "trajectory_learning.csv")
+        files.append("trajectory_learning.csv")
+        log(f"collected {len(learning_log)} samples over {config.horizon} s")
 
-    basis = _stage("assemble", regulator.kernel_basis, model)
-    bundles = _stage("assemble", adp.assemble_regression,
-                     learning_log, basis, config.R, config.interval)
+        basis = _stage("assemble", regulator.kernel_basis, model)
+        bundles = _stage("assemble", adp.assemble_regression,
+                         learning_log, basis, config.R, config.interval)
 
-    ok, rank, required = adp.check_rank(bundles[0])
-    rank_report = {"ok": bool(ok), "rank": int(rank), "required": int(required)}
-    log(f"rank check: {rank}/{required}")
-    if not ok:
-        raise StageFailure("rank", RankDeficiencyError(
-            f"data matrix rank {rank} < required {required}", rank=rank, required=required
-        ))
+        ok, rank, required = adp.check_rank(bundles[0])
+        rank_report = {"ok": bool(ok), "rank": int(rank), "required": int(required)}
+        log(f"rank check: {rank}/{required}")
+        if not ok:
+            raise StageFailure("rank", RankDeficiencyError(
+                f"data matrix rank {rank} < required {required}", rank=rank, required=required
+            ))
 
-    P0 = config.p0_scale * np.eye(model.n)
-    P, K, history = _stage(
-        "learn", adp.vi_learn, bundles[0], config.Q, config.R, P0=P0,
-        eps=config.eps, ball_schedule=riccati.linear_balls(config.ball_base),
-        max_k=config.max_k,
-    )
-    history.to_csv(out / "convergence.csv", kind="increment")
-    files.append("convergence.csv")
-    log(f"learning converged in {history.iterations} iterations ({history.resets} resets)")
+        P0 = config.p0_scale * np.eye(model.n)
+        P, K, history = _stage(
+            "learn", adp.vi_learn, bundles[0], config.Q, config.R, P0=P0,
+            eps=config.eps, ball_schedule=riccati.linear_balls(config.ball_base),
+            max_k=config.max_k,
+        )
+        history.to_csv(out / "convergence.csv", kind="increment")
+        files.append("convergence.csv")
+        log(f"learning converged in {history.iterations} iterations ({history.resets} resets)")
 
-    recovery = _stage("recover", adp.recover_model_artifacts, bundles, P, K, config.R)
-    solution = _stage("regulator", adp.solve_problem1_datadriven,
-                      recovery, basis, config.Qbar, config.Rbar)
-    L = regulator.feedforward_gain(solution, K)
-    learned = adp.LearnedController(
-        K=K, L=L, P=P, iterations=history.iterations, resets=history.resets,
-        rank=rank, rank_required=required, history=history,
-    )
+        recovery = _stage("recover", adp.recover_model_artifacts, bundles, P, K, config.R)
+        solution = _stage("regulator", adp.solve_problem1_datadriven,
+                          recovery, basis, config.Qbar, config.Rbar)
+        L = regulator.feedforward_gain(solution, K)
+        learned = adp.LearnedController(
+            K=K, L=L, P=P, iterations=history.iterations, resets=history.resets,
+            rank=rank, rank_required=required, history=history,
+        )
 
-    # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
-    # polishes it; the only stage that loads scipy
-    def oracles():
-        P_star, K_star, iterates = riccati.kleinman_from_care(model, config.Q, config.R)
-        exact = regulator.solve_regulator_exact(model, exo, config.Qbar, config.Rbar)
-        L_star = regulator.feedforward_gain(exact, K_star)
-        return {
-            "K": K_star, "L": L_star, "P": P_star,
-            "pi_iterations": len(iterates),
-            "regulator_residual_dyn": exact.residual_dyn,
-            "regulator_residual_out": exact.residual_out,
+        # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
+        # polishes it; the only stage that loads scipy
+        def oracles():
+            P_star, K_star, iterates = riccati.kleinman_from_care(model, config.Q, config.R)
+            exact = regulator.solve_regulator_exact(model, exo, config.Qbar, config.Rbar)
+            L_star = regulator.feedforward_gain(exact, K_star)
+            return {
+                "K": K_star, "L": L_star, "P": P_star,
+                "pi_iterations": len(iterates),
+                "regulator_residual_dyn": exact.residual_dyn,
+                "regulator_residual_out": exact.residual_out,
+            }
+
+        oracle = _stage("oracle", oracles)
+        comparison = compare_gains(learned, oracle["K"], oracle["L"], oracle["P"],
+                                   gain_tol=config.gain_tol, value_tol=config.value_tol)
+        log(f"gain gaps: |K-K*|max={comparison['K']['max_abs']:.3e} "
+            f"|L-L*|max={comparison['L']['max_abs']:.3e} ok={comparison['ok']}")
+
+        eval_log = _stage("evaluate", simulate, model, exo, learned.feedback(),
+                          config.x0, config.eval_horizon, config.dt)
+        eval_log.to_csv(out / "trajectory_eval.csv")
+        files.append("trajectory_eval.csv")
+        e0 = float(np.linalg.norm(eval_log.e[0]))
+        e_final = float(np.linalg.norm(eval_log.e[-1]))
+        tracking = {
+            "initial_error_norm": e0,
+            "final_error_norm": e_final,
+            "ratio": e_final / e0 if e0 > 0 else 0.0,
+            "closed_loop_hurwitz": bool(is_hurwitz(model.A - model.B @ learned.K)),
         }
+        log(f"tracking: |e(0)|={e0:.4g} |e(T)|={e_final:.4g}")
 
-    oracle = _stage("oracle", oracles)
-    comparison = compare_gains(learned, oracle["K"], oracle["L"], oracle["P"],
-                               gain_tol=config.gain_tol, value_tol=config.value_tol)
-    log(f"gain gaps: |K-K*|max={comparison['K']['max_abs']:.3e} "
-        f"|L-L*|max={comparison['L']['max_abs']:.3e} ok={comparison['ok']}")
+        learning_csv.close()  # trajectory_learning.csv is complete from here on
+        adp.save_gains(out / "learned_gains.json", learned)
+        files.append("learned_gains.json")
+        with open(out / "oracle_gains.json", "w") as fh:
+            json.dump({"K": oracle["K"].tolist(), "L": oracle["L"].tolist(),
+                       "P": oracle["P"].tolist()}, fh, indent=2)
+            fh.write("\n")
+        files.append("oracle_gains.json")
 
-    eval_log = _stage("evaluate", simulate, model, exo, learned.feedback(),
-                      config.x0, config.eval_horizon, config.dt)
-    eval_log.to_csv(out / "trajectory_eval.csv")
-    files.append("trajectory_eval.csv")
-    e0 = float(np.linalg.norm(eval_log.e[0]))
-    e_final = float(np.linalg.norm(eval_log.e[-1]))
-    tracking = {
-        "initial_error_norm": e0,
-        "final_error_norm": e_final,
-        "ratio": e_final / e0 if e0 > 0 else 0.0,
-        "closed_loop_hurwitz": bool(is_hurwitz(model.A - model.B @ learned.K)),
-    }
-    log(f"tracking: |e(0)|={e0:.4g} |e(T)|={e_final:.4g}")
-
-    adp.save_gains(out / "learned_gains.json", learned)
-    files.append("learned_gains.json")
-    with open(out / "oracle_gains.json", "w") as fh:
-        json.dump({"K": oracle["K"].tolist(), "L": oracle["L"].tolist(),
-                   "P": oracle["P"].tolist()}, fh, indent=2)
-        fh.write("\n")
-    files.append("oracle_gains.json")
-
-    report = ExperimentReport(
-        config=config.to_dict(), assumptions=assumptions.to_dict(), rank=rank_report,
-        learned=learned, oracle=oracle, comparison=comparison, tracking=tracking,
-        files=files + ["report.json"],
-    )
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    log(f"artifacts written to {out}")
-    return report
+        report = ExperimentReport(
+            config=config.to_dict(), assumptions=assumptions.to_dict(), rank=rank_report,
+            learned=learned, oracle=oracle, comparison=comparison, tracking=tracking,
+            files=files + ["report.json"],
+        )
+        with open(out / "report.json", "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
+        log(f"artifacts written to {out}")
+        return report
 
 
 def _cmd_run(args):

@@ -33,6 +33,14 @@ orderings are frozen because they define regression column layouts.
 fmt=fmt)``, and it splits the formatting across forked workers.
 :func:`read_csv` reads such a file back, splitting the parsing across
 forked workers the same way; its values equal a serial ``numpy.loadtxt``.
+:func:`write_csv_in_background` writes the same bytes from one forked
+child while the caller goes on with other work.
+
+:class:`one_blas_thread` runs a block, or a decorated function, with the
+OpenBLAS that numpy loaded set to one thread. Every matrix of the
+learning chain is small (at most a few thousand by a hundred), so a
+second BLAS thread only adds wake-ups; with one, a second CPU is free
+for a forked CSV writer.
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ import io
 import os
 import re
 import signal
+import threading
 import warnings
+from contextlib import ContextDecorator, contextmanager
 from functools import partial
 
 import numpy as np
@@ -62,7 +72,9 @@ __all__ = [
     "null_space",
     "is_hurwitz",
     "write_csv",
+    "write_csv_in_background",
     "read_csv",
+    "one_blas_thread",
 ]
 
 #: Tolerance under which a nominally symmetric matrix is accepted and
@@ -350,6 +362,83 @@ def is_hurwitz(a, margin=0.0):
     return bool(np.all(np.linalg.eigvals(a).real < -margin))
 
 
+#: (get, set) names of OpenBLAS's thread-count functions: the prefixed,
+#: 64-bit-integer build that numpy's wheels bundle first, then plain builds.
+_OPENBLAS_THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
+                             f"{prefix}_set_num_threads{suffix}")
+                            for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looks in the ``numpy.libs`` directory that numpy's wheels bundle
+    their OpenBLAS in, and only at a library this process has already
+    loaded (``RTLD_NOLOAD``), so no second copy is ever loaded and set.
+    """
+    import ctypes
+    import glob
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class one_blas_thread(ContextDecorator):
+    """Run a block, or every call of a decorated function, on one OpenBLAS thread.
+
+    Entering sets the thread count of the OpenBLAS that numpy loaded to 1,
+    and leaving the outermost block restores the count it had, also when
+    the block raises. Entering while another block holds the pin, in this
+    thread or another, changes nothing. The library is looked up on first
+    use, never at import. ``with one_blas_thread() as pinned`` binds
+    whether the count is 1 in the block: False where no OpenBLAS thread
+    control was found, and then the block runs with the count as it is.
+    """
+
+    _lock = threading.Lock()
+    _control = None  # (get, set), False when none was found, None before the lookup
+    _depth = 0
+    _restore = None  # count to set on leaving the outermost block, None for none
+    _pinned = False
+
+    def __enter__(self):
+        cls = type(self)
+        with cls._lock:
+            cls._depth += 1
+            if cls._depth == 1:
+                if cls._control is None:
+                    cls._control = _find_openblas() or False
+                cls._pinned = bool(cls._control)
+                if cls._pinned:
+                    get, put = cls._control
+                    previous = get()
+                    cls._restore = None if previous == 1 else previous
+                    if cls._restore is not None:
+                        put(1)
+            return cls._pinned
+
+    def __exit__(self, *exc):
+        cls = type(self)
+        with cls._lock:
+            cls._depth -= 1
+            if cls._depth == 0 and cls._restore is not None:
+                cls._control[1](cls._restore)
+                cls._restore = None
+        return False
+
+
 #: Rows formatted by one ``%`` in :func:`write_csv`. The writing process
 #: holds about 1 KB per 17-column row of a block while it formats one, so
 #: a small block keeps its peak memory flat at no measurable speed cost.
@@ -391,9 +480,10 @@ def _fork_worker(send):
     fork, and runs none of the parent's exit handlers or buffer flushes.
     The DeprecationWarning that Python 3.12+ gives for forking a
     multi-threaded process is therefore silenced. (OpenBLAS's own at-fork
-    handler stops its pool; the parent restarts it on its next BLAS call,
-    which costs it just under 1 MB of resident memory once.) The child
-    exits with code 0 if ``send`` returns and 1 if it raises.
+    handler stops its pool. Outside :class:`one_blas_thread` the parent
+    restarts the pool on its next BLAS call, which costs it just under
+    1 MB of resident memory once; on one thread no pool is restarted.)
+    The child exits with code 0 if ``send`` returns and 1 if it raises.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -417,21 +507,22 @@ def _fork_worker(send):
     return pid, read_fd
 
 
-def _run_forked(tasks, parent):
-    """Run each of ``tasks`` in a forked child while ``parent(read_fds)`` runs here.
+@contextmanager
+def _forked(tasks):
+    """Run each of ``tasks`` in a forked child; yields the read ends of their pipes.
 
     A task is called in its child with the write end of the child's pipe,
-    a binary file. ``parent`` gets the read ends in task order, does this
-    process's share of the work and reads the pipes; its result is
-    returned once every child is reaped, and a child that exited non-zero
-    raises OSError. However this function leaves, every pipe is closed and
+    a binary file; the read ends come in task order, for the block to do
+    this process's share of the work and read the pipes. When the block ends
+    without an error every child is reaped, and one that exited non-zero
+    raises OSError. However the block leaves, every pipe is closed and
     every child reaped; children still running at an error are killed.
     """
     children = []
     try:
         for task in tasks:
             children.append(_fork_worker(task))
-        result = parent([read_fd for _, read_fd in children])
+        yield [read_fd for _, read_fd in children]
         while children:
             pid, read_fd = children[0]
             os.close(read_fd)
@@ -439,7 +530,6 @@ def _run_forked(tasks, parent):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code != 0:
                 raise OSError(f"CSV worker {pid} exited with code {code}")
-        return result
     finally:
         for pid, read_fd in children:
             os.close(read_fd)
@@ -474,6 +564,25 @@ def _send_rows(data, row_fmt, start, stop, pipe):
     pipe.writelines(chunks)
 
 
+def _row_format(data, fmt):
+    """``data`` as a 2-D array and the ``%`` format of one of its rows."""
+    data = np.asarray(data)
+    if data.ndim != 2:
+        raise ValueError(f"data must be 2-D, got shape {data.shape}")
+    cols = data.shape[1]
+    fmts = [fmt] * cols if isinstance(fmt, str) else list(fmt)
+    if len(fmts) != cols:
+        raise ValueError(f"{len(fmts)} formats for {cols} columns")
+    return data, ",".join(fmts) + "\n"
+
+
+def _write_head(fh, header, data, row_fmt, stop):
+    """Write ``header`` (if any) and rows ``0:stop`` of ``data`` to the binary file ``fh``."""
+    if header:
+        fh.write((header + "\n").encode("ascii"))
+    _format_rows(data, row_fmt, 0, stop, fh.write)
+
+
 def write_csv(path, data, header, fmt="%.17g"):
     """Write a 2-D array as comma-separated rows, byte-identical to ``numpy.savetxt``.
 
@@ -501,23 +610,15 @@ def write_csv(path, data, header, fmt="%.17g"):
         If a child fails or sends fewer rows than its range holds. Every
         child is reaped before this function returns or raises.
     """
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-D, got shape {data.shape}")
+    data, row_fmt = _row_format(data, fmt)
     rows, cols = data.shape
-    fmts = [fmt] * cols if isinstance(fmt, str) else list(fmt)
-    if len(fmts) != cols:
-        raise ValueError(f"{len(fmts)} formats for {cols} columns")
-    row_fmt = ",".join(fmts) + "\n"
     workers = _worker_count(rows * cols)
     bounds = [rows * i // workers for i in range(workers + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     with open(path, "wb") as fh:
 
         def parent(read_fds):
-            if header:
-                fh.write((header + "\n").encode("ascii"))
-            _format_rows(data, row_fmt, *ranges[0], fh.write)
+            _write_head(fh, header, data, row_fmt, ranges[0][1])
             # one reused buffer: a fresh bytes object per read grows the heap
             buf = bytearray(_PIPE_READ_BYTES)
             view = memoryview(buf)
@@ -530,11 +631,46 @@ def write_csv(path, data, header, fmt="%.17g"):
             return received
 
         tasks = [partial(_send_rows, data, row_fmt, start, stop) for start, stop in ranges[1:]]
-        received = _run_forked(tasks, parent)
+        with _forked(tasks) as read_fds:
+            received = parent(read_fds)
     for (start, stop), count in zip(ranges[1:], received):
         if count != stop - start:
             raise OSError(f"CSV worker for rows {start}:{stop} exited after sending "
                           f"{count} of {stop - start} rows")
+
+
+def _write_whole(path, table, pipe):
+    """Write the CSV of ``table()`` alone; ``pipe`` closes after the file does."""
+    data, header = table()
+    data, row_fmt = _row_format(data, "%.17g")
+    with open(path, "wb") as fh:
+        _write_head(fh, header, data, row_fmt, len(data))
+
+
+@contextmanager
+def write_csv_in_background(path, table):
+    """Write a CSV from one forked child while the with-block runs.
+
+    ``table()`` returns the ``(data, header)`` pair that :func:`write_csv`
+    takes, and the file holds the same bytes, each value written as
+    ``%.17g``. The child calls it and
+    formats every row, on a CPU this process leaves free, so this process
+    never holds the array. Leaving the block waits until the file is
+    complete, also when the block raises; the child is then reaped and,
+    if it failed, OSError is raised (an error in the block takes
+    precedence). Where ``os.fork`` is missing or only one CPU is usable,
+    the file is written here by :func:`write_csv`, on entering the block.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        write_csv(path, *table())
+        yield
+        return
+    with _forked([partial(_write_whole, path, table)]) as (read_fd,):
+        try:
+            yield
+        finally:
+            # the child sends nothing: end of file means the CSV is closed
+            os.read(read_fd, 1)
 
 
 class _Bounded(io.RawIOBase):
@@ -700,4 +836,6 @@ def read_csv(path):
         return data
 
     tasks = [partial(_send_parsed, path, start, stop) for start, stop in ranges[1:]]
-    return header, _run_forked(tasks, parent)
+    with _forked(tasks) as read_fds:
+        data = parent(read_fds)
+    return header, data

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .matops import bdiag, numerical_rank, read_csv, write_csv
+from .matops import bdiag, numerical_rank, read_csv, write_csv, write_csv_in_background
 
 __all__ = [
     "CwParams",
@@ -185,9 +185,20 @@ class TrajectoryLog:
 
     def to_csv(self, path):
         """Write `t,x1..,u1..,v1..,e1..` rows in full double precision."""
+        write_csv(path, *self._csv_table())
+
+    def to_csv_in_background(self, path):
+        """Context manager: write :meth:`to_csv`'s file from a forked child while the block runs.
+
+        The file is complete once the block is left, also when it raises
+        (see :func:`matops.write_csv_in_background`).
+        """
+        return write_csv_in_background(path, self._csv_table)
+
+    def _csv_table(self):
+        """The rows of :meth:`to_csv` as one array, and its header."""
         dims = [arr.shape[1] for arr in (self.x, self.u, self.v, self.e)]
-        data = np.hstack([self.t[:, None], self.x, self.u, self.v, self.e])
-        write_csv(path, data, _csv_header(dims))
+        return np.hstack([self.t[:, None], self.x, self.u, self.v, self.e]), _csv_header(dims)
 
     @classmethod
     def from_csv(cls, path):

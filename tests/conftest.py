@@ -1,9 +1,19 @@
 """Session fixtures: the default docking scenario, its model-based
 oracles, one data-collection pass, one library-level learning pass, and
 one full CLI pipeline run. Everything downstream of the same seed, so
-numbers agree across test modules."""
+numbers agree across test modules.
 
+Also the process helpers that the fork and subprocess tests share:
+``run_python``, ``counting_forks``, ``open_fds``,
+``assert_no_child_left`` and ``slow_blocks`` (import them with
+``from conftest import ...``).
+"""
+
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +24,7 @@ from adpdock import (
     feedforward_gain,
     kernel_basis,
     kleinman_pi,
+    matops,
     model_based_vi,
     run_experiment,
     solve_regulator_exact,
@@ -25,6 +36,51 @@ from adpdock.adp import (
     solve_problem1_datadriven,
     vi_learn,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=300):
+    """Run this interpreter with ``args`` and the package's source tree on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def counting_forks(mp):
+    """Record the pid of every fork made while the patch holds."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+    return pids
+
+
+def slow_blocks(mp, seconds=0.01):
+    """Make every block of CSV rows take ``seconds`` longer to format, in forked children too."""
+    real = matops._format_rows
+
+    def slow(data, row_fmt, start, stop, write):
+        for lo in range(start, stop, matops.CSV_BLOCK_ROWS):
+            time.sleep(seconds)
+            real(data, row_fmt, lo, min(lo + matops.CSV_BLOCK_ROWS, stop), write)
+
+    mp.setattr(matops, "_format_rows", slow)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 from operator import attrgetter
 from pathlib import Path
 
@@ -16,23 +14,18 @@ import pytest
 
 from adpdock import (
     ExperimentConfig,
+    TrajectoryLog,
     compare_gains,
     default_config,
     load_config,
+    matops,
+    run_experiment,
     save_config,
 )
+from adpdock.adp import collect_data
 from adpdock.dockcli import _SCHEMA, main
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def run_python(*args, timeout=300):
-    """Run this interpreter with ``args`` and the package's source tree on PYTHONPATH."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+from conftest import REPO, assert_no_child_left, open_fds, run_python, slow_blocks
 
 
 def test_default_config_values():
@@ -195,6 +188,37 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
     with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
         load_config(path)
     assert main(["check", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[orbit]\nmean_motion = -1\n", "[orbit] mean_motion = '-1': mean_motion must be positive"),
+    ("[orbit]\nearth_radius = 8000\n",
+     "[orbit] earth_radius = '8000': need r_ref > earth_radius > 0"),
+    ("[simulation]\nhorizon = 0\n", "[simulation] horizon = '0': horizon must be positive"),
+    ("[noise]\nterms = 0\n", "[noise] terms = '0': noise_terms must be at least 1"),
+    ("[simulation]\nx0 = 1, 2\n", "[simulation] x0 = '1, 2': x0 must have length 6, got 2"),
+    ("[exosystem]\nv0 = 1, 0\n", "[exosystem] v0 = '1, 0': v0 must have length 8, got 2"),
+    ("[exosystem]\nfrequencies = 1, 2, 3\nv0 = 1, 0, 1, 0, 1, 0, 1, 0\n",
+     "[exosystem] v0 = '1, 0, 1, 0, 1, 0, 1, 0': v0 must have length 6, got 8"),
+])
+def test_load_config_names_file_section_and_key_of_value_out_of_range(tmp_path, capsys,
+                                                                      text, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+        load_config(path)
+    assert main(["check", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected at load time, before any PBH record
+    assert err == f"error: {path}: {named}\n"
+
+
+def test_config_checks_initial_state_lengths():
+    with pytest.raises(ValueError, match="x0 must have length 6, got 2"):
+        ExperimentConfig(x0=[1.0, 2.0])
+    with pytest.raises(ValueError, match="v0 must have length 4, got 8"):
+        ExperimentConfig(frequencies=(1.0, 2.0), disturbance_gain=0.0, v0=np.ones(8))
+    assert ExperimentConfig(frequencies=(1.0, 2.0), disturbance_gain=0.0).v0.shape == (4,)
 
 
 def test_inclination_degrees_echo_as_written(tmp_path):
@@ -423,3 +447,83 @@ def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):
     assert names == sorted(p.name for p in out.iterdir())
     for name in names:
         assert (out / name).read_bytes() == (pipeline.out / name).read_bytes(), name
+
+
+needs_pin = pytest.mark.skipif(not hasattr(os, "fork") or matops._find_openblas() is None,
+                               reason="needs os.fork and numpy's OpenBLAS thread control")
+
+
+def quiet(*args):
+    pass
+
+
+@pytest.fixture
+def csv_writes(monkeypatch):
+    """A free CPU for the background writer, and a record of how each trajectory CSV is written.
+
+    The record lists ("fg", name) for ``TrajectoryLog.to_csv`` and ("bg",
+    name) for ``TrajectoryLog.to_csv_in_background``, in call order.
+    """
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: 2)
+    calls = []
+    for kind, name in (("fg", "to_csv"), ("bg", "to_csv_in_background")):
+        def record(log, path, _kind=kind, _write=getattr(TrajectoryLog, name)):
+            calls.append((_kind, Path(path).name))
+            return _write(log, path)
+
+        monkeypatch.setattr(TrajectoryLog, name, record)
+    return calls
+
+
+@needs_pin
+def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, monkeypatch,
+                                                                     pipeline, csv_writes):
+    cfg = default_config()
+    run_experiment(cfg, tmp_path / "bg", log=quiet)
+    # without a thread control nothing is pinned, so the write stays in the foreground
+    monkeypatch.setattr(matops, "_find_openblas", lambda: None)
+    monkeypatch.setattr(matops.one_blas_thread, "_control", None)
+    run_experiment(cfg, tmp_path / "fg", log=quiet)
+    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv"),
+                          ("fg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")]
+    names = sorted(p.name for p in pipeline.out.iterdir())
+    assert len(names) == 6
+    for name in names:
+        expected = (pipeline.out / name).read_bytes()
+        assert (tmp_path / "bg" / name).read_bytes() == expected, name
+        assert (tmp_path / "fg" / name).read_bytes() == expected, name
+
+
+@needs_pin
+def test_failed_learning_csv_writer_raises_after_reaping(tmp_path, monkeypatch, csv_writes):
+    def disk_full(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(matops, "_write_whole", disk_full)  # the child inherits the patch
+    fds = open_fds()
+    with pytest.raises(OSError, match="exited with code 1"):
+        run_experiment(default_config(), tmp_path / "out", log=quiet)
+    assert_no_child_left()
+    assert open_fds() <= fds
+    assert csv_writes[0] == ("bg", "trajectory_learning.csv")
+    # the writer is joined before any JSON artifact is written
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["convergence.csv", "trajectory_eval.csv"]
+
+
+@needs_pin
+def test_rank_failure_still_leaves_the_complete_learning_csv(tmp_path, monkeypatch, csv_writes):
+    cfg = ExperimentConfig(noise_amplitude=0.0, horizon=10.0)
+    path, out = tmp_path / "flat.cfg", tmp_path / "out"
+    save_config(cfg, path)
+    with monkeypatch.context() as mp:
+        slow_blocks(mp)  # the rank stage fails long before the file is done
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert csv_writes == [("bg", "trajectory_learning.csv")]
+    assert_no_child_left()
+    model, exo = cfg.scenario()
+    log = collect_data(model, exo, None, cfg.noise_spec(), cfg.x0,
+                       horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
+    log.to_csv(tmp_path / "expected.csv")
+    assert (out / "trajectory_learning.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()

@@ -7,6 +7,7 @@ equation in adp relies on; tolerances are machine-level.
 import io
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from adpdock import matops
 from adpdock.errors import RankDeficiencyError
+from conftest import assert_no_child_left, counting_forks, open_fds, run_python, slow_blocks
 from adpdock.matops import (
     bdiag,
     is_hurwitz,
@@ -24,6 +26,7 @@ from adpdock.matops import (
     lstsq,
     null_space,
     numerical_rank,
+    one_blas_thread,
     unvec,
     unvecs,
     vec,
@@ -31,6 +34,7 @@ from adpdock.matops import (
     vecv,
     vecv_map,
     write_csv,
+    write_csv_in_background,
 )
 
 rng = np.random.default_rng(1234)
@@ -273,29 +277,6 @@ def force_workers(mp, cpus, min_values=matops.FORK_MIN_VALUES):
     mp.setattr(matops, "FORK_MIN_VALUES", min_values)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def open_fds():
-    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
-
-
-def counting_forks(mp):
-    """Record the pid of every fork made while the patch holds."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        pids.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", fork)
-    return pids
-
-
 @st.composite
 def csv_tables(draw):
     """Tables at the block edges (0, 1, one below a block, one block) or with a ragged tail."""
@@ -444,6 +425,168 @@ def test_write_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
         with pytest.raises(DeprecationWarning):
             warn()  # the same warning outside the writer is an error
     assert_no_child_left()
+
+
+@needs_fork
+def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path, monkeypatch):
+    force_workers(monkeypatch, 2, min_values=1)
+    data = np.random.default_rng(5).standard_normal((5 * BLOCK + 3, 17))
+    data[::7, 3] = SPECIAL[np.arange(len(data[::7])) % len(SPECIAL)]
+    path = tmp_path / "bg.csv"
+    pids = counting_forks(monkeypatch)
+    with write_csv_in_background(path, lambda: (data, "h")):
+        assert len(pids) == 1  # the child formats every row; it forks no worker
+    assert path.read_bytes() == savetxt_bytes(data, "h")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, fork", [(1, True), (2, False)])
+def test_write_csv_in_background_without_a_free_cpu_writes_on_entry(tmp_path, monkeypatch,
+                                                                     cpus, fork):
+    def no_fork():
+        raise AssertionError("os.fork called without a CPU to spare")
+
+    force_workers(monkeypatch, cpus, min_values=1)
+    if fork:
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    data = np.arange(6 * BLOCK, dtype=float).reshape(-1, 3) / 7.0
+    path = tmp_path / "fg.csv"
+    with write_csv_in_background(path, lambda: (data, "a,b,c")):
+        assert path.read_bytes() == savetxt_bytes(data, "a,b,c")
+
+
+@needs_fork
+def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_path,
+                                                                         monkeypatch):
+    # the child takes 0.2 s; the block fails at once, and leaving it waits
+    force_workers(monkeypatch, 2, min_values=1)
+    slow_blocks(monkeypatch)
+    data = np.arange(20 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
+    path = tmp_path / "t.csv"
+    with pytest.raises(KeyError, match="stage"):
+        with write_csv_in_background(path, lambda: (data, "a,b")):
+            raise KeyError("stage")
+    assert path.read_bytes() == savetxt_bytes(data, "a,b")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypatch):
+    # a 1-D table is no CSV, so the child exits with code 1
+    force_workers(monkeypatch, 2, min_values=1)
+    data = np.ones(3 * BLOCK)
+    fds = open_fds()
+    with pytest.raises(OSError, match="exited with code 1"):
+        with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
+            pass
+    assert_no_child_left()
+    assert open_fds() <= fds
+    # an error in the block takes precedence over the child's
+    with pytest.raises(KeyError):
+        with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
+            raise KeyError("stage")
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+# --- one_blas_thread: a scoped OpenBLAS thread count ----------------------
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A stand-in OpenBLAS thread control at count 4 that records every lookup and set."""
+    state = SimpleNamespace(count=4, sets=[], lookups=0)
+
+    def put(count):
+        state.sets.append(count)
+        state.count = count
+
+    def find():
+        state.lookups += 1
+        return (lambda: state.count), put
+
+    monkeypatch.setattr(matops, "_find_openblas", find)
+    monkeypatch.setattr(one_blas_thread, "_control", None)
+    return state
+
+
+def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake_blas):
+    with one_blas_thread() as pinned:
+        assert pinned is True and fake_blas.count == 1
+    assert fake_blas.count == 4
+
+    @one_blas_thread()
+    def count():
+        return fake_blas.count
+
+    assert count() == 1 and fake_blas.count == 4
+    with pytest.raises(KeyError):
+        with one_blas_thread():
+            raise KeyError("stage")
+    assert fake_blas.count == 4
+    with one_blas_thread():
+        with one_blas_thread() as inner:
+            assert inner is True
+        assert fake_blas.count == 1
+        assert count() == 1
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                raise KeyError("stage")
+        assert fake_blas.count == 1
+    assert fake_blas.count == 4
+    # only the outermost block sets and restores; the library is looked up once
+    assert fake_blas.sets == [1, 4] * 4
+    assert fake_blas.lookups == 1
+
+
+def test_one_blas_thread_leaves_a_count_of_one_alone(fake_blas):
+    fake_blas.count = 1
+    with one_blas_thread() as pinned:
+        assert pinned is True
+    assert fake_blas.sets == [] and fake_blas.count == 1
+
+
+def test_one_blas_thread_without_a_thread_control_does_nothing(monkeypatch):
+    monkeypatch.setattr(matops, "_find_openblas", lambda: None)
+    monkeypatch.setattr(one_blas_thread, "_control", None)
+    with one_blas_thread() as pinned:
+        assert pinned is False
+
+
+# Runs in a fresh interpreter: reads the count of numpy's OpenBLAS without
+# the package, imports the package, and checks the count and the pin.
+_IMPORT_KEEPS_COUNT = """
+import ctypes, glob, os
+import numpy as np
+
+def count():
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    raise SystemExit("no OpenBLAS thread control")
+
+before = count()
+import adpdock
+from adpdock import matops
+assert matops.one_blas_thread._control is None, "looked up at import"
+assert count() == before, (count(), before)
+with matops.one_blas_thread() as pinned:
+    assert pinned and count() == 1, (pinned, count())
+assert count() == before, (count(), before)
+print("ok", before)
+"""
+
+
+def test_import_leaves_the_blas_thread_count_alone():
+    proc = run_python("-c", _IMPORT_KEEPS_COUNT, timeout=120)
+    if "no OpenBLAS thread control" in proc.stderr:
+        pytest.skip("numpy's OpenBLAS thread control not found")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok ")
 
 
 # --- read_csv: values equal np.loadtxt, the reference reader ------------
