@@ -55,7 +55,7 @@ from .matops import (check_weights, equilibrate, kron, lstsq, null_space, numeri
                      one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map)
 from .regulator import RegulatorSolution, _min_trace_over_affine
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
-from .sysmodels import Exosystem, LinearPolicy, simulate
+from .sysmodels import Exosystem, LinearPolicy, simulate, whole_steps
 
 __all__ = [
     "RegressionBundle",
@@ -190,9 +190,9 @@ def interval_count(horizon, interval):
 
 
 def _steps_per_interval(interval, dt):
-    steps = int(round(interval / dt))
-    if steps < 1 or abs(steps * dt - interval) > 1e-9 * max(1.0, interval):
-        raise ValueError(f"interval = {interval} must be an integer multiple of dt = {dt}")
+    steps = whole_steps(interval, dt, "interval")
+    if steps < 1:
+        raise ValueError(f"interval = {interval} must be at least dt = {dt}")
     return steps
 
 
@@ -224,6 +224,8 @@ def assemble_regression(log, basis, R, interval):
     Returns one :class:`RegressionBundle` per j, in sweep order.
     """
     R = np.asarray(R, dtype=float)
+    if len(log) < 2:
+        raise ValueError("log too short for a single interval")
     dt = log.dt
     steps = _steps_per_interval(interval, dt)
     n_int = (len(log) - 1) // steps
@@ -313,29 +315,29 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     ValueError
         If Q or R is not a valid cost weight.
     RankDeficiencyError
-        If the data matrix fails the rank condition.
+        If the data matrix fails the rank condition, decided once, by
+        :func:`matops.lstsq` (the rule of :func:`check_rank`).
     ConvergenceError
         If max_k passes without the increment test firing.
     """
     n, m = bundle_j0.n, bundle_j0.m
     Q, R = check_weights(Q, R, n, m)
-    ok, rank, required = check_rank(bundle_j0)
-    if not ok:
+    # Theta is fixed across iterations, so solve once for the operator
+    # mapping vecs(P) to the stacked unknowns [vecs(H); vec(K); vec(M)].
+    try:
+        solve_op, _ = lstsq(bundle_j0.Theta, bundle_j0.Dxx)
+    except RankDeficiencyError as exc:
         raise RankDeficiencyError(
-            f"data matrix rank {rank} < required {required}; "
+            f"data matrix rank {exc.rank} < required {exc.required}; "
             "extend the horizon or enrich the exploration signal",
-            rank=rank, required=required,
-        )
+            rank=exc.rank, required=exc.required,
+        ) from None
     if P0 is None:
         P0 = np.eye(n)
     if eps_schedule is None:
         eps_schedule = harmonic_steps()
     if ball_schedule is None:
         ball_schedule = linear_balls()
-
-    # Theta is fixed across iterations, so solve once for the operator
-    # mapping vecs(P) to the stacked unknowns [vecs(H); vec(K); vec(M)].
-    solve_op, _ = lstsq(bundle_j0.Theta, bundle_j0.Dxx)
     return run_value_iteration(_data_residual(solve_op, Q, R, n, m), P0, eps,
                                eps_schedule, ball_schedule, max_k, p_ref=p_ref)
 

@@ -32,7 +32,8 @@ import numpy as np
 from . import adp, regulator, riccati
 from .errors import ConvergenceError, RankDeficiencyError, StageFailure
 from .matops import is_hurwitz, one_blas_thread
-from .sysmodels import CwParams, build_docking_scenario, check_assumptions, simulate, sinusoid_noise
+from .sysmodels import (CwParams, build_docking_scenario, check_assumptions, simulate,
+                        sinusoid_noise, whole_steps)
 
 __all__ = [
     "ExperimentConfig",
@@ -98,6 +99,9 @@ class ExperimentConfig:
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # a horizon need not hold a whole number of intervals, only of steps
+        for name in ("horizon", "interval", "eval_horizon"):
+            whole_steps(getattr(self, name), self.dt, name)
         for name in ("max_k", "noise_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -251,7 +251,7 @@ def lstsq(theta, rhs):
     Parameters
     ----------
     theta : array_like, shape (rows, cols)
-        Regression matrix, ``rows >= cols``.
+        Regression matrix; full column rank needs ``rows >= cols``.
     rhs : array_like
         Right-hand side vector or matrix with ``rows`` rows.
 
@@ -266,14 +266,13 @@ def lstsq(theta, rhs):
     ------
     RankDeficiencyError
         If the numerical rank of the column-equilibrated ``theta`` (see
-        :func:`equilibrate`) falls below its column count. The threshold
-        is ``max(rows, cols) * eps * sigma_max``.
+        :func:`equilibrate`) falls below its column count, as it does
+        whenever ``rows < cols``. The threshold is
+        ``max(rows, cols) * eps * sigma_max``.
     """
     theta = _as_matrix(theta, "theta")
     rhs = np.asarray(rhs, dtype=float)
-    rows, cols = theta.shape
-    if rows < cols:
-        raise ValueError(f"theta has {rows} rows < {cols} cols; system is underdetermined")
+    cols = theta.shape[1]
     scaled, col_scale = equilibrate(theta)
     # rcond=None is numerical_rank's threshold max(rows, cols) * eps * sigma_max
     solution, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)

@@ -40,6 +40,7 @@ __all__ = [
     "build_cw_plant",
     "build_docking_scenario",
     "simulate",
+    "whole_steps",
     "exploration_noise",
     "sinusoid_noise",
     "check_assumptions",
@@ -402,6 +403,8 @@ def build_docking_scenario(params, exo_frequencies=(1.0, 2.0, 3.0, 4.0),
 
 #: Steps between divergence checks in :func:`simulate`.
 _CHUNK = 1000
+#: Steps per block of the closed-loop scan in :func:`simulate`, about sqrt(_CHUNK).
+_BLOCK = 32
 
 
 def simulate(model, exo, controller, x0, t_span, dt):
@@ -420,9 +423,17 @@ def simulate(model, exo, controller, x0, t_span, dt):
     and the run takes one of two drivers:
 
     * a :class:`LinearPolicy` u = -K x + L v + eta(t) runs the
-      closed-loop map Phi - Gamma [K, -L], with eta evaluated once on
-      the whole time grid and Gamma eta added per chunk of steps; the
-      logged input is recovered afterwards as -X K' + V L' + eta;
+      closed-loop map z+ = Phi_cl z + Gamma eta, Phi_cl = Phi - Gamma [K, -L],
+      with eta evaluated once on the whole time grid. The recurrence is
+      linear, so each chunk of steps is a blocked scan
+      (:func:`_scan_chunk`) over blocks of 32 steps: about 64
+      Python-level steps per 1000-step chunk instead of 1000, with the
+      powers Phi_cl^1..Phi_cl^32 built once per run (blocks are one step
+      long where Phi_cl^32 overflows). Samples agree with the
+      step-by-step recurrence to round-off relative to the largest
+      |Phi_cl^j|; replacing that recurrence moved every logged value
+      once, by about 1e-13 relative. The logged input is recovered
+      afterwards as -X K' + V L' + eta;
     * any other callable(x, v, t) -> u is called once per step and the
       open-loop map is applied to its output.
 
@@ -450,9 +461,7 @@ def simulate(model, exo, controller, x0, t_span, dt):
         raise ValueError("dt must be positive")
     if not np.isfinite(t_span) or t_span < 0:
         raise ValueError("t_span must be finite and nonnegative")
-    n_steps = int(round(t_span / dt))
-    if abs(n_steps * dt - t_span) > 1e-9 * max(1.0, t_span):
-        raise ValueError(f"t_span = {t_span} is not an integer multiple of dt = {dt}")
+    n_steps = whole_steps(t_span, dt, "t_span")
 
     n, m, q = model.n, model.m, exo.q
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -478,14 +487,12 @@ def simulate(model, exo, controller, x0, t_span, dt):
                 for k0 in range(0, n_steps + 1, _CHUNK):
                     us[k0 : k0 + _CHUNK] = exploration_noise(controller.noise,
                                                              times[k0 : k0 + _CHUNK])
-            phi_cl = phi - gamma @ np.hstack([K, -L])
+            powers = _matrix_powers(phi - gamma @ np.hstack([K, -L]), _BLOCK)
+            if not np.isfinite(powers[-1]).all():
+                powers = powers[:1]  # Phi_cl^s overflows: scan one step per block
             for k0 in range(0, n_steps, _CHUNK):
                 k1 = min(k0 + _CHUNK, n_steps)
-                forced = us[k0:k1] @ gamma.T
-                z = zs[k0]
-                for k in range(k0, k1):
-                    z = phi_cl @ z + forced[k - k0]
-                    zs[k + 1] = z
+                _scan_chunk(zs, k0, us[k0:k1] @ gamma.T, powers)
                 _check_finite(zs, times, k0, k1)
             xs, vs = zs[:, :n], zs[:, n:]
             us -= xs @ K.T
@@ -507,6 +514,19 @@ def simulate(model, exo, controller, x0, t_span, dt):
     return TrajectoryLog(t=times, x=xs, u=us, v=vs, e=errors)
 
 
+def whole_steps(duration, dt, name):
+    """The number of dt steps in ``duration``, which must be a whole number.
+
+    Whole means to within 1e-9 of max(1, duration); otherwise ValueError
+    naming ``name``. Simulation spans, regression intervals and the
+    configured horizons are all checked by this one rule.
+    """
+    steps = int(round(duration / dt))
+    if abs(steps * dt - duration) > 1e-9 * max(1.0, duration):
+        raise ValueError(f"{name} = {duration} is not an integer multiple of dt = {dt}")
+    return steps
+
+
 def _rk4_map(model, exo, dt):
     """(Phi, Gamma) with one RK4 step of the joint dynamics z+ = Phi z + Gamma u."""
     n, q = model.n, exo.q
@@ -522,6 +542,40 @@ def _rk4_map(model, exo, dt):
     series = eye + step @ series / 3.0
     series = eye + step @ series / 2.0
     return eye + step @ series, dt * series @ gain_u
+
+
+def _matrix_powers(a, count):
+    """The stack a^1, ..., a^count, shape (count, d, d)."""
+    powers = np.empty((count,) + a.shape)
+    powers[0] = a
+    for j in range(1, count):
+        powers[j] = a @ powers[j - 1]
+    return powers
+
+
+def _scan_chunk(zs, k0, forced, powers):
+    """Write zs[k0+1 : k0+1+len(forced)] of z+ = Phi z + f, started from zs[k0].
+
+    ``powers`` stacks Phi^1..Phi^s. The steps are cut into blocks of s;
+    the forced responses y_{b,j} of all blocks from a zero state take s
+    vectorised steps, the block starts z_{b+1,0} = Phi^s z_{b,0} + y_{b,s-1}
+    one step per block, and every sample is then
+    z_{b,j+1} = Phi^(j+1) z_{b,0} + y_{b,j} in one product.
+    """
+    steps = len(forced)
+    s, d = powers.shape[:2]
+    blocks = -(-steps // s)
+    y = np.zeros((blocks, s, d))  # the trailing block is zero-padded
+    y.reshape(-1, d)[:steps] = forced
+    phi_t = powers[0].T
+    for j in range(1, s):
+        y[:, j] += y[:, j - 1] @ phi_t
+    starts = np.empty((blocks, d))
+    starts[0] = zs[k0]
+    for b in range(1, blocks):
+        starts[b] = powers[-1] @ starts[b - 1] + y[b - 1, -1]
+    y += np.tensordot(starts, powers, axes=([1], [2]))
+    zs[k0 + 1 : k0 + 1 + steps] = y.reshape(-1, d)[:steps]
 
 
 def _held_input(controller, x, v, t, m):

@@ -323,6 +323,24 @@ def test_vi_learn_requires_rank(docking, learning_data):
     assert excinfo.value.required == 87
 
 
+def test_vi_learn_decides_rank_once_through_lstsq(docking, monkeypatch):
+    # a dependent column: the one rank decision is lstsq's, with the
+    # message that names the remedy and the rank and required count
+    cfg = docking.config
+    theta = np.random.default_rng(3).standard_normal((40, 7))
+    theta[:, 6] = theta[:, 0] + theta[:, 3]
+    monkeypatch.setattr("adpdock.adp.check_rank", None)  # not called any more
+    with pytest.raises(RankDeficiencyError, match=re.escape(
+            "data matrix rank 6 < required 7; "
+            "extend the horizon or enrich the exploration signal")) as excinfo:
+        vi_learn(_scaled_bundle(theta), np.eye(2), np.eye(1))
+    assert (excinfo.value.rank, excinfo.value.required) == (6, 7)
+    # fewer rows than columns is a rank deficiency too
+    with pytest.raises(RankDeficiencyError) as excinfo:
+        vi_learn(_scaled_bundle(theta[:5]), np.eye(2), np.eye(1))
+    assert (excinfo.value.rank, excinfo.value.required) == (5, 7)
+
+
 def test_vi_learn_matches_model_based(docking, oracle, learned):
     rel_K = np.linalg.norm(learned.K - oracle.K_star) / np.linalg.norm(oracle.K_star)
     rel_P = np.linalg.norm(learned.P - oracle.P_star) / np.linalg.norm(oracle.P_star)
@@ -421,6 +439,16 @@ def test_assemble_validates_inputs(docking, learning_data):
                          v=log.v[:5], e=log.e[:5])
     with pytest.raises(ValueError):
         assemble_regression(tiny, learning_data.basis, cfg.R, cfg.interval)
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_assemble_rejects_logs_without_a_step(docking, learning_data, samples):
+    log = learning_data.log
+    short = TrajectoryLog(t=log.t[:samples], x=log.x[:samples], u=log.u[:samples],
+                          v=log.v[:samples], e=log.e[:samples])
+    with pytest.raises(ValueError, match="log too short for a single interval"):
+        assemble_regression(short, learning_data.basis, docking.config.R,
+                            docking.config.interval)
 
 
 def test_recovery_against_truth(docking, learned):

@@ -200,6 +200,12 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
     ("[exosystem]\nv0 = 1, 0\n", "[exosystem] v0 = '1, 0': v0 must have length 8, got 2"),
     ("[exosystem]\nfrequencies = 1, 2, 3\nv0 = 1, 0, 1, 0, 1, 0, 1, 0\n",
      "[exosystem] v0 = '1, 0, 1, 0, 1, 0, 1, 0': v0 must have length 6, got 8"),
+    ("[simulation]\ninterval = 0.1005\n", "[simulation] interval = '0.1005': "
+     "interval = 0.1005 is not an integer multiple of dt = 0.001"),
+    ("[simulation]\nhorizon = 25.0005\ndt = 0.001\n", "[simulation] horizon = '25.0005': "
+     "horizon = 25.0005 is not an integer multiple of dt = 0.001"),
+    ("[simulation]\neval_horizon = 25.0005\n", "[simulation] eval_horizon = '25.0005': "
+     "eval_horizon = 25.0005 is not an integer multiple of dt = 0.001"),
 ])
 def test_load_config_names_file_section_and_key_of_value_out_of_range(tmp_path, capsys,
                                                                       text, named):
@@ -211,6 +217,16 @@ def test_load_config_names_file_section_and_key_of_value_out_of_range(tmp_path, 
     out, err = capsys.readouterr()
     assert out == ""  # rejected at load time, before any PBH record
     assert err == f"error: {path}: {named}\n"
+
+
+def test_run_rejects_a_time_grid_before_any_stage(tmp_path, capsys):
+    path, out = tmp_path / "grid.cfg", tmp_path / "out"
+    path.write_text("[simulation]\neval_horizon = 25.0005\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "" and not out.exists()
+    # a whole number of steps that is not a whole number of intervals is kept
+    cfg = ExperimentConfig(horizon=2.05, eval_horizon=0.001)
+    assert (cfg.horizon, cfg.eval_horizon) == (2.05, 0.001)
 
 
 def test_config_checks_initial_state_lengths():

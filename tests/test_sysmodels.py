@@ -23,6 +23,7 @@ from adpdock import (
     sinusoid_noise,
 )
 from adpdock.errors import DivergenceError
+from adpdock.sysmodels import _BLOCK, _CHUNK, _rk4_map
 
 # frozen values for the default orbit (nbar = 0.00108, r_ref = 7000 km,
 # Re = 6378.14 km, J2 = 1.08263e-3, i = 45 deg); cos(2i) = 0 there, so
@@ -132,6 +133,40 @@ def reference_rk4(model, exo, controller, x0, t_span, dt):
     return TrajectoryLog(t=times, x=xs, u=us, v=vs, e=xs @ model.C.T + vs @ model.F.T)
 
 
+def reference_step_loop(model, exo, policy, x0, t_span, dt):
+    """simulate's former LinearPolicy path: the closed-loop map
+    z+ = Phi_cl z + Gamma eta applied one step per sample. The blocked
+    scan must reproduce it to round-off."""
+    n, m, q = model.n, model.m, exo.q
+    n_steps = int(round(t_span / dt))
+    phi, gamma = _rk4_map(model, exo, dt)
+    K = policy.K
+    L = np.zeros((m, q)) if policy.L is None else policy.L
+    phi_cl = phi - gamma @ np.hstack([K, -L])
+    times = np.arange(n_steps + 1) * dt
+    eta = (np.zeros((n_steps + 1, m)) if policy.noise is None
+           else exploration_noise(policy.noise, times))
+    forced = eta @ gamma.T
+    zs = np.empty((n_steps + 1, n + q))
+    zs[0] = np.concatenate([np.asarray(x0, dtype=float), exo.v0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            zs[k + 1] = phi_cl @ zs[k] + forced[k]
+            if not np.all(np.isfinite(zs[k + 1])):
+                raise DivergenceError("non-finite", time=float(times[k + 1]))
+    xs, vs = zs[:, :n], zs[:, n:]
+    return TrajectoryLog(t=times, x=xs, u=eta - xs @ K.T + vs @ L.T, v=vs,
+                         e=xs @ model.C.T + vs @ model.F.T)
+
+
+def assert_logs_close(log, ref, rel):
+    assert np.array_equal(log.t, ref.t)
+    for name in ("x", "u", "v", "e"):
+        got, want = getattr(log, name), getattr(ref, name)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 @st.composite
 def random_closed_loop(draw):
     """A random plant, a rotation exosystem, and a LinearPolicy with noise."""
@@ -162,6 +197,86 @@ def test_simulate_drivers_match_reference_rk4(case):
             got, want = getattr(log, name), getattr(ref, name)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def scan_plant():
+    """A fixed random (n, m, q) = (4, 2, 3) plant and exosystem."""
+    g = np.random.default_rng(41)
+    model = StateSpaceModel(A=g.standard_normal((4, 4)) / 2.0, B=g.standard_normal((4, 2)),
+                            C=g.standard_normal((2, 4)), D=g.standard_normal((4, 3)),
+                            F=g.standard_normal((2, 3)))
+    W = g.standard_normal((3, 3))
+    return model, Exosystem(E=W - W.T, v0=g.standard_normal(3))
+
+
+@pytest.mark.parametrize("with_noise", [False, True])
+@pytest.mark.parametrize("with_L", [False, True])
+@pytest.mark.parametrize("steps", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK - 1,
+                                   _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7])
+def test_blocked_scan_matches_step_loop_and_rk4(scan_plant, steps, with_L, with_noise):
+    # block and chunk edges: a partial block, whole blocks, a partial chunk
+    model, exo = scan_plant
+    rows = np.random.default_rng(steps)
+    policy = LinearPolicy(0.3 * rows.standard_normal((2, 4)),
+                          rows.standard_normal((2, 3)) if with_L else None,
+                          sinusoid_noise(2, terms=3, amplitude=0.5, seed=steps)
+                          if with_noise else None)
+    x0, dt = rows.standard_normal(4), 0.002
+    log = simulate(model, exo, policy, x0, steps * dt, dt)
+    assert len(log) == steps + 1
+    assert_logs_close(log, reference_step_loop(model, exo, policy, x0, steps * dt, dt), 1e-12)
+    assert_logs_close(log, reference_rk4(model, exo, policy, x0, steps * dt, dt), 1e-12)
+
+
+def test_blocked_scan_matches_step_loop_on_docking_collection(docking, learning_data):
+    # the 25k-step collection log of the reference run
+    cfg = docking.config
+    policy = LinearPolicy(np.zeros((3, 6)), noise=learning_data.noise)
+    ref = reference_step_loop(docking.model, docking.exo, policy, cfg.x0, cfg.horizon, cfg.dt)
+    assert len(ref) == 25001
+    assert_logs_close(learning_data.log, ref, 1e-12)
+
+
+def test_blocked_scan_divergence_mid_block_in_a_later_chunk():
+    # a forced, fed-forward plant with exploration whose state overflows
+    # inside a block of the fourth chunk
+    model = StateSpaceModel(A=[[20.0, 1.0], [0.0, -1.0]], B=[[0.0], [1.0]],
+                            C=[[1.0, 0.0]], D=np.eye(2), F=np.zeros((1, 2)))
+    exo = Exosystem(E=[[0.0, 3.0], [-3.0, 0.0]], v0=[1.0, 0.0])
+    policy = LinearPolicy([[0.5, 0.2]], [[0.3, -0.1]],
+                          sinusoid_noise(1, terms=3, amplitude=0.5, seed=2))
+    dt = 0.01
+    with pytest.raises(DivergenceError) as scan:
+        simulate(model, exo, policy, [1.0, 0.0], 50.0, dt)
+    t_fail = scan.value.time
+    k_fail = int(round(t_fail / dt))
+    k0 = (k_fail - 1) // _CHUNK * _CHUNK
+    assert k0 >= 3 * _CHUNK and 0 < (k_fail - 1 - k0) % _BLOCK < _BLOCK - 1
+    with pytest.raises(DivergenceError) as callback:
+        simulate(model, exo, lambda x, v, t: policy(x, v, t), [1.0, 0.0], 50.0, dt)
+    assert callback.value.time == t_fail
+    with pytest.raises(DivergenceError) as stepped:
+        reference_step_loop(model, exo, policy, [1.0, 0.0], 50.0, dt)
+    assert stepped.value.time == t_fail
+    before = simulate(model, exo, policy, [1.0, 0.0], t_fail - dt, dt)
+    assert np.all(np.isfinite(before.x)) and np.max(np.abs(before.x[-1])) > 1e300
+
+
+def test_blocked_scan_survives_overflowing_powers():
+    # Phi is about 4e10 per step, so Phi^s overflows; a zero state must
+    # stay zero and a nonzero one diverge where the step-by-step map does
+    model = StateSpaceModel(A=[[1000.0]], B=[[1.0]], C=[[1.0]],
+                            D=np.zeros((1, 1)), F=np.zeros((1, 1)))
+    exo = Exosystem(E=[[0.0]], v0=[0.0])
+    policy = LinearPolicy([[0.0]])
+    log = simulate(model, exo, policy, [0.0], 100.0, 1.0)
+    assert np.all(log.x == 0.0)
+    with pytest.raises(DivergenceError) as scan:
+        simulate(model, exo, policy, [1.0], 100.0, 1.0)
+    with pytest.raises(DivergenceError) as callback:
+        simulate(model, exo, lambda x, v, t: policy(x, v, t), [1.0], 100.0, 1.0)
+    assert scan.value.time == callback.value.time < _BLOCK
 
 
 def test_exploration_noise_on_a_grid_matches_pointwise():
