@@ -51,9 +51,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import (check_weights, equilibrate, kron, lstsq, null_space, numerical_rank,
+from .matops import (bdiag, check_weights, equilibrate, kron, lstsq, numerical_rank,
                      one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map)
-from .regulator import RegulatorSolution, _min_trace_over_affine
+from .regulator import RegulatorSolution, solve_min_trace
 from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, simulate, whole_steps
 
@@ -74,43 +74,34 @@ __all__ = [
 
 @dataclass
 class RegressionBundle:
-    """Integral data matrices for one tracking offset X_j.
+    """The regression Dxx vecs(P) = Theta [vecs(H); vec(K); vec(M)] for one offset X_j.
 
-    Rows are collection intervals; ``Ixx`` holds the integrated vecv of
-    the shifted state, ``Gxu`` and ``Gxv`` the integrated Kronecker
-    products with the input and exostate, ``Dxx`` the vecv differences
-    at interval endpoints, and ``Theta`` the assembled regression matrix
-    [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv]. ``n``, ``m`` and ``q`` are the
-    state, input and exostate dimensions the blocks were built for.
+    Rows are collection intervals. ``Dxx`` holds the vecv differences of
+    the shifted state at interval endpoints, n(n+1)/2 columns. ``Theta``
+    is [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv], n(n+1)/2 + (m+q)n columns:
+    Ixx holds the integrated vecv of the shifted state, and Gxu and Gxv
+    its integrated Kronecker products with the input and the exostate.
+    ``n``, ``m`` and ``q`` are the state, input and exostate dimensions
+    the matrices were built for.
     """
 
     j: int
-    Ixx: np.ndarray
-    Gxu: np.ndarray
-    Gxv: np.ndarray
-    Dxx: np.ndarray
     Theta: np.ndarray
+    Dxx: np.ndarray
     n: int
     m: int
     q: int
 
     def __post_init__(self):
-        rows = self.Ixx.shape[0]
-        for name in ("Gxu", "Gxv", "Dxx", "Theta"):
-            if getattr(self, name).shape[0] != rows:
-                raise ValueError(f"{name} row count differs from Ixx")
         ns = self.n * (self.n + 1) // 2
-        for name, cols in (("Ixx", ns), ("Dxx", ns), ("Gxu", self.n * self.m),
-                           ("Gxv", self.n * self.q)):
-            if getattr(self, name).shape[1] != cols:
-                raise ValueError(f"{name} must have {cols} columns for (n, m, q) = "
-                                 f"({self.n}, {self.m}, {self.q})")
-        if self.Theta.shape[1] != self.required_rank:
-            raise ValueError("Theta column count must match the three blocks")
+        for name, cols in (("Theta", self.required_rank), ("Dxx", ns)):
+            if getattr(self, name).shape != (self.rows, cols):
+                raise ValueError(f"{name} must have {self.rows} rows and {cols} columns "
+                                 f"for (n, m, q) = ({self.n}, {self.m}, {self.q})")
 
     @property
     def rows(self):
-        return self.Ixx.shape[0]
+        return self.Theta.shape[0]
 
     @property
     def required_rank(self):
@@ -167,26 +158,18 @@ def collect_data(model, exo, K0, noise, x0, v0=None, horizon=25.0, dt=1e-3,
     The input is u = -K0 x + eta(t) with eta the exploration signal
     from ``noise`` (pass None for no exploration). K0 need not
     stabilize; a zero gain is the usual choice. ``interval`` is the
-    regression interval the log will later be integrated over; it must
-    be an integer multiple of dt and divide the horizon.
+    regression interval the log will later be integrated over. It and
+    the horizon must be whole numbers of dt steps, and the horizon must
+    hold at least one whole interval; assembly ignores a partial
+    interval at the end.
     """
     K0 = np.zeros((model.m, model.n)) if K0 is None else np.asarray(K0, dtype=float)
     if K0.shape != (model.m, model.n):
         raise ValueError(f"K0 must be {model.m}x{model.n}")
-    _steps_per_interval(interval, dt)
-    n_int = interval_count(horizon, interval)
-    if n_int < 1:
+    if whole_steps(horizon, dt, "horizon") // _steps_per_interval(interval, dt) < 1:
         raise ValueError("horizon must cover at least one interval")
     exo_run = exo if v0 is None else Exosystem(E=exo.E, v0=v0)
     return simulate(model, exo_run, LinearPolicy(K0, noise=noise), x0, horizon, dt)
-
-
-def interval_count(horizon, interval):
-    """Number of whole regression intervals in the horizon."""
-    count = int(round(horizon / interval))
-    if abs(count * interval - horizon) > 1e-9 * max(1.0, horizon):
-        count = int(np.floor(horizon / interval + 1e-12))
-    return count
 
 
 def _steps_per_interval(interval, dt):
@@ -266,14 +249,12 @@ def assemble_regression(log, basis, R, interval):
     bundles = []
     for j, Xj in enumerate(basis.sequence()):
         T = np.hstack([np.eye(n), -Xj])
-        Ixx = M_zz @ vecv_map(T).T
-        Gxu = M_zu @ kron(T, np.eye(m)).T
-        Gxv = M_zv @ kron(T, np.eye(q)).T
+        Theta = np.hstack([M_zz @ vecv_map(T).T,
+                           M_zu @ kron(T, np.eye(m)).T @ scale_u,
+                           2.0 * (M_zv @ kron(T, np.eye(q)).T)])
         vv = vecv(x_end - v_end @ Xj.T)
-        Dxx = vv[1:] - vv[:-1]
-        Theta = np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv])
-        bundles.append(RegressionBundle(j=j, Ixx=Ixx, Gxu=Gxu, Gxv=Gxv, Dxx=Dxx,
-                                        Theta=Theta, n=n, m=m, q=q))
+        bundles.append(RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
+                                        n=n, m=m, q=q))
     return bundles
 
 
@@ -405,8 +386,9 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
     linearity of the Sylvester map S(X(alpha)) is known from the
     recovered sweep values. The dynamic regulator equation
     S(X) = B U + D then becomes one linear system in (alpha, vec U),
-    solved jointly; any remaining freedom minimizes
-    Tr(X'QbarX + U'RbarU) as a closed-form quadratic program.
+    solved jointly to a relative residual of 1e-6 by
+    :func:`regulator.solve_min_trace`; any remaining freedom minimizes
+    Tr(X'QbarX + U'RbarU).
 
     Raises
     ------
@@ -435,27 +417,10 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
         np.column_stack([vec(Sd) for Sd in S_dirs]),
         -kron(np.eye(q), B_hat),
     ])
-    rhs = vec(D_hat - S1)
-    y0, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    residual = np.linalg.norm(M @ y0 - rhs)
-    if residual > 1e-6 * (1.0 + np.linalg.norm(rhs)):
-        raise NoSolutionError(
-            f"recovered regulator system is inconsistent (residual {residual:.3e})",
-            residual=float(residual),
-        )
-
-    nullspace = null_space(M)
-    y = y0
-    if nullspace.shape[1]:
-        # trace cost in terms of y = (alpha, vec U): [vec X; vec U] = T y + c
-        T = np.zeros((n * q + m * q, h + m * q))
-        T[: n * q, :h] = np.column_stack([vec(N) for N in basis.basis])
-        T[n * q :, h:] = np.eye(m * q)
-        c = np.concatenate([vec(basis.X1), np.zeros(m * q)])
-        W = np.zeros((n * q + m * q, n * q + m * q))
-        W[: n * q, : n * q] = kron(np.eye(q), Qbar)
-        W[n * q :, n * q :] = kron(np.eye(q), Rbar)
-        y = _min_trace_over_affine(y0, nullspace, T.T @ W @ T, shift=T.T @ (W @ c))
+    # y = (alpha, vec U) gives [vec X; vec U] = T y + c
+    T = bdiag([np.column_stack([vec(N) for N in basis.basis]), np.eye(m * q)])
+    c = np.concatenate([vec(basis.X1), np.zeros(m * q)])
+    y = solve_min_trace(M, vec(D_hat - S1), T, c, Qbar, Rbar, rtol=1e-6)
 
     alpha = y[:h]
     U = unvec(y[h:], m, q)
@@ -479,10 +444,14 @@ def save_gains(path, controller):
 
 
 def load_gains(path):
-    """Read a gains JSON back; matrices come back as arrays."""
+    """Read a gains JSON back; K, L and P come back as arrays.
+
+    Raises ValueError naming the file and the first of K, L and P it lacks.
+    """
     with open(path) as fh:
         payload = json.load(fh)
     for key in ("K", "L", "P"):
-        if key in payload:
-            payload[key] = np.asarray(payload[key], dtype=float)
+        if key not in payload:
+            raise ValueError(f"{path}: gains file has no {key}")
+        payload[key] = np.asarray(payload[key], dtype=float)
     return payload

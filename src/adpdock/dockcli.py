@@ -31,7 +31,7 @@ import numpy as np
 
 from . import adp, regulator, riccati
 from .errors import ConvergenceError, RankDeficiencyError, StageFailure
-from .matops import is_hurwitz, one_blas_thread
+from .matops import check_weights, is_hurwitz, one_blas_thread
 from .sysmodels import (CwParams, build_docking_scenario, check_assumptions, simulate,
                         sinusoid_noise, whole_steps)
 
@@ -92,6 +92,8 @@ class ExperimentConfig:
         self.R = _resolve_weight(2.0 if self.R is None else self.R, 3, "R")
         self.Qbar = _resolve_weight(1.0 if self.Qbar is None else self.Qbar, 6, "Qbar")
         self.Rbar = _resolve_weight(1.0 if self.Rbar is None else self.Rbar, 3, "Rbar")
+        check_weights(self.Q, self.R, 6, 3)
+        check_weights(self.Qbar, self.Rbar, 6, 3, names=("Qbar", "Rbar"))
         for name, value, length in (("x0", self.x0, 6), ("v0", self.v0, q)):
             if value.shape != (length,):
                 raise ValueError(f"{name} must have length {length}, got {value.size}")
@@ -381,18 +383,18 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     value-iteration learning, model recovery, regulator solve,
     feedforward composition, oracle solves, comparison, closed-loop
     evaluation. The whole run holds numpy's OpenBLAS at one thread
-    (:class:`matops.one_blas_thread`). Where that pin holds, a forked
-    child writes ``trajectory_learning.csv`` while the stages after
-    collection run; the file is complete before the JSON artifacts are
-    written and, in a failed run, before StageFailure propagates. Where
-    it does not, the file is written before assembly starts. Every other
-    artifact is flushed as soon as its stage completes, so a failed run
-    leaves the earlier CSVs behind for inspection.
+    (:class:`matops.one_blas_thread`), and a forked child writes
+    ``trajectory_learning.csv`` while the stages after collection run
+    (:func:`matops.write_csv_in_background`); the file is complete before
+    the JSON artifacts are written and, in a failed run, before
+    StageFailure propagates. Every other artifact is flushed as soon as
+    its stage completes, so a failed run leaves the earlier CSVs behind
+    for inspection.
 
     Raises StageFailure naming the stage on any error, and OSError if the
     child writing the learning CSV fails.
     """
-    with one_blas_thread() as pinned, ExitStack() as learning_csv:
+    with one_blas_thread(), ExitStack() as learning_csv:
         out = Path(config.out_dir if out_dir is None else out_dir)
         out.mkdir(parents=True, exist_ok=True)
         files = []
@@ -413,12 +415,9 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             "collect", adp.collect_data, model, exo, None, noise, config.x0,
             horizon=config.horizon, dt=config.dt, interval=config.interval,
         )
-        if pinned:
-            # the second CPU writes it while this one learns; ExitStack waits for it
-            learning_csv.enter_context(
-                learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
-        else:
-            learning_log.to_csv(out / "trajectory_learning.csv")
+        # the second CPU writes it while this one learns; ExitStack waits for it
+        learning_csv.enter_context(
+            learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         files.append("trajectory_learning.csv")
         log(f"collected {len(learning_log)} samples over {config.horizon} s")
 
@@ -535,8 +534,8 @@ def _cmd_compare(args):
 
 def _cmd_check(args):
     config = load_config(args.config)
-    model, exo = config.scenario()
-    assumptions = check_assumptions(model, exo)
+    model, exo = _stage("setup", config.scenario)
+    assumptions = _stage("assumptions", check_assumptions, model, exo)
     for record in assumptions.records:
         print(f"{record.test}: eig={record.eigenvalue:.4g} rank={record.rank}/"
               f"{record.required} margin={record.margin:.3e} ok={record.ok}")
@@ -545,10 +544,10 @@ def _cmd_check(args):
         return _STAGE_EXIT_CODES["assumptions"]
 
     noise = config.noise_spec()
-    log = adp.collect_data(model, exo, None, noise, config.x0,
-                           horizon=config.horizon, dt=config.dt, interval=config.interval)
-    basis = regulator.kernel_basis(model)
-    bundles = adp.assemble_regression(log, basis, config.R, config.interval)
+    log = _stage("collect", adp.collect_data, model, exo, None, noise, config.x0,
+                 horizon=config.horizon, dt=config.dt, interval=config.interval)
+    basis = _stage("assemble", regulator.kernel_basis, model)
+    bundles = _stage("assemble", adp.assemble_regression, log, basis, config.R, config.interval)
     ok, rank, required = adp.check_rank(bundles[0])
     print(f"rank: {rank}/{required} ok={ok}")
     return 0 if ok else _STAGE_EXIT_CODES["rank"]

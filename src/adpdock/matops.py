@@ -401,16 +401,14 @@ class one_blas_thread(ContextDecorator):
     and leaving the outermost block restores the count it had, also when
     the block raises. Entering while another block holds the pin, in this
     thread or another, changes nothing. The library is looked up on first
-    use, never at import. ``with one_blas_thread() as pinned`` binds
-    whether the count is 1 in the block: False where no OpenBLAS thread
-    control was found, and then the block runs with the count as it is.
+    use, never at import. Where no OpenBLAS thread control is found, the
+    block runs with the count as it is.
     """
 
     _lock = threading.Lock()
     _control = None  # (get, set), False when none was found, None before the lookup
     _depth = 0
     _restore = None  # count to set on leaving the outermost block, None for none
-    _pinned = False
 
     def __enter__(self):
         cls = type(self)
@@ -419,14 +417,12 @@ class one_blas_thread(ContextDecorator):
             if cls._depth == 1:
                 if cls._control is None:
                     cls._control = _find_openblas() or False
-                cls._pinned = bool(cls._control)
-                if cls._pinned:
+                if cls._control:
                     get, put = cls._control
                     previous = get()
                     cls._restore = None if previous == 1 else previous
                     if cls._restore is not None:
                         put(1)
-            return cls._pinned
 
     def __exit__(self, *exc):
         cls = type(self)

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError
-from .matops import check_weights, kron, null_space, unvec, vec
+from .matops import bdiag, check_weights, kron, null_space, unvec, vec
 
 __all__ = [
     "RegulatorSolution",
     "KernelBasis",
     "kernel_basis",
     "solve_regulator_exact",
+    "solve_min_trace",
     "feedforward_gain",
 ]
 
@@ -96,20 +97,38 @@ def kernel_basis(model):
     return KernelBasis(X0=np.zeros((n, q)), X1=X1, basis=basis)
 
 
-def _min_trace_over_affine(z0, nullspace, weight, shift=None):
-    """argmin_z z' W z + 2 shift' z over {z0 + N a}; returns the minimizer.
+def solve_min_trace(M, b, T, c, Qbar, Rbar, rtol):
+    """Among the solutions y of M y = b, the one minimizing Tr(X'QbarX + U'RbarU).
 
-    ``shift`` (default zero) is the linear term a constant offset brings
-    in: minimizing (T z + c)' W (T z + c) is this problem with weight
-    T' W T and shift T' W c.
+    (X, U) is read off y through [vec X; vec U] = T y + c, with X n x q
+    and U m x q for Qbar n x n and Rbar m x m. The least-squares solution
+    of M y = b is rejected when its residual exceeds rtol (1 + |b|); any
+    freedom left in the null space of M then minimizes the trace cost,
+    whose weight on [vec X; vec U] is blockdiag(I_q (*) Qbar, I_q (*) Rbar).
+
+    Raises
+    ------
+    NoSolutionError
+        If M y = b is inconsistent.
     """
+    y0, *_ = np.linalg.lstsq(M, b, rcond=None)
+    residual = np.linalg.norm(M @ y0 - b)
+    if residual > rtol * (1.0 + np.linalg.norm(b)):
+        raise NoSolutionError(
+            f"regulator equations are inconsistent (residual {residual:.3e})",
+            residual=float(residual),
+        )
+    nullspace = null_space(M)
     if nullspace.shape[1] == 0:
-        return z0
-    gradient = weight @ z0 if shift is None else weight @ z0 + shift
+        return y0
+    I_q = np.eye(T.shape[0] // (Qbar.shape[0] + Rbar.shape[0]))
+    W = bdiag([kron(I_q, Qbar), kron(I_q, Rbar)])
+    # minimizing (T y + c)' W (T y + c) over y0 + N a
+    weight = T.T @ W @ T
+    gradient = weight @ y0 + T.T @ (W @ c)
     gram = nullspace.T @ weight @ nullspace
-    rhs = nullspace.T @ gradient
-    alpha, *_ = np.linalg.lstsq(gram, -rhs, rcond=None)
-    return z0 + nullspace @ alpha
+    alpha, *_ = np.linalg.lstsq(gram, -(nullspace.T @ gradient), rcond=None)
+    return y0 + nullspace @ alpha
 
 
 def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
@@ -138,18 +157,8 @@ def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
     M = np.vstack([M_top, M_bot])
     b = np.concatenate([vec(model.D), vec(-model.F)])
 
-    z0, *_ = np.linalg.lstsq(M, b, rcond=None)
-    residual = np.linalg.norm(M @ z0 - b)
-    if residual > _SOLVE_RTOL * (1.0 + np.linalg.norm(b)):
-        raise NoSolutionError(
-            f"regulator equations are inconsistent (residual {residual:.3e})",
-            residual=float(residual),
-        )
-
-    weight = np.zeros((n * q + m * q, n * q + m * q))
-    weight[: n * q, : n * q] = kron(I_q, Qbar)
-    weight[n * q :, n * q :] = kron(I_q, Rbar)
-    z = _min_trace_over_affine(z0, null_space(M), weight)
+    size = (n + m) * q
+    z = solve_min_trace(M, b, np.eye(size), np.zeros(size), Qbar, Rbar, _SOLVE_RTOL)
 
     X = unvec(z[: n * q], n, q)
     U = unvec(z[n * q :], m, q)

@@ -26,7 +26,6 @@ from adpdock import (
 from adpdock.adp import (
     RegressionBundle,
     _data_residual,
-    interval_count,
     load_gains,
     save_gains,
 )
@@ -39,6 +38,7 @@ from adpdock.errors import (
 from adpdock.matops import lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
+from test_regulator import random_solvable
 
 rng = np.random.default_rng(1618)
 
@@ -56,7 +56,8 @@ def exact_recovery(model, exo, basis):
 def reference_assembly(log, basis, R, interval):
     """Per-offset integration of the log: one pass over every sample for
     each X_j. Slow but literal; the moment algebra must reproduce it.
-    Returns (Ixx, Gxu, Gxv, Dxx, Theta) per offset, in sweep order."""
+    Returns the three column blocks of Theta, Ixx, 2 Gxu (I_n (*) R) and
+    2 Gxv, and Dxx per offset, in sweep order."""
     dt = log.dt
     steps = int(round(interval / dt))
     n_int = (len(log) - 1) // steps
@@ -80,7 +81,7 @@ def reference_assembly(log, basis, R, interval):
         Gxu = per_interval(xu)
         Gxv = per_interval((0.5 * dt) * (xv[:-1] + xv[1:]))
         Dxx = vv[ends[1:]] - vv[ends[:-1]]
-        out.append((Ixx, Gxu, Gxv, Dxx, np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv])))
+        out.append(([Ixx, Gxu @ scale_u, 2.0 * Gxv], Dxx))
     return out
 
 
@@ -102,15 +103,14 @@ def reference_vi_residual(solve_op, Q, R, n, m):
 
 def assert_matches_reference(bundles, reference):
     assert len(bundles) == len(reference)
-    for bundle, blocks in zip(bundles, reference):
-        for name, ref in zip(("Ixx", "Gxu", "Gxv", "Dxx", "Theta"), blocks):
-            got = getattr(bundle, name)
-            assert got.shape == ref.shape
-            if name == "Dxx":
-                assert np.array_equal(got, ref), f"Dxx differs at j = {bundle.j}"
-            else:
-                rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-                assert rel <= 1e-12, f"{name} at j = {bundle.j}: relative error {rel:.2e}"
+    for bundle, (blocks, Dxx) in zip(bundles, reference):
+        assert bundle.Theta.shape == (Dxx.shape[0], sum(ref.shape[1] for ref in blocks))
+        got = np.split(bundle.Theta, np.cumsum([ref.shape[1] for ref in blocks[:-1]]), axis=1)
+        for name, block, ref in zip(("Ixx", "2 Gxu (I (*) R)", "2 Gxv"), got, blocks):
+            rel = np.linalg.norm(block - ref) / np.linalg.norm(ref)
+            assert rel <= 1e-12, f"{name} at j = {bundle.j}: relative error {rel:.2e}"
+        assert bundle.Dxx.shape == Dxx.shape
+        assert np.array_equal(bundle.Dxx, Dxx), f"Dxx differs at j = {bundle.j}"
 
 
 def random_log_and_basis(n, m, q, n_samples, dt, generator):
@@ -128,9 +128,17 @@ def random_log_and_basis(n, m, q, n_samples, dt, generator):
 
 def test_interval_count_and_log_length(docking, learning_data):
     cfg = docking.config
-    assert interval_count(cfg.horizon, cfg.interval) == 250
+    assert learning_data.bundles[0].rows == 250
     assert len(learning_data.log) == int(round(cfg.horizon / cfg.dt)) + 1
     assert learning_data.log.dt == pytest.approx(cfg.dt)
+    # intervals are counted in whole dt steps: 0.3 s holds three of 0.1 s
+    # although 0.3 / 0.1 < 3 in floating point, and 0.05 s holds none
+    log = collect_data(docking.model, docking.exo, None, None, np.zeros(6),
+                       horizon=0.3, dt=cfg.dt, interval=0.1)
+    assert assemble_regression(log, learning_data.basis, cfg.R, 0.1)[0].rows == 3
+    with pytest.raises(ValueError, match="horizon must cover at least one interval"):
+        collect_data(docking.model, docking.exo, None, None, np.zeros(6),
+                     horizon=0.05, dt=cfg.dt, interval=0.1)
 
 
 def test_collect_zero_excitation_is_zero(docking):
@@ -189,11 +197,21 @@ def test_bundle_dimensions(learning_data):
 
 def test_bundle_rejects_inconsistent_dimensions(learning_data):
     b0 = learning_data.bundles[0]
-    blocks = dict(j=0, Ixx=b0.Ixx, Gxu=b0.Gxu, Gxv=b0.Gxv, Dxx=b0.Dxx, Theta=b0.Theta)
-    with pytest.raises(ValueError):
-        RegressionBundle(**blocks, n=6, m=8, q=3)
-    with pytest.raises(ValueError):
-        RegressionBundle(**blocks, n=5, m=3, q=8)
+    matrices = dict(j=0, Theta=b0.Theta, Dxx=b0.Dxx)
+    with pytest.raises(ValueError, match="Theta must have 250 rows and 63 columns"):
+        RegressionBundle(**matrices, n=6, m=3, q=4)
+    with pytest.raises(ValueError, match="Theta must have 250 rows and 70 columns"):
+        RegressionBundle(**matrices, n=5, m=3, q=8)
+    with pytest.raises(ValueError, match="Dxx must have 250 rows and 21 columns"):
+        RegressionBundle(j=0, Theta=b0.Theta, Dxx=b0.Dxx[1:], n=6, m=3, q=8)
+
+
+def test_sweep_stores_each_regression_once(learning_data):
+    # Theta and Dxx only: 26 offsets x 250 intervals x (87 + 21) float64 values
+    stored = [value for bundle in learning_data.bundles
+              for value in vars(bundle).values() if isinstance(value, np.ndarray)]
+    assert all(value.dtype == np.float64 for value in stored)
+    assert sum(value.size for value in stored) == 26 * 250 * (87 + 21)
 
 
 def test_assembly_matches_per_offset_reference(docking, learning_data):
@@ -221,17 +239,6 @@ def test_bundle_j0_difference_is_raw(docking, learning_data):
     ends = np.arange(0, b0.rows * steps + 1, steps)
     vv = vecv(learning_data.log.x[ends])
     assert np.array_equal(b0.Dxx, vv[1:] - vv[:-1])
-
-
-def test_theta_layout(docking, learning_data):
-    cfg = docking.config
-    for bundle in learning_data.bundles[:3]:
-        rebuilt = np.hstack([
-            bundle.Ixx,
-            2.0 * bundle.Gxu @ np.kron(np.eye(6), cfg.R),
-            2.0 * bundle.Gxv,
-        ])
-        assert np.allclose(bundle.Theta, rebuilt, atol=1e-14)
 
 
 def test_regression_identity_all_offsets(docking, oracle, learning_data):
@@ -279,9 +286,7 @@ def test_rank_check(docking, learning_data):
 def _scaled_bundle(theta):
     """A (n, m, q) = (2, 1, 1) bundle with R = I around a given Theta."""
     rows = theta.shape[0]
-    return RegressionBundle(j=0, Ixx=theta[:, :3], Gxu=theta[:, 3:5] / 2.0,
-                            Gxv=theta[:, 5:] / 2.0, Dxx=np.ones((rows, 3)),
-                            Theta=theta, n=2, m=1, q=1)
+    return RegressionBundle(j=0, Theta=theta, Dxx=np.ones((rows, 3)), n=2, m=1, q=1)
 
 
 def test_rank_check_agrees_with_lstsq_across_column_scales():
@@ -498,6 +503,26 @@ def test_problem1_from_exact_recovery(docking, oracle):
     assert np.max(np.abs(sol.X - ref.X)) <= 1e-6 * (1.0 + np.max(np.abs(ref.X)))
     assert np.max(np.abs(sol.U - ref.U)) <= 1e-6 * (1.0 + np.max(np.abs(ref.U)))
     assert sol.residual_dyn <= 1e-8 * (1.0 + np.linalg.norm(recovery.D_hat))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(1, n - 1), st.integers(1, 4),
+    st.integers(0, 2**32 - 1))))
+def test_problem1_from_exact_recovery_matches_exact_solver(plant):
+    # on any solvable plant with p < n and m <= n, the data path fed the
+    # true matrices and the model-based solver pick the same (X, U)
+    n, m, p, q, seed = plant
+    g = np.random.default_rng(seed)
+    model, exo = random_solvable(n, m, p, q, g)
+    Qbar = np.diag(g.uniform(0.5, 2.0, n))
+    Rbar = np.diag(g.uniform(0.5, 2.0, m))
+    basis = kernel_basis(model)
+    sol = solve_problem1_datadriven(exact_recovery(model, exo, basis), basis, Qbar, Rbar)
+    ref = solve_regulator_exact(model, exo, Qbar, Rbar)
+    got = np.concatenate([vec(sol.X), vec(sol.U)])
+    want = np.concatenate([vec(ref.X), vec(ref.U)])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_problem1_trivial_when_unforced(docking):

@@ -25,7 +25,8 @@ from adpdock import (
 from adpdock.adp import collect_data
 from adpdock.dockcli import _SCHEMA, main
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
-from conftest import REPO, assert_no_child_left, open_fds, run_python, slow_blocks
+from conftest import (REPO, assert_no_child_left, counting_forks, open_fds, run_python,
+                      slow_blocks)
 
 
 def test_default_config_values():
@@ -47,10 +48,12 @@ def test_config_weight_forms():
     assert np.allclose(scalar.Q, 5.0 * np.eye(6))
     diag = ExperimentConfig(Q=[1, 2, 3, 4, 5, 6])
     assert np.allclose(diag.Q, np.diag([1, 2, 3, 4, 5, 6]))
-    full = ExperimentConfig(R=np.arange(9.0))
-    assert np.allclose(full.R, np.arange(9.0).reshape(3, 3))
+    full = ExperimentConfig(R=[2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 4.0])
+    assert np.array_equal(full.R, [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
     with pytest.raises(ValueError, match="Q needs 1, 6, or 36 values, got 2"):
         ExperimentConfig(Q=[1.0, 2.0])
+    with pytest.raises(ValueError, match="R must be symmetric 3x3"):
+        ExperimentConfig(R=np.arange(9.0))
 
 
 def test_config_validation():
@@ -206,6 +209,12 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
      "horizon = 25.0005 is not an integer multiple of dt = 0.001"),
     ("[simulation]\neval_horizon = 25.0005\n", "[simulation] eval_horizon = '25.0005': "
      "eval_horizon = 25.0005 is not an integer multiple of dt = 0.001"),
+    ("[cost]\nq = -1.0\n", "[cost] q = '-1.0': Q must be positive semidefinite"),
+    ("[cost]\nr = 1, 0, 1\n", "[cost] r = '1, 0, 1': R must be positive definite"),
+    ("[cost]\nqbar = 1, 2, 3, 4, 5, -6\n",
+     "[cost] qbar = '1, 2, 3, 4, 5, -6': Qbar must be positive semidefinite"),
+    ("[cost]\nrbar = 1, 2, 3, 4, 5, 6, 7, 8, 9\n",
+     "[cost] rbar = '1, 2, 3, 4, 5, 6, 7, 8, 9': Rbar must be symmetric 3x3"),
 ])
 def test_load_config_names_file_section_and_key_of_value_out_of_range(tmp_path, capsys,
                                                                       text, named):
@@ -333,6 +342,16 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_compare_names_a_gains_file_without_a_matrix(tmp_path, pipeline, capsys):
+    path = tmp_path / "no_l.json"
+    gains = json.loads((pipeline.out / "learned_gains.json").read_text())
+    del gains["L"]
+    path.write_text(json.dumps(gains))
+    oracle = str(pipeline.out / "oracle_gains.json")
+    assert main(["compare", "--learned", str(path), "--oracle", oracle]) == 1
+    assert capsys.readouterr().err == f"error: {path}: gains file has no L\n"
+
+
 def test_cli_compare(tmp_path, pipeline, capsys):
     learned = str(pipeline.out / "learned_gains.json")
     oracle = str(pipeline.out / "oracle_gains.json")
@@ -354,6 +373,17 @@ def test_cli_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rank: 87/87 ok=True" in out
     assert "assumptions: ok=True" in out
+
+
+def test_cli_check_reports_a_failed_stage(tmp_path, capsys):
+    # the run diverges in collection; check names the stage, as run does
+    path = tmp_path / "coarse.cfg"
+    path.write_text("[simulation]\ndt = 1.0\nhorizon = 1000\ninterval = 1\n"
+                    "eval_horizon = 1000\n")
+    assert main(["check", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "assumptions: ok=True" in out
+    assert err == "error: stage 'collect' failed: state became non-finite at t = 350\n"
 
 
 def test_cli_requires_subcommand():
@@ -496,18 +526,24 @@ def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, m
                                                                      pipeline, csv_writes):
     cfg = default_config()
     run_experiment(cfg, tmp_path / "bg", log=quiet)
-    # without a thread control nothing is pinned, so the write stays in the foreground
-    monkeypatch.setattr(matops, "_find_openblas", lambda: None)
-    monkeypatch.setattr(matops.one_blas_thread, "_control", None)
-    run_experiment(cfg, tmp_path / "fg", log=quiet)
-    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv"),
-                          ("fg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")]
+    # without a thread control the count stays as it is; the child still writes
+    with monkeypatch.context() as mp:
+        mp.setattr(matops, "_find_openblas", lambda: None)
+        mp.setattr(matops.one_blas_thread, "_control", None)
+        run_experiment(cfg, tmp_path / "unpinned", log=quiet)
+    # with one usable CPU the learning CSV is written in this process, before assembly
+    with monkeypatch.context() as mp:
+        mp.setattr(matops, "_usable_cpus", lambda: 1)
+        forks = counting_forks(mp)
+        run_experiment(cfg, tmp_path / "fg", log=quiet)
+    assert forks == []
+    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")] * 3
     names = sorted(p.name for p in pipeline.out.iterdir())
     assert len(names) == 6
     for name in names:
         expected = (pipeline.out / name).read_bytes()
-        assert (tmp_path / "bg" / name).read_bytes() == expected, name
-        assert (tmp_path / "fg" / name).read_bytes() == expected, name
+        for run in ("bg", "unpinned", "fg"):
+            assert (tmp_path / run / name).read_bytes() == expected, (run, name)
 
 
 @needs_pin

@@ -512,8 +512,8 @@ def fake_blas(monkeypatch):
 
 
 def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake_blas):
-    with one_blas_thread() as pinned:
-        assert pinned is True and fake_blas.count == 1
+    with one_blas_thread():
+        assert fake_blas.count == 1
     assert fake_blas.count == 4
 
     @one_blas_thread()
@@ -526,8 +526,8 @@ def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake
             raise KeyError("stage")
     assert fake_blas.count == 4
     with one_blas_thread():
-        with one_blas_thread() as inner:
-            assert inner is True
+        with one_blas_thread():
+            assert fake_blas.count == 1
         assert fake_blas.count == 1
         assert count() == 1
         with pytest.raises(KeyError):
@@ -542,16 +542,17 @@ def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake
 
 def test_one_blas_thread_leaves_a_count_of_one_alone(fake_blas):
     fake_blas.count = 1
-    with one_blas_thread() as pinned:
-        assert pinned is True
+    with one_blas_thread():
+        assert fake_blas.count == 1
     assert fake_blas.sets == [] and fake_blas.count == 1
 
 
 def test_one_blas_thread_without_a_thread_control_does_nothing(monkeypatch):
     monkeypatch.setattr(matops, "_find_openblas", lambda: None)
     monkeypatch.setattr(one_blas_thread, "_control", None)
-    with one_blas_thread() as pinned:
-        assert pinned is False
+    with one_blas_thread():
+        assert one_blas_thread._control is False and one_blas_thread._restore is None
+    assert one_blas_thread._depth == 0
 
 
 # Runs in a fresh interpreter: reads the count of numpy's OpenBLAS without
@@ -574,8 +575,8 @@ import adpdock
 from adpdock import matops
 assert matops.one_blas_thread._control is None, "looked up at import"
 assert count() == before, (count(), before)
-with matops.one_blas_thread() as pinned:
-    assert pinned and count() == 1, (pinned, count())
+with matops.one_blas_thread():
+    assert count() == 1, count()
 assert count() == before, (count(), before)
 print("ok", before)
 """
