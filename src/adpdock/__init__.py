@@ -45,7 +45,6 @@ from .regulator import (
 from .riccati import (
     ViHistory,
     are_residual,
-    harmonic_steps,
     kleinman_from_care,
     kleinman_pi,
     linear_balls,

@@ -54,7 +54,7 @@ from .errors import NoSolutionError, RankDeficiencyError
 from .matops import (bdiag, check_weights, equilibrate, kron, lstsq, numerical_rank,
                      one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map)
 from .regulator import RegulatorSolution, solve_min_trace
-from .riccati import ViHistory, harmonic_steps, linear_balls, run_value_iteration
+from .riccati import ViHistory, linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, simulate, whole_steps
 
 __all__ = [
@@ -276,17 +276,18 @@ def check_rank(bundle):
 
 
 @one_blas_thread()
-def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
-             ball_schedule=None, max_k=200000, p_ref=None):
+def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=200000):
     """Value iteration driven purely by the j = 0 regression equation.
 
     Each iterate solves Theta theta = Dxx vecs(P_k) by least squares;
     the H and K blocks of theta give the update
-    P <- P + eps_k (H + Q - K'RK), with the same diminishing-step and
-    ball-reset rules as the model-based iteration. The data matrices are
-    fixed, so the least-squares operator is factored once up front and
-    composed with the vecs and unvecs maps: an iteration is one
-    matrix-vector product plus the K'RK term.
+    P <- P + eps_k (H + Q - K'RK), with the steps eps_k = 1/k and the
+    ball resets of the model-based iteration
+    (:func:`riccati.run_value_iteration`); P0 defaults to the identity
+    and ball radii to 10 (r + 1). The data matrices are fixed, so the
+    least-squares operator is factored once up front and composed with
+    the vecs and unvecs maps: an iteration is one matrix-vector product
+    plus the K'RK term.
 
     Returns (P, K, history) with K the regression gain at the stopping
     iterate.
@@ -315,12 +316,10 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, eps_schedule=None,
         ) from None
     if P0 is None:
         P0 = np.eye(n)
-    if eps_schedule is None:
-        eps_schedule = harmonic_steps()
     if ball_schedule is None:
         ball_schedule = linear_balls()
     return run_value_iteration(_data_residual(solve_op, Q, R, n, m), P0, eps,
-                               eps_schedule, ball_schedule, max_k, p_ref=p_ref)
+                               ball_schedule, max_k)
 
 
 def _data_residual(solve_op, Q, R, n, m):
@@ -412,13 +411,14 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
 
     S1 = recovery.S_values[0]
     S_dirs = [recovery.S_values[j] - S1 for j in range(1, h + 1)]
+
+    def columns(mats):  # one vec per column; nq x 0 when C is square (h = 0)
+        return np.reshape([vec(A) for A in mats], (h, n * q)).T
+
     # columns: effect of alpha_j on vec(S(X)); then the -B U coupling
-    M = np.hstack([
-        np.column_stack([vec(Sd) for Sd in S_dirs]),
-        -kron(np.eye(q), B_hat),
-    ])
+    M = np.hstack([columns(S_dirs), -kron(np.eye(q), B_hat)])
     # y = (alpha, vec U) gives [vec X; vec U] = T y + c
-    T = bdiag([np.column_stack([vec(N) for N in basis.basis]), np.eye(m * q)])
+    T = bdiag([columns(basis.basis), np.eye(m * q)])
     c = np.concatenate([vec(basis.X1), np.zeros(m * q)])
     y = solve_min_trace(M, vec(D_hat - S1), T, c, Qbar, Rbar, rtol=1e-6)
 

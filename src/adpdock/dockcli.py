@@ -25,6 +25,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,7 +84,13 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        q = 2 * len(self.frequencies)
+        freqs = list(self.frequencies)
+        if len(freqs) < 2 or len(set(freqs)) != len(freqs) or min(freqs) <= 0:
+            raise ValueError("frequencies must be two or more distinct positive values")
+        if not 0 < self.noise_freq_min < self.noise_freq_max:
+            raise ValueError("noise_freq_min and noise_freq_max must satisfy "
+                             "0 < noise_freq_min < noise_freq_max")
+        q = 2 * len(freqs)
         if self.v0 is None:
             self.v0 = np.tile([1.0, 0.0], q // 2)
         self.v0 = np.asarray(self.v0, dtype=float)
@@ -329,6 +336,8 @@ class ExperimentReport:
 def compare_gains(learned, oracle_K, oracle_L, oracle_P, gain_tol=1e-2, value_tol=1e-2):
     """Max-abs and Frobenius gaps of learned (K, L, P) vs oracle values.
 
+    ``learned`` is anything with K, L and P attributes: a
+    :class:`adp.LearnedController`, or a loaded gains file as a namespace.
     P is compared in relative Frobenius norm (its scale tracks the cost
     weights); gains are compared absolutely. Returns a dict with an
     overall ``ok`` verdict against the tolerances.
@@ -439,7 +448,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             eps=config.eps, ball_schedule=riccati.linear_balls(config.ball_base),
             max_k=config.max_k,
         )
-        history.to_csv(out / "convergence.csv", kind="increment")
+        history.to_csv(out / "convergence.csv")
         files.append("convergence.csv")
         log(f"learning converged in {history.iterations} iterations ({history.resets} resets)")
 
@@ -517,12 +526,7 @@ def _cmd_run(args):
 def _cmd_compare(args):
     learned = adp.load_gains(args.learned)
     oracle = adp.load_gains(args.oracle)
-    stub = adp.LearnedController(
-        K=learned["K"], L=learned["L"], P=learned["P"],
-        iterations=learned.get("iterations", 0), resets=learned.get("resets", 0),
-        rank=learned.get("rank", 0), rank_required=learned.get("rank_required", 0),
-    )
-    result = compare_gains(stub, oracle["K"], oracle["L"], oracle["P"],
+    result = compare_gains(SimpleNamespace(**learned), oracle["K"], oracle["L"], oracle["P"],
                            gain_tol=args.gain_tol, value_tol=args.value_tol)
     for name in ("K", "L", "P"):
         entry = result[name]

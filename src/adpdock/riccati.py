@@ -7,7 +7,7 @@ Both target the continuous-time algebraic Riccati equation
 whose stabilizing solution P* gives the optimal feedback K* = R^{-1}B'P*.
 Policy iteration needs a stabilizing initial gain and converges
 quadratically; value iteration needs no such gain and instead follows
-the Riccati residual with diminishing steps eps_k, resetting to P0
+the Riccati residual with diminishing steps eps_k = 1/k, resetting to P0
 whenever the iterate escapes a growing sequence of Frobenius-norm balls.
 The value-iteration driver is shared with the data-driven learner, which
 supplies the residual from trajectory data instead of (A, B).
@@ -28,7 +28,6 @@ from .matops import check_weights, is_hurwitz, numerical_rank, write_csv
 
 __all__ = [
     "ViHistory",
-    "harmonic_steps",
     "linear_balls",
     "lyapunov_solve",
     "kleinman_pi",
@@ -43,52 +42,38 @@ _LYAP_RTOL = 1e-9
 
 @dataclass
 class ViHistory:
-    """Per-iteration scalars from a value-iteration run.
+    """The per-iteration record of a value-iteration run, as convergence.csv holds it.
 
-    ``increment`` holds the Frobenius norm of P_{k+1} - P_k (the actual
-    step taken, eps_k times the residual norm); ``distance`` holds
-    |P_k - P_ref| when a reference matrix was supplied, else NaN.
+    Iteration k = 1, ..., N steps by eps_k = 1/k. ``increment`` holds the
+    Frobenius norm of the step eps_k delta_k computed at iteration k
+    (taken unless the iterate stops or resets there) and ``reset_count``
+    the ball resets before iteration k; ``resets`` is the count at the
+    end. ``iterations``, ``k`` and ``eps`` follow from the length of
+    ``increment``.
     """
 
-    k: np.ndarray
-    eps: np.ndarray
     increment: np.ndarray
     reset_count: np.ndarray
-    distance: np.ndarray
     converged: bool
-    iterations: int
     resets: int
 
     @property
-    def has_distance(self):
-        return bool(np.all(np.isfinite(self.distance)))
+    def iterations(self):
+        return len(self.increment)
 
-    def to_csv(self, path, kind=None):
-        """Export `k,eps_k,...,reset_count` rows.
+    @property
+    def k(self):
+        return np.arange(1, self.iterations + 1)
 
-        ``kind`` is "distance" (column `frob(P_k - P_star)`, needs a
-        recorded reference) or "increment" (column `frob_P_increment`);
-        default picks "distance" when available.
-        """
-        if kind is None:
-            kind = "distance" if self.has_distance else "increment"
-        if kind == "distance":
-            if not self.has_distance:
-                raise ValueError("no reference distances recorded; use kind='increment'")
-            header = "k,eps_k,frob(P_k - P_star),reset_count"
-            third = self.distance
-        elif kind == "increment":
-            header = "k,eps_k,frob_P_increment,reset_count"
-            third = self.increment
-        else:
-            raise ValueError(f"unknown history export kind {kind!r}")
-        data = np.column_stack([self.k, self.eps, third, self.reset_count])
-        write_csv(path, data, header, fmt=["%d", "%.17g", "%.17g", "%d"])
+    @property
+    def eps(self):
+        return 1.0 / self.k
 
-
-def harmonic_steps():
-    """Step rule eps_k = 1/k for k >= 1: positive, summing to infinity, vanishing."""
-    return lambda k: 1.0 / k
+    def to_csv(self, path):
+        """Write one `k,eps_k,frob_P_increment,reset_count` row per iteration."""
+        data = np.column_stack([self.k, self.eps, self.increment, self.reset_count])
+        write_csv(path, data, "k,eps_k,frob_P_increment,reset_count",
+                  fmt=["%d", "%.17g", "%.17g", "%d"])
 
 
 def linear_balls(base=10.0):
@@ -202,17 +187,18 @@ def kleinman_from_care(model, Q, R):
     return kleinman_pi(model, Q, R, K0)
 
 
-def run_value_iteration(residual_fn, P0, stop_eps, eps_schedule, ball_schedule,
-                        max_k, p_ref=None):
-    """Generic diminishing-step value-iteration driver.
+def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k):
+    """Value-iteration driver with steps eps_k = 1/k and ball resets.
 
     ``residual_fn(P) -> (delta, aux)`` supplies the symmetric residual
-    matrix driving the update P <- P + eps_k delta, plus any auxiliary
-    payload (the data-driven learner returns its current gain there).
-    When the candidate leaves the ball of radius ball_schedule(r) the
-    iterate resets to P0 and r increments. The run stops at the first
-    k >= 2 with |delta| < stop_eps, i.e. when the previous accepted step
-    scaled back by its eps falls below the tolerance.
+    matrix driving the update P <- P + eps_k delta with eps_k = 1/k, plus
+    any auxiliary payload (the data-driven learner returns its current
+    gain there). The steps are positive, vanishing and sum to infinity,
+    the rule of Bian & Jiang (Automatica 2016). When the candidate
+    leaves the ball of radius ball_schedule(r) the iterate resets to P0
+    and r increments. The run stops at the first k >= 2 with
+    |delta| < stop_eps, i.e. when the previous accepted step scaled
+    back by its eps falls below the tolerance.
 
     Returns (P, aux, history) at the stopping iterate.
     """
@@ -226,34 +212,21 @@ def run_value_iteration(residual_fn, P0, stop_eps, eps_schedule, ball_schedule,
 
     P = P0.copy()
     r = 0
-    ks, epss, incs, resets, dists = [], [], [], [], []
+    incs, resets = [], []
 
-    def history(converged, iterations):
-        return ViHistory(
-            k=np.asarray(ks, dtype=int),
-            eps=np.asarray(epss),
-            increment=np.asarray(incs),
-            reset_count=np.asarray(resets, dtype=int),
-            distance=np.asarray(dists),
-            converged=converged,
-            iterations=iterations,
-            resets=r,
-        )
+    def history(converged):
+        return ViHistory(increment=np.asarray(incs), reset_count=np.asarray(resets, dtype=int),
+                         converged=converged, resets=r)
 
     for k in range(1, max_k + 1):
-        eps_k = float(eps_schedule(k))
-        if eps_k <= 0:
-            raise ValueError(f"eps_schedule must stay positive, got {eps_k} at k = {k}")
+        eps_k = 1.0 / k
         delta, aux = residual_fn(P)
         delta_norm = float(np.linalg.norm(delta))
-        ks.append(k)
-        epss.append(eps_k)
         incs.append(eps_k * delta_norm)
         resets.append(r)
-        dists.append(float(np.linalg.norm(P - p_ref)) if p_ref is not None else np.nan)
         # clipped-step stop: the candidate increment, rescaled by eps, is the residual norm
         if k >= 2 and delta_norm < stop_eps:
-            return P, aux, history(True, k)
+            return P, aux, history(True)
         candidate = _symmetrize(P + eps_k * delta)
         if np.linalg.norm(candidate) > float(ball_schedule(r)):
             P = P0.copy()
@@ -264,17 +237,17 @@ def run_value_iteration(residual_fn, P0, stop_eps, eps_schedule, ball_schedule,
         f"value iteration did not converge in {max_k} iterations "
         f"({r} resets, last residual norm {delta_norm:.3e})",
         iterations=max_k,
-        history=history(False, max_k),
+        history=history(False),
     )
 
 
-def model_based_vi(model, Q, R, P0=None, eps=1e-3, eps_schedule=None,
-                   ball_schedule=None, max_k=200000, p_ref=None):
+def model_based_vi(model, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=200000):
     """Value iteration on the ARE residual computed from known (A, B).
 
-    Needs no stabilizing initial gain; P0 defaults to the identity,
-    steps to 1/k, ball radii to 10 (r + 1). Returns (P, K, history)
-    with K = R^{-1} B' P at the stopping iterate.
+    Needs no stabilizing initial gain; P0 defaults to the identity and
+    ball radii to 10 (r + 1), and the steps are 1/k
+    (:func:`run_value_iteration`). Returns (P, K, history) with
+    K = R^{-1} B' P at the stopping iterate.
 
     With these defaults it may stop with :class:`ConvergenceError` on
     plants other than the docking one: of 12 small random plants
@@ -287,8 +260,6 @@ def model_based_vi(model, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     Q, R = check_weights(Q, R, model.n, model.m)
     if P0 is None:
         P0 = np.eye(model.n)
-    if eps_schedule is None:
-        eps_schedule = harmonic_steps()
     if ball_schedule is None:
         ball_schedule = linear_balls()
     BRB = B @ np.linalg.solve(R, B.T)
@@ -296,7 +267,6 @@ def model_based_vi(model, Q, R, P0=None, eps=1e-3, eps_schedule=None,
     def residual_fn(P):
         return A.T @ P + P @ A + Q - P @ BRB @ P, None
 
-    P, _, hist = run_value_iteration(residual_fn, P0, eps, eps_schedule,
-                                     ball_schedule, max_k, p_ref=p_ref)
+    P, _, hist = run_value_iteration(residual_fn, P0, eps, ball_schedule, max_k)
     K = np.linalg.solve(R, B.T @ P)
     return P, K, hist

@@ -15,7 +15,6 @@ from adpdock import (
     assemble_regression,
     check_rank,
     collect_data,
-    harmonic_steps,
     linear_balls,
     model_based_vi,
     recover_model_artifacts,
@@ -355,10 +354,9 @@ def test_vi_learn_matches_model_based(docking, oracle, learned):
 
 
 def test_vi_learn_off_policy_invariance(docking, learning_data, learned):
-    # a different diminishing-step schedule lands on the same value
+    # a different initial value lands on the same value
     cfg = docking.config
-    P_alt, _, _ = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R,
-                           eps_schedule=lambda k: 1.0 / (k + 5.0))
+    P_alt, _, _ = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R, P0=2.0 * np.eye(6))
     assert np.linalg.norm(P_alt - learned.P) <= 2.0 * cfg.eps
 
 
@@ -377,7 +375,7 @@ def test_vi_learn_matches_reference_residual_loop(docking, learning_data, learne
     solve_op, _ = lstsq(bundle.Theta, bundle.Dxx)
     P, K, history = run_value_iteration(
         reference_vi_residual(solve_op, cfg.Q, cfg.R, bundle.n, bundle.m), np.eye(bundle.n),
-        1e-3, harmonic_steps(), linear_balls(), 200000)
+        1e-3, linear_balls(), 200000)
     assert np.abs(learned.P - P).max() <= 1e-12
     assert np.abs(learned.K - K).max() <= 1e-12
     assert learned.history.iterations == history.iterations
@@ -507,10 +505,10 @@ def test_problem1_from_exact_recovery(docking, oracle):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(1, n), st.integers(1, n - 1), st.integers(1, 4),
+    st.just(n), st.integers(1, n), st.integers(1, n), st.integers(1, 4),
     st.integers(0, 2**32 - 1))))
 def test_problem1_from_exact_recovery_matches_exact_solver(plant):
-    # on any solvable plant with p < n and m <= n, the data path fed the
+    # on any solvable plant with p <= n and m <= n, the data path fed the
     # true matrices and the model-based solver pick the same (X, U)
     n, m, p, q, seed = plant
     g = np.random.default_rng(seed)

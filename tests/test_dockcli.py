@@ -199,6 +199,13 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
      "[orbit] earth_radius = '8000': need r_ref > earth_radius > 0"),
     ("[simulation]\nhorizon = 0\n", "[simulation] horizon = '0': horizon must be positive"),
     ("[noise]\nterms = 0\n", "[noise] terms = '0': noise_terms must be at least 1"),
+    ("[noise]\nfreq_max = 0.05\n", "[noise] freq_max = '0.05': noise_freq_min and "
+     "noise_freq_max must satisfy 0 < noise_freq_min < noise_freq_max"),
+    ("[exosystem]\nfrequencies = 1.0, 1.0, 3.0, 4.0\n",
+     "[exosystem] frequencies = '1.0, 1.0, 3.0, 4.0': "
+     "frequencies must be two or more distinct positive values"),
+    ("[exosystem]\nfrequencies = 1.0\n",
+     "[exosystem] frequencies = '1.0': frequencies must be two or more distinct positive values"),
     ("[simulation]\nx0 = 1, 2\n", "[simulation] x0 = '1, 2': x0 must have length 6, got 2"),
     ("[exosystem]\nv0 = 1, 0\n", "[exosystem] v0 = '1, 0': v0 must have length 8, got 2"),
     ("[exosystem]\nfrequencies = 1, 2, 3\nv0 = 1, 0, 1, 0, 1, 0, 1, 0\n",
