@@ -46,15 +46,15 @@ BLAS thread costs more in wake-ups than it saves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
 from .matops import (bdiag, check_weights, equilibrate, kron, lstsq, numerical_rank,
-                     one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map)
+                     one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map, write_json)
 from .regulator import RegulatorSolution, solve_min_trace
-from .riccati import ViHistory, linear_balls, run_value_iteration
+from .riccati import linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, simulate, whole_steps
 
 __all__ = [
@@ -110,7 +110,11 @@ class RegressionBundle:
 
 @dataclass
 class LearnedController:
-    """Gains learned from data, with the run's diagnostics attached."""
+    """Gains learned from data, with the run's diagnostics attached.
+
+    The fields, in order, are the keys of ``learned_gains.json`` and of
+    ``report.json``'s ``learned``.
+    """
 
     K: np.ndarray
     L: np.ndarray
@@ -119,23 +123,10 @@ class LearnedController:
     resets: int
     rank: int
     rank_required: int
-    history: ViHistory | None = field(default=None, repr=False)
 
     def feedback(self):
         """The control law u = -K x + L v as a simulate() controller."""
         return LinearPolicy(self.K, self.L)
-
-    def to_dict(self):
-        """The gains and diagnostics as JSON types; the payload of save_gains."""
-        return {
-            "K": np.asarray(self.K).tolist(),
-            "L": np.asarray(self.L).tolist(),
-            "P": np.asarray(self.P).tolist(),
-            "iterations": int(self.iterations),
-            "resets": int(self.resets),
-            "rank": int(self.rank),
-            "rank_required": int(self.rank_required),
-        }
 
 
 @dataclass
@@ -437,10 +428,8 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
 
 
 def save_gains(path, controller):
-    """Write the learned gains and run diagnostics as JSON."""
-    with open(path, "w") as fh:
-        json.dump(controller.to_dict(), fh, indent=2)
-        fh.write("\n")
+    """Write the learned gains and run diagnostics as JSON, one key per field."""
+    write_json(path, controller)
 
 
 def load_gains(path):

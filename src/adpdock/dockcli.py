@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import re
 import sys
@@ -32,9 +31,9 @@ import numpy as np
 
 from . import adp, regulator, riccati
 from .errors import ConvergenceError, RankDeficiencyError, StageFailure
-from .matops import check_weights, is_hurwitz, one_blas_thread
-from .sysmodels import (CwParams, build_docking_scenario, check_assumptions, simulate,
-                        sinusoid_noise, whole_steps)
+from .matops import check_weights, is_hurwitz, one_blas_thread, write_json
+from .sysmodels import (AssumptionReport, CwParams, build_docking_scenario, check_assumptions,
+                        simulate, sinusoid_noise, whole_steps)
 
 __all__ = [
     "ExperimentConfig",
@@ -106,11 +105,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must have length {length}, got {value.size}")
         for name in ("horizon", "dt", "interval", "eval_horizon", "eps",
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # a horizon need not hold a whole number of intervals, only of steps
-        for name in ("horizon", "interval", "eval_horizon"):
-            whole_steps(getattr(self, name), self.dt, name)
+        steps = {name: whole_steps(getattr(self, name), self.dt, name)
+                 for name in ("horizon", "interval", "eval_horizon")}
+        if steps["horizon"] < steps["interval"]:
+            raise ValueError("horizon must cover at least one interval")
         for name in ("max_k", "noise_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -180,14 +181,21 @@ def _degrees(inclination):
     return short if math.radians(short) == inclination else deg
 
 
-_FLOAT = _Codec(float, repr)
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
+_FLOAT = _Codec(_finite, repr)
 _INT = _Codec(int, str)
 _BOOL = _Codec(_parse_bool, lambda value: str(value).lower())
 _STR = _Codec(str, str)
-_FLOATS = _Codec(lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
+_FLOATS = _Codec(lambda text: tuple(_finite(tok) for tok in text.replace(",", " ").split()),
                  lambda value: ", ".join(repr(float(x)) for x in np.asarray(value).ravel()),
                  lambda value: np.asarray(value).tolist())
-_DEGREES = _Codec(lambda text: math.radians(float(text)), lambda rad: repr(_degrees(rad)),
+_DEGREES = _Codec(lambda text: math.radians(_finite(text)), lambda rad: repr(_degrees(rad)),
                   _degrees)
 
 
@@ -308,29 +316,16 @@ def save_config(config, path):
 
 @dataclass
 class ExperimentReport:
-    """Everything one run produced, JSON-serializable via to_dict."""
+    """Everything one run produced; the fields, in order, are the keys of ``report.json``."""
 
     config: dict
-    assumptions: dict
+    assumptions: AssumptionReport
     rank: dict
     learned: adp.LearnedController
     oracle: dict
     comparison: dict
     tracking: dict
     files: list
-
-    def to_dict(self):
-        return {
-            "config": self.config,
-            "assumptions": self.assumptions,
-            "rank": self.rank,
-            "learned": self.learned.to_dict(),
-            "oracle": {key: np.asarray(val).tolist() if key in ("K", "L", "P") else val
-                       for key, val in self.oracle.items()},
-            "comparison": self.comparison,
-            "tracking": self.tracking,
-            "files": self.files,
-        }
 
 
 def compare_gains(learned, oracle_K, oracle_L, oracle_P, gain_tol=1e-2, value_tol=1e-2):
@@ -458,7 +453,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         L = regulator.feedforward_gain(solution, K)
         learned = adp.LearnedController(
             K=K, L=L, P=P, iterations=history.iterations, resets=history.resets,
-            rank=rank, rank_required=required, history=history,
+            rank=rank, rank_required=required,
         )
 
         # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
@@ -497,20 +492,15 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         learning_csv.close()  # trajectory_learning.csv is complete from here on
         adp.save_gains(out / "learned_gains.json", learned)
         files.append("learned_gains.json")
-        with open(out / "oracle_gains.json", "w") as fh:
-            json.dump({"K": oracle["K"].tolist(), "L": oracle["L"].tolist(),
-                       "P": oracle["P"].tolist()}, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "oracle_gains.json", {key: oracle[key] for key in ("K", "L", "P")})
         files.append("oracle_gains.json")
 
         report = ExperimentReport(
-            config=config.to_dict(), assumptions=assumptions.to_dict(), rank=rank_report,
+            config=config.to_dict(), assumptions=assumptions, rank=rank_report,
             learned=learned, oracle=oracle, comparison=comparison, tracking=tracking,
             files=files + ["report.json"],
         )
-        with open(out / "report.json", "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(out / "report.json", report)
         log(f"artifacts written to {out}")
         return report
 

@@ -36,6 +36,13 @@ forked workers the same way; its values equal a serial ``numpy.loadtxt``.
 :func:`write_csv_in_background` writes the same bytes from one forked
 child while the caller goes on with other work.
 
+:func:`write_json` is the one JSON artifact writer: two-space indents and
+a final newline. What the ``json`` module cannot encode itself goes
+through :func:`_jsonable`: a dataclass becomes its fields in declaration
+order, so each result dataclass is the schema of the artifact it becomes;
+an array or numpy scalar becomes its ``tolist()``, and a complex number
+``[real, imag]``. Anything else raises TypeError.
+
 :class:`one_blas_thread` runs a block, or a decorated function, with the
 OpenBLAS that numpy loaded set to one thread. Every matrix of the
 learning chain is small (at most a few thousand by a hundred), so a
@@ -45,7 +52,9 @@ for a forked CSV writer.
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 import os
 import re
 import signal
@@ -74,6 +83,7 @@ __all__ = [
     "write_csv",
     "write_csv_in_background",
     "read_csv",
+    "write_json",
     "one_blas_thread",
 ]
 
@@ -666,6 +676,24 @@ def write_csv_in_background(path, table):
         finally:
             # the child sends nothing: end of file means the CSV is closed
             os.read(read_fd, 1)
+
+
+def _jsonable(obj):
+    """The ``default`` of :func:`write_json`; its rules are in the module docstring."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path, payload):
+    """Write ``payload`` as JSON, encoding through :func:`_jsonable`."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=_jsonable)
+        fh.write("\n")
 
 
 class _Bounded(io.RawIOBase):

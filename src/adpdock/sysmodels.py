@@ -518,9 +518,13 @@ def whole_steps(duration, dt, name):
     """The number of dt steps in ``duration``, which must be a whole number.
 
     Whole means to within 1e-9 of max(1, duration); otherwise ValueError
-    naming ``name``. Simulation spans, regression intervals and the
-    configured horizons are all checked by this one rule.
+    naming ``name``, as also for a non-finite duration (or ``dt``).
+    Simulation spans, regression intervals and the configured horizons
+    are all checked by this one rule.
     """
+    for label, value in ((name, duration), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{label} = {value} is not finite")
     steps = int(round(duration / dt))
     if abs(steps * dt - duration) > 1e-9 * max(1.0, duration):
         raise ValueError(f"{name} = {duration} is not an integer multiple of dt = {dt}")
@@ -595,62 +599,43 @@ def _check_finite(zs, times, k0, k1):
 
 @dataclass(frozen=True)
 class PbhRecord:
-    """One PBH rank test at one test point of the complex plane."""
+    """One PBH rank test at one test point of the complex plane.
+
+    ``ok`` is set on construction: rank >= required. The fields, in order,
+    are the keys of one record in ``report.json``'s ``assumptions``.
+    """
 
     test: str
     eigenvalue: complex
     rank: int
     required: int
     margin: float
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self):
-        return self.rank >= self.required
-
-    def to_dict(self):
-        return {
-            "test": self.test,
-            "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
-            "rank": self.rank,
-            "required": self.required,
-            "margin": self.margin,
-            "ok": self.ok,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.rank >= self.required)
 
 
 @dataclass
 class AssumptionReport:
-    """Diagnostics for stabilizability, observability, and regulator rank."""
+    """Diagnostics for stabilizability, observability, and regulator rank.
 
-    records: list[PbhRecord] = field(default_factory=list)
+    The flags are set from ``records`` on construction: ``ok`` when every
+    record passes, each other flag when every record of its test does.
+    The fields, in order, are the keys of ``report.json``'s ``assumptions``.
+    """
 
-    def _ok(self, test):
-        return all(r.ok for r in self.records if r.test == test)
+    ok: bool = field(init=False)
+    stabilizable: bool = field(init=False)
+    observable: bool = field(init=False)
+    regulator_rank_ok: bool = field(init=False)
+    records: list[PbhRecord]
 
-    @property
-    def stabilizable(self):
-        return self._ok("stabilizability")
-
-    @property
-    def observable(self):
-        return self._ok("observability")
-
-    @property
-    def regulator_rank_ok(self):
-        return self._ok("regulator_rank")
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.records)
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "stabilizable": self.stabilizable,
-            "observable": self.observable,
-            "regulator_rank_ok": self.regulator_rank_ok,
-            "records": [r.to_dict() for r in self.records],
-        }
+    def __post_init__(self):
+        self.ok = all(r.ok for r in self.records)
+        self.stabilizable, self.observable, self.regulator_rank_ok = (
+            all(r.ok for r in self.records if r.test == test)
+            for test in ("stabilizability", "observability", "regulator_rank"))
 
 
 def _distinct(eigenvalues):
@@ -671,24 +656,24 @@ def check_assumptions(model, exo):
     """
     A, B, C = model.A, model.B, model.C
     n, p = model.n, model.p
-    report = AssumptionReport()
+    records = []
 
     for lam in _distinct(np.linalg.eigvals(A)):
         if lam.real >= -1e-12:
             pencil = np.hstack([A - lam * np.eye(n), B])
             rank, margin = numerical_rank(pencil, n)
-            report.records.append(PbhRecord("stabilizability", complex(lam), rank, n, margin))
+            records.append(PbhRecord("stabilizability", complex(lam), rank, n, margin))
 
     for lam in _distinct(np.linalg.eigvals(A)):
         pencil = np.vstack([A - lam * np.eye(n), C])
         rank, margin = numerical_rank(pencil, n)
-        report.records.append(PbhRecord("observability", complex(lam), rank, n, margin))
+        records.append(PbhRecord("observability", complex(lam), rank, n, margin))
 
     for lam in _distinct(np.linalg.eigvals(exo.E)):
         top = np.hstack([A - lam * np.eye(n), B])
         bottom = np.hstack([C, np.zeros((p, model.m))])
         pencil = np.vstack([top, bottom])
         rank, margin = numerical_rank(pencil, n + p)
-        report.records.append(PbhRecord("regulator_rank", complex(lam), rank, n + p, margin))
+        records.append(PbhRecord("regulator_rank", complex(lam), rank, n + p, margin))
 
-    return report
+    return AssumptionReport(records)

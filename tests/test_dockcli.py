@@ -184,6 +184,20 @@ def test_schema_row_sets_one_attribute_and_entry(tmp_path, section, key):
      "[pipeline] abort_on_assumption_failure = 'maybe': not a boolean: maybe"),
     ("[noise]\nterms = 2.5\n", "[noise] terms = '2.5': invalid literal for int()"),
     ("[cost]\nq = 1, 2\n", "[cost] q = '1, 2': weight needs 1, 6, or 36 values, got 2"),
+    ("[learning]\neps = nan\n", "[learning] eps = 'nan': not a finite number: nan"),
+    ("[simulation]\nhorizon = inf\n", "[simulation] horizon = 'inf': not a finite number: inf"),
+    ("[simulation]\ndt = nan\n", "[simulation] dt = 'nan': not a finite number: nan"),
+    ("[pipeline]\ngain_tol = nan\n", "[pipeline] gain_tol = 'nan': not a finite number: nan"),
+    ("[noise]\nfreq_max = nan\n", "[noise] freq_max = 'nan': not a finite number: nan"),
+    ("[noise]\namplitude = -inf\n", "[noise] amplitude = '-inf': not a finite number: -inf"),
+    ("[simulation]\nx0 = 0, 0, nan, 0, 0, 0\n",
+     "[simulation] x0 = '0, 0, nan, 0, 0, 0': not a finite number: nan"),
+    ("[orbit]\nmean_motion = nan\n", "[orbit] mean_motion = 'nan': not a finite number: nan"),
+    ("[orbit]\ninclination_deg = inf\n",
+     "[orbit] inclination_deg = 'inf': not a finite number: inf"),
+    ("[exosystem]\ndisturbance_gain = nan\n",
+     "[exosystem] disturbance_gain = 'nan': not a finite number: nan"),
+    ("[cost]\nq = nan\n", "[cost] q = 'nan': not a finite number: nan"),
 ])
 def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, named):
     path = tmp_path / "bad.cfg"
@@ -216,6 +230,10 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
      "horizon = 25.0005 is not an integer multiple of dt = 0.001"),
     ("[simulation]\neval_horizon = 25.0005\n", "[simulation] eval_horizon = '25.0005': "
      "eval_horizon = 25.0005 is not an integer multiple of dt = 0.001"),
+    ("[simulation]\ninterval = 30.0\n",
+     "[simulation] interval = '30.0': horizon must cover at least one interval"),
+    ("[simulation]\nhorizon = 0.05\n",
+     "[simulation] horizon = '0.05': horizon must cover at least one interval"),
     ("[cost]\nq = -1.0\n", "[cost] q = '-1.0': Q must be positive semidefinite"),
     ("[cost]\nr = 1, 0, 1\n", "[cost] r = '1, 0, 1': R must be positive definite"),
     ("[cost]\nqbar = 1, 2, 3, 4, 5, -6\n",
@@ -243,6 +261,13 @@ def test_run_rejects_a_time_grid_before_any_stage(tmp_path, capsys):
     # a whole number of steps that is not a whole number of intervals is kept
     cfg = ExperimentConfig(horizon=2.05, eval_horizon=0.001)
     assert (cfg.horizon, cfg.eval_horizon) == (2.05, 0.001)
+    # a non-finite duration is named, not left to overflow or NaN arithmetic
+    with pytest.raises(ValueError, match="horizon = inf is not finite"):
+        ExperimentConfig(horizon=math.inf)
+    with pytest.raises(ValueError, match="dt = inf is not finite"):
+        ExperimentConfig(dt=math.inf)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        ExperimentConfig(eps=math.nan)
 
 
 def test_config_checks_initial_state_lengths():
@@ -288,15 +313,37 @@ def test_compare_gains_exact_and_perturbed(learned):
         compare_gains(stub, learned.K[:, :3], learned.L, learned.P)
 
 
-def test_report_serializes(pipeline):
-    payload = pipeline.report.to_dict()
-    text = json.dumps(payload)  # everything must be plain python types
+def test_report_serializes(pipeline, tmp_path):
+    # the report object encodes to the bytes run_experiment wrote
+    matops.write_json(tmp_path / "report.json", pipeline.report)
+    text = (tmp_path / "report.json").read_text()
+    assert text == (pipeline.out / "report.json").read_text()
+    payload = json.loads(text)
     assert "learned" in payload and "oracle" in payload
     assert payload["rank"] == {"ok": True, "rank": 87, "required": 87}
     assert payload["comparison"]["ok"] is True
     assert payload["tracking"]["closed_loop_hurwitz"] is True
     assert "trajectory_learning.csv" in payload["files"]
     assert len(text) > 1000
+
+
+def test_json_artifact_key_layout(pipeline):
+    # the fields of the result dataclasses, in order, are these keys
+    def keys(name):
+        return list(json.loads((pipeline.out / name).read_text()))
+
+    gains = ["K", "L", "P", "iterations", "resets", "rank", "rank_required"]
+    assert keys("learned_gains.json") == gains
+    assert keys("oracle_gains.json") == ["K", "L", "P"]
+    assert keys("report.json") == ["config", "assumptions", "rank", "learned", "oracle",
+                                   "comparison", "tracking", "files"]
+    report = json.loads((pipeline.out / "report.json").read_text())
+    assert list(report["learned"]) == gains
+    assert list(report["assumptions"]) == ["ok", "stabilizable", "observable",
+                                           "regulator_rank_ok", "records"]
+    record = report["assumptions"]["records"][0]
+    assert list(record) == ["test", "eigenvalue", "rank", "required", "margin", "ok"]
+    assert len(record["eigenvalue"]) == 2  # [real, imag]
 
 
 def test_cli_run_succeeds_and_writes_artifacts(tmp_path, pipeline):

@@ -4,7 +4,9 @@ The vecs/vecv and Kronecker identities here are what the regression
 equation in adp relies on; tolerances are machine-level.
 """
 
+import dataclasses
 import io
+import json
 import os
 import warnings
 from types import SimpleNamespace
@@ -775,3 +777,21 @@ def test_read_csv_failed_fork_raises_and_reaps(tmp_path, monkeypatch):
     assert len(forks) == 2
     assert_no_child_left()
     assert open_fds() <= fds
+
+
+def test_write_json_encodes_dataclasses_arrays_and_complex(tmp_path):
+    @dataclasses.dataclass
+    class Record:
+        z: complex
+        a: np.ndarray
+        flag: bool = dataclasses.field(init=False, default=True)
+
+    payload = {"record": Record(z=1.5 - 2j, a=np.arange(4.0).reshape(2, 2)),
+               "count": np.int64(3), "root": np.complex128(0.5j)}
+    matops.write_json(tmp_path / "out.json", payload)
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps({"record": {"z": [1.5, -2.0], "a": [[0.0, 1.0], [2.0, 3.0]],
+                                          "flag": True},
+                               "count": 3, "root": [0.0, 0.5]}, indent=2) + "\n"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        matops.write_json(tmp_path / "bad.json", {"tags": {"a"}})

@@ -1,5 +1,6 @@
 """Scenario builders, the fixed-step simulator, and PBH diagnostics."""
 
+import json
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from adpdock import (
     sinusoid_noise,
 )
 from adpdock.errors import DivergenceError
+from adpdock.matops import _jsonable
 from adpdock.sysmodels import _BLOCK, _CHUNK, _rk4_map
 
 # frozen values for the default orbit (nbar = 0.00108, r_ref = 7000 km,
@@ -486,7 +488,7 @@ def test_check_assumptions_docking(docking):
     tests = {r.test for r in report.records}
     assert tests == {"stabilizability", "observability", "regulator_rank"}
     assert all(r.margin > 0 for r in report.records)
-    payload = report.to_dict()
+    payload = json.loads(json.dumps(report, default=_jsonable))
     assert payload["ok"] is True
     assert len(payload["records"]) == len(report.records)
 
