@@ -83,26 +83,19 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        freqs = list(self.frequencies)
-        if len(freqs) < 2 or len(set(freqs)) != len(freqs) or min(freqs) <= 0:
-            raise ValueError("frequencies must be two or more distinct positive values")
-        if not 0 < self.noise_freq_min < self.noise_freq_max:
-            raise ValueError("noise_freq_min and noise_freq_max must satisfy "
-                             "0 < noise_freq_min < noise_freq_max")
-        q = 2 * len(freqs)
-        if self.v0 is None:
-            self.v0 = np.tile([1.0, 0.0], q // 2)
-        self.v0 = np.asarray(self.v0, dtype=float)
-        self.x0 = np.zeros(6) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        self.Q = _resolve_weight(20.0 if self.Q is None else self.Q, 6, "Q")
-        self.R = _resolve_weight(2.0 if self.R is None else self.R, 3, "R")
-        self.Qbar = _resolve_weight(1.0 if self.Qbar is None else self.Qbar, 6, "Qbar")
-        self.Rbar = _resolve_weight(1.0 if self.Rbar is None else self.Rbar, 3, "Rbar")
-        check_weights(self.Q, self.R, 6, 3)
-        check_weights(self.Qbar, self.Rbar, 6, 3, names=("Qbar", "Rbar"))
-        for name, value, length in (("x0", self.x0, 6), ("v0", self.v0, q)):
-            if value.shape != (length,):
-                raise ValueError(f"{name} must have length {length}, got {value.size}")
+        # the scenario owns n, m, q, the v0 default and the exosystem's rules
+        model, exo = self.scenario()
+        n, m = model.n, model.m
+        self.v0 = exo.v0
+        self.x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        if self.x0.shape != (n,):
+            raise ValueError(f"x0 must have length {n}, got {self.x0.size}")
+        self.Q = _weight_matrix(20.0 if self.Q is None else self.Q, n, "Q")
+        self.R = _weight_matrix(2.0 if self.R is None else self.R, m, "R")
+        self.Qbar = _weight_matrix(1.0 if self.Qbar is None else self.Qbar, n, "Qbar")
+        self.Rbar = _weight_matrix(1.0 if self.Rbar is None else self.Rbar, m, "Rbar")
+        check_weights(self.Q, self.R, n, m)
+        check_weights(self.Qbar, self.Rbar, n, m, names=("Qbar", "Rbar"))
         for name in ("horizon", "dt", "interval", "eval_horizon", "eps",
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
             if not getattr(self, name) > 0:
@@ -115,6 +108,13 @@ class ExperimentConfig:
         for name in ("max_k", "noise_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # not left to noise_spec(): it imports numpy.random and its messages name no key
+        if not 0 < self.noise_freq_min < self.noise_freq_max:
+            raise ValueError("noise_freq_min and noise_freq_max must satisfy "
+                             "0 < noise_freq_min < noise_freq_max")
+        for name in ("x0", "noise_amplitude", "noise_freq_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
     def scenario(self):
         return build_docking_scenario(
@@ -123,7 +123,7 @@ class ExperimentConfig:
 
     def noise_spec(self, seed=None):
         return sinusoid_noise(
-            channels=3,
+            channels=len(self.R),  # one per plant input: R is m x m
             terms=self.noise_terms,
             amplitude=self.noise_amplitude,
             freq_range=(self.noise_freq_min, self.noise_freq_max),
@@ -134,18 +134,16 @@ class ExperimentConfig:
         return _sections(self, "echo")
 
 
-def _resolve_weight(value, dim, name="weight"):
+def _weight_matrix(value, dim, name):
     """Scalar -> scale*I, dim values -> diagonal, dim^2 values -> full."""
     arr = np.asarray(value, dtype=float).ravel()
     if arr.size == 1:
-        mat = float(arr[0]) * np.eye(dim)
-    elif arr.size == dim:
-        mat = np.diag(arr)
-    elif arr.size == dim * dim:
-        mat = arr.reshape(dim, dim)
-    else:
-        raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {arr.size}")
-    return mat
+        return float(arr[0]) * np.eye(dim)
+    if arr.size == dim:
+        return np.diag(arr)
+    if arr.size == dim * dim:
+        return arr.reshape(dim, dim)
+    raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {arr.size}")
 
 
 def default_config():
@@ -199,13 +197,14 @@ _DEGREES = _Codec(lambda text: math.radians(_finite(text)), lambda rad: repr(_de
                   _degrees)
 
 
-def _weight(dim):
-    """A dim x dim weight, written as its diagonal when it is diagonal."""
-    def format_weight(mat):
-        diagonal = np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
-        return _FLOATS.format(np.diag(mat) if diagonal else mat)
-    return _Codec(lambda text: _resolve_weight(_FLOATS.parse(text), dim), format_weight,
-                  lambda mat: mat.tolist())
+def _weight_text(mat):
+    """A weight matrix as INI text: its diagonal when it is diagonal."""
+    diagonal = np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
+    return _FLOATS.format(np.diag(mat) if diagonal else mat)
+
+
+# a weight reads as its 1, n or n^2 values; ExperimentConfig resolves the matrix
+_WEIGHT = _FLOATS._replace(format=_weight_text)
 
 
 # One row per knob: (INI section, key, ExperimentConfig attribute, codec).
@@ -221,10 +220,10 @@ _SCHEMA = (
     ("exosystem", "frequencies", "frequencies", _FLOATS),
     ("exosystem", "v0", "v0", _FLOATS),
     ("exosystem", "disturbance_gain", "disturbance_gain", _FLOAT),
-    ("cost", "Q", "Q", _weight(6)),
-    ("cost", "R", "R", _weight(3)),
-    ("cost", "Qbar", "Qbar", _weight(6)),
-    ("cost", "Rbar", "Rbar", _weight(3)),
+    ("cost", "Q", "Q", _WEIGHT),
+    ("cost", "R", "R", _WEIGHT),
+    ("cost", "Qbar", "Qbar", _WEIGHT),
+    ("cost", "Rbar", "Rbar", _WEIGHT),
     ("noise", "amplitude", "noise_amplitude", _FLOAT),
     ("noise", "terms", "noise_terms", _INT),
     ("noise", "freq_min", "noise_freq_min", _FLOAT),

@@ -62,7 +62,7 @@ class CwParams:
     include_j2: bool = True
 
     def __post_init__(self):
-        if self.mean_motion <= 0:
+        if not self.mean_motion > 0:
             raise ValueError("mean_motion must be positive")
         if not (self.r_ref > self.earth_radius > 0):
             raise ValueError("need r_ref > earth_radius > 0")
@@ -146,7 +146,10 @@ class Exosystem:
         if self.E.shape != (q, q):
             raise ValueError(f"E must be square, got {self.E.shape}")
         if self.v0.shape != (q,):
-            raise ValueError(f"v0 must have length {q}, got {self.v0.shape}")
+            raise ValueError(f"v0 must have length {q}, got {self.v0.size}")
+        for name in ("E", "v0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite entries")
 
     @property
     def q(self):
@@ -241,9 +244,9 @@ class NoiseSpec:
     """Sum-of-sinusoids exploration signal, one row of terms per channel.
 
     ``amplitudes``, ``frequencies`` (rad/s) and ``phases`` share the shape
-    ``(channels, terms)``. Frequencies are pairwise distinct within each
-    channel. ``seed`` records the draw that produced the tables so a
-    collection run can be replayed exactly.
+    ``(channels, terms)`` and hold finite values. Frequencies are pairwise
+    distinct within each channel. ``seed`` records the draw that produced
+    the tables so a collection run can be replayed exactly.
     """
 
     amplitudes: np.ndarray
@@ -254,6 +257,8 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("amplitudes", "frequencies", "phases"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
         if not (self.amplitudes.shape == self.frequencies.shape == self.phases.shape):
             raise ValueError("amplitudes, frequencies, phases must share one shape")
@@ -273,8 +278,8 @@ def sinusoid_noise(channels, terms=10, amplitude=0.1, freq_range=(0.1, 10.0), se
     uniformly from ``freq_range`` and are distinct across all channels.
     """
     lo, hi = freq_range
-    if not (0 < lo < hi):
-        raise ValueError("freq_range must satisfy 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("freq_range must satisfy 0 < lo < hi < inf")
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(lo, hi, size=(channels, terms))
     while np.unique(freqs).size != freqs.size:  # measure-zero, but be safe
@@ -332,7 +337,7 @@ class LinearPolicy:
 
 
 def build_cw_plant(params):
-    """CW/J2 plant matrices A and B; C, D, F are zero-filled placeholders.
+    """CW/J2 plant matrices A and B; C is a zero placeholder and D, F have no exostate.
 
     With ``include_j2`` false the coupling constant c is 1 and the plain
     CW equations result. The cross-track row uses -nbar^2 (harmonic
@@ -347,9 +352,8 @@ def build_cw_plant(params):
     A[4, 3] = -2.0 * nbar
     A[5, 2] = -(nbar**2)
     B = np.vstack([np.zeros((3, 3)), np.eye(3)])
-    return StateSpaceModel(
-        A=A, B=B, C=np.zeros((3, 6)), D=np.zeros((6, 8)), F=np.zeros((3, 8))
-    )
+    return StateSpaceModel(A=A, B=B, C=np.zeros((3, 6)), D=np.zeros((6, 0)),
+                           F=np.zeros((3, 0)))
 
 
 # 0-indexed (row, col) slots of the J2 differential-acceleration coupling.
@@ -360,45 +364,41 @@ def build_docking_scenario(params, exo_frequencies=(1.0, 2.0, 3.0, 4.0),
                            disturbance_gain=1.0, v0=None):
     """Full docking setup: CW/J2 plant, rotation exosystem, error output.
 
+    The one home of the scenario's rules; the experiment config takes them, and n and m, from here.
+
     Parameters
     ----------
     params : CwParams
     exo_frequencies : sequence of float
-        One rotation block [[0, w], [-w, 0]] per frequency; the exostate
-        dimension is twice the block count. -F v is the position
-        reference tracked by the deputy.
+        Two or more distinct positive values, one rotation block
+        [[0, w], [-w, 0]] each; the exostate dimension q is twice the
+        block count. -F v is the position reference tracked by the deputy.
     disturbance_gain : float
-        Scales the J2 disturbance coupling D; 0 gives pure tracking.
+        Scales the J2 disturbance coupling D; 0 gives pure tracking, and
+        any other value needs exactly four frequencies.
     v0 : array_like, optional
-        Initial exostate; defaults to [1, 0] repeated per block.
+        Initial exostate, q finite values; defaults to [1, 0] per block.
     """
     freqs = [float(w) for w in exo_frequencies]
-    if len(freqs) != len(set(freqs)) or any(w <= 0 for w in freqs):
-        raise ValueError("exo_frequencies must be distinct and positive")
-    q = 2 * len(freqs)
-    if q < 3:
-        raise ValueError(f"need at least 2 frequency blocks for 3 error channels, got q={q}")
-    E = bdiag([np.array([[0.0, w], [-w, 0.0]]) for w in freqs])
+    if len(freqs) < 2 or len(set(freqs)) != len(freqs) or not all(w > 0 for w in freqs):
+        raise ValueError("frequencies must be two or more distinct positive values")
+    exo = Exosystem(E=bdiag([np.array([[0.0, w], [-w, 0.0]]) for w in freqs]),
+                    v0=np.tile([1.0, 0.0], len(freqs)) if v0 is None else v0)
 
     plant = build_cw_plant(params)
     C = np.hstack([np.eye(3), np.zeros((3, 3))])
-    F = np.hstack([np.eye(3), np.zeros((3, q - 3))])
-    D = np.zeros((6, q))
+    F = np.hstack([np.eye(3), np.zeros((3, exo.q - 3))])
+    D = np.zeros((6, exo.q))
     if disturbance_gain != 0.0:
-        if q != 8:
-            raise ValueError(
-                f"J2 disturbance pattern is defined for q = 8 exostates, got q = {q}; "
-                "set disturbance_gain = 0 for other exosystem sizes"
-            )
+        if exo.q != 8:
+            raise ValueError(f"the J2 disturbance pattern needs exactly 4 frequencies, got "
+                             f"{len(freqs)}; set disturbance_gain = 0 for other exosystems")
         nbar = params.mean_motion
         kappa = -3.0 * nbar**2 * params.j2 * params.earth_radius**2 / params.r_ref
         for row, col in _J2_DISTURBANCE_SLOTS:
             D[row, col] = disturbance_gain * kappa
 
-    if v0 is None:
-        v0 = np.tile([1.0, 0.0], q // 2)
-    model = StateSpaceModel(A=plant.A, B=plant.B, C=C, D=D, F=F)
-    return model, Exosystem(E=E, v0=np.asarray(v0, dtype=float))
+    return StateSpaceModel(A=plant.A, B=plant.B, C=C, D=D, F=F), exo
 
 
 #: Steps between divergence checks in :func:`simulate`.

@@ -27,6 +27,7 @@ from adpdock.dockcli import _SCHEMA, main
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 from conftest import (REPO, assert_no_child_left, counting_forks, open_fds, run_python,
                       slow_blocks)
+from test_regulator import random_solvable
 
 
 def test_default_config_values():
@@ -67,7 +68,7 @@ def test_config_validation():
 
 def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(
-        frequencies=(0.5, 1.5), Q=[1, 2, 3, 4, 5, 6], R=3.0,
+        frequencies=(0.5, 1.5), disturbance_gain=0.0, Q=[1, 2, 3, 4, 5, 6], R=3.0,
         noise_amplitude=0.25, seed=11, horizon=12.0, interval=0.2,
         max_k=5000, abort_on_assumption_failure=False,
     )
@@ -183,7 +184,7 @@ def test_schema_row_sets_one_attribute_and_entry(tmp_path, section, key):
     ("[pipeline]\nabort_on_assumption_failure = maybe\n",
      "[pipeline] abort_on_assumption_failure = 'maybe': not a boolean: maybe"),
     ("[noise]\nterms = 2.5\n", "[noise] terms = '2.5': invalid literal for int()"),
-    ("[cost]\nq = 1, 2\n", "[cost] q = '1, 2': weight needs 1, 6, or 36 values, got 2"),
+    ("[cost]\nq = 1, 2\n", "[cost] q = '1, 2': Q needs 1, 6, or 36 values, got 2"),
     ("[learning]\neps = nan\n", "[learning] eps = 'nan': not a finite number: nan"),
     ("[simulation]\nhorizon = inf\n", "[simulation] horizon = 'inf': not a finite number: inf"),
     ("[simulation]\ndt = nan\n", "[simulation] dt = 'nan': not a finite number: nan"),
@@ -224,6 +225,9 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
     ("[exosystem]\nv0 = 1, 0\n", "[exosystem] v0 = '1, 0': v0 must have length 8, got 2"),
     ("[exosystem]\nfrequencies = 1, 2, 3\nv0 = 1, 0, 1, 0, 1, 0, 1, 0\n",
      "[exosystem] v0 = '1, 0, 1, 0, 1, 0, 1, 0': v0 must have length 6, got 8"),
+    ("[exosystem]\nfrequencies = 1, 2, 3\nv0 = 1, 0, 1, 0, 1, 0\n",
+     "[exosystem] frequencies = '1, 2, 3': the J2 disturbance pattern needs exactly 4 "
+     "frequencies, got 3; set disturbance_gain = 0 for other exosystems"),
     ("[simulation]\ninterval = 0.1005\n", "[simulation] interval = '0.1005': "
      "interval = 0.1005 is not an integer multiple of dt = 0.001"),
     ("[simulation]\nhorizon = 25.0005\ndt = 0.001\n", "[simulation] horizon = '25.0005': "
@@ -243,14 +247,17 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
 ])
 def test_load_config_names_file_section_and_key_of_value_out_of_range(tmp_path, capsys,
                                                                       text, named):
-    path = tmp_path / "bad.cfg"
+    path, out_dir = tmp_path / "bad.cfg", tmp_path / "out"
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
         load_config(path)
-    assert main(["check", "--config", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""  # rejected at load time, before any PBH record
-    assert err == f"error: {path}: {named}\n"
+    for command in (["check", "--config", str(path)],
+                    ["run", "--config", str(path), "--out", str(out_dir)]):
+        assert main(command) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected at load time, before any PBH record
+        assert err == f"error: {path}: {named}\n"
+    assert not out_dir.exists()
 
 
 def test_run_rejects_a_time_grid_before_any_stage(tmp_path, capsys):
@@ -268,6 +275,15 @@ def test_run_rejects_a_time_grid_before_any_stage(tmp_path, capsys):
         ExperimentConfig(dt=math.inf)
     with pytest.raises(ValueError, match="eps must be positive"):
         ExperimentConfig(eps=math.nan)
+    # so is every other non-finite value, by the object that owns it
+    for bad, message in (({"noise_amplitude": math.nan}, "noise_amplitude must be finite"),
+                         ({"noise_freq_max": math.inf}, "noise_freq_max must be finite"),
+                         ({"disturbance_gain": math.nan}, "D contains non-finite"),
+                         ({"x0": [math.nan] * 6}, "x0 must be finite"),
+                         ({"v0": [math.nan] * 8}, "v0 contains non-finite"),
+                         ({"frequencies": (1.0, math.nan)}, "frequencies must be two or more")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
 
 
 def test_config_checks_initial_state_lengths():
@@ -276,6 +292,21 @@ def test_config_checks_initial_state_lengths():
     with pytest.raises(ValueError, match="v0 must have length 4, got 8"):
         ExperimentConfig(frequencies=(1.0, 2.0), disturbance_gain=0.0, v0=np.ones(8))
     assert ExperimentConfig(frequencies=(1.0, 2.0), disturbance_gain=0.0).v0.shape == (4,)
+
+
+def test_config_takes_every_dimension_from_the_scenario(tmp_path, monkeypatch):
+    # a 4-state, 2-input plant in place of CW: the config assumes no n or m
+    model, exo = random_solvable(4, 2, 1, 2, np.random.default_rng(0))
+    monkeypatch.setattr("adpdock.dockcli.build_docking_scenario",
+                        lambda *args, **kwargs: (model, exo))
+    cfg = ExperimentConfig()
+    assert cfg.x0.shape == (4,) and cfg.v0.shape == (2,)
+    assert cfg.Q.shape == cfg.Qbar.shape == (4, 4)
+    assert cfg.R.shape == cfg.Rbar.shape == (2, 2)
+    assert cfg.noise_spec().channels == 2
+    path = tmp_path / "small.cfg"
+    path.write_text("[cost]\nq = 1, 2, 3, 4\n")
+    assert np.array_equal(load_config(path).Q, np.diag([1.0, 2.0, 3.0, 4.0]))
 
 
 def test_inclination_degrees_echo_as_written(tmp_path):

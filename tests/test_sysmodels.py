@@ -52,6 +52,8 @@ def test_cwparams_validation():
         CwParams(r_ref=6000.0)  # below Earth radius
     with pytest.raises(ValueError):
         CwParams(j2=1.5)
+    with pytest.raises(ValueError, match="mean_motion must be positive"):
+        CwParams(mean_motion=math.nan)
 
 
 def test_cw_plant_entries():
@@ -98,10 +100,14 @@ def test_docking_scenario_options():
     model, exo = build_docking_scenario(CwParams(), exo_frequencies=(1.0, 2.0),
                                         disturbance_gain=0.0)
     assert exo.q == 4 and np.all(model.D == 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="J2 disturbance pattern needs exactly 4 frequencies"):
         build_docking_scenario(CwParams(), exo_frequencies=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        build_docking_scenario(CwParams(), exo_frequencies=(1.0, 1.0))
+    # the exostate is checked before the J2 pattern
+    with pytest.raises(ValueError, match="v0 must have length 4, got 8"):
+        build_docking_scenario(CwParams(), exo_frequencies=(1.0, 2.0), v0=np.ones(8))
+    for freqs in ((1.0, 1.0), (1.0,), (1.0, -2.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="frequencies must be two or more distinct positive"):
+            build_docking_scenario(CwParams(), exo_frequencies=freqs, disturbance_gain=0.0)
 
 
 def reference_rk4(model, exo, controller, x0, t_span, dt):
@@ -385,8 +391,12 @@ def test_statespace_shape_validation():
     with pytest.raises(ValueError):
         StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((3, 1)),
                         C=np.zeros((1, 2)), D=np.zeros((2, 1)), F=np.zeros((1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="v0 must have length 2, got 1"):
         Exosystem(E=np.zeros((2, 2)), v0=[1.0])
+    with pytest.raises(ValueError, match="E contains non-finite entries"):
+        Exosystem(E=[[0.0, math.inf], [-1.0, 0.0]], v0=[1.0, 0.0])
+    with pytest.raises(ValueError, match="v0 contains non-finite entries"):
+        Exosystem(E=np.zeros((2, 2)), v0=[math.nan, 0.0])
 
 
 def test_trajectory_log_csv_roundtrip(tmp_path):
@@ -467,6 +477,10 @@ def test_sinusoid_noise_draw():
     assert not np.array_equal(spec.frequencies, other.frequencies)
     with pytest.raises(ValueError):
         sinusoid_noise(3, freq_range=(5.0, 1.0))
+    with pytest.raises(ValueError, match="freq_range must satisfy"):
+        sinusoid_noise(3, freq_range=(0.1, math.inf))
+    with pytest.raises(ValueError, match="amplitudes contains non-finite entries"):
+        sinusoid_noise(3, amplitude=math.nan)
 
 
 def test_exploration_noise_matches_sum():
