@@ -393,10 +393,10 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
     h = basis.h
     if len(recovery.S_values) != h + 1:
         raise ValueError(f"recovery holds {len(recovery.S_values)} sweep values, expected {h + 1}")
-    if numerical_rank(B_hat) < m:
+    if (rank := numerical_rank(B_hat)) < m:
         raise RankDeficiencyError(
             "B_hat is rank deficient; the input does not excite all directions",
-            rank=numerical_rank(B_hat), required=m,
+            rank=rank, required=m,
         )
     Qbar, Rbar = check_weights(Qbar, Rbar, n, m, names=("Qbar", "Rbar"))
 

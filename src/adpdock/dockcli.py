@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -49,6 +49,10 @@ __all__ = [
 # exit codes keyed by the pipeline stage that failed
 _STAGE_EXIT_CODES = {"assumptions": 2, "rank": 3, "convergence": 4}
 _GENERIC_FAILURE = 1
+
+# the artifacts of a run, in the order report.json lists them
+_ARTIFACTS = ("trajectory_learning.csv", "convergence.csv", "trajectory_eval.csv",
+              "learned_gains.json", "oracle_gains.json", "report.json")
 
 
 @dataclass
@@ -108,6 +112,8 @@ class ExperimentConfig:
         for name in ("max_k", "noise_terms"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         # not left to noise_spec(): it imports numpy.random and its messages name no key
         if not 0 < self.noise_freq_min < self.noise_freq_max:
             raise ValueError("noise_freq_min and noise_freq_max must satisfy "
@@ -371,7 +377,7 @@ def _stage(name, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except StageFailure:
         raise
-    except (RankDeficiencyError,) as exc:
+    except RankDeficiencyError as exc:
         raise StageFailure("rank", exc) from exc
     except ConvergenceError as exc:
         raise StageFailure("convergence", exc) from exc
@@ -379,33 +385,54 @@ def _stage(name, fn, *args, **kwargs):
         raise StageFailure(name, exc) from exc
 
 
+def _setup(config):
+    """The setup and assumption stages: (model, exo, noise spec, assumption report)."""
+    model, exo, noise = _stage("setup", lambda: (*config.scenario(), config.noise_spec()))
+    return model, exo, noise, _stage("assumptions", check_assumptions, model, exo)
+
+
+def _collect(config, model, exo, noise):
+    """The collection stage: the exploration trajectory that learning reads."""
+    return _stage("collect", adp.collect_data, model, exo, None, noise, config.x0,
+                  horizon=config.horizon, dt=config.dt, interval=config.interval)
+
+
+def _assemble(config, model, learning_log):
+    """The assembly stage and the rank diagnostic: (basis, bundles, rank report)."""
+    basis = _stage("assemble", regulator.kernel_basis, model)
+    bundles = _stage("assemble", adp.assemble_regression,
+                     learning_log, basis, config.R, config.interval)
+    ok, rank, required = adp.check_rank(bundles[0])
+    return basis, bundles, {"ok": bool(ok), "rank": int(rank), "required": int(required)}
+
+
 def run_experiment(config, out_dir=None, seed=None, log=print):
     """Run the full pipeline and write all artifacts; returns the report.
 
-    Stage order: assumptions, collection, assembly, rank check,
+    A ``seed`` overrides ``config.seed`` without changing the caller's
+    config: the noise is drawn from it and ``report.json`` echoes it.
+
+    Stage order: setup, assumptions, collection, assembly, rank check,
     value-iteration learning, model recovery, regulator solve,
     feedforward composition, oracle solves, comparison, closed-loop
-    evaluation. The whole run holds numpy's OpenBLAS at one thread
-    (:class:`matops.one_blas_thread`), and a forked child writes
-    ``trajectory_learning.csv`` while the stages after collection run
+    evaluation. The rank check only reports: value iteration rejects a
+    rank-deficient data matrix by the same rule, in stage 'rank'. The
+    whole run holds numpy's OpenBLAS at one thread
+    (:class:`matops.one_blas_thread`). The output directory is made when
+    collection ends, and a forked child then writes
+    ``trajectory_learning.csv`` while the later stages run
     (:func:`matops.write_csv_in_background`); the file is complete before
     the JSON artifacts are written and, in a failed run, before
     StageFailure propagates. Every other artifact is flushed as soon as
-    its stage completes, so a failed run leaves the earlier CSVs behind
-    for inspection.
+    its stage completes, so a failed run leaves the earlier CSVs behind.
 
-    Raises StageFailure naming the stage on any error, and OSError if the
-    child writing the learning CSV fails.
+    Raises ValueError for a bad seed, StageFailure naming the stage on any
+    error, and OSError if the child writing the learning CSV fails.
     """
+    if seed is not None:
+        config = replace(config, seed=seed)
     with one_blas_thread(), ExitStack() as learning_csv:
-        out = Path(config.out_dir if out_dir is None else out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        files = []
-
-        model, exo = _stage("setup", config.scenario)
-        noise = config.noise_spec(seed=seed)
-
-        assumptions = _stage("assumptions", check_assumptions, model, exo)
+        model, exo, noise, assumptions = _setup(config)
         if not assumptions.ok and config.abort_on_assumption_failure:
             raise StageFailure("assumptions", RuntimeError(
                 "PBH checks failed: " + ", ".join(
@@ -414,27 +441,16 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             ))
         log(f"assumptions: ok={assumptions.ok}")
 
-        learning_log = _stage(
-            "collect", adp.collect_data, model, exo, None, noise, config.x0,
-            horizon=config.horizon, dt=config.dt, interval=config.interval,
-        )
+        learning_log = _collect(config, model, exo, noise)
+        out = Path(config.out_dir if out_dir is None else out_dir)
+        out.mkdir(parents=True, exist_ok=True)
         # the second CPU writes it while this one learns; ExitStack waits for it
         learning_csv.enter_context(
             learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
-        files.append("trajectory_learning.csv")
         log(f"collected {len(learning_log)} samples over {config.horizon} s")
 
-        basis = _stage("assemble", regulator.kernel_basis, model)
-        bundles = _stage("assemble", adp.assemble_regression,
-                         learning_log, basis, config.R, config.interval)
-
-        ok, rank, required = adp.check_rank(bundles[0])
-        rank_report = {"ok": bool(ok), "rank": int(rank), "required": int(required)}
-        log(f"rank check: {rank}/{required}")
-        if not ok:
-            raise StageFailure("rank", RankDeficiencyError(
-                f"data matrix rank {rank} < required {required}", rank=rank, required=required
-            ))
+        basis, bundles, rank = _assemble(config, model, learning_log)
+        log(f"rank check: {rank['rank']}/{rank['required']}")
 
         P0 = config.p0_scale * np.eye(model.n)
         P, K, history = _stage(
@@ -443,7 +459,6 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             max_k=config.max_k,
         )
         history.to_csv(out / "convergence.csv")
-        files.append("convergence.csv")
         log(f"learning converged in {history.iterations} iterations ({history.resets} resets)")
 
         recovery = _stage("recover", adp.recover_model_artifacts, bundles, P, K, config.R)
@@ -452,7 +467,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         L = regulator.feedforward_gain(solution, K)
         learned = adp.LearnedController(
             K=K, L=L, P=P, iterations=history.iterations, resets=history.resets,
-            rank=rank, rank_required=required,
+            rank=rank["rank"], rank_required=rank["required"],
         )
 
         # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
@@ -477,7 +492,6 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         eval_log = _stage("evaluate", simulate, model, exo, learned.feedback(),
                           config.x0, config.eval_horizon, config.dt)
         eval_log.to_csv(out / "trajectory_eval.csv")
-        files.append("trajectory_eval.csv")
         e0 = float(np.linalg.norm(eval_log.e[0]))
         e_final = float(np.linalg.norm(eval_log.e[-1]))
         tracking = {
@@ -490,14 +504,12 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
 
         learning_csv.close()  # trajectory_learning.csv is complete from here on
         adp.save_gains(out / "learned_gains.json", learned)
-        files.append("learned_gains.json")
         write_json(out / "oracle_gains.json", {key: oracle[key] for key in ("K", "L", "P")})
-        files.append("oracle_gains.json")
 
         report = ExperimentReport(
-            config=config.to_dict(), assumptions=assumptions, rank=rank_report,
+            config=config.to_dict(), assumptions=assumptions, rank=rank,
             learned=learned, oracle=oracle, comparison=comparison, tracking=tracking,
-            files=files + ["report.json"],
+            files=list(_ARTIFACTS),
         )
         write_json(out / "report.json", report)
         log(f"artifacts written to {out}")
@@ -505,10 +517,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
 
 
 def _cmd_run(args):
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    report = run_experiment(config, out_dir=args.out, seed=args.seed)
+    report = run_experiment(load_config(args.config), out_dir=args.out, seed=args.seed)
     return 0 if report.comparison["ok"] else _GENERIC_FAILURE
 
 
@@ -527,8 +536,7 @@ def _cmd_compare(args):
 
 def _cmd_check(args):
     config = load_config(args.config)
-    model, exo = _stage("setup", config.scenario)
-    assumptions = _stage("assumptions", check_assumptions, model, exo)
+    model, exo, noise, assumptions = _setup(config)
     for record in assumptions.records:
         print(f"{record.test}: eig={record.eigenvalue:.4g} rank={record.rank}/"
               f"{record.required} margin={record.margin:.3e} ok={record.ok}")
@@ -536,14 +544,9 @@ def _cmd_check(args):
     if not assumptions.ok:
         return _STAGE_EXIT_CODES["assumptions"]
 
-    noise = config.noise_spec()
-    log = _stage("collect", adp.collect_data, model, exo, None, noise, config.x0,
-                 horizon=config.horizon, dt=config.dt, interval=config.interval)
-    basis = _stage("assemble", regulator.kernel_basis, model)
-    bundles = _stage("assemble", adp.assemble_regression, log, basis, config.R, config.interval)
-    ok, rank, required = adp.check_rank(bundles[0])
-    print(f"rank: {rank}/{required} ok={ok}")
-    return 0 if ok else _STAGE_EXIT_CODES["rank"]
+    _, _, rank = _assemble(config, model, _collect(config, model, exo, noise))
+    print(f"rank: {rank['rank']}/{rank['required']} ok={rank['ok']}")
+    return 0 if rank["ok"] else _STAGE_EXIT_CODES["rank"]
 
 
 def main(argv=None):

@@ -30,7 +30,7 @@ orderings are frozen because they define regression column layouts.
 
 :func:`write_csv` is the one CSV artifact writer. Its bytes equal
 ``numpy.savetxt(path, data, delimiter=",", header=header, comments="",
-fmt=fmt)``, and it splits the formatting across forked workers.
+fmt="%.17g")``, and it splits the formatting across forked workers.
 :func:`read_csv` reads such a file back, splitting the parsing across
 forked workers the same way; its values equal a serial ``numpy.loadtxt``.
 :func:`write_csv_in_background` writes the same bytes from one forked
@@ -569,16 +569,12 @@ def _send_rows(data, row_fmt, start, stop, pipe):
     pipe.writelines(chunks)
 
 
-def _row_format(data, fmt):
+def _row_format(data):
     """``data`` as a 2-D array and the ``%`` format of one of its rows."""
     data = np.asarray(data)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {data.shape}")
-    cols = data.shape[1]
-    fmts = [fmt] * cols if isinstance(fmt, str) else list(fmt)
-    if len(fmts) != cols:
-        raise ValueError(f"{len(fmts)} formats for {cols} columns")
-    return data, ",".join(fmts) + "\n"
+    return data, ",".join(["%.17g"] * data.shape[1]) + "\n"
 
 
 def _write_head(fh, header, data, row_fmt, stop):
@@ -588,7 +584,7 @@ def _write_head(fh, header, data, row_fmt, stop):
     _format_rows(data, row_fmt, 0, stop, fh.write)
 
 
-def write_csv(path, data, header, fmt="%.17g"):
+def write_csv(path, data, header):
     """Write a 2-D array as comma-separated rows, byte-identical to ``numpy.savetxt``.
 
     Parameters
@@ -596,11 +592,9 @@ def write_csv(path, data, header, fmt="%.17g"):
     path : str or path-like
         Output file, overwritten.
     data : array_like, shape (rows, cols)
-        Values, formatted row by row.
+        Values, formatted row by row, each as ``%.17g``.
     header : str
         First line (written without a comment prefix); empty for none.
-    fmt : str or sequence of str
-        One ``%`` format for every column, or one per column.
 
     The rows are split into contiguous ranges, one per usable CPU but no
     more than one per :data:`FORK_MIN_VALUES` values, and a single range
@@ -615,7 +609,7 @@ def write_csv(path, data, header, fmt="%.17g"):
         If a child fails or sends fewer rows than its range holds. Every
         child is reaped before this function returns or raises.
     """
-    data, row_fmt = _row_format(data, fmt)
+    data, row_fmt = _row_format(data)
     rows, cols = data.shape
     workers = _worker_count(rows * cols)
     bounds = [rows * i // workers for i in range(workers + 1)]
@@ -647,7 +641,7 @@ def write_csv(path, data, header, fmt="%.17g"):
 def _write_whole(path, table, pipe):
     """Write the CSV of ``table()`` alone; ``pipe`` closes after the file does."""
     data, header = table()
-    data, row_fmt = _row_format(data, "%.17g")
+    data, row_fmt = _row_format(data)
     with open(path, "wb") as fh:
         _write_head(fh, header, data, row_fmt, len(data))
 
@@ -657,8 +651,7 @@ def write_csv_in_background(path, table):
     """Write a CSV from one forked child while the with-block runs.
 
     ``table()`` returns the ``(data, header)`` pair that :func:`write_csv`
-    takes, and the file holds the same bytes, each value written as
-    ``%.17g``. The child calls it and
+    takes, and the file holds the same bytes. The child calls it and
     formats every row, on a CPU this process leaves free, so this process
     never holds the array. Leaving the block waits until the file is
     complete, also when the block raises; the child is then reaped and,

@@ -72,8 +72,7 @@ class ViHistory:
     def to_csv(self, path):
         """Write one `k,eps_k,frob_P_increment,reset_count` row per iteration."""
         data = np.column_stack([self.k, self.eps, self.increment, self.reset_count])
-        write_csv(path, data, "k,eps_k,frob_P_increment,reset_count",
-                  fmt=["%d", "%.17g", "%.17g", "%d"])
+        write_csv(path, data, "k,eps_k,frob_P_increment,reset_count")
 
 
 def linear_balls(base=10.0):

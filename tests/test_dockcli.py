@@ -214,6 +214,7 @@ def test_load_config_names_file_section_and_key_of_bad_value(tmp_path, text, nam
      "[orbit] earth_radius = '8000': need r_ref > earth_radius > 0"),
     ("[simulation]\nhorizon = 0\n", "[simulation] horizon = '0': horizon must be positive"),
     ("[noise]\nterms = 0\n", "[noise] terms = '0': noise_terms must be at least 1"),
+    ("[noise]\nseed = -1\n", "[noise] seed = '-1': seed must be a non-negative integer"),
     ("[noise]\nfreq_max = 0.05\n", "[noise] freq_max = '0.05': noise_freq_min and "
      "noise_freq_max must satisfy 0 < noise_freq_min < noise_freq_max"),
     ("[exosystem]\nfrequencies = 1.0, 1.0, 3.0, 4.0\n",
@@ -392,12 +393,17 @@ def test_cli_run_succeeds_and_writes_artifacts(tmp_path, pipeline):
         (pipeline.out / "report.json").read_bytes()
 
 
-def test_cli_rank_failure_exit_code(tmp_path):
+def test_cli_rank_failure_exit_code(tmp_path, capsys):
     cfg = ExperimentConfig(noise_amplitude=0.0, horizon=10.0)
     path = tmp_path / "flat.cfg"
     save_config(cfg, path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
+    # the value-iteration solve makes the one rank decision and names the remedy
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'rank' failed: ")
+    assert "enrich the exploration signal" in err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
 def test_cli_convergence_failure_exit_code(tmp_path):
@@ -420,6 +426,7 @@ def test_cli_assumption_failure_exit_code(tmp_path, monkeypatch):
     save_config(default_config(), cfg_path)
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exit_code(tmp_path):
@@ -469,6 +476,38 @@ def test_cli_check_reports_a_failed_stage(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "assumptions: ok=True" in out
     assert err == "error: stage 'collect' failed: state became non-finite at t = 350\n"
+    # run fails the same way, before its output directory is made
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out_dir.exists()
+
+
+def test_run_seed_argument_is_the_seed_of_the_run(tmp_path, pipeline, capsys):
+    # a seed argument learns from that seed and says so in report.json,
+    # exactly as a config file that sets it does
+    cfg = default_config()
+    run_experiment(cfg, tmp_path / "arg", seed=3, log=quiet)
+    assert cfg.seed == 7  # the caller's config is left as it is
+    path = tmp_path / "seed3.cfg"
+    path.write_text("[noise]\nseed = 3\n")
+    run_experiment(load_config(path), tmp_path / "file", log=quiet)
+    names = sorted(p.name for p in (tmp_path / "arg").iterdir())
+    assert names == sorted(json.loads((tmp_path / "arg" / "report.json").read_text())["files"])
+    assert names == sorted(p.name for p in (tmp_path / "file").iterdir())
+    for name in names:
+        assert (tmp_path / "arg" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    assert json.loads((tmp_path / "arg" / "report.json").read_text())["config"]["noise"] \
+        ["seed"] == 3
+    assert (tmp_path / "arg" / "trajectory_learning.csv").read_bytes() != \
+        (pipeline.out / "trajectory_learning.csv").read_bytes()
+    # a negative seed is rejected before any stage, with no output directory
+    out_dir = tmp_path / "neg"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer\n")
+    assert not out_dir.exists()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ExperimentConfig(seed=1.5)
 
 
 def test_cli_requires_subcommand():

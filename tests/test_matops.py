@@ -260,14 +260,14 @@ SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e3
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
-def savetxt_bytes(data, header, fmt="%.17g"):
+def savetxt_bytes(data, header):
     buf = io.BytesIO()
-    np.savetxt(buf, data, delimiter=",", header=header, comments="", fmt=fmt)
+    np.savetxt(buf, data, delimiter=",", header=header, comments="", fmt="%.17g")
     return buf.getvalue()
 
 
-def written_bytes(path, data, header, fmt="%.17g"):
-    write_csv(path, data, header, fmt=fmt)
+def written_bytes(path, data, header):
+    write_csv(path, data, header)
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -310,34 +310,26 @@ def test_write_csv_matches_savetxt(tmp_path_factory, data):
     assert_no_child_left()
 
 
-def test_write_csv_per_column_formats(tmp_path, monkeypatch):
-    # the convergence-history layout: integer columns around two doubles
-    rows = 9 * BLOCK + 17
-    data = np.column_stack([np.arange(1, rows + 1), 1.0 / np.arange(1, rows + 1),
-                            np.geomspace(1e-300, 1e3, rows), np.arange(rows) // 100])
-    fmt = ["%d", "%.17g", "%.17g", "%d"]
-    expected = savetxt_bytes(data, "k,eps_k,x,r", fmt)
-    assert written_bytes(tmp_path / "h.csv", data, "k,eps_k,x,r", fmt) == expected
-    force_workers(monkeypatch, 3, min_values=1)
-    assert written_bytes(tmp_path / "h.csv", data, "k,eps_k,x,r", fmt) == expected
-    assert written_bytes(tmp_path / "e.csv", data[:0], "", fmt) == b""
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", data, "h", fmt=fmt[:3])
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", data[0], "h")
-
-
 @needs_fork
 @pytest.mark.parametrize("row, error", [(BLOCK, OSError), (3 * BLOCK - 1, OSError),
                                         (0, ValueError)])
 def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch, row, error):
-    # "%d" cannot format NaN; the NaN sits in the first worker's range,
-    # the last one's, or the range this process formats itself
+    # formatting fails on the NaN-marked row, which sits in the first
+    # worker's range, the last one's, or the range this process formats
+    # itself; the forked workers inherit the patch
+    real = matops._format_rows
+
+    def fail_on_nan(data, row_fmt, start, stop, write):
+        if np.isnan(data[start:stop]).any():
+            raise ValueError("cannot format NaN")
+        real(data, row_fmt, start, stop, write)
+
+    monkeypatch.setattr(matops, "_format_rows", fail_on_nan)
     force_workers(monkeypatch, 3, min_values=1)
     data = np.ones((3 * BLOCK, 2))
     data[row, 1] = np.nan
     with pytest.raises(error, match="exited with code 1" if error is OSError else "NaN"):
-        write_csv(tmp_path / "t.csv", data, "a,b", fmt=["%.17g", "%d"])
+        write_csv(tmp_path / "t.csv", data, "a,b")
     assert_no_child_left()
 
 
@@ -386,6 +378,9 @@ def test_write_csv_one_cpu_never_forks(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
     assert written_bytes(tmp_path / "t.csv", data, "h") == savetxt_bytes(data, "h")
+    assert written_bytes(tmp_path / "e.csv", data[:0], "") == b""
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "bad.csv", data[0], "h")
 
 
 @needs_fork
@@ -636,7 +631,7 @@ def test_read_csv_splits_on_line_boundaries(tmp_path, monkeypatch):
     for rows in range(4, 40):
         data = np.arange(2 * rows).reshape(rows, 2) * 7
         for trailing in (True, False):
-            write_csv(path, data, "a,b", fmt="%d")
+            write_csv(path, data, "a,b")
             text = path.read_bytes()
             if not trailing:
                 path.write_bytes(text[:-1])
