@@ -94,12 +94,10 @@ class ExperimentConfig:
         self.x0 = np.zeros(n) if self.x0 is None else np.asarray(self.x0, dtype=float)
         if self.x0.shape != (n,):
             raise ValueError(f"x0 must have length {n}, got {self.x0.size}")
-        self.Q = _weight_matrix(20.0 if self.Q is None else self.Q, n, "Q")
-        self.R = _weight_matrix(2.0 if self.R is None else self.R, m, "R")
-        self.Qbar = _weight_matrix(1.0 if self.Qbar is None else self.Qbar, n, "Qbar")
-        self.Rbar = _weight_matrix(1.0 if self.Rbar is None else self.Rbar, m, "Rbar")
-        check_weights(self.Q, self.R, n, m)
-        check_weights(self.Qbar, self.Rbar, n, m, names=("Qbar", "Rbar"))
+        # None is each weight's default: 20 I, 2 I, I and I
+        self.Q, self.R = check_weights(20.0 if self.Q is None else self.Q,
+                                       2.0 if self.R is None else self.R, n, m)
+        self.Qbar, self.Rbar = check_weights(self.Qbar, self.Rbar, n, m, names=("Qbar", "Rbar"))
         for name in ("horizon", "dt", "interval", "eval_horizon", "eps",
                      "ball_base", "p0_scale", "gain_tol", "value_tol"):
             if not getattr(self, name) > 0:
@@ -140,18 +138,6 @@ class ExperimentConfig:
         return _sections(self, "echo")
 
 
-def _weight_matrix(value, dim, name):
-    """Scalar -> scale*I, dim values -> diagonal, dim^2 values -> full."""
-    arr = np.asarray(value, dtype=float).ravel()
-    if arr.size == 1:
-        return float(arr[0]) * np.eye(dim)
-    if arr.size == dim:
-        return np.diag(arr)
-    if arr.size == dim * dim:
-        return arr.reshape(dim, dim)
-    raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {arr.size}")
-
-
 def default_config():
     return ExperimentConfig()
 
@@ -175,16 +161,6 @@ def _parse_bool(text):
         raise ValueError(f"not a boolean: {text}") from None
 
 
-def _degrees(inclination):
-    """Degrees of ``inclination``, to 15 digits when those give it back.
-
-    So 30 degrees reads back as 30.0, not as 29.999999999999996.
-    """
-    deg = math.degrees(inclination)
-    short = float(f"{deg:.15g}")
-    return short if math.radians(short) == inclination else deg
-
-
 def _finite(text):
     value = float(text)
     if not math.isfinite(value):
@@ -199,8 +175,6 @@ _STR = _Codec(str, str)
 _FLOATS = _Codec(lambda text: tuple(_finite(tok) for tok in text.replace(",", " ").split()),
                  lambda value: ", ".join(repr(float(x)) for x in np.asarray(value).ravel()),
                  lambda value: np.asarray(value).tolist())
-_DEGREES = _Codec(lambda text: math.radians(_finite(text)), lambda rad: repr(_degrees(rad)),
-                  _degrees)
 
 
 def _weight_text(mat):
@@ -209,7 +183,7 @@ def _weight_text(mat):
     return _FLOATS.format(np.diag(mat) if diagonal else mat)
 
 
-# a weight reads as its 1, n or n^2 values; ExperimentConfig resolves the matrix
+# a weight reads as its 1, n or n^2 values; matops.check_weights resolves the matrix
 _WEIGHT = _FLOATS._replace(format=_weight_text)
 
 
@@ -221,7 +195,7 @@ _SCHEMA = (
     ("orbit", "r_ref", "orbit.r_ref", _FLOAT),
     ("orbit", "earth_radius", "orbit.earth_radius", _FLOAT),
     ("orbit", "j2", "orbit.j2", _FLOAT),
-    ("orbit", "inclination_deg", "orbit.inclination", _DEGREES),
+    ("orbit", "inclination_deg", "orbit.inclination_deg", _FLOAT),
     ("orbit", "include_j2", "orbit.include_j2", _BOOL),
     ("exosystem", "frequencies", "frequencies", _FLOATS),
     ("exosystem", "v0", "v0", _FLOATS),
@@ -342,33 +316,22 @@ def compare_gains(learned, oracle_K, oracle_L, oracle_P, gain_tol=1e-2, value_to
     weights); gains are compared absolutely. Returns a dict with an
     overall ``ok`` verdict against the tolerances.
     """
-    K = np.asarray(learned.K, dtype=float)
-    L = np.asarray(learned.L, dtype=float)
-    P = np.asarray(learned.P, dtype=float)
-    oracle_K = np.asarray(oracle_K, dtype=float)
-    oracle_L = np.asarray(oracle_L, dtype=float)
-    oracle_P = np.asarray(oracle_P, dtype=float)
-    for name, a, b in (("K", K, oracle_K), ("L", L, oracle_L), ("P", P, oracle_P)):
+    result = {}
+    for name, a, b in (("K", learned.K, oracle_K), ("L", learned.L, oracle_L),
+                       ("P", learned.P, oracle_P)):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if a.shape != b.shape:
             raise ValueError(f"{name} shape {a.shape} does not match oracle {b.shape}")
-
-    def gaps(a, b):
         diff = a - b
-        return float(np.max(np.abs(diff))), float(np.linalg.norm(diff))
-
-    k_max, k_frob = gaps(K, oracle_K)
-    l_max, l_frob = gaps(L, oracle_L)
-    p_max, p_frob = gaps(P, oracle_P)
-    p_rel = float(p_frob / np.linalg.norm(oracle_P))
-    result = {
-        "K": {"max_abs": k_max, "frob": k_frob, "ok": k_max <= gain_tol},
-        "L": {"max_abs": l_max, "frob": l_frob, "ok": l_max <= gain_tol},
-        "P": {"max_abs": p_max, "frob": p_frob, "rel_frob": p_rel,
-              "ok": p_rel <= value_tol},
-        "gain_tol": gain_tol,
-        "value_tol": value_tol,
-    }
-    result["ok"] = result["K"]["ok"] and result["L"]["ok"] and result["P"]["ok"]
+        entry = result[name] = {"max_abs": float(np.max(np.abs(diff))),
+                                "frob": float(np.linalg.norm(diff))}
+        if name == "P":
+            entry["rel_frob"] = float(entry["frob"] / np.linalg.norm(b))
+            entry["ok"] = entry["rel_frob"] <= value_tol
+        else:
+            entry["ok"] = entry["max_abs"] <= gain_tol
+    result.update(gain_tol=gain_tol, value_tol=value_tol)
+    result["ok"] = all(result[name]["ok"] for name in "KLP")
     return result
 
 
@@ -409,8 +372,11 @@ def _assemble(config, model, learning_log):
 def run_experiment(config, out_dir=None, seed=None, log=print):
     """Run the full pipeline and write all artifacts; returns the report.
 
-    A ``seed`` overrides ``config.seed`` without changing the caller's
-    config: the noise is drawn from it and ``report.json`` echoes it.
+    The run works on a copy of ``config`` made by ``dataclasses.replace``,
+    so every config check runs again on the values it is handed, also on
+    fields assigned after construction. A ``seed`` overrides
+    ``config.seed`` in that copy, not in the caller's config: the noise is
+    drawn from it and ``report.json`` echoes it.
 
     Stage order: setup, assumptions, collection, assembly, rank check,
     value-iteration learning, model recovery, regulator solve,
@@ -426,11 +392,12 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     StageFailure propagates. Every other artifact is flushed as soon as
     its stage completes, so a failed run leaves the earlier CSVs behind.
 
-    Raises ValueError for a bad seed, StageFailure naming the stage on any
-    error, and OSError if the child writing the learning CSV fails.
+    Raises ValueError naming the knob for a config that fails its checks,
+    before any stage runs and with no output directory made; StageFailure
+    naming the stage on any error; and OSError if the child writing the
+    learning CSV fails.
     """
-    if seed is not None:
-        config = replace(config, seed=seed)
+    config = replace(config, **({} if seed is None else {"seed": seed}))
     with one_blas_thread(), ExitStack() as learning_csv:
         model, exo, noise, assumptions = _setup(config)
         if not assumptions.ok and config.abort_on_assumption_failure:

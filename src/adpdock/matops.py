@@ -334,22 +334,41 @@ def null_space(a):
     return vh[_svd_rank(sv, a.shape):].T
 
 
-def check_weights(Q, R, n, m, names=("Q", "R")):
-    """Validate a cost pair: Q symmetric PSD n x n, R symmetric PD m x m.
+def _weight(value, dim, name):
+    """``value`` as a matrix by the weight forms of :func:`check_weights`, unchecked."""
+    if value is None:
+        return np.eye(dim)
+    M = np.asarray(value, dtype=float)
+    if M.ndim >= 2:
+        return M
+    flat = M.ravel()
+    if flat.size == 1:
+        return float(flat[0]) * np.eye(dim)
+    if flat.size == dim:
+        return np.diag(flat)
+    if flat.size == dim * dim:
+        return flat.reshape(dim, dim)
+    raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {flat.size}")
 
-    None stands for the identity and ``names`` label the pair in error
-    messages. Returns both as float arrays; raises ValueError otherwise.
+
+def check_weights(Q, R, n, m, names=("Q", "R")):
+    """Resolve and validate a cost pair: Q symmetric PSD n x n, R symmetric PD m x m.
+
+    The one weight rule. A weight is None for the identity, one value for
+    that multiple of the identity, ``dim`` values for the diagonal,
+    ``dim**2`` values for the matrix row by row, or a ``dim`` x ``dim``
+    matrix; ``dim`` is n for Q and m for R. ``names`` label the pair in
+    error messages. Returns both as float matrices; raises ValueError
+    otherwise.
     """
-    q_name, r_name = names
-    Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
-    R = np.eye(m) if R is None else np.asarray(R, dtype=float)
-    for name, M, dim in ((q_name, Q, n), (r_name, R, m)):
+    Q, R = (_weight(value, dim, name) for value, dim, name in zip((Q, R), (n, m), names))
+    for name, M, dim in zip(names, (Q, R), (n, m)):
         if M.shape != (dim, dim) or not np.allclose(M, M.T):
             raise ValueError(f"{name} must be symmetric {dim}x{dim}")
     if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
-        raise ValueError(f"{q_name} must be positive semidefinite")
+        raise ValueError(f"{names[0]} must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(R)) <= 0:
-        raise ValueError(f"{r_name} must be positive definite")
+        raise ValueError(f"{names[1]} must be positive definite")
     return Q, R
 
 

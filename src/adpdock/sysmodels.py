@@ -51,14 +51,15 @@ __all__ = [
 class CwParams:
     """Orbit and oblateness parameters for the CW builders.
 
-    Units: ``mean_motion`` in rad/s, radii in km, ``inclination`` in rad.
+    Units: ``mean_motion`` in rad/s, radii in km, ``inclination_deg`` in
+    degrees, the unit of the config key ``[orbit] inclination_deg``.
     """
 
     mean_motion: float = 0.00108
     r_ref: float = 7000.0
     earth_radius: float = 6378.14
     j2: float = 1.08263e-3
-    inclination: float = math.radians(45.0)
+    inclination_deg: float = 45.0
     include_j2: bool = True
 
     def __post_init__(self):
@@ -75,7 +76,7 @@ class CwParams:
         if not self.include_j2:
             return 0.0
         return (3.0 * self.j2 * self.earth_radius**2 / (8.0 * self.r_ref**2)) * (
-            1.0 + 3.0 * math.cos(2.0 * self.inclination)
+            1.0 + 3.0 * math.cos(2.0 * math.radians(self.inclination_deg))
         )
 
     @property
@@ -656,24 +657,18 @@ def check_assumptions(model, exo):
     """
     A, B, C = model.A, model.B, model.C
     n, p = model.n, model.p
+    eye, eig_a = np.eye(n), _distinct(np.linalg.eigvals(A))
+    # (test, test points, PBH pencil at a point, required rank), in record order
+    tests = (
+        ("stabilizability", [lam for lam in eig_a if lam.real >= -1e-12],
+         lambda lam: np.hstack([A - lam * eye, B]), n),
+        ("observability", eig_a, lambda lam: np.vstack([A - lam * eye, C]), n),
+        ("regulator_rank", _distinct(np.linalg.eigvals(exo.E)),
+         lambda lam: np.block([[A - lam * eye, B], [C, np.zeros((p, model.m))]]), n + p),
+    )
     records = []
-
-    for lam in _distinct(np.linalg.eigvals(A)):
-        if lam.real >= -1e-12:
-            pencil = np.hstack([A - lam * np.eye(n), B])
-            rank, margin = numerical_rank(pencil, n)
-            records.append(PbhRecord("stabilizability", complex(lam), rank, n, margin))
-
-    for lam in _distinct(np.linalg.eigvals(A)):
-        pencil = np.vstack([A - lam * np.eye(n), C])
-        rank, margin = numerical_rank(pencil, n)
-        records.append(PbhRecord("observability", complex(lam), rank, n, margin))
-
-    for lam in _distinct(np.linalg.eigvals(exo.E)):
-        top = np.hstack([A - lam * np.eye(n), B])
-        bottom = np.hstack([C, np.zeros((p, model.m))])
-        pencil = np.vstack([top, bottom])
-        rank, margin = numerical_rank(pencil, n + p)
-        records.append(PbhRecord("regulator_rank", complex(lam), rank, n + p, margin))
-
+    for test, points, pencil, required in tests:
+        for lam in points:
+            rank, margin = numerical_rank(pencil(lam), required)
+            records.append(PbhRecord(test, complex(lam), rank, required, margin))
     return AssumptionReport(records)

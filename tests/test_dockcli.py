@@ -120,7 +120,7 @@ _NON_DEFAULT = {
     ("orbit", "r_ref"): ("7100.0", "orbit.r_ref"),
     ("orbit", "earth_radius"): ("6400.0", "orbit.earth_radius"),
     ("orbit", "j2"): ("0.0", "orbit.j2"),
-    ("orbit", "inclination_deg"): ("30", "orbit.inclination"),
+    ("orbit", "inclination_deg"): ("30", "orbit.inclination_deg"),
     ("orbit", "include_j2"): ("false", "orbit.include_j2"),
     ("exosystem", "frequencies"): ("1.0, 2.0, 3.0, 5.0", "frequencies"),
     ("exosystem", "v0"): ("0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5", "v0"),
@@ -311,17 +311,18 @@ def test_config_takes_every_dimension_from_the_scenario(tmp_path, monkeypatch):
 
 
 def test_inclination_degrees_echo_as_written(tmp_path):
-    # degrees(radians(30)) is 29.999999999999996; the echo and the saved
-    # file show 30.0, and reading the saved file gives the same radians
+    # the orbit keeps the file's degrees, so the echo and the saved file
+    # show 30.0 (not the 29.999999999999996 of degrees(radians(30))), and
+    # reading the saved file gives the same degrees
     path, saved = tmp_path / "orbit.cfg", tmp_path / "saved.cfg"
     for deg in [*range(181), 97.8]:
         path.write_text(f"[orbit]\ninclination_deg = {deg}\n")
         cfg = load_config(path)
-        assert cfg.orbit.inclination == math.radians(deg)
+        assert cfg.orbit.inclination_deg == deg
         assert repr(cfg.to_dict()["orbit"]["inclination_deg"]) == repr(float(deg))
         save_config(cfg, saved)
         assert f"inclination_deg = {float(deg)!r}\n" in saved.read_text()
-        assert load_config(saved).orbit.inclination == cfg.orbit.inclination
+        assert load_config(saved).orbit.inclination_deg == cfg.orbit.inclination_deg
 
 
 def test_load_config_missing_file(tmp_path):
@@ -508,6 +509,23 @@ def test_run_seed_argument_is_the_seed_of_the_run(tmp_path, pipeline, capsys):
     assert not out_dir.exists()
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         ExperimentConfig(seed=1.5)
+
+
+@pytest.mark.parametrize("knob, value, message", [
+    ("seed", -1, "seed must be a non-negative integer"),
+    ("horizon", 25.0005, "horizon = 25.0005 is not an integer multiple of dt = 0.001"),
+])
+def test_run_rechecks_a_knob_assigned_after_construction(tmp_path, monkeypatch, knob, value,
+                                                         message):
+    # the config stays mutable; run_experiment checks the values it is handed
+    cfg = default_config()
+    setattr(cfg, knob, value)
+    stages = []
+    monkeypatch.setattr("adpdock.dockcli._stage", lambda name, *args, **kwargs: stages.append(name))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(cfg, out_dir, log=quiet)
+    assert stages == [] and not out_dir.exists()
 
 
 def test_cli_requires_subcommand():

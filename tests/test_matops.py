@@ -23,6 +23,7 @@ from adpdock.errors import RankDeficiencyError
 from conftest import assert_no_child_left, counting_forks, open_fds, run_python, slow_blocks
 from adpdock.matops import (
     bdiag,
+    check_weights,
     is_hurwitz,
     kron,
     lstsq,
@@ -151,6 +152,28 @@ def test_bdiag_row_and_column_blocks():
               np.array([[7.0]]), np.ones((2, 3)), np.arange(1.0, 3.0)[:, None]]
     assert np.array_equal(bdiag(blocks), scipy.linalg.block_diag(*blocks))
     assert bdiag(blocks).shape == (9, 9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_check_weights_resolves_each_form_to_its_matrix(n, m, data):
+    # a scalar, a diagonal and a flat dim^2 list give the matrices their
+    # explicit forms give; a 2-D weight must be dim x dim
+    positive = st.floats(0.1, 10.0)
+    factor = data.draw(arrays(float, (n, n), elements=finite))
+    Q = factor @ factor.T
+    scale, diagonal = data.draw(positive), data.draw(st.lists(positive, min_size=m, max_size=m))
+    for forms, matrices in (((Q.ravel().tolist(), scale), (Q, scale * np.eye(m))),
+                            ((scale, diagonal), (scale * np.eye(n), np.diag(diagonal))),
+                            ((None, None), (np.eye(n), np.eye(m)))):
+        got, want = check_weights(*forms, n, m), check_weights(*matrices, n, m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    rows, cols = data.draw(st.tuples(st.integers(1, n + 1), st.integers(1, n * n))
+                           .filter(lambda shape: shape != (n, n)))
+    with pytest.raises(ValueError, match=f"^Q must be symmetric {n}x{n}$"):
+        check_weights(np.ones((rows, cols)), scale, n, m)
+    with pytest.raises(ValueError, match=f"^R needs 1, {m}, or {m * m} values, got {m + 1}$"):
+        check_weights(Q, np.ones(m + 1), n, m)
 
 
 @st.composite

@@ -526,3 +526,15 @@ def test_check_assumptions_flags_failures():
                                C=[[1.0, 1.0]], D=np.zeros((2, 1)), F=np.zeros((1, 1)))
     report = check_assumptions(zero_hit, Exosystem(E=[[-1.0]], v0=[1.0]))
     assert not report.regulator_rank_ok
+
+
+def test_check_assumptions_skips_stable_modes_and_keeps_record_order():
+    # the mode at -1 is unreachable but strictly stable, so stabilizability
+    # is tested at the unstable eigenvalue 1 alone; a record at -1 would fail
+    model = StateSpaceModel(A=np.diag([-1.0, 1.0]), B=[[0.0], [1.0]], C=[[1.0, 1.0]],
+                            D=np.zeros((2, 1)), F=np.zeros((1, 1)))
+    report = check_assumptions(model, Exosystem(E=[[0.0]], v0=[1.0]))
+    assert [(r.test, r.eigenvalue, r.required) for r in report.records] == [
+        ("stabilizability", 1.0, 2), ("observability", -1.0, 2), ("observability", 1.0, 2),
+        ("regulator_rank", 0.0, 3)]
+    assert report.ok
