@@ -51,11 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
-from .matops import (bdiag, check_weights, equilibrate, kron, lstsq, numerical_rank,
-                     one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map, write_json)
+from .matops import (bdiag, check_input_weight, check_weights, equilibrate, kron, lstsq,
+                     numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map,
+                     write_json)
 from .regulator import RegulatorSolution, solve_min_trace
 from .riccati import linear_balls, run_value_iteration
-from .sysmodels import Exosystem, LinearPolicy, simulate, whole_steps
+from .sysmodels import LinearPolicy, simulate, whole_steps
 
 __all__ = [
     "RegressionBundle",
@@ -142,25 +143,23 @@ class ModelRecovery:
     S_values: list[np.ndarray]
 
 
-def collect_data(model, exo, K0, noise, x0, v0=None, horizon=25.0, dt=1e-3,
-                 interval=0.1):
+def collect_data(model, exo, K0, noise, x0, horizon=25.0, dt=1e-3, interval=0.1):
     """Run the off-policy collection phase and log the fine-grid trajectory.
 
     The input is u = -K0 x + eta(t) with eta the exploration signal
     from ``noise`` (pass None for no exploration). K0 need not
-    stabilize; a zero gain is the usual choice. ``interval`` is the
-    regression interval the log will later be integrated over. It and
-    the horizon must be whole numbers of dt steps, and the horizon must
-    hold at least one whole interval; assembly ignores a partial
-    interval at the end.
+    stabilize; a zero gain is the usual choice. The exostate starts at
+    ``exo.v0``. ``interval`` is the regression interval the log will
+    later be integrated over. It and the horizon must be whole numbers
+    of dt steps, and the horizon must hold at least one whole interval;
+    assembly ignores a partial interval at the end.
     """
     K0 = np.zeros((model.m, model.n)) if K0 is None else np.asarray(K0, dtype=float)
     if K0.shape != (model.m, model.n):
         raise ValueError(f"K0 must be {model.m}x{model.n}")
     if whole_steps(horizon, dt, "horizon") // _steps_per_interval(interval, dt) < 1:
         raise ValueError("horizon must cover at least one interval")
-    exo_run = exo if v0 is None else Exosystem(E=exo.E, v0=v0)
-    return simulate(model, exo_run, LinearPolicy(K0, noise=noise), x0, horizon, dt)
+    return simulate(model, exo, LinearPolicy(K0, noise=noise), x0, horizon, dt)
 
 
 def _steps_per_interval(interval, dt):
@@ -195,9 +194,10 @@ def assemble_regression(log, basis, R, interval):
     of f over the left samples of the fine steps, plus half of f at the
     interval's end minus half at its start, is the trapezoidal sum.
 
+    R takes every weight form of :func:`matops.check_weights`.
+
     Returns one :class:`RegressionBundle` per j, in sweep order.
     """
-    R = np.asarray(R, dtype=float)
     if len(log) < 2:
         raise ValueError("log too short for a single interval")
     dt = log.dt
@@ -211,8 +211,7 @@ def assemble_regression(log, basis, R, interval):
     n = x.shape[1]
     m = u.shape[1]
     q = v.shape[1]
-    if R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m}")
+    R = check_input_weight(R, m)
     if basis.X1.shape != (n, q):
         raise ValueError(f"basis shape {basis.X1.shape} does not match log dims ({n}, {q})")
     scale_u = 2.0 * kron(np.eye(n), R)
@@ -345,7 +344,8 @@ def recover_model_artifacts(bundles, P_final, K_next_final, R):
     Re-solves each bundle's regression at the converged P. The third
     block of the j = 0 solution is vec(D'P) since S(X_0) = 0, giving
     D_hat; for j >= 1 it is vec((D - S(X_j))'P), giving S(X_j) by
-    subtraction; and B_hat follows from inverting K = R^{-1}B'P.
+    subtraction; and B_hat follows from inverting K = R^{-1}B'P, with
+    R in any weight form of :func:`matops.check_weights`.
     """
     P = np.asarray(P_final, dtype=float)
     n = P.shape[0]
@@ -355,7 +355,7 @@ def recover_model_artifacts(bundles, P_final, K_next_final, R):
         raise ValueError("bundles must start with the j = 0 bundle")
     m, q = bundles[0].m, bundles[0].q
     ns = n * (n + 1) // 2
-    R = np.asarray(R, dtype=float)
+    R = check_input_weight(R, m)
 
     blocks = []
     rhs = vecs(P)

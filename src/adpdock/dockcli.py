@@ -81,7 +81,6 @@ class ExperimentConfig:
     max_k: int = 200000
     ball_base: float = 10.0
     p0_scale: float = 1.0
-    abort_on_assumption_failure: bool = True
     gain_tol: float = 1e-2
     value_tol: float = 1e-2
     out_dir: str = "out"
@@ -218,7 +217,6 @@ _SCHEMA = (
     ("learning", "max_k", "max_k", _INT),
     ("learning", "ball_base", "ball_base", _FLOAT),
     ("learning", "p0_scale", "p0_scale", _FLOAT),
-    ("pipeline", "abort_on_assumption_failure", "abort_on_assumption_failure", _BOOL),
     ("pipeline", "gain_tol", "gain_tol", _FLOAT),
     ("pipeline", "value_tol", "value_tol", _FLOAT),
     ("output", "directory", "out_dir", _STR),
@@ -381,11 +379,12 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     Stage order: setup, assumptions, collection, assembly, rank check,
     value-iteration learning, model recovery, regulator solve,
     feedforward composition, oracle solves, comparison, closed-loop
-    evaluation. The rank check only reports: value iteration rejects a
-    rank-deficient data matrix by the same rule, in stage 'rank'. The
-    whole run holds numpy's OpenBLAS at one thread
-    (:class:`matops.one_blas_thread`). The output directory is made when
-    collection ends, and a forked child then writes
+    evaluation. A failed PBH check ends the run in stage 'assumptions',
+    before collection; ``check`` lists every record. The rank check only
+    reports: value iteration rejects a rank-deficient data matrix by the
+    same rule, in stage 'rank'. The whole run holds numpy's OpenBLAS at
+    one thread (:class:`matops.one_blas_thread`). The output directory is
+    made when collection ends, and a forked child then writes
     ``trajectory_learning.csv`` while the later stages run
     (:func:`matops.write_csv_in_background`); the file is complete before
     the JSON artifacts are written and, in a failed run, before
@@ -400,7 +399,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     config = replace(config, **({} if seed is None else {"seed": seed}))
     with one_blas_thread(), ExitStack() as learning_csv:
         model, exo, noise, assumptions = _setup(config)
-        if not assumptions.ok and config.abort_on_assumption_failure:
+        if not assumptions.ok:
             raise StageFailure("assumptions", RuntimeError(
                 "PBH checks failed: " + ", ".join(
                     f"{r.test}@{r.eigenvalue:.3g}" for r in assumptions.records if not r.ok

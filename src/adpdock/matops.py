@@ -92,13 +92,21 @@ __all__ = [
 SYMMETRY_ATOL = 1e-10
 
 
+def require_finite(a, name):
+    """``a`` itself; ValueError ``<name> contains non-finite entries`` if any entry is not finite.
+
+    The one non-finite rule for arrays handed to the toolkit.
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def _as_matrix(a, name="matrix", dtype=float):
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return require_finite(a, name)
 
 
 def kron(a, b):
@@ -130,16 +138,15 @@ def unvec(s, rows, cols):
     return s.reshape((rows, cols), order="F")
 
 
-def vecs(p, atol=SYMMETRY_ATOL):
+def vecs(p):
     """Half-vectorization of a symmetric matrix with doubled off-diagonals.
 
     Parameters
     ----------
     p : array_like
-        Square matrix, symmetric within ``atol``. It is symmetrized by
-        averaging before extraction.
-    atol : float
-        Largest tolerated asymmetry ``max|p - p.T|``.
+        Square matrix, symmetric within :data:`SYMMETRY_ATOL` (the largest
+        tolerated ``max|p - p.T|``). It is symmetrized by averaging before
+        extraction.
 
     Returns
     -------
@@ -156,7 +163,7 @@ def vecs(p, atol=SYMMETRY_ATOL):
     if p.shape[1] != n:
         raise ValueError(f"p must be square, got {p.shape}")
     skew = np.abs(p - p.T).max()
-    if skew > atol:
+    if skew > SYMMETRY_ATOL:
         raise ValueError(f"p asymmetric beyond tolerance: max|p - p.T| = {skew:.3e}")
     p = 0.5 * (p + p.T)
     iu, ju = np.triu_indices(n)
@@ -335,20 +342,39 @@ def null_space(a):
 
 
 def _weight(value, dim, name):
-    """``value`` as a matrix by the weight forms of :func:`check_weights`, unchecked."""
+    """``value`` as a symmetric ``dim`` x ``dim`` matrix, read by :func:`check_weights`'s forms.
+
+    Definiteness is left to the caller.
+    """
     if value is None:
         return np.eye(dim)
     M = np.asarray(value, dtype=float)
-    if M.ndim >= 2:
-        return M
-    flat = M.ravel()
-    if flat.size == 1:
-        return float(flat[0]) * np.eye(dim)
-    if flat.size == dim:
-        return np.diag(flat)
-    if flat.size == dim * dim:
-        return flat.reshape(dim, dim)
-    raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {flat.size}")
+    if M.ndim < 2:
+        flat = M.ravel()
+        if flat.size == 1:
+            M = float(flat[0]) * np.eye(dim)
+        elif flat.size == dim:
+            M = np.diag(flat)
+        elif flat.size == dim * dim:
+            M = flat.reshape(dim, dim)
+        else:
+            raise ValueError(f"{name} needs 1, {dim}, or {dim * dim} values, got {flat.size}")
+    if M.shape != (dim, dim) or not np.allclose(M, M.T):
+        raise ValueError(f"{name} must be symmetric {dim}x{dim}")
+    return M
+
+
+def check_input_weight(R, m, name="R"):
+    """Resolve and validate an input weight alone: R symmetric PD m x m.
+
+    The R half of :func:`check_weights`, in the same weight forms, for
+    the stages that take R without Q. Returns R as a float matrix; raises
+    ValueError naming ``name`` otherwise.
+    """
+    R = _weight(R, m, name)
+    if np.min(np.linalg.eigvalsh(R)) <= 0:
+        raise ValueError(f"{name} must be positive definite")
+    return R
 
 
 def check_weights(Q, R, n, m, names=("Q", "R")):
@@ -361,33 +387,18 @@ def check_weights(Q, R, n, m, names=("Q", "R")):
     error messages. Returns both as float matrices; raises ValueError
     otherwise.
     """
-    Q, R = (_weight(value, dim, name) for value, dim, name in zip((Q, R), (n, m), names))
-    for name, M, dim in zip(names, (Q, R), (n, m)):
-        if M.shape != (dim, dim) or not np.allclose(M, M.T):
-            raise ValueError(f"{name} must be symmetric {dim}x{dim}")
+    Q = _weight(Q, n, names[0])
     if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
         raise ValueError(f"{names[0]} must be positive semidefinite")
-    if np.min(np.linalg.eigvalsh(R)) <= 0:
-        raise ValueError(f"{names[1]} must be positive definite")
-    return Q, R
+    return Q, check_input_weight(R, m, names[1])
 
 
-def is_hurwitz(a, margin=0.0):
-    """True iff every eigenvalue of ``a`` has real part below ``-margin``.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix.
-    margin : float
-        Nonnegative stability margin.
-    """
+def is_hurwitz(a):
+    """True iff every eigenvalue of the square matrix ``a`` has negative real part."""
     a = _as_matrix(a, "a")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"a must be square, got {a.shape}")
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    return bool(np.all(np.linalg.eigvals(a).real < -margin))
+    return bool(np.all(np.linalg.eigvals(a).real < 0))
 
 
 #: (get, set) names of OpenBLAS's thread-count functions: the prefixed,

@@ -48,19 +48,22 @@ class RegulatorSolution:
 class KernelBasis:
     """Affine parametrization of {X : C X + F = 0}.
 
-    ``X0`` is the zero matrix, ``X1`` a particular solution of
-    C X = -F, and ``basis`` a list of h = (n - p) q independent matrices
-    spanning {X : C X = 0}. Every constraint-satisfying X is
-    X1 + sum_j alpha_j basis[j].
+    ``X1`` is a particular solution of C X = -F, and ``basis`` a list of
+    h = (n - p) q independent matrices spanning {X : C X = 0}. Every
+    constraint-satisfying X is X1 + sum_j alpha_j basis[j].
     """
 
-    X0: np.ndarray
     X1: np.ndarray
     basis: list[np.ndarray]
 
     @property
     def h(self):
         return len(self.basis)
+
+    @property
+    def X0(self):
+        """The zero matrix of ``X1``'s shape: data recovery takes S(X_0) = 0."""
+        return np.zeros_like(self.X1)
 
     def sequence(self):
         """The h + 2 sweep points X_0, X_1, X_1 + N_1, ..., X_1 + N_h.
@@ -94,7 +97,7 @@ def kernel_basis(model):
         e_r[r] = 1.0
         for s in range(W.shape[1]):
             basis.append(np.outer(W[:, s], e_r))
-    return KernelBasis(X0=np.zeros((n, q)), X1=X1, basis=basis)
+    return KernelBasis(X1=X1, basis=basis)
 
 
 def solve_min_trace(M, b, T, c, Qbar, Rbar, rtol):

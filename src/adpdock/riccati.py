@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _LYAP_RTOL = 1e-9
+# kleinman_pi stops once |P_k - P_{k-1}| < _PI_TOL, within _PI_MAX_ITER iterations
+_PI_TOL = 1e-10
+_PI_MAX_ITER = 100
 
 
 @dataclass
@@ -116,14 +119,18 @@ def lyapunov_solve(a_cl, m):
 
 
 def are_residual(model, Q, R, P):
-    """Frobenius norm of A'P + PA + Q - P B R^{-1} B' P."""
+    """Frobenius norm of A'P + PA + Q - P B R^{-1} B' P.
+
+    Q and R take every weight form of :func:`matops.check_weights`.
+    """
     P = np.asarray(P, dtype=float)
     A, B = model.A, model.B
-    gain = np.linalg.solve(np.asarray(R, dtype=float), B.T @ P)
-    return float(np.linalg.norm(A.T @ P + P @ A + np.asarray(Q, dtype=float) - P @ B @ gain))
+    Q, R = check_weights(Q, R, model.n, model.m)
+    gain = np.linalg.solve(R, B.T @ P)
+    return float(np.linalg.norm(A.T @ P + P @ A + Q - P @ B @ gain))
 
 
-def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
+def kleinman_pi(model, Q, R, K0):
     """Policy iteration for the ARE from a stabilizing initial gain.
 
     Alternates policy evaluation (a Lyapunov solve under the closed loop
@@ -139,7 +146,7 @@ def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
         If K0 does not stabilize A - B K0 or (A, sqrt(Q)) is not
         observable (the evaluation equation would be degenerate).
     ConvergenceError
-        If max_iter passes without |P_k - P_{k-1}| < tol.
+        If 100 iterations pass without |P_k - P_{k-1}| < 1e-10.
     """
     A, B = model.A, model.B
     n = model.n
@@ -157,16 +164,16 @@ def kleinman_pi(model, Q, R, K0, tol=1e-10, max_iter=100):
 
     iterates = []
     P_prev = None
-    for _ in range(max_iter):
+    for _ in range(_PI_MAX_ITER):
         P = lyapunov_solve(A - B @ K, Q + K.T @ R @ K)
         K = np.linalg.solve(R, B.T @ P)
         iterates.append((P, K))
-        if P_prev is not None and np.linalg.norm(P - P_prev) < tol:
+        if P_prev is not None and np.linalg.norm(P - P_prev) < _PI_TOL:
             return P, K, iterates
         P_prev = P
     raise ConvergenceError(
-        f"policy iteration did not converge in {max_iter} iterations",
-        iterations=max_iter,
+        f"policy iteration did not converge in {_PI_MAX_ITER} iterations",
+        iterations=_PI_MAX_ITER,
     )
 
 
@@ -176,7 +183,7 @@ def kleinman_from_care(model, Q, R):
     :func:`scipy.linalg.solve_continuous_are` (Arnold & Laub, Proc. IEEE
     1984) gives a stabilizing P whose gain K0 = R^{-1} B' P starts
     :func:`kleinman_pi` (Kleinman, IEEE TAC 1968), which polishes it to
-    its default tolerance. Returns :func:`kleinman_pi`'s (P, K, iterates).
+    its tolerance. Returns :func:`kleinman_pi`'s (P, K, iterates).
     """
     from scipy.linalg import solve_continuous_are
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .matops import bdiag, numerical_rank, read_csv, write_csv, write_csv_in_background
+from .matops import (bdiag, numerical_rank, read_csv, require_finite, write_csv,
+                     write_csv_in_background)
 
 __all__ = [
     "CwParams",
@@ -96,11 +97,9 @@ class StateSpaceModel:
     F: np.ndarray
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
+        for name in ("A", "B", "C", "D", "F"):
+            matrix = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+            setattr(self, name, require_finite(matrix, name))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -112,9 +111,6 @@ class StateSpaceModel:
             raise ValueError(f"D must have {n} rows, got {self.D.shape}")
         if self.F.shape != (self.p, self.q):
             raise ValueError(f"F must be {self.p}x{self.q}, got {self.F.shape}")
-        for name in ("A", "B", "C", "D", "F"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
 
     @property
     def n(self):
@@ -141,16 +137,13 @@ class Exosystem:
     v0: np.ndarray
 
     def __post_init__(self):
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        self.v0 = np.asarray(self.v0, dtype=float).ravel()
+        self.E = require_finite(np.atleast_2d(np.asarray(self.E, dtype=float)), "E")
+        self.v0 = require_finite(np.asarray(self.v0, dtype=float).ravel(), "v0")
         q = self.E.shape[0]
         if self.E.shape != (q, q):
             raise ValueError(f"E must be square, got {self.E.shape}")
         if self.v0.shape != (q,):
             raise ValueError(f"v0 must have length {q}, got {self.v0.size}")
-        for name in ("E", "v0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
 
     @property
     def q(self):
@@ -159,7 +152,7 @@ class Exosystem:
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly sampled (t, x, u, v, e) records from one simulation."""
+    """Uniformly sampled (t, x, u, v, e) records from one simulation; every entry finite."""
 
     t: np.ndarray
     x: np.ndarray
@@ -168,10 +161,10 @@ class TrajectoryLog:
     e: np.ndarray
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float).ravel()
+        self.t = require_finite(np.asarray(self.t, dtype=float).ravel(), "t")
         for name in ("x", "u", "v", "e"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            setattr(self, name, arr)
+            setattr(self, name, require_finite(arr, name))
             if arr.shape[0] != self.t.size:
                 raise ValueError(f"{name} has {arr.shape[0]} rows, expected {self.t.size}")
         steps = np.diff(self.t)
@@ -215,7 +208,9 @@ class TrajectoryLog:
             Naming the file, if the header is not ``t`` followed by
             nonempty ``x``, ``u``, ``v`` and ``e`` groups numbered from 1,
             if a row does not parse or holds another number of values than
-            the header names, or if the file has no data rows.
+            the header names, if the file has no data rows, or if the rows
+            fail a check of the log itself (a non-finite value, or times
+            not strictly increasing by one constant step).
         """
         header, data = read_csv(path)
         dims = [sum(name[:1] == group for name in header.split(",")) for group in "xuve"]
@@ -225,13 +220,16 @@ class TrajectoryLog:
         if len(data) == 0:
             raise ValueError(f"{path}: no data rows after the header")
         cols = np.cumsum([1, *dims])
-        return cls(
-            t=data[:, 0],
-            x=data[:, cols[0] : cols[1]],
-            u=data[:, cols[1] : cols[2]],
-            v=data[:, cols[2] : cols[3]],
-            e=data[:, cols[3] : cols[4]],
-        )
+        try:
+            return cls(
+                t=data[:, 0],
+                x=data[:, cols[0] : cols[1]],
+                u=data[:, cols[1] : cols[2]],
+                v=data[:, cols[2] : cols[3]],
+                e=data[:, cols[3] : cols[4]],
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _csv_header(dims):
@@ -258,9 +256,7 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("amplitudes", "frequencies", "phases"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, require_finite(arr, name))
         if not (self.amplitudes.shape == self.frequencies.shape == self.phases.shape):
             raise ValueError("amplitudes, frequencies, phases must share one shape")
         for row in self.frequencies:
@@ -276,15 +272,14 @@ def sinusoid_noise(channels, terms=10, amplitude=0.1, freq_range=(0.1, 10.0), se
     """Draw a :class:`NoiseSpec` with fixed amplitude, random frequencies/phases.
 
     The draw is deterministic in ``seed``; frequencies are sampled
-    uniformly from ``freq_range`` and are distinct across all channels.
+    uniformly from ``freq_range``. :class:`NoiseSpec` rejects a frequency
+    repeated within a channel, an event of probability zero here.
     """
     lo, hi = freq_range
     if not (0 < lo < hi < math.inf):
         raise ValueError("freq_range must satisfy 0 < lo < hi < inf")
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(lo, hi, size=(channels, terms))
-    while np.unique(freqs).size != freqs.size:  # measure-zero, but be safe
-        freqs = rng.uniform(lo, hi, size=(channels, terms))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, terms))
     amps = np.full((channels, terms), float(amplitude))
     return NoiseSpec(amplitudes=amps, frequencies=freqs, phases=phases, seed=seed)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adpdock import (
+    Exosystem,
     ModelRecovery,
     StateSpaceModel,
     TrajectoryLog,
@@ -119,7 +120,7 @@ def random_log_and_basis(n, m, q, n_samples, dt, generator):
                         u=generator.standard_normal((n_samples, m)),
                         v=generator.standard_normal((n_samples, q)),
                         e=np.zeros((n_samples, 1)))
-    basis = KernelBasis(X0=np.zeros((n, q)), X1=generator.standard_normal((n, q)),
+    basis = KernelBasis(X1=generator.standard_normal((n, q)),
                         basis=[generator.standard_normal((n, q)) for _ in range(3)])
     R = generator.standard_normal((m, m))
     return log, basis, R @ R.T + np.eye(m)
@@ -142,8 +143,9 @@ def test_interval_count_and_log_length(docking, learning_data):
 
 def test_collect_zero_excitation_is_zero(docking):
     cfg = docking.config
-    log = collect_data(docking.model, docking.exo, None, None, np.zeros(6),
-                       v0=np.zeros(8), horizon=1.0, dt=cfg.dt, interval=cfg.interval)
+    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
+    log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
+                       horizon=1.0, dt=cfg.dt, interval=cfg.interval)
     assert not np.any(log.x)
     assert not np.any(log.u)
     assert not np.any(log.v)
@@ -264,9 +266,9 @@ def test_rank_check(docking, learning_data):
     assert ok and rank == 87 and required == 87
 
     cfg = docking.config
-    zero_log = collect_data(docking.model, docking.exo, None, None, np.zeros(6),
-                            v0=np.zeros(8), horizon=1.0, dt=cfg.dt,
-                            interval=cfg.interval)
+    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
+    zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
+                            horizon=1.0, dt=cfg.dt, interval=cfg.interval)
     zero_bundle = assemble_regression(zero_log, learning_data.basis, cfg.R,
                                       cfg.interval)[0]
     ok, rank, _ = check_rank(zero_bundle)
@@ -316,9 +318,9 @@ def test_rank_check_agrees_with_lstsq_across_column_scales():
 
 def test_vi_learn_requires_rank(docking, learning_data):
     cfg = docking.config
-    zero_log = collect_data(docking.model, docking.exo, None, None, np.zeros(6),
-                            v0=np.zeros(8), horizon=1.0, dt=cfg.dt,
-                            interval=cfg.interval)
+    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
+    zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
+                            horizon=1.0, dt=cfg.dt, interval=cfg.interval)
     bundle = assemble_regression(zero_log, learning_data.basis, cfg.R,
                                  cfg.interval)[0]
     with pytest.raises(RankDeficiencyError) as excinfo:
@@ -442,6 +444,25 @@ def test_assemble_validates_inputs(docking, learning_data):
                          v=log.v[:5], e=log.e[:5])
     with pytest.raises(ValueError):
         assemble_regression(tiny, learning_data.basis, cfg.R, cfg.interval)
+
+
+def test_assembly_and_recovery_take_every_weight_form(docking, learning_data, learned):
+    # R resolves by the one weight rule: 2.0 and its diagonal give the
+    # bundles and the recovery of the config's 2 I, bit for bit
+    cfg = docking.config
+    assert np.array_equal(cfg.R, 2.0 * np.eye(3))
+    log, basis, bundles = learning_data.log, learning_data.basis, learning_data.bundles
+    for R in (2.0, [2.0, 2.0, 2.0]):
+        again = assemble_regression(log, basis, R, cfg.interval)
+        assert all(np.array_equal(a.Theta, b.Theta) and np.array_equal(a.Dxx, b.Dxx)
+                   for a, b in zip(again, bundles, strict=True))
+        recovery = recover_model_artifacts(bundles, learned.P, learned.K, R)
+        assert np.array_equal(recovery.B_hat, learned.recovery.B_hat)
+        assert np.array_equal(recovery.D_hat, learned.recovery.D_hat)
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        assemble_regression(log, basis, [1.0, 0.0, 1.0], cfg.interval)
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        recover_model_artifacts(bundles, learned.P, learned.K, [1.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("samples", [0, 1])

@@ -70,7 +70,7 @@ def test_config_roundtrip(tmp_path):
     cfg = ExperimentConfig(
         frequencies=(0.5, 1.5), disturbance_gain=0.0, Q=[1, 2, 3, 4, 5, 6], R=3.0,
         noise_amplitude=0.25, seed=11, horizon=12.0, interval=0.2,
-        max_k=5000, abort_on_assumption_failure=False,
+        max_k=5000,
     )
     path = tmp_path / "case.cfg"
     save_config(cfg, path)
@@ -83,7 +83,6 @@ def test_config_roundtrip(tmp_path):
     assert back.seed == cfg.seed
     assert back.horizon == cfg.horizon and back.interval == cfg.interval
     assert back.max_k == cfg.max_k
-    assert back.abort_on_assumption_failure is False
     assert back.orbit == cfg.orbit
 
 
@@ -143,7 +142,6 @@ _NON_DEFAULT = {
     ("learning", "max_k"): ("1000", "max_k"),
     ("learning", "ball_base"): ("5.0", "ball_base"),
     ("learning", "p0_scale"): ("2.0", "p0_scale"),
-    ("pipeline", "abort_on_assumption_failure"): ("no", "abort_on_assumption_failure"),
     ("pipeline", "gain_tol"): ("0.05", "gain_tol"),
     ("pipeline", "value_tol"): ("0.05", "value_tol"),
     ("output", "directory"): ("elsewhere", "out_dir"),
@@ -181,8 +179,7 @@ def test_schema_row_sets_one_attribute_and_entry(tmp_path, section, key):
 @pytest.mark.parametrize("text, named", [
     ("[simulation]\nhorizon = 2O.0\n",
      "[simulation] horizon = '2O.0': could not convert string to float"),
-    ("[pipeline]\nabort_on_assumption_failure = maybe\n",
-     "[pipeline] abort_on_assumption_failure = 'maybe': not a boolean: maybe"),
+    ("[orbit]\ninclude_j2 = maybe\n", "[orbit] include_j2 = 'maybe': not a boolean: maybe"),
     ("[noise]\nterms = 2.5\n", "[noise] terms = '2.5': invalid literal for int()"),
     ("[cost]\nq = 1, 2\n", "[cost] q = '1, 2': Q needs 1, 6, or 36 values, got 2"),
     ("[learning]\neps = nan\n", "[learning] eps = 'nan': not a finite number: nan"),

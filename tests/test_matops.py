@@ -271,8 +271,6 @@ def test_is_hurwitz():
     assert is_hurwitz(np.array([[-1.0, 0.0], [0.0, -2.0]]))
     assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # marginal
     assert not is_hurwitz(np.array([[0.1]]))
-    assert is_hurwitz(np.array([[-1.0]]), margin=0.5)
-    assert not is_hurwitz(np.array([[-0.3]]), margin=0.5)
 
 
 # --- write_csv: bytes equal to np.savetxt, the reference writer ---------

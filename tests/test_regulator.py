@@ -44,7 +44,7 @@ def test_kernel_basis_docking(docking):
         assert np.linalg.norm(model.C @ N) <= 1e-12
     seq = basis.sequence()
     assert len(seq) == basis.h + 2
-    assert seq[0] is basis.X0 and seq[1] is basis.X1
+    assert np.array_equal(seq[0], basis.X0) and seq[1] is basis.X1
     assert np.allclose(seq[2], basis.X1 + basis.basis[0])
 
 

@@ -63,6 +63,17 @@ def test_are_residual_values(docking, oracle):
     assert are_residual(docking.model, cfg.Q, cfg.R, 2.0 * oracle.P_star) > 1.0
 
 
+def test_are_residual_takes_every_weight_form(docking, oracle):
+    # the scalar and diagonal forms of the config's 20 I and 2 I give its residual exactly
+    cfg = docking.config
+    reference = are_residual(docking.model, cfg.Q, cfg.R, oracle.P_star)
+    assert reference <= 1e-8
+    for Q, R in ((20.0, cfg.R), (cfg.Q, 2.0), (20.0, 2.0), ([20.0] * 6, [2.0] * 3)):
+        assert are_residual(docking.model, Q, R, oracle.P_star) == reference
+    with pytest.raises(ValueError, match="R must be positive definite"):
+        are_residual(docking.model, cfg.Q, [1.0, 0.0, 1.0], oracle.P_star)
+
+
 def test_kleinman_scalar_closed_form():
     model = scalar_model(0.0, 1.0)
     P, K, iterates = kleinman_pi(model, [[1.0]], [[1.0]], [[1.0]])

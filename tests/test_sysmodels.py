@@ -444,6 +444,7 @@ def test_trajectory_log_csv_bytes_match_savetxt(tmp_path, learning_data):
     (b"t,x1,x3,u1,v1,e1\n0,1,2,3,4,5\n", "header"),  # a gap in the numbering
     (b"t,x1,u1,v1,e1\n", "no data rows"),  # header only
     (b"t,x1,u1,v1,e1\n0,1,2,3,4\n0.1,1,2,3\n", "bytes 14:34"),  # ragged row
+    (b"t,x1,u1,v1,e1\n0,1,2,3,4\n0.1,nan,2,3,4\n", "x contains non-finite"),  # a nan sample
 ])
 def test_trajectory_log_from_csv_rejects_mismatch(tmp_path, text, mismatch):
     # each raises a ValueError naming the file, and numpy warns about nothing
@@ -453,6 +454,14 @@ def test_trajectory_log_from_csv_rejects_mismatch(tmp_path, text, mismatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"log.csv.*{mismatch}"):
             TrajectoryLog.from_csv(path)
+
+
+@pytest.mark.parametrize("name", ["t", "x", "u", "v", "e"])
+def test_trajectory_log_rejects_non_finite(name):
+    arrays = {"t": 0.1 * np.arange(3), **{group: np.zeros((3, 1)) for group in "xuve"}}
+    arrays[name][1] = math.nan
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        TrajectoryLog(**arrays)
 
 
 def test_trajectory_log_grid_validation():
