@@ -9,7 +9,8 @@ j = 0 regression equation
     Dxx vecs(P) = Theta [vecs(H); vec(K); vec(M)],
 
 whose blocks recover H = A'P + PA, the improved gain K = R^{-1}B'P, and
-M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. After
+M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. Newton
+steps on the same equation finish the iteration. After
 convergence the third blocks across the sweep yield D, S(X_j), and B,
 which is enough to pose and solve the trace-optimal regulator-equation
 problem from data alone.
@@ -60,6 +61,7 @@ from .sysmodels import LinearPolicy, simulate, whole_steps
 
 __all__ = [
     "RegressionBundle",
+    "DataRiccati",
     "LearnedController",
     "ModelRecovery",
     "collect_data",
@@ -114,13 +116,15 @@ class LearnedController:
     """Gains learned from data, with the run's diagnostics attached.
 
     The fields, in order, are the keys of ``learned_gains.json`` and of
-    ``report.json``'s ``learned``.
+    ``report.json``'s ``learned``. ``iterations``, ``newton_steps`` and
+    ``resets`` are those of the learning run's :class:`riccati.ViHistory`.
     """
 
     K: np.ndarray
     L: np.ndarray
     P: np.ndarray
     iterations: int
+    newton_steps: int
     resets: int
     rank: int
     rank_required: int
@@ -267,20 +271,29 @@ def check_rank(bundle):
 
 @one_blas_thread()
 def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=200000):
-    """Value iteration driven purely by the j = 0 regression equation.
+    """Value iteration driven purely by the j = 0 regression equation, finished by Newton.
 
     Each iterate solves Theta theta = Dxx vecs(P_k) by least squares;
     the H and K blocks of theta give the update
-    P <- P + eps_k (H + Q - K'RK), with the steps eps_k = 1/k and the
-    ball resets of the model-based iteration
+    P <- P + eps_k F(P), F(P) = H + Q - K'RK, with the steps
+    eps_k = 1/k and the ball resets of the model-based iteration
     (:func:`riccati.run_value_iteration`); P0 defaults to the identity
     and ball radii to 10 (r + 1). The data matrices are fixed, so the
     least-squares operator is factored once up front and composed with
-    the vecs and unvecs maps: an iteration is one matrix-vector product
-    plus the K'RK term.
+    the vecs and unvecs maps (:class:`DataRiccati`): an iteration is one
+    matrix-vector product plus the K'RK term.
+
+    At k = 2, 4, 8, ... :func:`riccati.run_value_iteration` tries Newton
+    steps on F from the current iterate (:meth:`DataRiccati.newton_step`)
+    and stops at their point if |F(P)| < eps and P is positive definite; a failed try
+    leaves value iteration as it was. Either way the returned P
+    satisfies |F(P)| < eps, value iteration's own stop rule.
+    ``history.iterations`` counts the value iterations and
+    ``history.newton_steps`` the Newton steps of the try that stopped
+    the run (0 when value iteration's own test did).
 
     Returns (P, K, history) with K the regression gain at the stopping
-    iterate.
+    point.
 
     Raises
     ------
@@ -308,33 +321,65 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
         P0 = np.eye(n)
     if ball_schedule is None:
         ball_schedule = linear_balls()
-    return run_value_iteration(_data_residual(solve_op, Q, R, n, m), P0, eps,
-                               ball_schedule, max_k)
+    riccati_map = DataRiccati(solve_op, Q, R, n, m)
+    return run_value_iteration(riccati_map, P0, eps, ball_schedule, max_k,
+                               newton_step=riccati_map.newton_step)
 
 
-def _data_residual(solve_op, Q, R, n, m):
-    """P -> (H + Q - K'RK, K) through one precomputed map.
+class DataRiccati:
+    """The data-side Riccati map F(P) = H(P) + Q - K(P)'RK(P) of one regression.
 
-    ``solve_op`` maps vecs(P) to [vecs(H); vec(K); vec(M)]; wrapped in
-    the vecs and unvecs maps it becomes vec(P) -> [vec(H); K row-major].
+    ``solve_op`` maps vecs(P) to [vecs(H); vec(K); vec(M)], the
+    least-squares solution of the regression at P, so H(P) and K(P) are
+    linear in P and F is quadratic. Called on P, the object returns
+    (F(P), K(P)), the value-iteration residual of :func:`vi_learn`.
+    :meth:`newton_step` takes one Newton step on F, the data-driven
+    policy-iteration step of Jiang & Jiang (Automatica 2012).
     """
-    ns = n * (n + 1) // 2
-    # vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
-    # residual is exactly symmetric (the driver symmetrizes P0 and each
-    # iterate, and 0.5 (P + P') is exactly symmetric in IEEE arithmetic),
-    # so the symmetry check vecs would make per iteration can never fire.
-    units = np.eye(n * n).reshape(n * n, n, n)
-    to_vecs = np.column_stack([vecs(0.5 * (E + E.T)) for E in units])
-    from_vecs = np.column_stack([unvecs(e).ravel() for e in np.eye(ns)])
-    k_rows = ns + unvec(np.arange(m * n), m, n).ravel().astype(int)  # vec(K) row by row
-    step_map = np.vstack([from_vecs @ solve_op[:ns], solve_op[k_rows]]) @ to_vecs
 
-    def residual_fn(P):
-        theta = step_map @ P.ravel()
-        K = theta[n * n :].reshape(m, n)
-        return theta[: n * n].reshape(n, n) + Q - K.T @ R @ K, K
+    def __init__(self, solve_op, Q, R, n, m):
+        ns = n * (n + 1) // 2
+        self.Q, self.R, self.n, self.m = Q, R, n, m
+        # vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
+        # residual is exactly symmetric (run_value_iteration symmetrizes P0 and each
+        # iterate, and 0.5 (P + P') is exactly symmetric in IEEE arithmetic;
+        # a Newton step adds a from_vecs image, whose every entry is one
+        # product), so the symmetry check vecs would make can never fire.
+        units = np.eye(n * n).reshape(n * n, n, n)
+        self._to_vecs = np.column_stack([vecs(0.5 * (E + E.T)) for E in units])
+        self._from_vecs = np.column_stack([unvecs(e).ravel() for e in np.eye(ns)])
+        k_rows = ns + unvec(np.arange(m * n), m, n).ravel().astype(int)  # vec(K) row by row
+        # vec(P) -> [vec(H); K row-major] through one precomputed map
+        self._step_map = np.vstack([self._from_vecs @ solve_op[:ns],
+                                    solve_op[k_rows]]) @ self._to_vecs
+        # vecs(Delta) -> vecs(H(Delta)), and K(Delta) for each vecs coordinate of Delta
+        self._dH = solve_op[:ns]
+        self._dK = solve_op[k_rows].reshape(m, n, ns)
 
-    return residual_fn
+    def __call__(self, P):
+        n = self.n
+        theta = self._step_map @ P.ravel()
+        K = theta[n * n :].reshape(self.m, n)
+        return theta[: n * n].reshape(n, n) + self.Q - K.T @ self.R @ K, K
+
+    def jacobian(self, K):
+        """dF at a P with gain K = K(P), as a matrix on the vecs coordinates.
+
+        dF[Delta] = H(Delta) - K(Delta)'RK - K'RK(Delta) in closed form:
+        column i is vecs(dF[unvecs(e_i)]).
+        """
+        n = self.n
+        cross = np.einsum("aik,aj->ijk", self._dK, self.R @ K)  # K(Delta)'RK per coordinate
+        # vecs of a square T is that of 0.5 (T + T'), and dF takes T + T'
+        return self._dH - 2.0 * (self._to_vecs @ cross.reshape(n * n, -1))
+
+    def newton_step(self, P, F, K):
+        """P + Delta with dF[Delta] = -F, given F = F(P) and K = K(P).
+
+        Raises numpy.linalg.LinAlgError if the Jacobian is singular.
+        """
+        step = np.linalg.solve(self.jacobian(K), -(self._to_vecs @ F.ravel()))
+        return P + (self._from_vecs @ step).reshape(self.n, self.n)
 
 
 @one_blas_thread()

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import adp, regulator, riccati
 from .errors import ConvergenceError, RankDeficiencyError, StageFailure
-from .matops import check_weights, is_hurwitz, one_blas_thread, write_json
+from .matops import check_weights, is_hurwitz, one_blas_thread, require_finite, write_json
 from .sysmodels import (AssumptionReport, CwParams, build_docking_scenario, check_assumptions,
                         simulate, sinusoid_noise, whole_steps)
 
@@ -116,8 +116,7 @@ class ExperimentConfig:
             raise ValueError("noise_freq_min and noise_freq_max must satisfy "
                              "0 < noise_freq_min < noise_freq_max")
         for name in ("x0", "noise_amplitude", "noise_freq_max"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+            require_finite(getattr(self, name), name)
 
     def scenario(self):
         return build_docking_scenario(
@@ -425,15 +424,16 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             max_k=config.max_k,
         )
         history.to_csv(out / "convergence.csv")
-        log(f"learning converged in {history.iterations} iterations ({history.resets} resets)")
+        log(f"learning converged in {history.iterations} iterations and "
+            f"{history.newton_steps} Newton steps ({history.resets} resets)")
 
         recovery = _stage("recover", adp.recover_model_artifacts, bundles, P, K, config.R)
         solution = _stage("regulator", adp.solve_problem1_datadriven,
                           recovery, basis, config.Qbar, config.Rbar)
         L = regulator.feedforward_gain(solution, K)
         learned = adp.LearnedController(
-            K=K, L=L, P=P, iterations=history.iterations, resets=history.resets,
-            rank=rank["rank"], rank_required=rank["required"],
+            K=K, L=L, P=P, iterations=history.iterations, newton_steps=history.newton_steps,
+            resets=history.resets, rank=rank["rank"], rank_required=rank["required"],
         )
 
         # model-based oracles: the Schur CARE solution seeds Kleinman PI, which

@@ -10,7 +10,8 @@ quadratically; value iteration needs no such gain and instead follows
 the Riccati residual with diminishing steps eps_k = 1/k, resetting to P0
 whenever the iterate escapes a growing sequence of Frobenius-norm balls.
 The value-iteration driver is shared with the data-driven learner, which
-supplies the residual from trajectory data instead of (A, B).
+supplies the residual from trajectory data instead of (A, B), together
+with a Newton step on it that finishes the iteration.
 
 The Lyapunov and CARE solves come from :mod:`scipy.linalg`, imported
 where they are called: the data-driven learner, which shares this
@@ -41,6 +42,9 @@ _LYAP_RTOL = 1e-9
 # kleinman_pi stops once |P_k - P_{k-1}| < _PI_TOL, within _PI_MAX_ITER iterations
 _PI_TOL = 1e-10
 _PI_MAX_ITER = 100
+# a Newton try of run_value_iteration stops after this many steps even while
+# the residual still falls; from a point that converges it needs a handful
+_NEWTON_MAX_STEPS = 20
 
 
 @dataclass
@@ -51,14 +55,17 @@ class ViHistory:
     Frobenius norm of the step eps_k delta_k computed at iteration k
     (taken unless the iterate stops or resets there) and ``reset_count``
     the ball resets before iteration k; ``resets`` is the count at the
-    end. ``iterations``, ``k`` and ``eps`` follow from the length of
-    ``increment``.
+    end. ``newton_steps`` counts the Newton steps of the finisher try
+    that ended the run at iteration N, and is 0 when value iteration's
+    own stop test fired or the run did not converge. ``iterations``,
+    ``k`` and ``eps`` follow from the length of ``increment``.
     """
 
     increment: np.ndarray
     reset_count: np.ndarray
     converged: bool
     resets: int
+    newton_steps: int
 
     @property
     def iterations(self):
@@ -193,8 +200,36 @@ def kleinman_from_care(model, Q, R):
     return kleinman_pi(model, Q, R, K0)
 
 
-def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k):
-    """Value-iteration driver with steps eps_k = 1/k and ball resets.
+def _newton_finish(residual_fn, newton_step, P, delta, aux, stop_eps):
+    """Newton steps from (P, delta, aux) while |delta| falls, at most _NEWTON_MAX_STEPS.
+
+    Returns (P, aux, steps) at the last point if its |delta| < stop_eps
+    and P passes a Cholesky factorization, else None.
+    """
+    norm = float(np.linalg.norm(delta))
+    steps = 0
+    while steps < _NEWTON_MAX_STEPS:
+        try:
+            P_next = newton_step(P, delta, aux)
+        except np.linalg.LinAlgError:  # singular Jacobian
+            break
+        delta_next, aux_next = residual_fn(P_next)
+        norm_next = float(np.linalg.norm(delta_next))
+        if not norm_next < norm:
+            break
+        P, delta, aux, norm = P_next, delta_next, aux_next, norm_next
+        steps += 1
+    if not norm < stop_eps:
+        return None
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return None
+    return P, aux, steps
+
+
+def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k, newton_step=None):
+    """Value iteration with steps eps_k = 1/k, ball resets and a Newton finisher.
 
     ``residual_fn(P) -> (delta, aux)`` supplies the symmetric residual
     matrix driving the update P <- P + eps_k delta with eps_k = 1/k, plus
@@ -206,7 +241,19 @@ def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k):
     |delta| < stop_eps, i.e. when the previous accepted step scaled
     back by its eps falls below the tolerance.
 
-    Returns (P, aux, history) at the stopping iterate.
+    ``newton_step(P, delta, aux)``, when given, returns the Newton
+    iterate of the map delta(P) (Kleinman, IEEE TAC 1968). At
+    k = 2, 4, 8, ..., before the stop test, it is tried from the
+    current iterate: it steps while |delta| falls, for at most
+    _NEWTON_MAX_STEPS steps, and stops the run at the last point if that
+    point has |delta| < stop_eps, the stop rule of value iteration, and
+    is positive definite (a Cholesky factorization succeeds). The
+    stabilizing solution of a Riccati equation of a stabilizable,
+    detectable plant is its only positive semidefinite one, so the test
+    rejects the other roots Newton can land on. A rejected try leaves
+    the iteration as it was.
+
+    Returns (P, aux, history) at the stopping point.
     """
     P0 = _symmetrize(np.asarray(P0, dtype=float))
     if np.min(np.linalg.eigvalsh(P0)) <= 0:
@@ -220,9 +267,9 @@ def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k):
     r = 0
     incs, resets = [], []
 
-    def history(converged):
+    def history(converged, newton_steps=0):
         return ViHistory(increment=np.asarray(incs), reset_count=np.asarray(resets, dtype=int),
-                         converged=converged, resets=r)
+                         converged=converged, resets=r, newton_steps=newton_steps)
 
     for k in range(1, max_k + 1):
         eps_k = 1.0 / k
@@ -230,6 +277,11 @@ def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k):
         delta_norm = float(np.linalg.norm(delta))
         incs.append(eps_k * delta_norm)
         resets.append(r)
+        if newton_step is not None and k >= 2 and k & (k - 1) == 0:  # k = 2, 4, 8, ...
+            finished = _newton_finish(residual_fn, newton_step, P, delta, aux, stop_eps)
+            if finished is not None:
+                P_newton, aux_newton, steps = finished
+                return P_newton, aux_newton, history(True, steps)
         # clipped-step stop: the candidate increment, rescaled by eps, is the residual norm
         if k >= 2 and delta_norm < stop_eps:
             return P, aux, history(True)

@@ -16,6 +16,7 @@ from adpdock import (
     assemble_regression,
     check_rank,
     collect_data,
+    kleinman_from_care,
     linear_balls,
     model_based_vi,
     recover_model_artifacts,
@@ -24,8 +25,8 @@ from adpdock import (
     vi_learn,
 )
 from adpdock.adp import (
+    DataRiccati,
     RegressionBundle,
-    _data_residual,
     load_gains,
     save_gains,
 )
@@ -362,26 +363,46 @@ def test_vi_learn_off_policy_invariance(docking, learning_data, learned):
     assert np.linalg.norm(P_alt - learned.P) <= 2.0 * cfg.eps
 
 
-def test_vi_learn_fixed_point(docking, oracle, learning_data):
+def test_vi_learn_fixed_point(docking, oracle, learning_data, learned):
+    # started at P*, the first Newton try (k = 2) stops the run at the root
+    # of the data equation that the run from P0 = I reaches
     cfg = docking.config
     P, _, history = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R,
                              P0=oracle.P_star)
-    assert history.iterations == 2
-    assert np.allclose(P, oracle.P_star, atol=1e-8)
+    assert history.iterations == 2 and history.newton_steps >= 1
+    assert np.abs(P - learned.P).max() <= 1e-8
 
 
-def test_vi_learn_matches_reference_residual_loop(docking, learning_data, learned):
-    # the same driver run on the round-trip residual visits the same iterates
+def test_vi_learn_matches_reference_residual_loop(docking, learning_data, learned, monkeypatch):
+    # run_value_iteration on the round-trip residual visits the same
+    # iterates: the rows before the Newton handoff, and the whole run when
+    # no Newton try passes
     cfg = docking.config
     bundle = learning_data.bundles[0]
     solve_op, _ = lstsq(bundle.Theta, bundle.Dxx)
     P, K, history = run_value_iteration(
         reference_vi_residual(solve_op, cfg.Q, cfg.R, bundle.n, bundle.m), np.eye(bundle.n),
         1e-3, linear_balls(), 200000)
-    assert np.abs(learned.P - P).max() <= 1e-12
-    assert np.abs(learned.K - K).max() <= 1e-12
-    assert learned.history.iterations == history.iterations
-    assert learned.history.resets == history.resets
+
+    def same_rows(got, want):
+        rows = got.iterations
+        assert np.array_equal(got.reset_count, want.reset_count[:rows])
+        assert np.abs(got.increment - want.increment[:rows]).max() <= 1e-12 * want.increment.max()
+
+    handoff = learned.history
+    assert handoff.newton_steps > 0 and handoff.iterations < history.iterations
+    same_rows(handoff, history)
+
+    def singular(self, P, F, K):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(DataRiccati, "newton_step", singular)
+    P_vi, K_vi, fallback = vi_learn(bundle, cfg.Q, cfg.R)
+    assert np.abs(P_vi - P).max() <= 1e-12
+    assert np.abs(K_vi - K).max() <= 1e-12
+    assert (fallback.iterations, fallback.resets, fallback.newton_steps) == (
+        history.iterations, history.resets, 0)
+    same_rows(fallback, history)
 
 
 @st.composite
@@ -400,11 +421,68 @@ def regression_and_state(draw):
 @given(regression_and_state())
 def test_data_residual_matches_reference(case):
     n, m, solve_op, P, Q, R = case
-    delta, K = _data_residual(solve_op, Q, R, n, m)(P)
+    delta, K = DataRiccati(solve_op, Q, R, n, m)(P)
     ref_delta, ref_K = reference_vi_residual(solve_op, Q, R, n, m)(P)
     assert K.shape == (m, n)
     assert np.linalg.norm(delta - ref_delta) <= 1e-12 * np.linalg.norm(ref_delta)
     assert np.linalg.norm(K - ref_K) <= 1e-12 * np.linalg.norm(ref_K)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(regression_and_state(), st.integers(0, 2**32 - 1))
+def test_data_riccati_jacobian_matches_central_differences(case, seed):
+    # F is quadratic, so central differences are its derivative up to rounding
+    n, m, solve_op, P, Q, R = case
+    riccati_map = DataRiccati(solve_op, Q, R, n, m)
+    S = np.random.default_rng(seed).standard_normal((n, n))
+    direction, h = S + S.T, 1e-3
+    central = (riccati_map(P + h * direction)[0] - riccati_map(P - h * direction)[0]) / (2 * h)
+    jac = riccati_map.jacobian(riccati_map(P)[1])
+    assert jac.shape == (n * (n + 1) // 2,) * 2
+    got = unvecs(jac @ vecs(direction))
+    assert np.linalg.norm(got - central) <= 1e-8 * np.linalg.norm(central)
+
+
+def exact_operator_bundle(model, R):
+    """The j = 0 regression of exact data: Theta = I and Dxx the map
+    vecs(P) -> [vecs(A'P + PA); vec(R^-1 B'P); vec(D'P)]."""
+    n = model.n
+    Dxx = np.column_stack([
+        np.concatenate([vecs(model.A.T @ P + P @ model.A),
+                        vec(np.linalg.solve(R, model.B.T @ P)), vec(model.D.T @ P)])
+        for P in map(unvecs, np.eye(n * (n + 1) // 2))])
+    return RegressionBundle(j=0, Theta=np.eye(len(Dxx)), Dxx=Dxx, n=n, m=model.m, q=model.q)
+
+
+def test_vi_learn_newton_finisher_on_random_plants():
+    # every Newton point is the stabilizing ARE solution, and wherever value
+    # iteration alone converges vi_learn does too; every plant is counted
+    g = np.random.default_rng(2016)
+    max_k = 2000
+    rescued = neither = 0
+    for _ in range(100):
+        n, m = int(g.integers(1, 5)), int(g.integers(1, 4))
+        model, _ = random_solvable(n, m, 1, 2, generator=g)
+        Q, R = np.eye(n), np.eye(m)
+        bundle = exact_operator_bundle(model, R)
+        riccati_map = DataRiccati(lstsq(bundle.Theta, bundle.Dxx)[0], Q, R, n, m)
+        try:
+            run_value_iteration(riccati_map, np.eye(n), 1e-3, linear_balls(), max_k)
+            vi_converged = True
+        except ConvergenceError:
+            vi_converged = False
+        try:
+            P, _, history = vi_learn(bundle, Q, R, max_k=max_k)
+        except ConvergenceError:
+            assert not vi_converged
+            neither += 1
+            continue
+        if history.newton_steps:
+            P_star, _, _ = kleinman_from_care(model, Q, R)
+            assert np.linalg.norm(P - P_star) <= 1e-10 * np.linalg.norm(P_star)
+            rescued += not vi_converged
+    # seed 2016 gives 19 plants that only Newton solves and 7 that neither solves
+    assert rescued > 0 and neither <= 10
 
 
 def test_vi_learn_rejects_bad_weights_like_model_based_vi(docking, learning_data):
@@ -429,8 +507,7 @@ def test_vi_learn_does_not_mutate_data(docking, learning_data):
     bundle = learning_data.bundles[0]
     theta_before = bundle.Theta.copy()
     dxx_before = bundle.Dxx.copy()
-    with pytest.raises(ConvergenceError):
-        vi_learn(bundle, cfg.Q, cfg.R, max_k=10)
+    vi_learn(bundle, cfg.Q, cfg.R)
     assert np.array_equal(bundle.Theta, theta_before)
     assert np.array_equal(bundle.Dxx, dxx_before)
 
@@ -575,8 +652,8 @@ def test_gains_roundtrip(tmp_path, learned, docking):
     from adpdock import LearnedController
     controller = LearnedController(
         K=learned.K, L=learned.L, P=learned.P,
-        iterations=learned.history.iterations, resets=learned.history.resets,
-        rank=87, rank_required=87,
+        iterations=learned.history.iterations, newton_steps=learned.history.newton_steps,
+        resets=learned.history.resets, rank=87, rank_required=87,
     )
     path = tmp_path / "gains.json"
     save_gains(path, controller)
@@ -585,6 +662,7 @@ def test_gains_roundtrip(tmp_path, learned, docking):
     assert np.array_equal(back["L"], learned.L)
     assert np.array_equal(back["P"], learned.P)
     assert back["iterations"] == learned.history.iterations
+    assert back["newton_steps"] == learned.history.newton_steps
     assert back["rank"] == 87
 
     x = rng.standard_normal(6)

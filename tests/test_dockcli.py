@@ -274,10 +274,10 @@ def test_run_rejects_a_time_grid_before_any_stage(tmp_path, capsys):
     with pytest.raises(ValueError, match="eps must be positive"):
         ExperimentConfig(eps=math.nan)
     # so is every other non-finite value, by the object that owns it
-    for bad, message in (({"noise_amplitude": math.nan}, "noise_amplitude must be finite"),
-                         ({"noise_freq_max": math.inf}, "noise_freq_max must be finite"),
+    for bad, message in (({"noise_amplitude": math.nan}, "noise_amplitude contains non-finite"),
+                         ({"noise_freq_max": math.inf}, "noise_freq_max contains non-finite"),
                          ({"disturbance_gain": math.nan}, "D contains non-finite"),
-                         ({"x0": [math.nan] * 6}, "x0 must be finite"),
+                         ({"x0": [math.nan] * 6}, "x0 contains non-finite"),
                          ({"v0": [math.nan] * 8}, "v0 contains non-finite"),
                          ({"frequencies": (1.0, math.nan)}, "frequencies must be two or more")):
         with pytest.raises(ValueError, match=message):
@@ -330,7 +330,8 @@ def test_load_config_missing_file(tmp_path):
 def test_compare_gains_exact_and_perturbed(learned):
     from adpdock import LearnedController
     stub = LearnedController(K=learned.K, L=learned.L, P=learned.P,
-                             iterations=1, resets=0, rank=87, rank_required=87)
+                             iterations=1, newton_steps=0, resets=0, rank=87,
+                             rank_required=87)
     same = compare_gains(stub, learned.K, learned.L, learned.P)
     assert same["ok"]
     assert same["K"]["max_abs"] == 0.0 and same["P"]["rel_frob"] == 0.0
@@ -362,7 +363,7 @@ def test_json_artifact_key_layout(pipeline):
     def keys(name):
         return list(json.loads((pipeline.out / name).read_text()))
 
-    gains = ["K", "L", "P", "iterations", "resets", "rank", "rank_required"]
+    gains = ["K", "L", "P", "iterations", "newton_steps", "resets", "rank", "rank_required"]
     assert keys("learned_gains.json") == gains
     assert keys("oracle_gains.json") == ["K", "L", "P"]
     assert keys("report.json") == ["config", "assumptions", "rank", "learned", "oracle",
