@@ -12,6 +12,7 @@ from .adp import (
     LearnedController,
     ModelRecovery,
     RegressionBundle,
+    RegressionSweep,
     assemble_regression,
     check_rank,
     collect_data,

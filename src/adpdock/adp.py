@@ -11,9 +11,9 @@ j = 0 regression equation
 whose blocks recover H = A'P + PA, the improved gain K = R^{-1}B'P, and
 M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. Newton
 steps on the same equation finish the iteration. After
-convergence the third blocks across the sweep yield D, S(X_j), and B,
-which is enough to pose and solve the trace-optimal regulator-equation
-problem from data alone.
+convergence the third blocks of the regressions across the sweep, solved
+at the converged P, yield D, S(X_j), and B, which is enough to pose and
+solve the trace-optimal regulator-equation problem from data alone.
 
 Derivation of the regression equation: along dx/dt = A x + B u + D v the
 shifted state xbar_j = x - X_j v obeys
@@ -36,7 +36,17 @@ moments of z, each integrated once:
 
 Integration is linear, so Ixx_j = M_zz V(T_j)', Gxu_j = M_zu (T_j (*) I_m)'
 and Gxv_j = M_zv (T_j (*) I_q)', where row l of M_zz, M_zu, M_zv holds the
-interval-l integrals of vecv(z), z (*) u and z (*) v.
+interval-l integrals of vecv(z), z (*) u and z (*) v. The same holds at
+the interval ends: Dxx_j = dZZ V(T_j)' with dZZ the differences of vecv(z).
+
+So every offset's regression is a fixed column image of one data matrix:
+Theta_j = W G_j with W = [M_zz | M_zu], because the columns of M_zv are
+columns of M_zz (v is part of z). :class:`RegressionSweep` holds the
+moments and builds an offset's Theta_j only when asked for it. Recovery
+factors W = Q R_W once (a thin Householder QR) and solves every offset's
+regression as R_W G_j theta = Q' dZZ V(T_j)' vecs(P): a problem with at
+most W's column count of rows, and the same least-squares solution and
+singular values as the interval-row one.
 
 Assembly, the rank check, value iteration, recovery and the regulator
 solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
@@ -47,20 +57,22 @@ BLAS thread costs more in wake-ups than it saves.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
 from .matops import (bdiag, check_input_weight, check_weights, equilibrate, kron, lstsq,
-                     numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map,
-                     write_json)
+                     lstsq_compressed, numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs,
+                     vecv, vecv_map, write_json)
 from .regulator import RegulatorSolution, solve_min_trace
 from .riccati import linear_balls, run_value_iteration
 from .sysmodels import LinearPolicy, simulate, whole_steps
 
 __all__ = [
     "RegressionBundle",
+    "RegressionSweep",
     "DataRiccati",
     "LearnedController",
     "ModelRecovery",
@@ -111,13 +123,106 @@ class RegressionBundle:
         return self.n * (self.n + 1) // 2 + (self.m + self.q) * self.n
 
 
+class RegressionSweep(Sequence):
+    """The regressions of a whole offset sweep, held as interval moments of z = [x; v].
+
+    ``sweep[j]`` is the :class:`RegressionBundle` of offset ``offsets[j]``,
+    built on request from the moments; bundle 0 is built once, with the
+    sweep. A slice gives a list of bundles. The sweep keeps the moments
+    ``M_zz``, ``M_zu`` and ``M_zv`` of :func:`assemble_regression`, the
+    state ``x_end`` and exostate ``v_end`` at the interval ends, and
+    ``scale_u`` = 2 (I_n (*) R), all read-only; it does not keep the
+    log. :meth:`solve` solves every offset's regression on one QR factor
+    of the moments, without building any Theta_j.
+    """
+
+    def __init__(self, offsets, M_zz, M_zu, M_zv, x_end, v_end, scale_u):
+        self.offsets = tuple(offsets)
+        self.M_zz, self.M_zu, self.M_zv = M_zz, M_zu, M_zv
+        self.x_end, self.v_end, self.scale_u = x_end, v_end, scale_u
+        for a in (M_zz, M_zu, M_zv, x_end, v_end, scale_u):
+            a.flags.writeable = False
+        self.n, self.q = self.offsets[0].shape
+        self.m = scale_u.shape[0] // self.n
+        self._first = self._bundle(0)
+
+    def __len__(self):
+        return len(self.offsets)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(len(self))[j]]
+        j = range(len(self))[j]  # a list's index rules: IndexError, negatives from the end
+        return self._first if j == 0 else self._bundle(j)
+
+    def _bundle(self, j):
+        T, V = self._shift(j)
+        vv = vecv(self.x_end - self.v_end @ self.offsets[j].T)
+        return RegressionBundle(j=j, Theta=self._theta(T, V, self.M_zz, self.M_zu, self.M_zv),
+                                Dxx=vv[1:] - vv[:-1], n=self.n, m=self.m, q=self.q)
+
+    def _shift(self, j):
+        """T_j = [I_n, -X_j], which maps z to the shifted state, and V(T_j)."""
+        T = np.hstack([np.eye(self.n), -self.offsets[j]])
+        return T, vecv_map(T)
+
+    def _theta(self, T, V, M_zz, M_zu, M_zv):
+        """Theta_j from the moments, or the same column image of their R factor."""
+        return np.hstack([M_zz @ V.T,
+                          M_zu @ kron(T, np.eye(self.m)).T @ self.scale_u,
+                          2.0 * (M_zv @ kron(T, np.eye(self.q)).T)])
+
+    def solve(self, p):
+        """The least-squares solution of Theta_j theta = Dxx_j p for every offset j.
+
+        One thin Householder QR of [W | B], with W = [M_zz | M_zu] = Q R_W
+        and column j of B the right-hand side Dxx_j p = dZZ V(T_j)' p
+        (dZZ: the differences of vecv(z) at the interval ends), gives R_W
+        and Q' B. Offset j is then the compressed regression
+        R_W G_j theta = Q' B e_j, solved by :func:`matops.lstsq_compressed`
+        with the rank rule that :func:`matops.lstsq` applies to the
+        interval-row Theta_j.
+
+        Returns one solution per row, in sweep order.
+
+        Raises
+        ------
+        RankDeficiencyError
+            For the first offset whose Theta_j lacks full column rank, with
+            the rank and required count :func:`matops.lstsq` reports on it.
+        """
+        rows = len(self.x_end) - 1
+        n_zz, w_cols = self.M_zz.shape[1], self.M_zz.shape[1] + self.M_zu.shape[1]
+        shifts = [self._shift(j) for j in range(len(self))]
+        dZZ = np.diff(vecv(np.hstack([self.x_end, self.v_end])), axis=0)
+        # B has one column per offset where dZZ has d(d+1)/2: a narrower factor, and
+        # on the docking run's 250 rows one whose bits do not depend on the BLAS
+        # thread count (with dZZ itself they do)
+        B = dZZ @ np.column_stack([V.T @ p for _, V in shifts])
+        # the first w_cols rows of the augmented R factor are [R_W | Q' B]
+        tri = np.linalg.qr(np.hstack([self.M_zz, self.M_zu, B]), mode="r")[:w_cols]
+        R_zz, R_zu, Q_B = tri[:, :n_zz], tri[:, n_zz:w_cols], tri[:, w_cols:]
+        R_zv = R_zz[:, self._zv_columns()]
+        return np.array([lstsq_compressed(self._theta(T, V, R_zz, R_zu, R_zv), Q_B[:, j], rows)
+                         for j, (T, V) in enumerate(shifts)])
+
+    def _zv_columns(self):
+        """The column of M_zz that holds each column of M_zv: z_a v_b is z_a z_{n+b}."""
+        d = self.n + self.q
+        ic, ie = np.triu_indices(d)
+        position = np.empty((d, d), dtype=int)
+        position[ic, ie] = position[ie, ic] = np.arange(ic.size)
+        return position[:, self.n:].ravel()
+
+
 @dataclass
 class LearnedController:
     """Gains learned from data, with the run's diagnostics attached.
 
     The fields, in order, are the keys of ``learned_gains.json`` and of
-    ``report.json``'s ``learned``. ``iterations``, ``newton_steps`` and
-    ``resets`` are those of the learning run's :class:`riccati.ViHistory`.
+    ``report.json``'s ``learned``. ``iterations``, ``newton_steps``,
+    ``vi_stop_gap`` and ``resets`` are those of the learning run's
+    :class:`riccati.ViHistory`.
     """
 
     K: np.ndarray
@@ -125,6 +230,7 @@ class LearnedController:
     P: np.ndarray
     iterations: int
     newton_steps: int
+    vi_stop_gap: float
     resets: int
     rank: int
     rank_required: int
@@ -175,7 +281,7 @@ def _steps_per_interval(interval, dt):
 
 @one_blas_thread()
 def assemble_regression(log, basis, R, interval):
-    """Integrate the data matrices for every offset in the basis sweep.
+    """Integrate the interval moments that every offset of the basis sweep is built from.
 
     For each X_j in X_0, X_1, X_1 + N_1, ..., X_1 + N_h the shifted
     state is xbar = x - X_j v. Within each interval the integrals use
@@ -200,7 +306,9 @@ def assemble_regression(log, basis, R, interval):
 
     R takes every weight form of :func:`matops.check_weights`.
 
-    Returns one :class:`RegressionBundle` per j, in sweep order.
+    Returns a :class:`RegressionSweep` of h + 2 bundles, one per j in
+    sweep order. Only bundle 0 is built here; ``sweep[j]`` builds bundle
+    j from the moments when asked for it, by the products above.
     """
     if len(log) < 2:
         raise ValueError("log too short for a single interval")
@@ -239,17 +347,7 @@ def assemble_regression(log, basis, R, interval):
     M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
     M_zu = M_zu.reshape(n_int, d * m)
 
-    x_end, v_end = x[ends], v[ends]
-    bundles = []
-    for j, Xj in enumerate(basis.sequence()):
-        T = np.hstack([np.eye(n), -Xj])
-        Theta = np.hstack([M_zz @ vecv_map(T).T,
-                           M_zu @ kron(T, np.eye(m)).T @ scale_u,
-                           2.0 * (M_zv @ kron(T, np.eye(q)).T)])
-        vv = vecv(x_end - v_end @ Xj.T)
-        bundles.append(RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
-                                        n=n, m=m, q=q))
-    return bundles
+    return RegressionSweep(basis.sequence(), M_zz, M_zu, M_zv, x[ends], v[ends], scale_u)
 
 
 @one_blas_thread()
@@ -290,7 +388,9 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
     satisfies |F(P)| < eps, value iteration's own stop rule.
     ``history.iterations`` counts the value iterations and
     ``history.newton_steps`` the Newton steps of the try that stopped
-    the run (0 when value iteration's own test did).
+    the run (0 when value iteration's own test did), and
+    ``history.vi_stop_gap`` is |K(P_vi) - K|max between the gain at the
+    value iterate P_vi that try started from and the returned gain.
 
     Returns (P, K, history) with K the regression gain at the stopping
     point.
@@ -383,30 +483,38 @@ class DataRiccati:
 
 
 @one_blas_thread()
-def recover_model_artifacts(bundles, P_final, K_next_final, R):
+def recover_model_artifacts(sweep, P_final, K_next_final, R):
     """Reconstruct D, B, and the Sylvester images S(X_j) from data.
 
-    Re-solves each bundle's regression at the converged P. The third
-    block of the j = 0 solution is vec(D'P) since S(X_0) = 0, giving
-    D_hat; for j >= 1 it is vec((D - S(X_j))'P), giving S(X_j) by
-    subtraction; and B_hat follows from inverting K = R^{-1}B'P, with
-    R in any weight form of :func:`matops.check_weights`.
+    Solves every regression of the :class:`RegressionSweep` ``sweep`` at
+    the converged P, on one QR factor of its moments
+    (:meth:`RegressionSweep.solve`). The third block of the j = 0
+    solution is vec(D'P) since S(X_0) = 0, giving D_hat; for j >= 1 it is
+    vec((D - S(X_j))'P), giving S(X_j) by subtraction; and B_hat follows
+    from inverting K = R^{-1}B'P, with R in any weight form of
+    :func:`matops.check_weights`.
+
+    Raises
+    ------
+    ValueError
+        If ``sweep`` is not a RegressionSweep, or R is not a valid weight.
+    NoSolutionError
+        If P_final is singular.
+    RankDeficiencyError
+        If an offset's regression lacks full column rank.
     """
+    if not isinstance(sweep, RegressionSweep):
+        raise ValueError("recovery needs the RegressionSweep of assemble_regression, "
+                         f"got {type(sweep).__name__}")
     P = np.asarray(P_final, dtype=float)
     n = P.shape[0]
     if numerical_rank(P) < n:
         raise NoSolutionError("P_final is singular; model recovery needs P invertible")
-    if not bundles or bundles[0].j != 0:
-        raise ValueError("bundles must start with the j = 0 bundle")
-    m, q = bundles[0].m, bundles[0].q
+    m, q = sweep.m, sweep.q
     ns = n * (n + 1) // 2
     R = check_input_weight(R, m)
 
-    blocks = []
-    rhs = vecs(P)
-    for bundle in bundles:
-        theta, _ = lstsq(bundle.Theta, bundle.Dxx @ rhs)
-        blocks.append(unvec(theta[ns + m * n :], q, n))
+    blocks = [unvec(theta[ns + m * n :], q, n) for theta in sweep.solve(vecs(P))]
     D_hat = np.linalg.solve(P, blocks[0].T)
     S_values = [D_hat - np.linalg.solve(P, Mj.T) for Mj in blocks[1:]]
     B_hat = np.linalg.solve(P, (R @ np.asarray(K_next_final, dtype=float)).T)

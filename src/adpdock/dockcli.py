@@ -358,12 +358,12 @@ def _collect(config, model, exo, noise):
 
 
 def _assemble(config, model, learning_log):
-    """The assembly stage and the rank diagnostic: (basis, bundles, rank report)."""
+    """The assembly stage and the rank diagnostic: (basis, sweep, rank report)."""
     basis = _stage("assemble", regulator.kernel_basis, model)
-    bundles = _stage("assemble", adp.assemble_regression,
-                     learning_log, basis, config.R, config.interval)
-    ok, rank, required = adp.check_rank(bundles[0])
-    return basis, bundles, {"ok": bool(ok), "rank": int(rank), "required": int(required)}
+    sweep = _stage("assemble", adp.assemble_regression,
+                   learning_log, basis, config.R, config.interval)
+    ok, rank, required = adp.check_rank(sweep[0])
+    return basis, sweep, {"ok": bool(ok), "rank": int(rank), "required": int(required)}
 
 
 def run_experiment(config, out_dir=None, seed=None, log=print):
@@ -414,12 +414,12 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         log(f"collected {len(learning_log)} samples over {config.horizon} s")
 
-        basis, bundles, rank = _assemble(config, model, learning_log)
+        basis, sweep, rank = _assemble(config, model, learning_log)
         log(f"rank check: {rank['rank']}/{rank['required']}")
 
         P0 = config.p0_scale * np.eye(model.n)
         P, K, history = _stage(
-            "learn", adp.vi_learn, bundles[0], config.Q, config.R, P0=P0,
+            "learn", adp.vi_learn, sweep[0], config.Q, config.R, P0=P0,
             eps=config.eps, ball_schedule=riccati.linear_balls(config.ball_base),
             max_k=config.max_k,
         )
@@ -427,13 +427,14 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         log(f"learning converged in {history.iterations} iterations and "
             f"{history.newton_steps} Newton steps ({history.resets} resets)")
 
-        recovery = _stage("recover", adp.recover_model_artifacts, bundles, P, K, config.R)
+        recovery = _stage("recover", adp.recover_model_artifacts, sweep, P, K, config.R)
         solution = _stage("regulator", adp.solve_problem1_datadriven,
                           recovery, basis, config.Qbar, config.Rbar)
         L = regulator.feedforward_gain(solution, K)
         learned = adp.LearnedController(
             K=K, L=L, P=P, iterations=history.iterations, newton_steps=history.newton_steps,
-            resets=history.resets, rank=rank["rank"], rank_required=rank["required"],
+            vi_stop_gap=history.vi_stop_gap, resets=history.resets, rank=rank["rank"],
+            rank_required=rank["required"],
         )
 
         # model-based oracles: the Schur CARE solution seeds Kleinman PI, which

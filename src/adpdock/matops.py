@@ -78,6 +78,7 @@ __all__ = [
     "bdiag",
     "equilibrate",
     "lstsq",
+    "lstsq_compressed",
     "null_space",
     "is_hurwitz",
     "write_csv",
@@ -293,13 +294,47 @@ def lstsq(theta, rhs):
     scaled, col_scale = equilibrate(theta)
     # rcond=None is numerical_rank's threshold max(rows, cols) * eps * sigma_max
     solution, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
+    _require_full_rank(rank, cols)
+    solution = (solution.T / col_scale).T
+    residual_norm = float(np.linalg.norm(theta @ solution - rhs))
+    return solution, residual_norm
+
+
+def lstsq_compressed(theta, rhs, rows):
+    """:func:`lstsq`'s solution and rank verdict for a regression given in compressed form.
+
+    ``theta`` (k x cols) and the vector ``rhs`` stand for a regression
+    (Theta, b) of ``rows`` rows with Theta = Q theta and rhs = Q' b, for
+    some Q with orthonormal columns, such as the Q of a thin QR factor of
+    the data Theta is built from. Theta and theta then have the same
+    column norms and singular values, and the two least-squares problems
+    the same solution. So the rank is decided as :func:`lstsq` decides it
+    on Theta: on equilibrated columns, with the threshold
+    ``max(rows, cols) * eps * sigma_max`` of the ``rows``-row matrix, not
+    of theta's k rows.
+
+    Returns the solution.
+
+    Raises
+    ------
+    RankDeficiencyError
+        With the rank and column count :func:`lstsq` would report on Theta.
+    """
+    theta = _as_matrix(theta, "theta")
+    cols = theta.shape[1]
+    scaled, col_scale = equilibrate(theta)
+    # one more Householder pass brings [scaled | rhs] to its cols x cols triangle
+    tri = np.linalg.qr(np.column_stack([scaled, rhs]), mode="r")
+    _require_full_rank(_svd_rank(np.linalg.svd(tri[:cols, :cols], compute_uv=False),
+                                 (rows, cols)), cols)
+    return np.linalg.solve(tri[:cols, :cols], tri[:cols, cols]) / col_scale
+
+
+def _require_full_rank(rank, cols):
     if rank < cols:
         raise RankDeficiencyError(
             f"regression matrix rank {rank} < {cols} columns", rank=rank, required=cols
         )
-    solution = (solution.T / col_scale).T
-    residual_norm = float(np.linalg.norm(theta @ solution - rhs))
-    return solution, residual_norm
 
 
 def numerical_rank(a, required=None):

@@ -57,8 +57,12 @@ class ViHistory:
     the ball resets before iteration k; ``resets`` is the count at the
     end. ``newton_steps`` counts the Newton steps of the finisher try
     that ended the run at iteration N, and is 0 when value iteration's
-    own stop test fired or the run did not converge. ``iterations``,
-    ``k`` and ``eps`` follow from the length of ``increment``.
+    own stop test fired or the run did not converge. ``vi_stop_gap`` is
+    max|aux(P_vi) - aux(P_d)| between the residual's payloads at the
+    value iterate P_vi that try started from and at the Newton point P_d
+    it returned (for the data-driven learner, |K(P_vi) - K_d|max), and
+    0.0 whenever ``newton_steps`` is. ``iterations``, ``k`` and ``eps``
+    follow from the length of ``increment``.
     """
 
     increment: np.ndarray
@@ -66,6 +70,7 @@ class ViHistory:
     converged: bool
     resets: int
     newton_steps: int
+    vi_stop_gap: float
 
     @property
     def iterations(self):
@@ -267,9 +272,10 @@ def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k, newton_
     r = 0
     incs, resets = [], []
 
-    def history(converged, newton_steps=0):
+    def history(converged, newton_steps=0, vi_stop_gap=0.0):
         return ViHistory(increment=np.asarray(incs), reset_count=np.asarray(resets, dtype=int),
-                         converged=converged, resets=r, newton_steps=newton_steps)
+                         converged=converged, resets=r, newton_steps=newton_steps,
+                         vi_stop_gap=vi_stop_gap)
 
     for k in range(1, max_k + 1):
         eps_k = 1.0 / k
@@ -281,7 +287,8 @@ def run_value_iteration(residual_fn, P0, stop_eps, ball_schedule, max_k, newton_
             finished = _newton_finish(residual_fn, newton_step, P, delta, aux, stop_eps)
             if finished is not None:
                 P_newton, aux_newton, steps = finished
-                return P_newton, aux_newton, history(True, steps)
+                gap = float(np.max(np.abs(aux_newton - aux)))
+                return P_newton, aux_newton, history(True, steps, gap)
         # clipped-step stop: the candidate increment, rescaled by eps, is the residual norm
         if k >= 2 and delta_norm < stop_eps:
             return P, aux, history(True)

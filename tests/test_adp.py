@@ -27,6 +27,7 @@ from adpdock import (
 from adpdock.adp import (
     DataRiccati,
     RegressionBundle,
+    RegressionSweep,
     load_gains,
     save_gains,
 )
@@ -36,7 +37,8 @@ from adpdock.errors import (
     NoSolutionError,
     RankDeficiencyError,
 )
-from adpdock.matops import lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv
+from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs,
+                            vecv, vecv_map)
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
 from test_regulator import random_solvable
@@ -84,6 +86,58 @@ def reference_assembly(log, basis, R, interval):
         Dxx = vv[ends[1:]] - vv[ends[:-1]]
         out.append(([Ixx, Gxu @ scale_u, 2.0 * Gxv], Dxx))
     return out
+
+
+def eager_assembly(log, basis, R, interval):
+    """The moment assembly with every offset's bundle built at once, one
+    Theta_j per X_j in sweep order. The lazy sweep must reproduce each
+    bundle bit for bit."""
+    dt = log.dt
+    steps = int(round(interval / dt))
+    n_int = (len(log) - 1) // steps
+    n_fine = n_int * steps
+    x, u, v = log.x, log.u, log.v
+    n, m, q = x.shape[1], u.shape[1], v.shape[1]
+    scale_u = 2.0 * kron(np.eye(n), R)
+    ends = np.arange(0, n_fine + 1, steps)
+
+    d = n + q
+    z = np.hstack([x, v])
+    z_left = z[:n_fine].reshape(n_int, steps, d).transpose(0, 2, 1)
+    z_right = z[1 : n_fine + 1].reshape(n_int, steps, d).transpose(0, 2, 1)
+    u_held = u[:n_fine].reshape(n_int, steps, m)
+    z_end = z[ends]
+    zz_end = z_end[:, :, None] * z_end[:, None, :]
+    zz = dt * (np.matmul(z_left, z_left.transpose(0, 2, 1))
+               + 0.5 * (zz_end[1:] - zz_end[:-1]))
+    ic, ie = np.triu_indices(d)
+    M_zz = zz[:, ic, ie]
+    M_zv = zz[:, :, n:].reshape(n_int, d * q)
+    M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
+    M_zu = M_zu.reshape(n_int, d * m)
+
+    x_end, v_end = x[ends], v[ends]
+    bundles = []
+    for j, Xj in enumerate(basis.sequence()):
+        T = np.hstack([np.eye(n), -Xj])
+        Theta = np.hstack([M_zz @ vecv_map(T).T,
+                           M_zu @ kron(T, np.eye(m)).T @ scale_u,
+                           2.0 * (M_zv @ kron(T, np.eye(q)).T)])
+        vv = vecv(x_end - v_end @ Xj.T)
+        bundles.append(RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
+                                        n=n, m=m, q=q))
+    return bundles
+
+
+def reference_recovery(bundles, P, K, R):
+    """D_hat, B_hat and the S(X_j) from one matops.lstsq per built bundle at P,
+    as the sweep's one-factor solve must give them."""
+    n, m, q = bundles[0].n, bundles[0].m, bundles[0].q
+    ns = n * (n + 1) // 2
+    blocks = [unvec(lstsq(b.Theta, b.Dxx @ vecs(P))[0][ns + m * n :], q, n) for b in bundles]
+    D_hat = np.linalg.solve(P, blocks[0].T)
+    S_values = [D_hat - np.linalg.solve(P, Mj.T) for Mj in blocks[1:]]
+    return ModelRecovery(D_hat=D_hat, B_hat=np.linalg.solve(P, (R @ K).T), S_values=S_values)
 
 
 def reference_vi_residual(solve_op, Q, R, n, m):
@@ -209,11 +263,28 @@ def test_bundle_rejects_inconsistent_dimensions(learning_data):
 
 
 def test_sweep_stores_each_regression_once(learning_data):
-    # Theta and Dxx only: 26 offsets x 250 intervals x (87 + 21) float64 values
-    stored = [value for bundle in learning_data.bundles
-              for value in vars(bundle).values() if isinstance(value, np.ndarray)]
+    # the moments, the interval ends, 2 (I (*) R) and bundle 0: no other
+    # offset's Theta and no copy of the log
+    sweep = learning_data.bundles
+    stored = [value for value in vars(sweep).values() if isinstance(value, np.ndarray)]
+    stored += [sweep[0].Theta, sweep[0].Dxx]
     assert all(value.dtype == np.float64 for value in stored)
-    assert sum(value.size for value in stored) == 26 * 250 * (87 + 21)
+    moments = 250 * (105 + 42 + 14 * 8) + 251 * (6 + 8) + 18 * 18
+    assert sum(value.size for value in stored) == moments + 250 * (87 + 21)
+    assert sweep[0] is sweep[0] and sweep[1] is not sweep[1]
+
+
+def test_sweep_is_a_read_only_sequence(learning_data):
+    sweep = learning_data.bundles
+    assert isinstance(sweep, RegressionSweep) and len(sweep) == 26
+    assert [b.j for b in sweep[24:]] == [24, 25] and isinstance(sweep[:2], list)
+    assert sweep[-1].j == 25 and [b.j for b in sweep[::-10]] == [25, 15, 5]
+    with pytest.raises(IndexError):
+        sweep[26]
+    with pytest.raises(TypeError):
+        sweep[0] = sweep[1]
+    with pytest.raises(ValueError, match="read-only"):
+        sweep.M_zz[0, 0] = 1.0
 
 
 def test_assembly_matches_per_offset_reference(docking, learning_data):
@@ -231,6 +302,39 @@ def test_assembly_matches_reference_random_dims(n, m, q):
     bundles = assemble_regression(log, basis, R, 0.2)
     assert [(b.n, b.m, b.q, b.rows) for b in bundles] == [(n, m, q, 7)] * 5
     assert_matches_reference(bundles, reference_assembly(log, basis, R, 0.2))
+
+
+@st.composite
+def random_sweep_case(draw):
+    """Random (n, m, q) data over at least as many intervals as unknowns, a
+    ragged tail, a random sweep of five offsets, and a P and K to recover at."""
+    n, m, q = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 2, 1), (5, 3, 4)]))
+    cols, d = n * (n + 1) // 2 + (m + q) * n, n + q
+    intervals = draw(st.integers(cols, d * (d + 1) // 2 + d * m + 40))
+    steps = draw(st.integers(1, 5))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log, basis, R = random_log_and_basis(n, m, q, intervals * steps + 1 + draw(
+        st.integers(0, steps - 1)), 0.01, g)
+    W = g.standard_normal((n, n))
+    return log, basis, R, 0.01 * steps, W @ W.T + n * np.eye(n), g.standard_normal((m, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_sweep_case())
+def test_sweep_matches_eager_bundles_and_per_offset_recovery(case):
+    log, basis, R, interval, P, K = case
+    sweep = assemble_regression(log, basis, R, interval)
+    eager = eager_assembly(log, basis, R, interval)
+    assert len(sweep) == len(eager) == 5
+    for got, want in zip(sweep, eager):
+        assert got.j == want.j and (got.n, got.m, got.q) == (want.n, want.m, want.q)
+        assert np.array_equal(got.Theta, want.Theta) and np.array_equal(got.Dxx, want.Dxx)
+    recovery = recover_model_artifacts(sweep, P, K, R)
+    reference = reference_recovery(eager, P, K, R)
+    pairs = [(recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat),
+             *zip(recovery.S_values, reference.S_values, strict=True)]
+    for got, want in pairs:
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_bundle_j0_difference_is_raw(docking, learning_data):
@@ -317,6 +421,82 @@ def test_rank_check_agrees_with_lstsq_across_column_scales():
     assert numerical_rank(raw) < 7 and verdicts[6] == (True, 7)
 
 
+def moment_sweep(zz, M_zu, x_end, v_end, offsets, R):
+    """A RegressionSweep around given interval moments; zz[l] is interval l's
+    symmetric integral of z z'."""
+    n_int, d, _ = zz.shape
+    n, q = offsets[0].shape
+    ic, ie = np.triu_indices(d)
+    return RegressionSweep(offsets, zz[:, ic, ie], M_zu, zz[:, :, n:].reshape(n_int, d * q),
+                           x_end, v_end, 2.0 * np.kron(np.eye(n), R))
+
+
+def lstsq_verdict(sweep, P):
+    """(rank, required, message) of the first built bundle matops.lstsq rejects at P."""
+    for bundle in sweep:
+        try:
+            lstsq(bundle.Theta, bundle.Dxx @ vecs(P))
+        except RankDeficiencyError as exc:
+            return exc.rank, exc.required, str(exc)
+    return None
+
+
+def assert_recovery_verdict(sweep, verdict, n):
+    with pytest.raises(RankDeficiencyError) as excinfo:
+        recover_model_artifacts(sweep, np.eye(n), np.zeros((sweep.m, n)), np.eye(sweep.m))
+    assert (excinfo.value.rank, excinfo.value.required, str(excinfo.value)) == verdict
+
+
+def test_compressed_recovery_judges_rank_by_the_interval_count():
+    # (n, m, q) = (1, 1, 1): Theta_0 = [z0^2 | 2 z0 u | 2 z0 v] moments, and W
+    # has 5 columns, so the compressed problems have 5 rows for 1000
+    # intervals. z0 v is planted a 4e-14 turn away from z0^2: its singular
+    # value lies between the 5-row and the 1000-row threshold, and only the
+    # second rejects it, as lstsq does on the full matrix
+    g = np.random.default_rng(147)
+    rows = 1000
+    r0, w = np.linalg.qr(g.standard_normal((rows, 2)))[0].T
+    zz = g.standard_normal((rows, 2, 2))
+    zz[:, 0, 0] = r0
+    zz[:, 0, 1] = zz[:, 1, 0] = r0 + 4e-14 * w
+    offsets = [np.zeros((1, 1))] + [g.standard_normal((1, 1)) for _ in range(3)]
+    sweep = moment_sweep(zz, g.standard_normal((rows, 2)), g.standard_normal((rows + 1, 1)),
+                         g.standard_normal((rows + 1, 1)), offsets, np.eye(1))
+    sv = np.linalg.svd(equilibrate(sweep[0].Theta)[0], compute_uv=False)
+    eps = np.finfo(float).eps
+    assert 5 * eps * sv[0] < sv[-1] < rows * eps * sv[0]
+    verdict = lstsq_verdict(sweep, np.eye(1))
+    assert verdict[:2] == (2, 3)
+    assert_recovery_verdict(sweep, verdict, 1)
+
+
+def test_compressed_recovery_reports_lstsq_rank_deficiency(docking, learning_data):
+    # exactly dependent columns, a silent log and fewer intervals than
+    # unknowns: recovery raises what lstsq raises on the first built bundle
+    g = np.random.default_rng(87)
+    zz = g.standard_normal((40, 2, 2))
+    zz[:, 0, 1] = zz[:, 1, 0] = 2.0 * zz[:, 0, 0]
+    offsets = [np.zeros((1, 1)), g.standard_normal((1, 1))]
+    dependent = moment_sweep(zz, g.standard_normal((40, 2)), g.standard_normal((41, 1)),
+                             g.standard_normal((41, 1)), offsets, np.eye(1))
+    cfg = docking.config
+    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
+    zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
+                            horizon=1.0, dt=cfg.dt, interval=cfg.interval)
+    log = learning_data.log
+    keep = int(round(5.0 / cfg.dt)) + 1
+    short = TrajectoryLog(t=log.t[:keep], x=log.x[:keep], u=log.u[:keep],
+                          v=log.v[:keep], e=log.e[:keep])
+    verdicts = []
+    for sweep in [dependent] + [assemble_regression(data, learning_data.basis, cfg.R,
+                                                    cfg.interval) for data in (zero_log, short)]:
+        verdict = lstsq_verdict(sweep, np.eye(sweep.n))
+        assert_recovery_verdict(sweep, verdict, sweep.n)
+        verdicts.append(verdict[:2])
+    assert verdicts[:2] == [(2, 3), (0, 87)]
+    assert verdicts[2][0] <= 50 and verdicts[2][1] == 87
+
+
 def test_vi_learn_requires_rank(docking, learning_data):
     cfg = docking.config
     silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
@@ -400,9 +580,27 @@ def test_vi_learn_matches_reference_residual_loop(docking, learning_data, learne
     P_vi, K_vi, fallback = vi_learn(bundle, cfg.Q, cfg.R)
     assert np.abs(P_vi - P).max() <= 1e-12
     assert np.abs(K_vi - K).max() <= 1e-12
-    assert (fallback.iterations, fallback.resets, fallback.newton_steps) == (
-        history.iterations, history.resets, 0)
+    assert (fallback.iterations, fallback.resets, fallback.newton_steps, fallback.vi_stop_gap) == (
+        history.iterations, history.resets, 0, 0.0)
     same_rows(fallback, history)
+
+
+def test_vi_stop_gap_is_the_gain_change_of_the_accepted_newton_try(docking, learning_data,
+                                                                   learned, monkeypatch):
+    # a try starts where newton_step is handed a P it did not return: a value iterate
+    newton_step, tries = DataRiccati.newton_step, []
+
+    def recording(self, P, F, K):
+        if not tries or P is not tries[-1][1]:
+            tries.append([K, None])
+        tries[-1][1] = newton_step(self, P, F, K)
+        return tries[-1][1]
+
+    monkeypatch.setattr(DataRiccati, "newton_step", recording)
+    cfg = docking.config
+    P, K, history = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R)
+    assert np.array_equal(P, learned.P) and history.newton_steps > 0
+    assert history.vi_stop_gap == np.abs(tries[-1][0] - K).max() > 0.0
 
 
 @st.composite
@@ -653,7 +851,8 @@ def test_gains_roundtrip(tmp_path, learned, docking):
     controller = LearnedController(
         K=learned.K, L=learned.L, P=learned.P,
         iterations=learned.history.iterations, newton_steps=learned.history.newton_steps,
-        resets=learned.history.resets, rank=87, rank_required=87,
+        vi_stop_gap=learned.history.vi_stop_gap, resets=learned.history.resets, rank=87,
+        rank_required=87,
     )
     path = tmp_path / "gains.json"
     save_gains(path, controller)
@@ -663,6 +862,7 @@ def test_gains_roundtrip(tmp_path, learned, docking):
     assert np.array_equal(back["P"], learned.P)
     assert back["iterations"] == learned.history.iterations
     assert back["newton_steps"] == learned.history.newton_steps
+    assert back["vi_stop_gap"] == learned.history.vi_stop_gap
     assert back["rank"] == 87
 
     x = rng.standard_normal(6)

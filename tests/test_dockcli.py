@@ -330,8 +330,8 @@ def test_load_config_missing_file(tmp_path):
 def test_compare_gains_exact_and_perturbed(learned):
     from adpdock import LearnedController
     stub = LearnedController(K=learned.K, L=learned.L, P=learned.P,
-                             iterations=1, newton_steps=0, resets=0, rank=87,
-                             rank_required=87)
+                             iterations=1, newton_steps=0, vi_stop_gap=0.0, resets=0,
+                             rank=87, rank_required=87)
     same = compare_gains(stub, learned.K, learned.L, learned.P)
     assert same["ok"]
     assert same["K"]["max_abs"] == 0.0 and same["P"]["rel_frob"] == 0.0
@@ -363,7 +363,8 @@ def test_json_artifact_key_layout(pipeline):
     def keys(name):
         return list(json.loads((pipeline.out / name).read_text()))
 
-    gains = ["K", "L", "P", "iterations", "newton_steps", "resets", "rank", "rank_required"]
+    gains = ["K", "L", "P", "iterations", "newton_steps", "vi_stop_gap", "resets", "rank",
+             "rank_required"]
     assert keys("learned_gains.json") == gains
     assert keys("oracle_gains.json") == ["K", "L", "P"]
     assert keys("report.json") == ["config", "assumptions", "rank", "learned", "oracle",
