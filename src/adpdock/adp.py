@@ -46,12 +46,18 @@ moments and builds an offset's Theta_j only when asked for it. Recovery
 factors W = Q R_W once (a thin Householder QR) and solves every offset's
 regression as R_W G_j theta = Q' dZZ V(T_j)' vecs(P): a problem with at
 most W's column count of rows, and the same least-squares solution and
-singular values as the interval-row one.
+singular values as the interval-row one. These compressed regressions
+are solved as one stack, with one stacked call each for the column
+equilibration, the QR, the SVD of the rank verdict and the triangular
+solve (:func:`matops.lstsq_compressed`). The SVDs and the solves are cut
+into one contiguous chunk of offsets per usable CPU, each run on a
+thread of its own, since numpy's linalg calls release the GIL.
 
 Assembly, the rank check, value iteration, recovery and the regulator
 solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
 their matrices are at most a few thousand by a hundred, where a second
-BLAS thread costs more in wake-ups than it saves.
+BLAS thread costs more in wake-ups than it saves. Recovery's second CPU
+comes from its own threads instead.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
+# unvecs is not called here any more; perfbench counts the calls of adp.unvecs
 from .matops import (bdiag, check_input_weight, check_weights, equilibrate, kron, lstsq,
                      lstsq_compressed, numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs,
                      vecv, vecv_map, write_json)
@@ -156,21 +163,37 @@ class RegressionSweep(Sequence):
         return self._first if j == 0 else self._bundle(j)
 
     def _bundle(self, j):
-        T, V = self._shift(j)
         vv = vecv(self.x_end - self.v_end @ self.offsets[j].T)
-        return RegressionBundle(j=j, Theta=self._theta(T, V, self.M_zz, self.M_zu, self.M_zv),
-                                Dxx=vv[1:] - vv[:-1], n=self.n, m=self.m, q=self.q)
+        maps = self._maps([j])
+        Theta = np.empty((len(self.M_zz), sum(a.shape[2] for a in maps)))
+        self._theta(maps, self.M_zz, self.M_zu, self.M_zv, Theta[None])
+        return RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
+                                n=self.n, m=self.m, q=self.q)
 
-    def _shift(self, j):
-        """T_j = [I_n, -X_j], which maps z to the shifted state, and V(T_j)."""
-        T = np.hstack([np.eye(self.n), -self.offsets[j]])
-        return T, vecv_map(T)
+    def _maps(self, js):
+        """Stacks of V(T_j)', (T_j (*) I_m)' and (T_j (*) I_q)' for the offsets js.
 
-    def _theta(self, T, V, M_zz, M_zu, M_zv):
-        """Theta_j from the moments, or the same column image of their R factor."""
-        return np.hstack([M_zz @ V.T,
-                          M_zu @ kron(T, np.eye(self.m)).T @ self.scale_u,
-                          2.0 * (M_zv @ kron(T, np.eye(self.q)).T)])
+        T_j = [I_n, -X_j] maps z to offset j's shifted state. Each V(T_j)'
+        is C-ordered: a product's bits depend on its operands' layout.
+        """
+        X = np.stack([self.offsets[j] for j in js])
+        J, n, d = len(X), self.n, self.n + self.q
+        T = np.concatenate([np.broadcast_to(np.eye(n), (J, n, n)), -X], axis=2)
+
+        def with_eye(k):  # T_j (*) I_k, entry (a k + i, c k + l) = T_j[a, c] I_k[i, l]
+            return (T[:, :, None, :, None] * np.eye(k)[:, None, :]).reshape(J, n * k, d * k)
+
+        return (np.ascontiguousarray(vecv_map(T).transpose(0, 2, 1)),
+                with_eye(self.m).transpose(0, 2, 1), with_eye(self.q).transpose(0, 2, 1))
+
+    def _theta(self, maps, M_zz, M_zu, M_zv, out):
+        """Write the stack of Theta_j for the :meth:`_maps` stacks ``maps`` into the leading
+        columns of ``out``, from the moments or the same column image of their R factor."""
+        Vt, Ku, Kv = maps
+        cut_u, cut_v = Vt.shape[2], Vt.shape[2] + Ku.shape[2]
+        np.matmul(M_zz, Vt, out=out[..., :cut_u])
+        np.matmul(M_zu @ Ku, self.scale_u, out=out[..., cut_u:cut_v])
+        np.multiply(M_zv @ Kv, 2.0, out=out[..., cut_v : cut_v + Kv.shape[2]])
 
     def solve(self, p):
         """The least-squares solution of Theta_j theta = Dxx_j p for every offset j.
@@ -179,9 +202,11 @@ class RegressionSweep(Sequence):
         and column j of B the right-hand side Dxx_j p = dZZ V(T_j)' p
         (dZZ: the differences of vecv(z) at the interval ends), gives R_W
         and Q' B. Offset j is then the compressed regression
-        R_W G_j theta = Q' B e_j, solved by :func:`matops.lstsq_compressed`
-        with the rank rule that :func:`matops.lstsq` applies to the
-        interval-row Theta_j.
+        R_W G_j theta = Q' B e_j. All offsets' [R_W G_j | Q' B e_j] are
+        built as one stack and solved by :func:`matops.lstsq_compressed`,
+        under the rank rule that :func:`matops.lstsq` applies to the
+        interval-row Theta_j; its rank verdicts and solves run on one
+        thread per usable CPU.
 
         Returns one solution per row, in sweep order.
 
@@ -193,18 +218,23 @@ class RegressionSweep(Sequence):
         """
         rows = len(self.x_end) - 1
         n_zz, w_cols = self.M_zz.shape[1], self.M_zz.shape[1] + self.M_zu.shape[1]
-        shifts = [self._shift(j) for j in range(len(self))]
+        maps = self._maps(range(len(self)))
+        cols = sum(a.shape[2] for a in maps)
         dZZ = np.diff(vecv(np.hstack([self.x_end, self.v_end])), axis=0)
         # B has one column per offset where dZZ has d(d+1)/2: a narrower factor, and
         # on the docking run's 250 rows one whose bits do not depend on the BLAS
-        # thread count (with dZZ itself they do)
-        B = dZZ @ np.column_stack([V.T @ p for _, V in shifts])
+        # thread count (with dZZ itself they do). One V'p product per offset: a
+        # stacked product gives other bits.
+        B = dZZ @ np.column_stack([Vt @ p for Vt in maps[0]])
         # the first w_cols rows of the augmented R factor are [R_W | Q' B]
         tri = np.linalg.qr(np.hstack([self.M_zz, self.M_zu, B]), mode="r")[:w_cols]
         R_zz, R_zu, Q_B = tri[:, :n_zz], tri[:, n_zz:w_cols], tri[:, w_cols:]
         R_zv = R_zz[:, self._zv_columns()]
-        return np.array([lstsq_compressed(self._theta(T, V, R_zz, R_zu, R_zv), Q_B[:, j], rows)
-                         for j, (T, V) in enumerate(shifts)])
+
+        system = np.empty((len(self), len(tri), cols + 1))  # [R_W G_j | Q' B e_j] for every j
+        self._theta(maps, R_zz, R_zu, R_zv, system)
+        system[:, :, cols] = Q_B.T
+        return lstsq_compressed(system, rows)
 
     def _zv_columns(self):
         """The column of M_zz that holds each column of M_zv: z_a v_b is z_a z_{n+b}."""
@@ -440,14 +470,19 @@ class DataRiccati:
     def __init__(self, solve_op, Q, R, n, m):
         ns = n * (n + 1) // 2
         self.Q, self.R, self.n, self.m = Q, R, n, m
-        # vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
+        # vecs coordinate i is p_ac, doubled off the diagonal, with (a, c) = (iu[i], ju[i]),
+        # so vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
         # residual is exactly symmetric (run_value_iteration symmetrizes P0 and each
         # iterate, and 0.5 (P + P') is exactly symmetric in IEEE arithmetic;
         # a Newton step adds a from_vecs image, whose every entry is one
         # product), so the symmetry check vecs would make can never fire.
-        units = np.eye(n * n).reshape(n * n, n, n)
-        self._to_vecs = np.column_stack([vecs(0.5 * (E + E.T)) for E in units])
-        self._from_vecs = np.column_stack([unvecs(e).ravel() for e in np.eye(ns)])
+        iu, ju = np.triu_indices(n)
+        coords = np.arange(ns)
+        self._to_vecs = np.zeros((ns, n * n))
+        self._to_vecs[coords, iu * n + ju] = self._to_vecs[coords, ju * n + iu] = 1.0
+        self._from_vecs = np.zeros((n * n, ns))
+        self._from_vecs[iu * n + ju, coords] = self._from_vecs[ju * n + iu, coords] = \
+            np.where(iu == ju, 1.0, 0.5)
         k_rows = ns + unvec(np.arange(m * n), m, n).ravel().astype(int)  # vec(K) row by row
         # vec(P) -> [vec(H); K row-major] through one precomputed map
         self._step_map = np.vstack([self._from_vecs @ solve_op[:ns],
@@ -490,7 +525,8 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     the converged P, on one QR factor of its moments
     (:meth:`RegressionSweep.solve`). The third block of the j = 0
     solution is vec(D'P) since S(X_0) = 0, giving D_hat; for j >= 1 it is
-    vec((D - S(X_j))'P), giving S(X_j) by subtraction; and B_hat follows
+    vec((D - S(X_j))'P), giving S(X_j) by subtraction (one stacked solve
+    with P serves D_hat and every S(X_j)); and B_hat follows
     from inverting K = R^{-1}B'P, with R in any weight form of
     :func:`matops.check_weights`.
 
@@ -514,9 +550,10 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     ns = n * (n + 1) // 2
     R = check_input_weight(R, m)
 
-    blocks = [unvec(theta[ns + m * n :], q, n) for theta in sweep.solve(vecs(P))]
-    D_hat = np.linalg.solve(P, blocks[0].T)
-    S_values = [D_hat - np.linalg.solve(P, Mj.T) for Mj in blocks[1:]]
+    # row j's last block is vec(M_j), M_j = (D - S(X_j))'P, so it reshapes to M_j' row by row
+    DS = np.linalg.solve(P, sweep.solve(vecs(P))[:, ns + m * n :].reshape(len(sweep), n, q))
+    D_hat = DS[0]
+    S_values = list(D_hat - DS[1:])
     B_hat = np.linalg.solve(P, (R @ np.asarray(K_next_final, dtype=float)).T)
     return ModelRecovery(D_hat=D_hat, B_hat=B_hat, S_values=S_values)
 

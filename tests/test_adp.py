@@ -2,6 +2,7 @@
 and the data-driven regulator solve."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from adpdock import (
     collect_data,
     kleinman_from_care,
     linear_balls,
+    matops,
     model_based_vi,
     recover_model_artifacts,
     solve_problem1_datadriven,
@@ -41,6 +43,7 @@ from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unv
                             vecv, vecv_map)
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
+from conftest import assert_no_child_left
 from test_regulator import random_solvable
 
 rng = np.random.default_rng(1618)
@@ -329,12 +332,49 @@ def test_sweep_matches_eager_bundles_and_per_offset_recovery(case):
     for got, want in zip(sweep, eager):
         assert got.j == want.j and (got.n, got.m, got.q) == (want.n, want.m, want.q)
         assert np.array_equal(got.Theta, want.Theta) and np.array_equal(got.Dxx, want.Dxx)
-    recovery = recover_model_artifacts(sweep, P, K, R)
+    # one, two and three usable CPUs cut the five offsets into 1, 2 and 3 chunks
+    recovery, *others = recoveries_by_cpu_count(sweep, P, K, R, (1, 2, 3))
+    for other in others:
+        assert_same_recovery_bits(other, recovery)
     reference = reference_recovery(eager, P, K, R)
     pairs = [(recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat),
              *zip(recovery.S_values, reference.S_values, strict=True)]
     for got, want in pairs:
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def recoveries_by_cpu_count(sweep, P, K, R, counts):
+    """recover_model_artifacts with matops._usable_cpus patched to each count in turn;
+    checks that every call leaves the thread count as it found it."""
+    recoveries = []
+    for cpus in counts:
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matops, "_usable_cpus", lambda cpus=cpus: cpus)
+            recoveries.append(recover_model_artifacts(sweep, P, K, R))
+        assert threading.active_count() == threads
+    return recoveries
+
+
+def assert_same_recovery_bits(got, want):
+    assert len(got.S_values) == len(want.S_values)
+    for a, b in zip([got.D_hat, got.B_hat, *got.S_values], [want.D_hat, want.B_hat,
+                                                            *want.S_values]):
+        assert np.array_equal(a, b)
+
+
+def test_recovery_bits_do_not_depend_on_the_cpu_count_at_1000_intervals():
+    # the docking dimensions and 26 offsets over 1000 intervals, the size of a 100 s log
+    g = np.random.default_rng(1000)
+    log, _, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
+    basis = KernelBasis(X1=g.standard_normal((6, 8)),
+                        basis=[g.standard_normal((6, 8)) for _ in range(24)])
+    sweep = assemble_regression(log, basis, R, 0.01)
+    assert len(sweep) == 26 and sweep[0].rows == 1000
+    W = g.standard_normal((6, 6))
+    one, two = recoveries_by_cpu_count(sweep, W @ W.T + 6 * np.eye(6),
+                                       g.standard_normal((3, 6)), R, (1, 2))
+    assert_same_recovery_bits(two, one)
 
 
 def test_bundle_j0_difference_is_raw(docking, learning_data):
@@ -497,6 +537,53 @@ def test_compressed_recovery_reports_lstsq_rank_deficiency(docking, learning_dat
     assert verdicts[2][0] <= 50 and verdicts[2][1] == 87
 
 
+def test_recovery_raises_the_verdict_of_a_deficient_offset_in_the_last_chunk():
+    # (n, m, q) = (1, 1, 1) with integer moments, so the planting is exact: at
+    # the last offset X* = 2, z0 v - X* v^2 is 3 (z0 u - X* v u), which makes
+    # Theta_3's third column a multiple of its second; the other offsets keep
+    # full rank. With two or three usable CPUs offset 3 is solved in a worker
+    g = np.random.default_rng(3)
+    rows, x_star = 1000, 2.0
+    zz = g.integers(-9, 10, (rows, 2, 2)).astype(float)
+    M_zu = g.integers(-9, 10, (rows, 2)).astype(float)
+    zz[:, 0, 1] = zz[:, 1, 0] = x_star * zz[:, 1, 1] + 3.0 * (M_zu[:, 0] - x_star * M_zu[:, 1])
+    offsets = [np.zeros((1, 1)), np.full((1, 1), 0.5), np.full((1, 1), -1.0),
+               np.full((1, 1), x_star)]
+    sweep = moment_sweep(zz, M_zu, g.standard_normal((rows + 1, 1)),
+                         g.standard_normal((rows + 1, 1)), offsets, np.eye(1))
+    verdicts = [lstsq_verdict([bundle], np.eye(1)) for bundle in sweep]
+    assert verdicts[:3] == [None] * 3 and verdicts[3][:2] == (2, 3)
+    for cpus in (2, 3):
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matops, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert_recovery_verdict(sweep, verdicts[3], 1)
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_recovery_error_in_any_chunk_propagates_after_every_thread_ends(monkeypatch, failing):
+    # the stacked SVD fails in a worker thread's chunk, or in the calling thread's
+    g = np.random.default_rng(5)
+    log, basis, R = random_log_and_basis(2, 1, 1, 201, 0.01, g)
+    sweep = assemble_regression(log, basis, R, 0.01)
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: 3)
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        in_worker = threading.current_thread() is not threading.main_thread()
+        if np.ndim(a) == 3 and in_worker == (failing == "worker"):
+            raise np.linalg.LinAlgError(f"SVD did not converge in the {failing}")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match=f"in the {failing}"):
+        recover_model_artifacts(sweep, np.eye(2), np.zeros((1, 2)), R)
+    assert threading.active_count() == threads
+    assert_no_child_left()
+
+
 def test_vi_learn_requires_rank(docking, learning_data):
     cfg = docking.config
     silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
@@ -619,7 +706,14 @@ def regression_and_state(draw):
 @given(regression_and_state())
 def test_data_residual_matches_reference(case):
     n, m, solve_op, P, Q, R = case
-    delta, K = DataRiccati(solve_op, Q, R, n, m)(P)
+    riccati_map = DataRiccati(solve_op, Q, R, n, m)
+    # the index-built coordinate maps are the vecs and unvecs images of unit matrices
+    units = np.eye(n * n).reshape(n * n, n, n)
+    assert np.array_equal(riccati_map._to_vecs,
+                          np.column_stack([vecs(0.5 * (E + E.T)) for E in units]))
+    assert np.array_equal(riccati_map._from_vecs,
+                          np.column_stack([unvecs(e).ravel() for e in np.eye(n * (n + 1) // 2)]))
+    delta, K = riccati_map(P)
     ref_delta, ref_K = reference_vi_residual(solve_op, Q, R, n, m)(P)
     assert K.shape == (m, n)
     assert np.linalg.norm(delta - ref_delta) <= 1e-12 * np.linalg.norm(ref_delta)

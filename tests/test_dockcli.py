@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import threading
 from operator import attrgetter
 from pathlib import Path
 
@@ -694,9 +695,11 @@ def test_failed_learning_csv_writer_raises_after_reaping(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(matops, "_write_whole", disk_full)  # the child inherits the patch
     fds = open_fds()
+    threads = threading.active_count()
     with pytest.raises(OSError, match="exited with code 1"):
         run_experiment(default_config(), tmp_path / "out", log=quiet)
     assert_no_child_left()
+    assert threading.active_count() == threads  # recovery's worker threads are joined too
     assert open_fds() <= fds
     assert csv_writes[0] == ("bg", "trajectory_learning.csv")
     # the writer is joined before any JSON artifact is written
