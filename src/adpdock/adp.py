@@ -10,10 +10,10 @@ j = 0 regression equation
 
 whose blocks recover H = A'P + PA, the improved gain K = R^{-1}B'P, and
 M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. Newton
-steps on the same equation finish the iteration. After
-convergence the third blocks of the regressions across the sweep, solved
-at the converged P, yield D, S(X_j), and B, which is enough to pose and
-solve the trace-optimal regulator-equation problem from data alone.
+steps on the same equation finish the iteration. After convergence the
+plant and the exosystem are identified from the same data (see below),
+which gives D, B and every S(X_j), enough to pose and solve the
+trace-optimal regulator-equation problem from data alone.
 
 Derivation of the regression equation: along dx/dt = A x + B u + D v the
 shifted state xbar_j = x - X_j v obeys
@@ -39,25 +39,33 @@ and Gxv_j = M_zv (T_j (*) I_q)', where row l of M_zz, M_zu, M_zv holds the
 interval-l integrals of vecv(z), z (*) u and z (*) v. The same holds at
 the interval ends: Dxx_j = dZZ V(T_j)' with dZZ the differences of vecv(z).
 
-So every offset's regression is a fixed column image of one data matrix:
-Theta_j = W G_j with W = [M_zz | M_zu], because the columns of M_zv are
-columns of M_zz (v is part of z). :class:`RegressionSweep` holds the
-moments and builds an offset's Theta_j only when asked for it. Recovery
-factors W = Q R_W once (a thin Householder QR) and solves every offset's
-regression as R_W G_j theta = Q' dZZ V(T_j)' vecs(P): a problem with at
-most W's column count of rows, and the same least-squares solution and
-singular values as the interval-row one. These compressed regressions
-are solved as one stack, with one stacked call each for the column
-equilibration, the QR, the SVD of the rank verdict and the triangular
-solve (:func:`matops.lstsq_compressed`). The SVDs and the solves are cut
-into one contiguous chunk of offsets per usable CPU, each run on a
-thread of its own, since numpy's linalg calls release the GIL.
+So every offset's regression is a fixed column image of the moments.
+:class:`RegressionSweep` holds them and builds an offset's Theta_j only
+when asked for it.
+
+Recovery solves no offset's regression. Bundle 0's least-squares
+operator, vecs(P) -> [vecs(H); vec(K); vec(M)], is solved once and
+shared with value iteration (:attr:`RegressionBundle.solve_op`). Its H
+block is the matrix of the Lyapunov operator P -> A'P + PA, so a
+least-squares fit of that operator gives A_hat; at the converged P its M
+block gives D_hat and K gives B_hat. The exosystem is identified from
+the exostate alone: over interval l, with M_vv,l the integral of v v'
+(the vv' columns of M_zz) and Delta_l the change of v v' across it,
+
+    Delta_l = E M_vv,l + M_vv,l E'.
+
+One thin QR of [M_vv | Delta] compresses the intervals to a square
+factor with the same least-squares problem, which is solved for E_hat by
+q^2 x q^2 normal equations. The trapezoidal M_vv,l is biased by
+dt^2/12 (E Delta_l + Delta_l E'), the Euler-Maclaurin end term of
+d(v v')/dt = E v v' + v v' E'. That term is linear in the Delta columns,
+so it is subtracted on the same factor with the first E_hat, and E_hat
+is refitted. Then S(X_j) = X_j E_hat - A_hat X_j for every offset.
 
 Assembly, the rank check, value iteration, recovery and the regulator
 solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
 their matrices are at most a few thousand by a hundred, where a second
-BLAS thread costs more in wake-ups than it saves. Recovery's second CPU
-comes from its own threads instead.
+BLAS thread costs more in wake-ups than it saves.
 """
 
 from __future__ import annotations
@@ -65,14 +73,15 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
 # unvecs is not called here any more; perfbench counts the calls of adp.unvecs
 from .matops import (bdiag, check_input_weight, check_weights, equilibrate, kron, lstsq,
-                     lstsq_compressed, numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs,
-                     vecv, vecv_map, write_json)
+                     numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map,
+                     write_json)
 from .regulator import RegulatorSolution, solve_min_trace
 from .riccati import linear_balls, run_value_iteration
 from .sysmodels import LinearPolicy, simulate, whole_steps
@@ -129,6 +138,16 @@ class RegressionBundle:
     def required_rank(self):
         return self.n * (self.n + 1) // 2 + (self.m + self.q) * self.n
 
+    @cached_property
+    def solve_op(self):
+        """The least-squares operator ``lstsq(Theta, Dxx)``, solved on first use and kept.
+
+        It maps vecs(P) to the regression's solution [vecs(H); vec(K);
+        vec(M)] at P. Value iteration and recovery share it. Raises
+        :class:`RankDeficiencyError` as :func:`matops.lstsq` does.
+        """
+        return lstsq(self.Theta, self.Dxx)[0]
+
 
 class RegressionSweep(Sequence):
     """The regressions of a whole offset sweep, held as interval moments of z = [x; v].
@@ -138,17 +157,19 @@ class RegressionSweep(Sequence):
     sweep. A slice gives a list of bundles. The sweep keeps the moments
     ``M_zz``, ``M_zu`` and ``M_zv`` of :func:`assemble_regression`, the
     state ``x_end`` and exostate ``v_end`` at the interval ends, and
-    ``scale_u`` = 2 (I_n (*) R), all read-only; it does not keep the
-    log. :meth:`solve` solves every offset's regression on one QR factor
-    of the moments, without building any Theta_j.
+    ``scale_u`` = 2 (I_n (*) R), all read-only, and ``dt``, the fine step
+    the moments were integrated with by the trapezoidal rule (0 for
+    exact integrals, which need no end correction); it does not keep
+    the log.
     """
 
-    def __init__(self, offsets, M_zz, M_zu, M_zv, x_end, v_end, scale_u):
+    def __init__(self, offsets, M_zz, M_zu, M_zv, x_end, v_end, scale_u, dt):
         self.offsets = tuple(offsets)
         self.M_zz, self.M_zu, self.M_zv = M_zz, M_zu, M_zv
         self.x_end, self.v_end, self.scale_u = x_end, v_end, scale_u
         for a in (M_zz, M_zu, M_zv, x_end, v_end, scale_u):
             a.flags.writeable = False
+        self.dt = float(dt)
         self.n, self.q = self.offsets[0].shape
         self.m = scale_u.shape[0] // self.n
         self._first = self._bundle(0)
@@ -163,86 +184,21 @@ class RegressionSweep(Sequence):
         return self._first if j == 0 else self._bundle(j)
 
     def _bundle(self, j):
-        vv = vecv(self.x_end - self.v_end @ self.offsets[j].T)
-        maps = self._maps([j])
-        Theta = np.empty((len(self.M_zz), sum(a.shape[2] for a in maps)))
-        self._theta(maps, self.M_zz, self.M_zu, self.M_zv, Theta[None])
+        """Bundle j from the moments: T_j = [I_n, -X_j] maps z to its shifted state."""
+        X = self.offsets[j]
+        T = np.hstack([np.eye(self.n), -X])
+        vv = vecv(self.x_end - self.v_end @ X.T)
+        # V(T_j)' C-ordered: a product's bits depend on its operands' layout
+        Vt = np.ascontiguousarray(vecv_map(T).T)
+        Ku, Kv = kron(T, np.eye(self.m)).T, kron(T, np.eye(self.q)).T
+        cut_u, cut_v = Vt.shape[1], Vt.shape[1] + Ku.shape[1]
+        # written in place: bundle 0 is built while assembly's temporaries are alive
+        Theta = np.empty((len(self.M_zz), cut_v + Kv.shape[1]))
+        np.matmul(self.M_zz, Vt, out=Theta[:, :cut_u])
+        np.matmul(self.M_zu @ Ku, self.scale_u, out=Theta[:, cut_u:cut_v])
+        np.multiply(self.M_zv @ Kv, 2.0, out=Theta[:, cut_v:])
         return RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
                                 n=self.n, m=self.m, q=self.q)
-
-    def _maps(self, js):
-        """Stacks of V(T_j)', (T_j (*) I_m)' and (T_j (*) I_q)' for the offsets js.
-
-        T_j = [I_n, -X_j] maps z to offset j's shifted state. Each V(T_j)'
-        is C-ordered: a product's bits depend on its operands' layout.
-        """
-        X = np.stack([self.offsets[j] for j in js])
-        J, n, d = len(X), self.n, self.n + self.q
-        T = np.concatenate([np.broadcast_to(np.eye(n), (J, n, n)), -X], axis=2)
-
-        def with_eye(k):  # T_j (*) I_k, entry (a k + i, c k + l) = T_j[a, c] I_k[i, l]
-            return (T[:, :, None, :, None] * np.eye(k)[:, None, :]).reshape(J, n * k, d * k)
-
-        return (np.ascontiguousarray(vecv_map(T).transpose(0, 2, 1)),
-                with_eye(self.m).transpose(0, 2, 1), with_eye(self.q).transpose(0, 2, 1))
-
-    def _theta(self, maps, M_zz, M_zu, M_zv, out):
-        """Write the stack of Theta_j for the :meth:`_maps` stacks ``maps`` into the leading
-        columns of ``out``, from the moments or the same column image of their R factor."""
-        Vt, Ku, Kv = maps
-        cut_u, cut_v = Vt.shape[2], Vt.shape[2] + Ku.shape[2]
-        np.matmul(M_zz, Vt, out=out[..., :cut_u])
-        np.matmul(M_zu @ Ku, self.scale_u, out=out[..., cut_u:cut_v])
-        np.multiply(M_zv @ Kv, 2.0, out=out[..., cut_v : cut_v + Kv.shape[2]])
-
-    def solve(self, p):
-        """The least-squares solution of Theta_j theta = Dxx_j p for every offset j.
-
-        One thin Householder QR of [W | B], with W = [M_zz | M_zu] = Q R_W
-        and column j of B the right-hand side Dxx_j p = dZZ V(T_j)' p
-        (dZZ: the differences of vecv(z) at the interval ends), gives R_W
-        and Q' B. Offset j is then the compressed regression
-        R_W G_j theta = Q' B e_j. All offsets' [R_W G_j | Q' B e_j] are
-        built as one stack and solved by :func:`matops.lstsq_compressed`,
-        under the rank rule that :func:`matops.lstsq` applies to the
-        interval-row Theta_j; its rank verdicts and solves run on one
-        thread per usable CPU.
-
-        Returns one solution per row, in sweep order.
-
-        Raises
-        ------
-        RankDeficiencyError
-            For the first offset whose Theta_j lacks full column rank, with
-            the rank and required count :func:`matops.lstsq` reports on it.
-        """
-        rows = len(self.x_end) - 1
-        n_zz, w_cols = self.M_zz.shape[1], self.M_zz.shape[1] + self.M_zu.shape[1]
-        maps = self._maps(range(len(self)))
-        cols = sum(a.shape[2] for a in maps)
-        dZZ = np.diff(vecv(np.hstack([self.x_end, self.v_end])), axis=0)
-        # B has one column per offset where dZZ has d(d+1)/2: a narrower factor, and
-        # on the docking run's 250 rows one whose bits do not depend on the BLAS
-        # thread count (with dZZ itself they do). One V'p product per offset: a
-        # stacked product gives other bits.
-        B = dZZ @ np.column_stack([Vt @ p for Vt in maps[0]])
-        # the first w_cols rows of the augmented R factor are [R_W | Q' B]
-        tri = np.linalg.qr(np.hstack([self.M_zz, self.M_zu, B]), mode="r")[:w_cols]
-        R_zz, R_zu, Q_B = tri[:, :n_zz], tri[:, n_zz:w_cols], tri[:, w_cols:]
-        R_zv = R_zz[:, self._zv_columns()]
-
-        system = np.empty((len(self), len(tri), cols + 1))  # [R_W G_j | Q' B e_j] for every j
-        self._theta(maps, R_zz, R_zu, R_zv, system)
-        system[:, :, cols] = Q_B.T
-        return lstsq_compressed(system, rows)
-
-    def _zv_columns(self):
-        """The column of M_zz that holds each column of M_zv: z_a v_b is z_a z_{n+b}."""
-        d = self.n + self.q
-        ic, ie = np.triu_indices(d)
-        position = np.empty((d, d), dtype=int)
-        position[ic, ie] = position[ie, ic] = np.arange(ic.size)
-        return position[:, self.n:].ravel()
 
 
 @dataclass
@@ -272,15 +228,26 @@ class LearnedController:
 
 @dataclass
 class ModelRecovery:
-    """Matrices reconstructed from converged regression blocks.
+    """The model identified from data, and how well the data fit it.
 
     ``S_values[j - 1]`` is the recovered Sylvester image S(X_j) for
     j = 1..h+1 (S(X_0) = 0 by construction and is not stored).
+    ``A_hat`` and ``E_hat`` are the identified plant and exosystem
+    matrices. ``E_rank`` is the numerical rank of E_hat's normal system
+    and ``E_required`` its size, q^2. ``A_residual`` and ``E_residual``
+    are the relative least-squares residuals of the two fits (Frobenius
+    norms, residual over data).
     """
 
     D_hat: np.ndarray
     B_hat: np.ndarray
     S_values: list[np.ndarray]
+    A_hat: np.ndarray
+    E_hat: np.ndarray
+    E_rank: int
+    E_required: int
+    A_residual: float
+    E_residual: float
 
 
 def collect_data(model, exo, K0, noise, x0, horizon=25.0, dt=1e-3, interval=0.1):
@@ -377,7 +344,7 @@ def assemble_regression(log, basis, R, interval):
     M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
     M_zu = M_zu.reshape(n_int, d * m)
 
-    return RegressionSweep(basis.sequence(), M_zz, M_zu, M_zv, x[ends], v[ends], scale_u)
+    return RegressionSweep(basis.sequence(), M_zz, M_zu, M_zv, x[ends], v[ends], scale_u, dt)
 
 
 @one_blas_thread()
@@ -407,9 +374,10 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
     eps_k = 1/k and the ball resets of the model-based iteration
     (:func:`riccati.run_value_iteration`); P0 defaults to the identity
     and ball radii to 10 (r + 1). The data matrices are fixed, so the
-    least-squares operator is factored once up front and composed with
-    the vecs and unvecs maps (:class:`DataRiccati`): an iteration is one
-    matrix-vector product plus the K'RK term.
+    least-squares operator is solved once (:attr:`RegressionBundle.solve_op`,
+    which recovery reuses) and composed with the vecs and unvecs maps
+    (:class:`DataRiccati`): an iteration is one matrix-vector product plus
+    the K'RK term.
 
     At k = 2, 4, 8, ... :func:`riccati.run_value_iteration` tries Newton
     steps on F from the current iterate (:meth:`DataRiccati.newton_step`)
@@ -440,7 +408,7 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
     # Theta is fixed across iterations, so solve once for the operator
     # mapping vecs(P) to the stacked unknowns [vecs(H); vec(K); vec(M)].
     try:
-        solve_op, _ = lstsq(bundle_j0.Theta, bundle_j0.Dxx)
+        solve_op = bundle_j0.solve_op
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             f"data matrix rank {exc.rank} < required {exc.required}; "
@@ -454,6 +422,23 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
     riccati_map = DataRiccati(solve_op, Q, R, n, m)
     return run_value_iteration(riccati_map, P0, eps, ball_schedule, max_k,
                                newton_step=riccati_map.newton_step)
+
+
+def _vecs_maps(n):
+    """(to_vecs, from_vecs): vecs(P) == to_vecs @ P.ravel() for symmetric P, and
+    unvecs(s).ravel() == from_vecs @ s.
+
+    vecs coordinate i is p_ac, doubled off the diagonal, with (a, c) the
+    i-th pair of ``numpy.triu_indices(n)``.
+    """
+    ns = n * (n + 1) // 2
+    iu, ju = np.triu_indices(n)
+    coords = np.arange(ns)
+    to_vecs = np.zeros((ns, n * n))
+    to_vecs[coords, iu * n + ju] = to_vecs[coords, ju * n + iu] = 1.0
+    from_vecs = np.zeros((n * n, ns))
+    from_vecs[iu * n + ju, coords] = from_vecs[ju * n + iu, coords] = np.where(iu == ju, 1.0, 0.5)
+    return to_vecs, from_vecs
 
 
 class DataRiccati:
@@ -470,19 +455,11 @@ class DataRiccati:
     def __init__(self, solve_op, Q, R, n, m):
         ns = n * (n + 1) // 2
         self.Q, self.R, self.n, self.m = Q, R, n, m
-        # vecs coordinate i is p_ac, doubled off the diagonal, with (a, c) = (iu[i], ju[i]),
-        # so vecs(P) == to_vecs @ P.ravel() for symmetric P. Every P reaching the
-        # residual is exactly symmetric (run_value_iteration symmetrizes P0 and each
-        # iterate, and 0.5 (P + P') is exactly symmetric in IEEE arithmetic;
-        # a Newton step adds a from_vecs image, whose every entry is one
-        # product), so the symmetry check vecs would make can never fire.
-        iu, ju = np.triu_indices(n)
-        coords = np.arange(ns)
-        self._to_vecs = np.zeros((ns, n * n))
-        self._to_vecs[coords, iu * n + ju] = self._to_vecs[coords, ju * n + iu] = 1.0
-        self._from_vecs = np.zeros((n * n, ns))
-        self._from_vecs[iu * n + ju, coords] = self._from_vecs[ju * n + iu, coords] = \
-            np.where(iu == ju, 1.0, 0.5)
+        # Every P reaching the residual is exactly symmetric (run_value_iteration
+        # symmetrizes P0 and each iterate, and 0.5 (P + P') is exactly symmetric in
+        # IEEE arithmetic; a Newton step adds a from_vecs image, whose every entry is
+        # one product), so the symmetry check vecs would make can never fire.
+        self._to_vecs, self._from_vecs = _vecs_maps(n)
         k_rows = ns + unvec(np.arange(m * n), m, n).ravel().astype(int)  # vec(K) row by row
         # vec(P) -> [vec(H); K row-major] through one precomputed map
         self._step_map = np.vstack([self._from_vecs @ solve_op[:ns],
@@ -519,16 +496,17 @@ class DataRiccati:
 
 @one_blas_thread()
 def recover_model_artifacts(sweep, P_final, K_next_final, R):
-    """Reconstruct D, B, and the Sylvester images S(X_j) from data.
+    """Identify the plant and the exosystem from data, and with them D, B and every S(X_j).
 
-    Solves every regression of the :class:`RegressionSweep` ``sweep`` at
-    the converged P, on one QR factor of its moments
-    (:meth:`RegressionSweep.solve`). The third block of the j = 0
-    solution is vec(D'P) since S(X_0) = 0, giving D_hat; for j >= 1 it is
-    vec((D - S(X_j))'P), giving S(X_j) by subtraction (one stacked solve
-    with P serves D_hat and every S(X_j)); and B_hat follows
-    from inverting K = R^{-1}B'P, with R in any weight form of
-    :func:`matops.check_weights`.
+    A_hat is the least-squares fit of the Lyapunov operator P -> A'P + PA
+    to the H block of bundle 0's operator (:attr:`RegressionBundle.solve_op`,
+    shared with :func:`vi_learn`). E_hat is fitted to the exostate moments
+    of the :class:`RegressionSweep` ``sweep`` and refitted after the
+    Euler-Maclaurin end correction (see the module docstring). At the
+    converged P, the M block of bundle 0's solution is vec(D'P) since
+    S(X_0) = 0, giving D_hat, and B_hat follows from inverting
+    K = R^{-1}B'P, with R in any weight form of
+    :func:`matops.check_weights`. Then S(X_j) = X_j E_hat - A_hat X_j.
 
     Raises
     ------
@@ -537,7 +515,9 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     NoSolutionError
         If P_final is singular.
     RankDeficiencyError
-        If an offset's regression lacks full column rank.
+        If bundle 0's regression lacks full column rank, or the exostate
+        moments do not identify E: the rank of E_hat's normal system,
+        under :func:`matops.numerical_rank`'s rule, falls short of q^2.
     """
     if not isinstance(sweep, RegressionSweep):
         raise ValueError("recovery needs the RegressionSweep of assemble_regression, "
@@ -550,12 +530,94 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     ns = n * (n + 1) // 2
     R = check_input_weight(R, m)
 
-    # row j's last block is vec(M_j), M_j = (D - S(X_j))'P, so it reshapes to M_j' row by row
-    DS = np.linalg.solve(P, sweep.solve(vecs(P))[:, ns + m * n :].reshape(len(sweep), n, q))
-    D_hat = DS[0]
-    S_values = list(D_hat - DS[1:])
+    solve_op = sweep[0].solve_op
+    A_hat, A_residual = _identify_plant(solve_op[:ns], n)
+    E_hat, E_rank, E_residual = _identify_exosystem(sweep)
+    # the M block is vec(D'P), so it reshapes to P D row by row
+    D_hat = np.linalg.solve(P, (solve_op[ns + m * n :] @ vecs(P)).reshape(n, q))
     B_hat = np.linalg.solve(P, (R @ np.asarray(K_next_final, dtype=float)).T)
-    return ModelRecovery(D_hat=D_hat, B_hat=B_hat, S_values=S_values)
+    return ModelRecovery(D_hat=D_hat, B_hat=B_hat,
+                         S_values=[X @ E_hat - A_hat @ X for X in sweep.offsets[1:]],
+                         A_hat=A_hat, E_hat=E_hat, E_rank=E_rank, E_required=q * q,
+                         A_residual=A_residual, E_residual=E_residual)
+
+
+def _relative(residual, data):
+    return float(np.linalg.norm(residual) / (np.linalg.norm(data) or 1.0))
+
+
+@cache
+def _lyapunov_design(n):
+    """(L, pinv(L)) for n: L maps vec(A), row by row, to the operator P -> A'P + PA.
+
+    The operator is taken as its n(n+1)/2 x n(n+1)/2 matrix on the vecs
+    coordinates, flattened row by row: the layout of the H block of
+    :attr:`RegressionBundle.solve_op`. Both arrays are read-only.
+    """
+    to_vecs, from_vecs = _vecs_maps(n)
+    ns = len(to_vecs)
+    units = np.eye(n * n).reshape(n * n, 1, n, n)  # A = e_a e_b', (a, b) row by row
+    coords = from_vecs.T.reshape(ns, n, n)  # P = unvecs(e_i)
+    images = (units.transpose(0, 1, 3, 2) @ coords + coords @ units).reshape(n * n, ns, n * n)
+    design = (images @ to_vecs.T).transpose(2, 1, 0).reshape(ns * ns, n * n)
+    pinv = np.linalg.pinv(design)
+    design.flags.writeable = pinv.flags.writeable = False
+    return design, pinv
+
+
+def _identify_plant(dH, n):
+    """(A_hat, relative residual): the least-squares fit of P -> A'P + PA to ``dH``."""
+    design, pinv = _lyapunov_design(n)
+    a = pinv @ dH.ravel()
+    return a.reshape(n, n), _relative(design @ a - dH.ravel(), dH)
+
+
+def _identify_exosystem(sweep):
+    """(E_hat, rank, relative residual) from the exostate moments of ``sweep``.
+
+    Interval l gives Delta_l = E M_vv,l + M_vv,l E'. Q in the thin QR
+    [M_vv | Delta] = Q [S | D] has orthonormal columns, so the rows of
+    the factor, read as symmetric matrices S_k and D_k, pose the same
+    least-squares problem in at most q(q+1) rows. The end correction of
+    M_vv is linear in the Delta columns, so it acts on the same factor.
+    """
+    n, q = sweep.n, sweep.q
+    rows, _ = np.triu_indices(n + q)
+    iu, ju = np.triu_indices(q)
+    # the vv' columns of M_zz, in vecv(v) order, and the changes of vecv(v)
+    factor = np.linalg.qr(np.hstack([sweep.M_zz[:, rows >= n],
+                                     np.diff(vecv(sweep.v_end), axis=0)]), mode="r")
+    S, D = np.empty((2, len(factor), q, q))
+    for out, half in zip((S, D), np.hsplit(factor, 2)):
+        out[:, iu, ju] = out[:, ju, iu] = half
+    E, _ = _fit_exosystem(S, D)
+    # the trapezoidal integral of v v' minus the Euler-Maclaurin end term
+    S = S - sweep.dt ** 2 / 12.0 * (E @ D + D @ E.T)
+    E, rank = _fit_exosystem(S, D)
+    return E, rank, _relative(D - E @ S - S @ E.T, D)
+
+
+def _fit_exosystem(S, D):
+    """(E, rank) minimizing sum_k |D_k - E S_k - S_k E'|_F^2 over the stacks S and D.
+
+    Its normal equations E G + sum_k S_k E' S_k = sum_k D_k S_k, with
+    G = sum_k S_k S_k, are q^2 equations in E row by row. Their rank is
+    :func:`matops.numerical_rank`'s.
+
+    Raises RankDeficiencyError if it falls short of q^2.
+    """
+    k, q, _ = S.shape
+    flat = S.reshape(k, q * q)
+    # sum_k S_k E' S_k: entry (a, b) takes E[d, c] times sum_k S_k[a, c] S_k[d, b]
+    cross = (flat.T @ flat).reshape(q, q, q, q).transpose(0, 3, 2, 1).reshape(q * q, q * q)
+    normal = np.kron(np.eye(q), (S @ S).sum(axis=0)) + cross
+    rank = numerical_rank(normal)
+    if rank < q * q:
+        raise RankDeficiencyError(
+            f"exostate moments identify E to rank {rank} < {q * q}; "
+            "the exostate does not excite every mode of the exosystem",
+            rank=rank, required=q * q)
+    return np.linalg.solve(normal, (D @ S).sum(axis=0).ravel()).reshape(q, q), rank
 
 
 @one_blas_thread()

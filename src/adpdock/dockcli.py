@@ -297,6 +297,7 @@ class ExperimentReport:
     config: dict
     assumptions: AssumptionReport
     rank: dict
+    identification: dict
     learned: adp.LearnedController
     oracle: dict
     comparison: dict
@@ -338,7 +339,8 @@ def _stage(name, fn, *args, **kwargs):
     except StageFailure:
         raise
     except RankDeficiencyError as exc:
-        raise StageFailure("rank", exc) from exc
+        # recovery's own rank verdict is on the exosystem, not on the data matrix
+        raise StageFailure(name if name == "recover" else "rank", exc) from exc
     except ConvergenceError as exc:
         raise StageFailure("convergence", exc) from exc
     except Exception as exc:
@@ -381,7 +383,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     evaluation. A failed PBH check ends the run in stage 'assumptions',
     before collection; ``check`` lists every record. The rank check only
     reports: value iteration rejects a rank-deficient data matrix by the
-    same rule, in stage 'rank'. The whole run holds numpy's OpenBLAS at
+    same rule, in stage 'rank'. An exostate that does not identify the
+    exosystem ends the run in stage 'recover'; ``report.json`` records
+    the identification's ranks and residuals beside the data matrix's
+    rank. The whole run holds numpy's OpenBLAS at
     one thread (:class:`matops.one_blas_thread`). The output directory is
     made when collection ends, and a forked child then writes
     ``trajectory_learning.csv`` while the later stages run
@@ -428,6 +433,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             f"{history.newton_steps} Newton steps ({history.resets} resets)")
 
         recovery = _stage("recover", adp.recover_model_artifacts, sweep, P, K, config.R)
+        identification = {key: getattr(recovery, key) for key in (
+            "E_rank", "E_required", "A_residual", "E_residual", "A_hat", "E_hat")}
+        log(f"identified A and E: E rank {recovery.E_rank}/{recovery.E_required}, relative "
+            f"residuals {recovery.A_residual:.3e} (A) and {recovery.E_residual:.3e} (E)")
         solution = _stage("regulator", adp.solve_problem1_datadriven,
                           recovery, basis, config.Qbar, config.Rbar)
         L = regulator.feedforward_gain(solution, K)
@@ -475,8 +484,8 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
 
         report = ExperimentReport(
             config=config.to_dict(), assumptions=assumptions, rank=rank,
-            learned=learned, oracle=oracle, comparison=comparison, tracking=tracking,
-            files=list(_ARTIFACTS),
+            identification=identification, learned=learned, oracle=oracle,
+            comparison=comparison, tracking=tracking, files=list(_ARTIFACTS),
         )
         write_json(out / "report.json", report)
         log(f"artifacts written to {out}")

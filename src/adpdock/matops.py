@@ -78,7 +78,6 @@ __all__ = [
     "bdiag",
     "equilibrate",
     "lstsq",
-    "lstsq_compressed",
     "null_space",
     "is_hurwitz",
     "write_csv",
@@ -257,15 +256,12 @@ def equilibrate(theta):
     solution, but it makes the rank decision independent of column scales
     that span many orders of magnitude. Zero columns keep scale 1. This is
     the one matrix on which both :func:`lstsq` and the data-rank check
-    decide rank. A stack of matrices (``theta`` of shape (..., rows,
-    cols)) is scaled matrix by matrix, with scales of shape (..., cols).
+    decide rank.
     """
-    theta = require_finite(np.asarray(theta, dtype=float), "theta")
-    if theta.ndim < 2:
-        raise ValueError(f"theta must be at least 2-D, got shape {theta.shape}")
-    col_scale = np.linalg.norm(theta, axis=-2)
+    theta = _as_matrix(theta, "theta")
+    col_scale = np.linalg.norm(theta, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    return theta / col_scale[..., None, :], col_scale
+    return theta / col_scale, col_scale
 
 
 def lstsq(theta, rhs):
@@ -299,65 +295,12 @@ def lstsq(theta, rhs):
     scaled, col_scale = equilibrate(theta)
     # rcond=None is numerical_rank's threshold max(rows, cols) * eps * sigma_max
     solution, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    _require_full_rank(rank, cols)
+    if rank < cols:
+        raise RankDeficiencyError(f"regression matrix rank {rank} < {cols} columns", rank=rank,
+                                  required=cols)
     solution = (solution.T / col_scale).T
     residual_norm = float(np.linalg.norm(theta @ solution - rhs))
     return solution, residual_norm
-
-
-def lstsq_compressed(system, rows):
-    """:func:`lstsq`'s solutions and rank verdicts for a stack of regressions in compressed form.
-
-    ``system`` (J x k x (cols + 1)) holds [theta_j | rhs_j] for J
-    regressions (Theta_j, b_j) of ``rows`` rows each, with
-    Theta_j = Q theta_j and rhs_j = Q' b_j for some Q with orthonormal
-    columns, such as the Q of a thin QR factor of the data every Theta_j
-    is built from. Theta_j and theta_j then have the same column norms and
-    singular values, and the two least-squares problems the same solution.
-    So each rank is decided as :func:`lstsq` decides it on Theta_j: on
-    equilibrated columns, with the threshold
-    ``max(rows, cols) * eps * sigma_max`` of the ``rows``-row matrix, not
-    of theta_j's k rows. The theta columns of ``system`` are equilibrated
-    in place, so the stack is held once. Every step is one stacked
-    ``numpy.linalg`` call. The equilibration and the QR run in the calling
-    thread. The rank verdicts (SVDs) and the triangular solves, the larger
-    part of the work, run in contiguous chunks of the stack, one per
-    usable CPU, each on a thread of its own (:func:`_split_over_cpus`);
-    ``numpy.linalg`` releases the GIL while it runs. The large arrays stay
-    in the calling thread because memory a thread allocates stays resident
-    in that thread's malloc arena after it ends: workers that also built
-    and factored their chunks raised the docking run's peak resident
-    memory by about 3.5 MB.
-
-    Returns the J solutions, one per row.
-
-    Raises
-    ------
-    RankDeficiencyError
-        For the first regression of the stack whose rank falls short, with
-        the rank and column count :func:`lstsq` would report on its Theta_j.
-    """
-    if system.ndim != 3:
-        raise ValueError(f"system must be a 3-D stack, got shape {system.shape}")
-    cols = system.shape[2] - 1
-    system[:, :, :cols], col_scale = equilibrate(system[:, :, :cols])
-    # one more Householder pass brings each [scaled | rhs] to its cols x cols triangle
-    tri = np.linalg.qr(system, mode="r")
-
-    def verdicts_and_solutions(js):
-        square = tri[js, :cols, :cols]
-        for sv in np.linalg.svd(square, compute_uv=False):
-            _require_full_rank(_svd_rank(sv, (rows, cols)), cols)
-        return np.linalg.solve(square, tri[js, :cols, cols:])[..., 0]
-
-    return np.concatenate(_split_over_cpus(verdicts_and_solutions, len(tri))) / col_scale
-
-
-def _require_full_rank(rank, cols):
-    if rank < cols:
-        raise RankDeficiencyError(
-            f"regression matrix rank {rank} < {cols} columns", rank=rank, required=cols
-        )
 
 
 def numerical_rank(a, required=None):
@@ -551,43 +494,6 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _split_over_cpus(task, count):
-    """``[task(chunk) for chunk in chunks]``, the chunks cut contiguously from ``range(count)``.
-
-    There is one chunk, a ``slice``, per usable CPU and at most ``count``.
-    The first runs in the calling thread and every other one in a thread
-    of its own; that pays where ``task`` spends its time in numpy calls
-    that release the GIL, such as ``numpy.linalg``'s. Every thread is
-    joined before this returns or raises, so none outlives the call and a
-    later ``os.fork`` forks a single-threaded process. An exception raised
-    by ``task`` is raised here, the earliest chunk's first.
-    """
-    parts = max(1, min(_usable_cpus(), count))
-    chunks = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    results, errors = [None] * parts, [None] * parts
-
-    def run(i):
-        try:
-            results[i] = task(chunks[i])
-        except Exception as exc:  # raised by the caller once every thread is joined
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, parts):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        results[0] = task(chunks[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def _worker_count(values):

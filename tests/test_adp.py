@@ -1,19 +1,23 @@
 """Data pipeline: collection, regression assembly, learning, recovery,
 and the data-driven regulator solve."""
 
+import dataclasses
 import re
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import expm, solve_continuous_are
 
 from adpdock import (
     Exosystem,
     ModelRecovery,
     StateSpaceModel,
     TrajectoryLog,
+    adp,
     assemble_regression,
     check_rank,
     collect_data,
@@ -43,7 +47,6 @@ from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unv
                             vecv, vecv_map)
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
-from conftest import assert_no_child_left
 from test_regulator import random_solvable
 
 rng = np.random.default_rng(1618)
@@ -56,7 +59,9 @@ def sylvester_image(X, A, E):
 def exact_recovery(model, exo, basis):
     """ModelRecovery built from the true matrices, bypassing the data path."""
     S = [sylvester_image(X, model.A, exo.E) for X in basis.sequence()[1:]]
-    return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(), S_values=S)
+    return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(), S_values=S,
+                         A_hat=model.A.copy(), E_hat=exo.E.copy(), E_rank=exo.q ** 2,
+                         E_required=exo.q ** 2, A_residual=0.0, E_residual=0.0)
 
 
 def reference_assembly(log, basis, R, interval):
@@ -133,14 +138,14 @@ def eager_assembly(log, basis, R, interval):
 
 
 def reference_recovery(bundles, P, K, R):
-    """D_hat, B_hat and the S(X_j) from one matops.lstsq per built bundle at P,
-    as the sweep's one-factor solve must give them."""
+    """D_hat, B_hat and the S(X_j) from one matops.lstsq per built bundle at P:
+    the paper's per-offset recovery, which identification replaces."""
     n, m, q = bundles[0].n, bundles[0].m, bundles[0].q
     ns = n * (n + 1) // 2
     blocks = [unvec(lstsq(b.Theta, b.Dxx @ vecs(P))[0][ns + m * n :], q, n) for b in bundles]
     D_hat = np.linalg.solve(P, blocks[0].T)
     S_values = [D_hat - np.linalg.solve(P, Mj.T) for Mj in blocks[1:]]
-    return ModelRecovery(D_hat=D_hat, B_hat=np.linalg.solve(P, (R @ K).T), S_values=S_values)
+    return SimpleNamespace(D_hat=D_hat, B_hat=np.linalg.solve(P, (R @ K).T), S_values=S_values)
 
 
 def reference_vi_residual(solve_op, Q, R, n, m):
@@ -310,7 +315,7 @@ def test_assembly_matches_reference_random_dims(n, m, q):
 @st.composite
 def random_sweep_case(draw):
     """Random (n, m, q) data over at least as many intervals as unknowns, a
-    ragged tail, a random sweep of five offsets, and a P and K to recover at."""
+    ragged tail and a random sweep of five offsets."""
     n, m, q = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 2, 1), (5, 3, 4)]))
     cols, d = n * (n + 1) // 2 + (m + q) * n, n + q
     intervals = draw(st.integers(cols, d * (d + 1) // 2 + d * m + 40))
@@ -318,63 +323,250 @@ def random_sweep_case(draw):
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     log, basis, R = random_log_and_basis(n, m, q, intervals * steps + 1 + draw(
         st.integers(0, steps - 1)), 0.01, g)
-    W = g.standard_normal((n, n))
-    return log, basis, R, 0.01 * steps, W @ W.T + n * np.eye(n), g.standard_normal((m, n))
+    return log, basis, R, 0.01 * steps
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(random_sweep_case())
-def test_sweep_matches_eager_bundles_and_per_offset_recovery(case):
-    log, basis, R, interval, P, K = case
+def test_sweep_matches_eager_bundles(case):
+    log, basis, R, interval = case
     sweep = assemble_regression(log, basis, R, interval)
     eager = eager_assembly(log, basis, R, interval)
     assert len(sweep) == len(eager) == 5
+    assert sweep.dt == log.dt
     for got, want in zip(sweep, eager):
         assert got.j == want.j and (got.n, got.m, got.q) == (want.n, want.m, want.q)
         assert np.array_equal(got.Theta, want.Theta) and np.array_equal(got.Dxx, want.Dxx)
-    # one, two and three usable CPUs cut the five offsets into 1, 2 and 3 chunks
-    recovery, *others = recoveries_by_cpu_count(sweep, P, K, R, (1, 2, 3))
-    for other in others:
-        assert_same_recovery_bits(other, recovery)
-    reference = reference_recovery(eager, P, K, R)
-    pairs = [(recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat),
-             *zip(recovery.S_values, reference.S_values, strict=True)]
-    for got, want in pairs:
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def recoveries_by_cpu_count(sweep, P, K, R, counts):
-    """recover_model_artifacts with matops._usable_cpus patched to each count in turn;
-    checks that every call leaves the thread count as it found it."""
-    recoveries = []
-    for cpus in counts:
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matops, "_usable_cpus", lambda cpus=cpus: cpus)
-            recoveries.append(recover_model_artifacts(sweep, P, K, R))
-        assert threading.active_count() == threads
-    return recoveries
+def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, learning_data,
+                                                                      learned):
+    # the per-offset regressions of the docking log stay the reference: D_hat and
+    # B_hat solve bundle 0's regression as they do (D_hat is about 5e-5 in size, so
+    # its rounding shows at 1e-8 relative), and each S(X_j) agrees within the
+    # reference's own quadrature error while lying closer to the true Sylvester image
+    cfg, sweep = docking.config, learning_data.bundles
+    recovery = learned.recovery
+    reference = reference_recovery(sweep[:], learned.P, learned.K, cfg.R)
+    for got, want in ((recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat)):
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    truth = [sylvester_image(X, docking.model.A, docking.exo.E) for X in sweep.offsets[1:]]
+    for got, want, exact in zip(recovery.S_values, reference.S_values, truth, strict=True):
+        assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
+        assert np.linalg.norm(got - exact) < np.linalg.norm(want - exact)
 
 
-def assert_same_recovery_bits(got, want):
-    assert len(got.S_values) == len(want.S_values)
-    for a, b in zip([got.D_hat, got.B_hat, *got.S_values], [want.D_hat, want.B_hat,
-                                                            *want.S_values]):
-        assert np.array_equal(a, b)
+def test_recovery_reuses_the_operator_value_iteration_solved(docking, learning_data, learned,
+                                                            monkeypatch):
+    # one lstsq of bundle 0 serves vi_learn and recovery, through adp's lstsq name
+    cfg = docking.config
+    calls = []
+
+    def counting(theta, rhs):
+        calls.append(theta.shape)
+        return lstsq(theta, rhs)
+
+    monkeypatch.setattr("adpdock.adp.lstsq", counting)
+    sweep = assemble_regression(learning_data.log, learning_data.basis, cfg.R, cfg.interval)
+    P, K, _ = vi_learn(sweep[0], cfg.Q, cfg.R)
+    recovery = recover_model_artifacts(sweep, P, K, cfg.R)
+    assert calls == [(250, 87)]
+    assert np.array_equal(recovery.E_hat, learned.recovery.E_hat)
+    assert np.array_equal(recovery.D_hat, learned.recovery.D_hat)
 
 
-def test_recovery_bits_do_not_depend_on_the_cpu_count_at_1000_intervals():
-    # the docking dimensions and 26 offsets over 1000 intervals, the size of a 100 s log
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_lyapunov_fit_recovers_A_from_its_operator(n, seed):
+    # the H block of an exact operator is vecs(P) -> vecs(A'P + PA); the fit inverts it
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    coords = [unvecs(e) for e in np.eye(n * (n + 1) // 2)]
+    dH = np.column_stack([vecs(A.T @ P + P @ A) for P in coords])
+    A_hat, residual = adp._identify_plant(dH, n)
+    assert np.abs(A_hat - A).max() <= 1e-12 * (1.0 + np.abs(A).max()) and residual <= 1e-14
+    design, pinv = adp._lyapunov_design(n)
+    assert adp._lyapunov_design(n)[1] is pinv and not pinv.flags.writeable
+    assert design.shape == ((n * (n + 1) // 2) ** 2, n * n)
+
+
+def test_bundle_operator_is_solved_once_and_a_failed_solve_is_not_kept(monkeypatch):
+    g = np.random.default_rng(5)
+    theta, calls = g.standard_normal((40, 7)), []
+
+    def counting(theta, rhs):
+        calls.append(theta.shape)
+        return lstsq(theta, rhs)
+
+    monkeypatch.setattr("adpdock.adp.lstsq", counting)
+    bundle = _scaled_bundle(theta)
+    assert bundle.solve_op is bundle.solve_op and calls == [(40, 7)]
+    assert np.array_equal(bundle.solve_op, lstsq(theta, bundle.Dxx)[0])
+    dependent = theta.copy()
+    dependent[:, 6] = dependent[:, 0]
+    deficient = _scaled_bundle(dependent)
+    for _ in range(2):
+        with pytest.raises(RankDeficiencyError):
+            deficient.solve_op
+    assert calls == [(40, 7)] * 3
+
+
+def test_exosystem_fit_reports_the_rank_of_a_silent_exostate():
+    # v = 0: no moment and no change identifies any entry of E
+    g = np.random.default_rng(8)
+    log, basis, R = random_log_and_basis(2, 1, 3, 201, 0.01, g)
+    log = TrajectoryLog(t=log.t, x=log.x, u=log.u, v=np.zeros_like(log.v), e=log.e)
+    with pytest.raises(RankDeficiencyError, match="rank 0 < 9") as excinfo:
+        adp._identify_exosystem(assemble_regression(log, basis, R, 0.1))
+    assert (excinfo.value.rank, excinfo.value.required) == (0, 9)
+
+
+def exact_moment_sweep(model, exo, basis, R, K0, intervals, h, generator):
+    """A RegressionSweep of exact interval moments of the plant's flow.
+
+    z = [x; v] follows dz/dt = [[A, D], [0, E]] z + [B; 0] u exactly (matrix
+    exponentials), with u = -K0 x_l + eta_l held over interval l and eta_l
+    random, ten times the unit normal. The moments are 8-point
+    Gauss-Legendre integrals of that flow, exact to rounding for its smooth
+    integrands over short intervals, so the sweep carries dt = 0: there is
+    no quadrature bias to correct.
+    """
+    n, m, q = model.n, model.m, exo.q
+    d = n + q
+    flow = np.zeros((d + m, d + m))
+    flow[:n, :n], flow[:n, n:d], flow[n:d, n:d], flow[:n, d:] = model.A, model.D, exo.E, model.B
+    nodes, weights = leggauss(8)
+    at_nodes = [expm(flow * 0.5 * h * (1.0 + tau)) for tau in nodes]
+    step = expm(flow * h)
+    z = np.concatenate([generator.standard_normal(n), exo.v0])
+    ends, zz, zu = [z], [], []
+    for _ in range(intervals):
+        u = -K0 @ z[:n] + 10.0 * generator.standard_normal(m)
+        w0 = np.concatenate([z, u])
+        samples = np.array([flow_map @ w0 for flow_map in at_nodes])[:, :d]
+        zz.append(np.einsum("k,ka,kb->ab", 0.5 * h * weights, samples, samples))
+        zu.append(np.outer(0.5 * h * weights @ samples, u).ravel())
+        z = (step @ w0)[:d]
+        ends.append(z)
+    zz, ends = np.array(zz), np.array(ends)
+    ic, ie = np.triu_indices(d)
+    return RegressionSweep(basis.sequence(), zz[:, ic, ie], np.array(zu),
+                           zz[:, :, n:].reshape(intervals, d * q), ends[:, :n], ends[:, n:],
+                           2.0 * np.kron(np.eye(n), R), 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(1, n), st.integers(1, 3),
+    st.integers(0, 2**32 - 1))))
+def test_identification_on_exact_moments_matches_exact_regulator(plant):
+    # p < n and p = n: identification from model-consistent data, then the
+    # data-driven regulator solve, gives the model-based (X, U). The bound
+    # assumes a data matrix of condition number below 1e8, where rounding in
+    # its least-squares solve stays well under 1e-9; a nearly uncontrollable
+    # plant (its stabilizing gain in the thousands) gives cond 5e9 and 1.6e-6
+    n, m, p, q, seed = plant
+    g = np.random.default_rng(seed)
+    model, exo = random_solvable(n, m, p, q, g)
+    exo = Exosystem(E=exo.E, v0=g.standard_normal(q))
+    R = np.diag(g.uniform(0.5, 2.0, m))
+    K0 = np.linalg.solve(R, model.B.T @ solve_continuous_are(model.A, model.B, np.eye(n), R))
+    basis = kernel_basis(model)
+    cols = n * (n + 1) // 2 + (m + q) * n
+    sweep = exact_moment_sweep(model, exo, basis, R, K0, 3 * cols + 20, 0.1, g)
+    assume(np.linalg.cond(equilibrate(sweep[0].Theta)[0]) < 1e8)
+    W = g.standard_normal((n, n))
+    P = W @ W.T + n * np.eye(n)  # any P: K carries B and the M block D at every P
+    recovery = recover_model_artifacts(sweep, P, np.linalg.solve(R, model.B.T @ P), R)
+    assert recovery.E_rank == recovery.E_required == q * q
+    Qbar, Rbar = np.diag(g.uniform(0.5, 2.0, n)), np.diag(g.uniform(0.5, 2.0, m))
+    sol = solve_problem1_datadriven(recovery, basis, Qbar, Rbar)
+    ref = solve_regulator_exact(model, exo, Qbar, Rbar)
+    got = np.concatenate([vec(sol.X), vec(sol.U)])
+    want = np.concatenate([vec(ref.X), vec(ref.U)])
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@st.composite
+def neutral_exosystem(draw):
+    """A random neutrally stable E = T blockdiag(w_i [[0, 1], [-1, 0]]) T^-1 with
+    distinct frequencies w_i, a well-conditioned T and a v0 exciting every mode."""
+    blocks = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.floats(0.25, 1.5), min_size=blocks, max_size=blocks))
+    freqs = 0.5 + np.cumsum(gaps) - gaps[0]
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = np.linalg.qr(g.standard_normal((2 * blocks, 2 * blocks)))[0] * g.uniform(0.5, 2.0,
+                                                                                  2 * blocks)
+    return freqs, T, g.uniform(0.5, 1.5, 2 * blocks) * g.choice([-1.0, 1.0], 2 * blocks)
+
+
+def exostate_sweep(freqs, T, c0, dt, horizon=10.0, interval=0.1):
+    """The sweep of a log whose exostate is v(t) = T c(t), each block of c a
+    rotation at its frequency, sampled in closed form; x and u are noise."""
+    t = dt * np.arange(int(round(horizon / dt)) + 1)
+    c = np.empty((len(t), 2 * len(freqs)))
+    for i, w in enumerate(freqs):
+        cos, sin = np.cos(w * t), np.sin(w * t)
+        a, b = c0[2 * i], c0[2 * i + 1]
+        c[:, 2 * i], c[:, 2 * i + 1] = cos * a + sin * b, cos * b - sin * a
+    g = np.random.default_rng(0)
+    log = TrajectoryLog(t=t, x=g.standard_normal((len(t), 1)), u=g.standard_normal((len(t), 1)),
+                        v=c @ T.T, e=np.zeros((len(t), 1)))
+    basis = KernelBasis(X1=np.ones((1, T.shape[0])), basis=[])
+    return assemble_regression(log, basis, np.eye(1), interval)
+
+
+def without_end_correction(sweep):
+    return RegressionSweep(sweep.offsets, sweep.M_zz, sweep.M_zu, sweep.M_zv, sweep.x_end,
+                           sweep.v_end, sweep.scale_u, 0.0)
+
+
+def bdiag_rotations(freqs):
+    return matops.bdiag([np.array([[0.0, w], [-w, 0.0]]) for w in freqs])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(neutral_exosystem())
+def test_exosystem_identified_after_the_end_correction(case):
+    # the corrected fit recovers E to 1e-9; the plain trapezoidal one is off by
+    # O(dt^2), a quarter of it at half the step
+    freqs, T, c0 = case
+    E = T @ bdiag_rotations(freqs) @ np.linalg.inv(T)
+    errors = []
+    for dt in (1e-3, 5e-4):
+        sweep = exostate_sweep(freqs, T, c0, dt)
+        E_hat, rank, residual = adp._identify_exosystem(sweep)
+        assert rank == E.size and residual <= 1e-9
+        assert np.linalg.norm(E_hat - E) <= 1e-9 * np.linalg.norm(E)
+        plain = adp._identify_exosystem(without_end_correction(sweep))[0]
+        errors.append(np.linalg.norm(plain - E) / np.linalg.norm(E))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@pytest.mark.skipif(matops._find_openblas() is None, reason="needs OpenBLAS thread control")
+def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(monkeypatch):
+    # the docking dimensions and 26 offsets over 1000 intervals, the size of a
+    # 100 s log, unpinned: bundle 0's lstsq and the exosystem's 1000 x 72 QR run
+    # on one and on two OpenBLAS threads
     g = np.random.default_rng(1000)
     log, _, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
     basis = KernelBasis(X1=g.standard_normal((6, 8)),
                         basis=[g.standard_normal((6, 8)) for _ in range(24)])
-    sweep = assemble_regression(log, basis, R, 0.01)
-    assert len(sweep) == 26 and sweep[0].rows == 1000
     W = g.standard_normal((6, 6))
-    one, two = recoveries_by_cpu_count(sweep, W @ W.T + 6 * np.eye(6),
-                                       g.standard_normal((3, 6)), R, (1, 2))
-    assert_same_recovery_bits(two, one)
+    P, K = W @ W.T + 6 * np.eye(6), g.standard_normal((3, 6))
+    get, put = matops._find_openblas()
+    monkeypatch.setattr(matops.one_blas_thread, "_control", False)
+    previous, recoveries = get(), []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            sweep = assemble_regression(log, basis, R, 0.01)
+            assert len(sweep) == 26 and sweep[0].rows == 1000
+            recoveries.append(recover_model_artifacts(sweep, P, K, R))
+    finally:
+        put(previous)
+    one, two = recoveries
+    for name in ("D_hat", "B_hat", "A_hat", "E_hat", "S_values", "A_residual", "E_residual"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
 def test_bundle_j0_difference_is_raw(docking, learning_data):
@@ -461,127 +653,20 @@ def test_rank_check_agrees_with_lstsq_across_column_scales():
     assert numerical_rank(raw) < 7 and verdicts[6] == (True, 7)
 
 
-def moment_sweep(zz, M_zu, x_end, v_end, offsets, R):
-    """A RegressionSweep around given interval moments; zz[l] is interval l's
-    symmetric integral of z z'."""
-    n_int, d, _ = zz.shape
-    n, q = offsets[0].shape
-    ic, ie = np.triu_indices(d)
-    return RegressionSweep(offsets, zz[:, ic, ie], M_zu, zz[:, :, n:].reshape(n_int, d * q),
-                           x_end, v_end, 2.0 * np.kron(np.eye(n), R))
-
-
-def lstsq_verdict(sweep, P):
-    """(rank, required, message) of the first built bundle matops.lstsq rejects at P."""
-    for bundle in sweep:
-        try:
-            lstsq(bundle.Theta, bundle.Dxx @ vecs(P))
-        except RankDeficiencyError as exc:
-            return exc.rank, exc.required, str(exc)
-    return None
-
-
-def assert_recovery_verdict(sweep, verdict, n):
-    with pytest.raises(RankDeficiencyError) as excinfo:
-        recover_model_artifacts(sweep, np.eye(n), np.zeros((sweep.m, n)), np.eye(sweep.m))
-    assert (excinfo.value.rank, excinfo.value.required, str(excinfo.value)) == verdict
-
-
-def test_compressed_recovery_judges_rank_by_the_interval_count():
-    # (n, m, q) = (1, 1, 1): Theta_0 = [z0^2 | 2 z0 u | 2 z0 v] moments, and W
-    # has 5 columns, so the compressed problems have 5 rows for 1000
-    # intervals. z0 v is planted a 4e-14 turn away from z0^2: its singular
-    # value lies between the 5-row and the 1000-row threshold, and only the
-    # second rejects it, as lstsq does on the full matrix
-    g = np.random.default_rng(147)
-    rows = 1000
-    r0, w = np.linalg.qr(g.standard_normal((rows, 2)))[0].T
-    zz = g.standard_normal((rows, 2, 2))
-    zz[:, 0, 0] = r0
-    zz[:, 0, 1] = zz[:, 1, 0] = r0 + 4e-14 * w
-    offsets = [np.zeros((1, 1))] + [g.standard_normal((1, 1)) for _ in range(3)]
-    sweep = moment_sweep(zz, g.standard_normal((rows, 2)), g.standard_normal((rows + 1, 1)),
-                         g.standard_normal((rows + 1, 1)), offsets, np.eye(1))
-    sv = np.linalg.svd(equilibrate(sweep[0].Theta)[0], compute_uv=False)
-    eps = np.finfo(float).eps
-    assert 5 * eps * sv[0] < sv[-1] < rows * eps * sv[0]
-    verdict = lstsq_verdict(sweep, np.eye(1))
-    assert verdict[:2] == (2, 3)
-    assert_recovery_verdict(sweep, verdict, 1)
-
-
-def test_compressed_recovery_reports_lstsq_rank_deficiency(docking, learning_data):
-    # exactly dependent columns, a silent log and fewer intervals than
-    # unknowns: recovery raises what lstsq raises on the first built bundle
-    g = np.random.default_rng(87)
-    zz = g.standard_normal((40, 2, 2))
-    zz[:, 0, 1] = zz[:, 1, 0] = 2.0 * zz[:, 0, 0]
-    offsets = [np.zeros((1, 1)), g.standard_normal((1, 1))]
-    dependent = moment_sweep(zz, g.standard_normal((40, 2)), g.standard_normal((41, 1)),
-                             g.standard_normal((41, 1)), offsets, np.eye(1))
+def test_recovery_fails_loudly_when_the_exostate_does_not_excite_the_exosystem(docking):
+    # the 4 rad/s mode starts at 1e-9: the data matrix keeps full rank and value
+    # iteration converges, but E_hat's normal system has rank 48 of 64
     cfg = docking.config
-    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
-    zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
-                            horizon=1.0, dt=cfg.dt, interval=cfg.interval)
-    log = learning_data.log
-    keep = int(round(5.0 / cfg.dt)) + 1
-    short = TrajectoryLog(t=log.t[:keep], x=log.x[:keep], u=log.u[:keep],
-                          v=log.v[:keep], e=log.e[:keep])
-    verdicts = []
-    for sweep in [dependent] + [assemble_regression(data, learning_data.basis, cfg.R,
-                                                    cfg.interval) for data in (zero_log, short)]:
-        verdict = lstsq_verdict(sweep, np.eye(sweep.n))
-        assert_recovery_verdict(sweep, verdict, sweep.n)
-        verdicts.append(verdict[:2])
-    assert verdicts[:2] == [(2, 3), (0, 87)]
-    assert verdicts[2][0] <= 50 and verdicts[2][1] == 87
-
-
-def test_recovery_raises_the_verdict_of_a_deficient_offset_in_the_last_chunk():
-    # (n, m, q) = (1, 1, 1) with integer moments, so the planting is exact: at
-    # the last offset X* = 2, z0 v - X* v^2 is 3 (z0 u - X* v u), which makes
-    # Theta_3's third column a multiple of its second; the other offsets keep
-    # full rank. With two or three usable CPUs offset 3 is solved in a worker
-    g = np.random.default_rng(3)
-    rows, x_star = 1000, 2.0
-    zz = g.integers(-9, 10, (rows, 2, 2)).astype(float)
-    M_zu = g.integers(-9, 10, (rows, 2)).astype(float)
-    zz[:, 0, 1] = zz[:, 1, 0] = x_star * zz[:, 1, 1] + 3.0 * (M_zu[:, 0] - x_star * M_zu[:, 1])
-    offsets = [np.zeros((1, 1)), np.full((1, 1), 0.5), np.full((1, 1), -1.0),
-               np.full((1, 1), x_star)]
-    sweep = moment_sweep(zz, M_zu, g.standard_normal((rows + 1, 1)),
-                         g.standard_normal((rows + 1, 1)), offsets, np.eye(1))
-    verdicts = [lstsq_verdict([bundle], np.eye(1)) for bundle in sweep]
-    assert verdicts[:3] == [None] * 3 and verdicts[3][:2] == (2, 3)
-    for cpus in (2, 3):
-        threads = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matops, "_usable_cpus", lambda cpus=cpus: cpus)
-            assert_recovery_verdict(sweep, verdicts[3], 1)
-        assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_recovery_error_in_any_chunk_propagates_after_every_thread_ends(monkeypatch, failing):
-    # the stacked SVD fails in a worker thread's chunk, or in the calling thread's
-    g = np.random.default_rng(5)
-    log, basis, R = random_log_and_basis(2, 1, 1, 201, 0.01, g)
-    sweep = assemble_regression(log, basis, R, 0.01)
-    monkeypatch.setattr(matops, "_usable_cpus", lambda: 3)
-    real_svd = np.linalg.svd
-
-    def svd(a, *args, **kwargs):
-        in_worker = threading.current_thread() is not threading.main_thread()
-        if np.ndim(a) == 3 and in_worker == (failing == "worker"):
-            raise np.linalg.LinAlgError(f"SVD did not converge in the {failing}")
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    threads = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match=f"in the {failing}"):
-        recover_model_artifacts(sweep, np.eye(2), np.zeros((1, 2)), R)
-    assert threading.active_count() == threads
-    assert_no_child_left()
+    model, exo = cfg.scenario()
+    faint = Exosystem(E=exo.E, v0=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-9, 0.0])
+    log = collect_data(model, faint, None, cfg.noise_spec(), cfg.x0, horizon=cfg.horizon,
+                       dt=cfg.dt, interval=cfg.interval)
+    sweep = assemble_regression(log, kernel_basis(model), cfg.R, cfg.interval)
+    assert check_rank(sweep[0]) == (True, 87, 87)
+    P, K, _ = vi_learn(sweep[0], cfg.Q, cfg.R)
+    with pytest.raises(RankDeficiencyError, match="does not excite every mode") as excinfo:
+        recover_model_artifacts(sweep, P, K, cfg.R)
+    assert (excinfo.value.rank, excinfo.value.required) == (48, 64)
 
 
 def test_vi_learn_requires_rank(docking, learning_data):
@@ -879,6 +964,13 @@ def test_recovery_validates_inputs(docking, learning_data, learned):
     with pytest.raises(ValueError):
         recover_model_artifacts(learning_data.bundles[1:], learned.P,
                                 learned.K, cfg.R)
+    # a silent log: bundle 0's operator raises lstsq's verdict before any fit
+    silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
+    zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
+                            horizon=1.0, dt=cfg.dt, interval=cfg.interval)
+    sweep = assemble_regression(zero_log, learning_data.basis, cfg.R, cfg.interval)
+    with pytest.raises(RankDeficiencyError, match="regression matrix rank 0 < 87 columns"):
+        recover_model_artifacts(sweep, learned.P, learned.K, cfg.R)
 
 
 def test_problem1_from_exact_recovery(docking, oracle):
@@ -933,9 +1025,7 @@ def test_problem1_learned_matches_oracle(docking, oracle, learned):
 def test_problem1_rejects_deficient_input_matrix(docking):
     basis = kernel_basis(docking.model)
     recovery = exact_recovery(docking.model, docking.exo, basis)
-    broken = ModelRecovery(D_hat=recovery.D_hat,
-                           B_hat=np.zeros_like(recovery.B_hat),
-                           S_values=recovery.S_values)
+    broken = dataclasses.replace(recovery, B_hat=np.zeros_like(recovery.B_hat))
     with pytest.raises(RankDeficiencyError):
         solve_problem1_datadriven(broken, basis)
 

@@ -368,9 +368,11 @@ def test_json_artifact_key_layout(pipeline):
              "rank_required"]
     assert keys("learned_gains.json") == gains
     assert keys("oracle_gains.json") == ["K", "L", "P"]
-    assert keys("report.json") == ["config", "assumptions", "rank", "learned", "oracle",
-                                   "comparison", "tracking", "files"]
+    assert keys("report.json") == ["config", "assumptions", "rank", "identification", "learned",
+                                   "oracle", "comparison", "tracking", "files"]
     report = json.loads((pipeline.out / "report.json").read_text())
+    assert list(report["identification"]) == ["E_rank", "E_required", "A_residual", "E_residual",
+                                              "A_hat", "E_hat"]
     assert list(report["learned"]) == gains
     assert list(report["assumptions"]) == ["ok", "stabilizable", "observable",
                                            "regulator_rank_ok", "records"]
@@ -405,6 +407,31 @@ def test_cli_rank_failure_exit_code(tmp_path, capsys):
     assert err.startswith("error: stage 'rank' failed: ")
     assert "enrich the exploration signal" in err
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+def test_report_records_the_identification_beside_the_rank(pipeline, docking):
+    identification = json.loads((pipeline.out / "report.json").read_text())["identification"]
+    assert identification["E_rank"] == identification["E_required"] == 64
+    assert 0.0 < identification["E_residual"] <= 1e-9
+    assert 0.0 < identification["A_residual"] <= 1e-3
+    # the end-corrected exosystem is the true one to 1e-9
+    assert np.abs(np.array(identification["E_hat"]) - docking.exo.E).max() <= 1e-9
+    assert np.abs(np.array(identification["A_hat"]) - docking.model.A).max() <= 1e-3
+
+
+def test_cli_exosystem_not_excited_fails_in_recover(tmp_path, capsys):
+    # the 4 rad/s mode starts at 1e-9: the data matrix has full rank and value
+    # iteration converges, but the exostate does not identify E
+    cfg = ExperimentConfig(v0=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-9, 0.0])
+    path = tmp_path / "faint.cfg"
+    save_config(cfg, path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'recover' failed: exostate moments identify E to rank "
+                          "48 < 64; the exostate does not excite every mode")
+    assert (tmp_path / "out" / "convergence.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_convergence_failure_exit_code(tmp_path):
@@ -699,7 +726,7 @@ def test_failed_learning_csv_writer_raises_after_reaping(tmp_path, monkeypatch, 
     with pytest.raises(OSError, match="exited with code 1"):
         run_experiment(default_config(), tmp_path / "out", log=quiet)
     assert_no_child_left()
-    assert threading.active_count() == threads  # recovery's worker threads are joined too
+    assert threading.active_count() == threads  # no stage leaves a thread behind
     assert open_fds() <= fds
     assert csv_writes[0] == ("bg", "trajectory_learning.csv")
     # the writer is joined before any JSON artifact is written

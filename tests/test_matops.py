@@ -8,8 +8,6 @@ import dataclasses
 import io
 import json
 import os
-import sys
-import threading
 import warnings
 from types import SimpleNamespace
 
@@ -270,54 +268,6 @@ def test_numerical_rank_complex_pbh_pencil():
         assert rank == expected and margin == float(sv[1])
     assert numerical_rank(pencil, 3) == (1, 0.0)
     assert numerical_rank(np.zeros((0, 3)), 1) == (0, 0.0)
-
-
-@pytest.mark.parametrize("cpus, count, chunks", [(1, 5, [(0, 5)]),
-                                                 (3, 5, [(0, 1), (1, 3), (3, 5)]),
-                                                 (4, 2, [(0, 1), (1, 2)])])
-def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatch, cpus, count,
-                                                                      chunks):
-    # every chunk waits for all the others: they can only meet on separate threads
-    monkeypatch.setattr(matops, "_usable_cpus", lambda: cpus)
-    meet = threading.Barrier(len(chunks), timeout=30)
-    threads = threading.active_count()
-
-    def task(js):
-        meet.wait()
-        return js.start, js.stop, threading.get_ident()
-
-    results = matops._split_over_cpus(task, count)
-    assert [(start, stop) for start, stop, _ in results] == chunks
-    assert results[0][2] == threading.get_ident()  # the first chunk runs in the caller
-    assert len({ident for _, _, ident in results}) == len(chunks)
-    assert threading.active_count() == threads
-
-
-def test_split_over_cpus_raises_the_earliest_chunks_error_after_joining(monkeypatch):
-    monkeypatch.setattr(matops, "_usable_cpus", lambda: 3)
-    threads = threading.active_count()
-
-    def task(js):  # chunks [0, 1), [1, 3) and [3, 5): the last two fail
-        if js.start > 0:
-            raise ValueError(f"chunk from {js.start}")
-        return js
-
-    with pytest.raises(ValueError, match="chunk from 1"):
-        matops._split_over_cpus(task, 5)
-    assert threading.active_count() == threads
-
-
-def test_split_over_cpus_keeps_every_result_under_frequent_thread_switches(monkeypatch):
-    # more threads than CPUs, switching every microsecond, each storing its chunk's result
-    monkeypatch.setattr(matops, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            results = matops._split_over_cpus(lambda js: list(range(js.start, js.stop)), 29)
-            assert sum(results, []) == list(range(29))
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_is_hurwitz():
