@@ -44,13 +44,16 @@ So every offset's regression is a fixed column image of the moments.
 when asked for it.
 
 Recovery solves no offset's regression. Bundle 0's least-squares
-operator, vecs(P) -> [vecs(H); vec(K); vec(M)], is solved once and
-shared with value iteration (:attr:`RegressionBundle.solve_op`). Its H
-block is the matrix of the Lyapunov operator P -> A'P + PA, so a
-least-squares fit of that operator gives A_hat; at the converged P its M
-block gives D_hat and K gives B_hat. The exosystem is identified from
-the exostate alone: over interval l, with M_vv,l the integral of v v'
-(the vv' columns of M_zz) and Delta_l the change of v v' across it,
+operator, vecs(P) -> [vecs(H); vec(K); vec(M)], is solved once, on one
+thin QR factor of the equilibrated Theta beside Dxx
+(:func:`matops.lstsq`), and shared by the rank check, value iteration
+and recovery (:attr:`RegressionBundle.solve_op`): the factor that gives
+the operator also gives the rank verdict. Its H block is the matrix of
+the Lyapunov operator P -> A'P + PA, so a least-squares fit of that
+operator gives A_hat; at the converged P its M block gives D_hat and K
+gives B_hat. The exosystem is identified from the exostate alone: over
+interval l, with M_vv,l the integral of v v' (the vv' columns of M_zz)
+and Delta_l the change of v v' across it,
 
     Delta_l = E M_vv,l + M_vv,l E'.
 
@@ -79,9 +82,8 @@ import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
 # unvecs is not called here any more; perfbench counts the calls of adp.unvecs
-from .matops import (bdiag, check_input_weight, check_weights, equilibrate, kron, lstsq,
-                     numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map,
-                     write_json)
+from .matops import (bdiag, check_input_weight, check_weights, kron, lstsq, numerical_rank,
+                     one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map, write_json)
 from .regulator import RegulatorSolution, solve_min_trace
 from .riccati import linear_balls, run_value_iteration
 from .sysmodels import LinearPolicy, simulate, whole_steps
@@ -143,8 +145,11 @@ class RegressionBundle:
         """The least-squares operator ``lstsq(Theta, Dxx)``, solved on first use and kept.
 
         It maps vecs(P) to the regression's solution [vecs(H); vec(K);
-        vec(M)] at P. Value iteration and recovery share it. Raises
-        :class:`RankDeficiencyError` as :func:`matops.lstsq` does.
+        vec(M)] at P. One QR factor of the equilibrated Theta beside Dxx
+        gives both the rank verdict and the operator, so :func:`check_rank`,
+        value iteration and recovery share one factorisation. Raises
+        :class:`RankDeficiencyError` as :func:`matops.lstsq` does; a failed
+        solve is not kept.
         """
         return lstsq(self.Theta, self.Dxx)[0]
 
@@ -353,15 +358,20 @@ def check_rank(bundle):
 
     Full column rank (n(n+1)/2 + (m+q)n, which is 87 for the docking
     scenario) makes the per-iteration regression uniquely solvable. The
-    rank is that of ``equilibrate(bundle.Theta)`` under the
-    ``max(shape) * eps * sigma_max`` threshold: the matrix and the rule
-    with which :func:`matops.lstsq` accepts or rejects the value-iteration
-    solve.
-    Returns (ok, rank, required); diagnostic only.
+    verdict is that of bundle 0's solve (:attr:`RegressionBundle.solve_op`):
+    the QR factor of :func:`matops.lstsq` decides the rank, under the
+    ``max(shape) * eps * sigma_max`` threshold on ``equilibrate(bundle.Theta)``,
+    and the operator it solves is kept for value iteration and recovery.
+    Returns (ok, rank, required); the rank is the required count when the
+    solve succeeds and that of the :class:`RankDeficiencyError` when it
+    does not. Never raises for a deficient bundle.
     """
     required = bundle.required_rank
-    rank = numerical_rank(equilibrate(bundle.Theta)[0]) if bundle.rows else 0
-    return rank >= required, rank, required
+    try:
+        bundle.solve_op
+    except RankDeficiencyError as exc:
+        return False, exc.rank, required
+    return True, required, required
 
 
 @one_blas_thread()

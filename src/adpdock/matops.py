@@ -249,23 +249,32 @@ def bdiag(blocks):
     return out
 
 
-def equilibrate(theta):
+def equilibrate(theta, out=None):
     """Scale every column of ``theta`` to unit 2-norm; returns (scaled, scales).
 
     Rescaling columns does not change the unique full-rank least-squares
     solution, but it makes the rank decision independent of column scales
     that span many orders of magnitude. Zero columns keep scale 1. This is
-    the one matrix on which both :func:`lstsq` and the data-rank check
-    decide rank.
+    the one matrix on which :func:`lstsq` decides rank, and with it the
+    data-rank check. The scaled columns are written to ``out`` when it is
+    given (an array of ``theta``'s shape), so a caller can place them in
+    a larger buffer without a second copy.
     """
     theta = _as_matrix(theta, "theta")
     col_scale = np.linalg.norm(theta, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    return theta / col_scale, col_scale
+    return np.divide(theta, col_scale, out=out), col_scale
 
 
 def lstsq(theta, rhs):
     """Least-squares solve with an explicit full-column-rank requirement.
+
+    One thin Householder QR of [equilibrate(theta) | rhs] answers both
+    questions. The singular values of its leading triangle are those of
+    the equilibrated ``theta``, so they decide the rank; the same
+    triangle gives the solution by back substitution, and the trailing
+    block of the factor holds the part of ``rhs`` outside theta's column
+    space, whose norm is the residual.
 
     Parameters
     ----------
@@ -288,19 +297,29 @@ def lstsq(theta, rhs):
         :func:`equilibrate`) falls below its column count, as it does
         whenever ``rows < cols``. The threshold is
         ``max(rows, cols) * eps * sigma_max``.
+    ValueError
+        If ``rhs`` is not a vector or matrix with ``rows`` rows.
     """
     theta = _as_matrix(theta, "theta")
     rhs = np.asarray(rhs, dtype=float)
-    cols = theta.shape[1]
-    scaled, col_scale = equilibrate(theta)
-    # rcond=None is numerical_rank's threshold max(rows, cols) * eps * sigma_max
-    solution, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
+    rows, cols = theta.shape
+    if rhs.ndim not in (1, 2) or len(rhs) != rows:
+        raise ValueError(f"rhs must be a vector or matrix with {rows} rows, got shape {rhs.shape}")
+    # column-major: the layout LAPACK factors in, so the factor's own copy is a plain one
+    stacked = np.empty((rows, cols + (rhs.shape[1] if rhs.ndim == 2 else 1)), order="F")
+    _, col_scale = equilibrate(theta, out=stacked[:, :cols])
+    stacked[:, cols:] = rhs[:, None] if rhs.ndim == 1 else rhs
+    factor = np.linalg.qr(stacked, mode="r")
+    # the threshold takes theta's shape: rows count intervals, not the factor's rows
+    rank = _svd_rank(np.linalg.svd(factor[:min(rows, cols), :cols], compute_uv=False),
+                     theta.shape)
     if rank < cols:
         raise RankDeficiencyError(f"regression matrix rank {rank} < {cols} columns", rank=rank,
                                   required=cols)
-    solution = (solution.T / col_scale).T
-    residual_norm = float(np.linalg.norm(theta @ solution - rhs))
-    return solution, residual_norm
+    # upper triangular: partial pivoting swaps no row, so solve's LU is the triangle itself
+    solution = np.linalg.solve(factor[:cols, :cols], factor[:cols, cols:]) / col_scale[:, None]
+    residual_norm = float(np.linalg.norm(factor[cols:, cols:]))
+    return (solution[:, 0] if rhs.ndim == 1 else solution), residual_norm
 
 
 def numerical_rank(a, required=None):

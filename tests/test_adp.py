@@ -21,6 +21,7 @@ from adpdock import (
     assemble_regression,
     check_rank,
     collect_data,
+    feedforward_gain,
     kleinman_from_care,
     linear_balls,
     matops,
@@ -358,7 +359,8 @@ def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, 
 
 def test_recovery_reuses_the_operator_value_iteration_solved(docking, learning_data, learned,
                                                             monkeypatch):
-    # one lstsq of bundle 0 serves vi_learn and recovery, through adp's lstsq name
+    # one lstsq of bundle 0 gives check_rank's verdict and serves vi_learn and
+    # recovery, through adp's lstsq name
     cfg = docking.config
     calls = []
 
@@ -368,6 +370,7 @@ def test_recovery_reuses_the_operator_value_iteration_solved(docking, learning_d
 
     monkeypatch.setattr("adpdock.adp.lstsq", counting)
     sweep = assemble_regression(learning_data.log, learning_data.basis, cfg.R, cfg.interval)
+    assert check_rank(sweep[0]) == (True, 87, 87) and calls == [(250, 87)]
     P, K, _ = vi_learn(sweep[0], cfg.Q, cfg.R)
     recovery = recover_model_artifacts(sweep, P, K, cfg.R)
     assert calls == [(250, 87)]
@@ -543,30 +546,45 @@ def test_exosystem_identified_after_the_end_correction(case):
 
 
 @pytest.mark.skipif(matops._find_openblas() is None, reason="needs OpenBLAS thread control")
-def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(monkeypatch):
+def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(docking,
+                                                                                 monkeypatch):
     # the docking dimensions and 26 offsets over 1000 intervals, the size of a
-    # 100 s log, unpinned: bundle 0's lstsq and the exosystem's 1000 x 72 QR run
-    # on one and on two OpenBLAS threads
+    # 100 s log, unpinned: bundle 0's 1000 x 108 QR (rank verdict and operator)
+    # and the exosystem's 1000 x 72 QR run on one and on two OpenBLAS threads.
+    # Value iteration needs data from a plant, so it runs on a 100 s docking log
+    # sampled at 10 ms, which has 1000 intervals too
     g = np.random.default_rng(1000)
     log, _, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
     basis = KernelBasis(X1=g.standard_normal((6, 8)),
                         basis=[g.standard_normal((6, 8)) for _ in range(24)])
     W = g.standard_normal((6, 6))
     P, K = W @ W.T + 6 * np.eye(6), g.standard_normal((3, 6))
+    cfg = docking.config
+    plant_log = collect_data(docking.model, docking.exo, None, cfg.noise_spec(), cfg.x0,
+                             horizon=100.0, dt=0.01, interval=cfg.interval)
+    plant_basis = kernel_basis(docking.model)
     get, put = matops._find_openblas()
     monkeypatch.setattr(matops.one_blas_thread, "_control", False)
-    previous, recoveries = get(), []
+    previous, runs = get(), []
     try:
         for threads in (1, 2):
             put(threads)
             sweep = assemble_regression(log, basis, R, 0.01)
             assert len(sweep) == 26 and sweep[0].rows == 1000
-            recoveries.append(recover_model_artifacts(sweep, P, K, R))
+            verdict = check_rank(sweep[0])
+            recovery = recover_model_artifacts(sweep, P, K, R)
+            plant_sweep = assemble_regression(plant_log, plant_basis, cfg.R, cfg.interval)
+            assert plant_sweep[0].rows == 1000
+            plant_verdict = check_rank(plant_sweep[0])
+            P_vi, K_vi, _ = vi_learn(plant_sweep[0], cfg.Q, cfg.R)
+            runs.append((verdict, plant_verdict, recovery, P_vi, K_vi))
     finally:
         put(previous)
-    one, two = recoveries
+    (verdict, plant_verdict, one, P_one, K_one), (*verdicts, two, P_two, K_two) = runs
+    assert verdict == plant_verdict == (True, 87, 87) and verdicts == [verdict, plant_verdict]
     for name in ("D_hat", "B_hat", "A_hat", "E_hat", "S_values", "A_residual", "E_residual"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert np.array_equal(P_one, P_two) and np.array_equal(K_one, K_two)
 
 
 def test_bundle_j0_difference_is_raw(docking, learning_data):
@@ -651,6 +669,18 @@ def test_rank_check_agrees_with_lstsq_across_column_scales():
     # the widest spans defeat a rank test on the unscaled blocks
     raw = np.hstack([cases[6][:, :3], cases[6][:, 3:5] / 2.0, cases[6][:, 5:] / 2.0])
     assert numerical_rank(raw) < 7 and verdicts[6] == (True, 7)
+
+
+def test_rank_check_reports_what_lstsq_raises_without_rows_to_spare():
+    # no rows, and fewer rows than columns: the solve raises the rank and the
+    # required count, and check_rank returns them as its verdict
+    g = np.random.default_rng(31)
+    for rows in (0, 5):
+        theta = g.standard_normal((rows, 7))
+        with pytest.raises(RankDeficiencyError, match=f"rank {rows} < 7 columns") as excinfo:
+            lstsq(theta, np.ones(rows))
+        assert (excinfo.value.rank, excinfo.value.required) == (rows, 7)
+        assert check_rank(_scaled_bundle(theta)) == (False, rows, 7)
 
 
 def test_recovery_fails_loudly_when_the_exostate_does_not_excite_the_exosystem(docking):
@@ -983,6 +1013,21 @@ def test_problem1_from_exact_recovery(docking, oracle):
     assert np.max(np.abs(sol.X - ref.X)) <= 1e-6 * (1.0 + np.max(np.abs(ref.X)))
     assert np.max(np.abs(sol.U - ref.U)) <= 1e-6 * (1.0 + np.max(np.abs(ref.U)))
     assert sol.residual_dyn <= 1e-8 * (1.0 + np.linalg.norm(recovery.D_hat))
+
+
+def test_problem1_from_data_is_the_exact_solve_on_the_identified_model(docking, learned):
+    # the data route poses the regulator equations of the model recovery
+    # identified, (A_hat, B_hat, C, D_hat, F) with E_hat; the docking run
+    # agrees with the model-based solver on it to about 5e-15
+    cfg, model, recovery = docking.config, docking.model, learned.recovery
+    identified = StateSpaceModel(A=recovery.A_hat, B=recovery.B_hat, C=model.C,
+                                 D=recovery.D_hat, F=model.F)
+    ref = solve_regulator_exact(identified, Exosystem(E=recovery.E_hat, v0=docking.exo.v0),
+                                cfg.Qbar, cfg.Rbar)
+    sol = learned.solution
+    for got, want in ((sol.X, ref.X), (sol.U, ref.U),
+                      (learned.L, feedforward_gain(ref, learned.K))):
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

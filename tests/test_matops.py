@@ -236,6 +236,26 @@ def test_lstsq_matrix_rhs_and_residual():
     assert abs(residual - np.linalg.norm(noise)) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(3, 40), st.sampled_from([None, 1, 4]),
+       st.integers(0, 2**32 - 1))
+def test_lstsq_matches_numpy_on_the_equilibrated_matrix(cols, spare_rows, rhs_cols, seed):
+    # full-rank systems with column scales across 1e-12..1e12: the QR solve is
+    # gelsd's on the equilibrated matrix, and the factor's trailing block
+    # gives the residual |theta x - b|
+    g = np.random.default_rng(seed)
+    rows = cols + spare_rows
+    theta = g.standard_normal((rows, cols)) * 10.0 ** g.uniform(-12.0, 12.0, cols)
+    rhs = g.standard_normal(rows if rhs_cols is None else (rows, rhs_cols))
+    sol, residual = lstsq(theta, rhs)
+    scaled, scales = matops.equilibrate(theta)
+    want = np.linalg.lstsq(scaled, rhs, rcond=None)[0]
+    assert sol.shape == want.shape
+    assert np.linalg.norm((sol.T * scales).T - want) <= 1e-10 * np.linalg.norm(want)
+    exact = np.linalg.norm(theta @ sol - rhs)
+    assert abs(residual - exact) <= 1e-12 * exact
+
+
 def test_lstsq_rank_deficiency():
     theta = np.ones((10, 3))
     with pytest.raises(RankDeficiencyError) as excinfo:
@@ -247,6 +267,14 @@ def test_lstsq_rank_deficiency():
 def test_lstsq_needs_enough_rows():
     with pytest.raises(ValueError):
         lstsq(np.ones((2, 5)), np.ones(2))
+
+
+def test_lstsq_rejects_a_rhs_of_another_row_count():
+    # a one-row rhs would broadcast into the factor's columns
+    theta = rng.standard_normal((6, 2))
+    for rhs in (np.ones((1, 3)), np.ones(5), np.ones((6, 1, 1))):
+        with pytest.raises(ValueError, match="rhs must be a vector or matrix with 6 rows"):
+            lstsq(theta, rhs)
 
 
 def test_numerical_rank():
