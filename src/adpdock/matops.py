@@ -47,7 +47,8 @@ an array or numpy scalar becomes its ``tolist()``, and a complex number
 OpenBLAS that numpy loaded set to one thread. Every matrix of the
 learning chain is small (at most a few thousand by a hundred), so a
 second BLAS thread only adds wake-ups; with one, a second CPU is free
-for a forked CSV writer.
+for a forked CSV writer. :func:`_split_over_cpus` runs a task's ranges
+on threads of their own, one per CPU that no such writer holds.
 """
 
 from __future__ import annotations
@@ -526,6 +527,52 @@ def _worker_count(values):
     return max(1, min(_usable_cpus(), values // FORK_MIN_VALUES))
 
 
+#: Live children of :func:`write_csv_in_background`; each holds a usable CPU.
+_background_children = 0
+_background_lock = threading.Lock()
+
+
+def _split_over_cpus(task, count, values):
+    """``[task(chunk) for chunk in chunks]``, the chunks cut contiguously from ``range(count)``.
+
+    There is one chunk, a ``slice``, per free CPU: a usable CPU that no
+    live :func:`write_csv_in_background` child holds. There are no more
+    chunks than ``count`` or than :func:`_worker_count` gives for
+    ``values`` values of work, so a task below that size floor runs
+    whole in the calling thread. The first chunk runs in the calling
+    thread and every other one in a thread of its own; that pays where
+    ``task`` spends its time in numpy calls that release the GIL. Every
+    thread is joined before this returns or raises, so none outlives the
+    call and a later ``os.fork`` forks a single-threaded process. An
+    exception raised by ``task`` is raised here, the earliest chunk's
+    first.
+    """
+    parts = max(1, min(_worker_count(values), _usable_cpus() - _background_children, count))
+    chunks = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+    results, errors = [None] * parts, [None] * parts
+
+    def run(i):
+        try:
+            results[i] = task(chunks[i])
+        except Exception as exc:  # raised by the caller once every thread is joined
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _fork_worker(send):
     """Fork a child that calls ``send(pipe)`` on the write end of a new pipe; returns (pid, read fd).
 
@@ -708,17 +755,26 @@ def write_csv_in_background(path, table):
     if it failed, OSError is raised (an error in the block takes
     precedence). Where ``os.fork`` is missing or only one CPU is usable,
     the file is written here by :func:`write_csv`, on entering the block.
+    While the child may live, :func:`_split_over_cpus` does not count the
+    CPU it holds.
     """
+    global _background_children
     if not hasattr(os, "fork") or _usable_cpus() < 2:
         write_csv(path, *table())
         yield
         return
-    with _forked([partial(_write_whole, path, table)]) as (read_fd,):
-        try:
-            yield
-        finally:
-            # the child sends nothing: end of file means the CSV is closed
-            os.read(read_fd, 1)
+    with _background_lock:
+        _background_children += 1
+    try:
+        with _forked([partial(_write_whole, path, table)]) as (read_fd,):
+            try:
+                yield
+            finally:
+                # the child sends nothing: end of file means the CSV is closed
+                os.read(read_fd, 1)
+    finally:
+        with _background_lock:
+            _background_children -= 1
 
 
 def _jsonable(obj):

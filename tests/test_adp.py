@@ -2,7 +2,9 @@
 and the data-driven regulator solve."""
 
 import dataclasses
+import os
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,17 +99,15 @@ def reference_assembly(log, basis, R, interval):
     return out
 
 
-def eager_assembly(log, basis, R, interval):
-    """The moment assembly with every offset's bundle built at once, one
-    Theta_j per X_j in sweep order. The lazy sweep must reproduce each
-    bundle bit for bit."""
+def eager_moments(log, interval):
+    """(M_zz, M_zu, M_zv, x_end, v_end): the interval moments of z = [x; v],
+    integrated in one pass over the whole log by batched products."""
     dt = log.dt
     steps = int(round(interval / dt))
     n_int = (len(log) - 1) // steps
     n_fine = n_int * steps
     x, u, v = log.x, log.u, log.v
     n, m, q = x.shape[1], u.shape[1], v.shape[1]
-    scale_u = 2.0 * kron(np.eye(n), R)
     ends = np.arange(0, n_fine + 1, steps)
 
     d = n + q
@@ -124,8 +124,16 @@ def eager_assembly(log, basis, R, interval):
     M_zv = zz[:, :, n:].reshape(n_int, d * q)
     M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
     M_zu = M_zu.reshape(n_int, d * m)
+    return M_zz, M_zu, M_zv, x[ends], v[ends]
 
-    x_end, v_end = x[ends], v[ends]
+
+def eager_assembly(log, basis, R, interval):
+    """The moment assembly with every offset's bundle built at once, one
+    Theta_j per X_j in sweep order. The lazy sweep must reproduce each
+    bundle bit for bit."""
+    M_zz, M_zu, M_zv, x_end, v_end = eager_moments(log, interval)
+    n, m, q = log.x.shape[1], log.u.shape[1], log.v.shape[1]
+    scale_u = 2.0 * kron(np.eye(n), R)
     bundles = []
     for j, Xj in enumerate(basis.sequence()):
         T = np.hstack([np.eye(n), -Xj])
@@ -338,6 +346,86 @@ def test_sweep_matches_eager_bundles(case):
     for got, want in zip(sweep, eager):
         assert got.j == want.j and (got.n, got.m, got.q) == (want.n, want.m, want.q)
         assert np.array_equal(got.Theta, want.Theta) and np.array_equal(got.Dxx, want.Dxx)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="where os.fork is missing, assembly starts no thread")
+MOMENTS = ("M_zz", "M_zu", "M_zv", "x_end", "v_end")
+
+
+def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
+    """assemble_regression with ``cpus`` free CPUs, no size floor and blocks of
+    ``block_values`` values (None for the default): (sweep, threads started).
+
+    Every float buffer numpy.empty gives out starts as NaN, so a row that
+    no range writes shows even where the allocator hands back the memory
+    of an earlier, correct assembly.
+    """
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    mp.setattr(np, "empty", poisoned)
+    mp.setattr(matops, "_usable_cpus", lambda: cpus)
+    mp.setattr(matops, "FORK_MIN_VALUES", 1)
+    if block_values is not None:
+        mp.setattr(adp, "ASSEMBLY_BLOCK_VALUES", block_values)
+    started, start = [], threading.Thread.start
+    mp.setattr(threading.Thread, "start", lambda thread: (started.append(thread), start(thread)))
+    threads = threading.active_count()
+    sweep = assemble_regression(log, basis, R, interval)
+    assert threading.active_count() == threads  # every worker is joined
+    return sweep, len(started)
+
+
+def assert_same_bits_on_1_2_3_threads(log, basis, R, interval, block_values=None):
+    """Moments and bundle 0 on 1, 2 and 3 threads equal the one-pass reference to the bit."""
+    moments, bundle = eager_moments(log, interval), eager_assembly(log, basis, R, interval)[0]
+    sweeps = []
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            sweep, started = assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval)
+        assert started == min(cpus, sweep[0].rows) - 1
+        for name, want in zip(MOMENTS, moments):
+            assert np.array_equal(getattr(sweep, name), want), (name, cpus)
+        assert np.array_equal(sweep[0].Theta, bundle.Theta), cpus
+        assert np.array_equal(sweep[0].Dxx, bundle.Dxx), cpus
+        sweeps.append(sweep)
+    return sweeps
+
+
+@needs_fork
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(random_sweep_case(), st.integers(1, 400))
+def test_assembly_bits_do_not_depend_on_the_thread_count(case, block_values):
+    # blocks from one interval to the whole log, with a ragged last block
+    assert_same_bits_on_1_2_3_threads(*case, block_values=block_values)
+
+
+@needs_fork
+def test_docking_assembly_bits_do_not_depend_on_the_thread_count(docking, learning_data):
+    cfg = docking.config
+    assert_same_bits_on_1_2_3_threads(learning_data.log, learning_data.basis, cfg.R,
+                                      cfg.interval)
+
+
+@needs_fork
+def test_learned_gains_do_not_depend_on_the_assembly_thread_count_at_1000_intervals(docking):
+    # a 100 s docking log sampled at 10 ms: 1000 intervals, split 1000, 500 + 500
+    # and 333 + 333 + 334
+    cfg = docking.config
+    log = collect_data(docking.model, docking.exo, None, cfg.noise_spec(), cfg.x0,
+                       horizon=100.0, dt=0.01, interval=cfg.interval)
+    sweeps = assert_same_bits_on_1_2_3_threads(log, kernel_basis(docking.model), cfg.R,
+                                               cfg.interval)
+    assert sweeps[0][0].rows == 1000
+    (P, K, _), *others = [vi_learn(sweep[0], cfg.Q, cfg.R) for sweep in sweeps]
+    for P_other, K_other, _ in others:
+        assert np.array_equal(P_other, P) and np.array_equal(K_other, K)
 
 
 def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, learning_data,

@@ -16,6 +16,7 @@ import pytest
 from adpdock import (
     ExperimentConfig,
     TrajectoryLog,
+    adp,
     compare_gains,
     default_config,
     load_config,
@@ -25,6 +26,7 @@ from adpdock import (
 )
 from adpdock.adp import collect_data
 from adpdock.dockcli import _SCHEMA, main
+from adpdock.regulator import kernel_basis
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 from conftest import (REPO, assert_no_child_left, counting_forks, open_fds, run_python,
                       slow_blocks)
@@ -750,3 +752,40 @@ def test_rank_failure_still_leaves_the_complete_learning_csv(tmp_path, monkeypat
     log.to_csv(tmp_path / "expected.csv")
     assert (out / "trajectory_learning.csv").read_bytes() == \
         (tmp_path / "expected.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_assembly_leaves_the_learning_csv_childs_cpu_free(tmp_path, monkeypatch, csv_writes):
+    # two usable CPUs: while the child writing trajectory_learning.csv holds one,
+    # assembly runs whole in this thread; outside run_experiment the same
+    # 25001-sample log is above the size floor and assembly starts one thread
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), start(thread)))
+    alive_at_fork, fork = [], os.fork
+
+    def counted_fork():
+        alive_at_fork.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    calls, assemble = [], adp.assemble_regression
+
+    def spy(log, *args):
+        calls.append((len(log), matops._background_children))
+        return assemble(log, *args)
+
+    monkeypatch.setattr(adp, "assemble_regression", spy)
+    threads = threading.active_count()
+    cfg = default_config()
+    run_experiment(cfg, tmp_path / "out", log=quiet)
+    assert csv_writes[0] == ("bg", "trajectory_learning.csv")
+    assert calls == [(25001, 1)] and started == []
+    assert alive_at_fork and set(alive_at_fork) == {threads}  # no fork beside a worker thread
+    assert matops._background_children == 0
+    model, exo = cfg.scenario()
+    log = collect_data(model, exo, None, cfg.noise_spec(), cfg.x0,
+                       horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
+    adp.assemble_regression(log, kernel_basis(model), cfg.R, cfg.interval)
+    assert len(started) == 1
+    assert threading.active_count() == threads

@@ -8,6 +8,9 @@ import dataclasses
 import io
 import json
 import os
+import sys
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -41,6 +44,7 @@ from adpdock.matops import (
 )
 
 rng = np.random.default_rng(1234)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def test_vec_is_column_major():
@@ -298,6 +302,77 @@ def test_numerical_rank_complex_pbh_pencil():
     assert numerical_rank(np.zeros((0, 3)), 1) == (0, 0.0)
 
 
+#: Work that is worth a thread per CPU for any CPU count the tests below patch in.
+ABOVE_FLOOR = 1 << 40
+
+
+@pytest.mark.parametrize("cpus, busy, count, values, chunks", [
+    (1, 0, 5, ABOVE_FLOOR, [(0, 5)]),
+    (3, 0, 5, ABOVE_FLOOR, [(0, 1), (1, 3), (3, 5)]),
+    (4, 0, 2, ABOVE_FLOOR, [(0, 1), (1, 2)]),
+    # the size floor: fewer chunks than CPUs below one per FORK_MIN_VALUES values
+    (3, 0, 5, 2 * matops.FORK_MIN_VALUES, [(0, 2), (2, 5)]),
+    (3, 0, 5, matops.FORK_MIN_VALUES - 1, [(0, 5)]),
+    # a CPU held by a background CSV child is not free
+    (3, 1, 5, ABOVE_FLOOR, [(0, 2), (2, 5)]),
+    (2, 1, 5, ABOVE_FLOOR, [(0, 5)]),
+])
+@needs_fork  # where os.fork is missing, _worker_count gives one range
+def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatch, cpus, busy,
+                                                                      count, values, chunks):
+    # every chunk waits for all the others: they can only meet on separate threads
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(matops, "_background_children", busy)
+    meet = threading.Barrier(len(chunks), timeout=30)
+    threads = threading.active_count()
+
+    def task(js):
+        meet.wait()
+        return js.start, js.stop, threading.get_ident()
+
+    results = matops._split_over_cpus(task, count, values)
+    assert [(start, stop) for start, stop, _ in results] == chunks
+    assert results[0][2] == threading.get_ident()  # the first chunk runs in the caller
+    assert len({ident for _, _, ident in results}) == len(chunks)
+    assert threading.active_count() == threads
+
+
+@needs_fork
+def test_split_over_cpus_raises_the_earliest_chunks_error_after_joining(monkeypatch):
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: 3)
+    threads = threading.active_count()
+    finished = []
+
+    def task(js):  # chunks [0, 1), [1, 3) and [3, 5): the last two fail
+        if js.start > 0:
+            time.sleep(0.05 if js.start == 1 else 0.0)
+            finished.append(js.start)
+            raise ValueError(f"chunk from {js.start}")
+        return js
+
+    with pytest.raises(ValueError, match="chunk from 1"):
+        matops._split_over_cpus(task, 5, ABOVE_FLOOR)
+    assert sorted(finished) == [1, 3]  # the slower failing chunk was waited for
+    assert threading.active_count() == threads
+
+
+@needs_fork
+def test_split_over_cpus_keeps_every_result_under_frequent_thread_switches(monkeypatch):
+    # more threads than CPUs, switching every microsecond, each storing its chunk's result
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: 8)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            results = matops._split_over_cpus(lambda js: list(range(js.start, js.stop)), 29,
+                                              ABOVE_FLOOR)
+            assert len(results) == 8 and sum(results, []) == list(range(29))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
 def test_is_hurwitz():
     assert is_hurwitz(np.array([[-1.0, 0.0], [0.0, -2.0]]))
     assert not is_hurwitz(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # marginal
@@ -309,7 +384,6 @@ def test_is_hurwitz():
 BLOCK = matops.CSV_BLOCK_ROWS
 SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
                     1.0, -3.0, 2.0 ** 52, 1e16, 123456789.0, np.nan, np.inf, -np.inf])
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def savetxt_bytes(data, header):
@@ -485,6 +559,8 @@ def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path
     pids = counting_forks(monkeypatch)
     with write_csv_in_background(path, lambda: (data, "h")):
         assert len(pids) == 1  # the child formats every row; it forks no worker
+        assert matops._background_children == 1  # its CPU is not free for threads
+    assert matops._background_children == 0
     assert path.read_bytes() == savetxt_bytes(data, "h")
     assert_no_child_left()
 
@@ -504,6 +580,7 @@ def test_write_csv_in_background_without_a_free_cpu_writes_on_entry(tmp_path, mo
     path = tmp_path / "fg.csv"
     with write_csv_in_background(path, lambda: (data, "a,b,c")):
         assert path.read_bytes() == savetxt_bytes(data, "a,b,c")
+        assert matops._background_children == 0  # no child holds a CPU
 
 
 @needs_fork
@@ -518,6 +595,7 @@ def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_p
         with write_csv_in_background(path, lambda: (data, "a,b")):
             raise KeyError("stage")
     assert path.read_bytes() == savetxt_bytes(data, "a,b")
+    assert matops._background_children == 0
     assert_no_child_left()
 
 
@@ -531,6 +609,7 @@ def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypa
         with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
             pass
     assert_no_child_left()
+    assert matops._background_children == 0
     assert open_fds() <= fds
     # an error in the block takes precedence over the child's
     with pytest.raises(KeyError):
