@@ -11,9 +11,10 @@ j = 0 regression equation
 whose blocks recover H = A'P + PA, the improved gain K = R^{-1}B'P, and
 M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. Newton
 steps on the same equation finish the iteration. After convergence the
-plant and the exosystem are identified from the same data (see below),
-which gives D, B and every S(X_j), enough to pose and solve the
-trace-optimal regulator-equation problem from data alone.
+plant and the exosystem are identified from the same data (see below):
+A_hat, B_hat, D_hat and E_hat. The trace-optimal regulator pair is then
+the exact solve of the identified model's regulator equations
+(:func:`regulator.solve_regulator_exact`), from data alone.
 
 Derivation of the regression equation: along dx/dt = A x + B u + D v the
 shifted state xbar_j = x - X_j v obeys
@@ -63,7 +64,7 @@ q^2 x q^2 normal equations. The trapezoidal M_vv,l is biased by
 dt^2/12 (E Delta_l + Delta_l E'), the Euler-Maclaurin end term of
 d(v v')/dt = E v v' + v v' E'. That term is linear in the Delta columns,
 so it is subtracted on the same factor with the first E_hat, and E_hat
-is refitted. Then S(X_j) = X_j E_hat - A_hat X_j for every offset.
+is refitted.
 
 Assembly, the rank check, value iteration, recovery and the regulator
 solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
@@ -89,12 +90,13 @@ import numpy as np
 
 from .errors import NoSolutionError, RankDeficiencyError
 # unvecs is not called here any more; perfbench counts the calls of adp.unvecs
-from .matops import (_split_over_cpus, bdiag, check_input_weight, check_weights, kron, lstsq,
-                     numerical_rank, one_blas_thread, unvec, unvecs, vec, vecs, vecv, vecv_map,
+from .matops import (_split_over_cpus, check_input_weight, check_weights, kron, lstsq,
+                     numerical_rank, one_blas_thread, unvec, unvecs, vecs, vecv, vecv_map,
                      write_json)
-from .regulator import RegulatorSolution, solve_min_trace
+# by name: perfbench times regulator.solve_regulator_exact for the oracle's call only
+from .regulator import solve_regulator_exact
 from .riccati import linear_balls, run_value_iteration
-from .sysmodels import LinearPolicy, simulate, whole_steps
+from .sysmodels import Exosystem, LinearPolicy, StateSpaceModel, simulate, whole_steps
 
 __all__ = [
     "RegressionBundle",
@@ -243,18 +245,17 @@ class LearnedController:
 class ModelRecovery:
     """The model identified from data, and how well the data fit it.
 
-    ``S_values[j - 1]`` is the recovered Sylvester image S(X_j) for
-    j = 1..h+1 (S(X_0) = 0 by construction and is not stored).
-    ``A_hat`` and ``E_hat`` are the identified plant and exosystem
-    matrices. ``E_rank`` is the numerical rank of E_hat's normal system
-    and ``E_required`` its size, q^2. ``A_residual`` and ``E_residual``
-    are the relative least-squares residuals of the two fits (Frobenius
-    norms, residual over data).
+    ``A_hat``, ``B_hat`` and ``D_hat`` are the identified plant matrices
+    and ``E_hat`` the identified exosystem matrix; with the output
+    equation's C and F they pose the regulator equations that
+    :func:`solve_problem1_datadriven` solves. ``E_rank`` is the
+    numerical rank of E_hat's normal system and ``E_required`` its size,
+    q^2. ``A_residual`` and ``E_residual`` are the relative least-squares
+    residuals of the two fits (Frobenius norms, residual over data).
     """
 
     D_hat: np.ndarray
     B_hat: np.ndarray
-    S_values: list[np.ndarray]
     A_hat: np.ndarray
     E_hat: np.ndarray
     E_rank: int
@@ -552,7 +553,7 @@ class DataRiccati:
 
 @one_blas_thread()
 def recover_model_artifacts(sweep, P_final, K_next_final, R):
-    """Identify the plant and the exosystem from data, and with them D, B and every S(X_j).
+    """Identify the plant (A_hat, B_hat, D_hat) and the exosystem E_hat from data.
 
     A_hat is the least-squares fit of the Lyapunov operator P -> A'P + PA
     to the H block of bundle 0's operator (:attr:`RegressionBundle.solve_op`,
@@ -562,7 +563,7 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     converged P, the M block of bundle 0's solution is vec(D'P) since
     S(X_0) = 0, giving D_hat, and B_hat follows from inverting
     K = R^{-1}B'P, with R in any weight form of
-    :func:`matops.check_weights`. Then S(X_j) = X_j E_hat - A_hat X_j.
+    :func:`matops.check_weights`.
 
     Raises
     ------
@@ -592,9 +593,8 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     # the M block is vec(D'P), so it reshapes to P D row by row
     D_hat = np.linalg.solve(P, (solve_op[ns + m * n :] @ vecs(P)).reshape(n, q))
     B_hat = np.linalg.solve(P, (R @ np.asarray(K_next_final, dtype=float)).T)
-    return ModelRecovery(D_hat=D_hat, B_hat=B_hat,
-                         S_values=[X @ E_hat - A_hat @ X for X in sweep.offsets[1:]],
-                         A_hat=A_hat, E_hat=E_hat, E_rank=E_rank, E_required=q * q,
+    return ModelRecovery(D_hat=D_hat, B_hat=B_hat, A_hat=A_hat, E_hat=E_hat,
+                         E_rank=E_rank, E_required=q * q,
                          A_residual=A_residual, E_residual=E_residual)
 
 
@@ -678,61 +678,30 @@ def _fit_exosystem(S, D):
 
 @one_blas_thread()
 def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
-    """Trace-optimal regulator pair (X, U) from recovered quantities only.
+    """Trace-optimal regulator pair (X, U) of the model identified from data.
 
-    Every constraint-satisfying X is X_1 + sum_j alpha_j N_j, and by
-    linearity of the Sylvester map S(X(alpha)) is known from the
-    recovered sweep values. The dynamic regulator equation
-    S(X) = B U + D then becomes one linear system in (alpha, vec U),
-    solved jointly to a relative residual of 1e-6 by
-    :func:`regulator.solve_min_trace`; any remaining freedom minimizes
-    Tr(X'QbarX + U'RbarU).
+    The regulator equations X E_hat = A_hat X + B_hat U + D_hat and
+    0 = C X + F, with the C and F that ``basis`` parametrizes, are solved
+    by :func:`regulator.solve_regulator_exact` to a relative residual of
+    1e-6; any remaining freedom minimizes Tr(X'QbarX + U'RbarU).
 
     Raises
     ------
     RankDeficiencyError
         If B_hat is column-rank deficient (input directions missing).
     NoSolutionError
-        If the recovered quantities admit no regulator solution.
+        If the identified model admits no regulator solution.
     """
-    D_hat, B_hat = recovery.D_hat, recovery.B_hat
-    n, q = D_hat.shape
-    m = B_hat.shape[1]
-    h = basis.h
-    if len(recovery.S_values) != h + 1:
-        raise ValueError(f"recovery holds {len(recovery.S_values)} sweep values, expected {h + 1}")
-    if (rank := numerical_rank(B_hat)) < m:
+    B_hat = recovery.B_hat
+    if (rank := numerical_rank(B_hat)) < B_hat.shape[1]:
         raise RankDeficiencyError(
             "B_hat is rank deficient; the input does not excite all directions",
-            rank=rank, required=m,
+            rank=rank, required=B_hat.shape[1],
         )
-    Qbar, Rbar = check_weights(Qbar, Rbar, n, m, names=("Qbar", "Rbar"))
-
-    S1 = recovery.S_values[0]
-    S_dirs = [recovery.S_values[j] - S1 for j in range(1, h + 1)]
-
-    def columns(mats):  # one vec per column; nq x 0 when C is square (h = 0)
-        return np.reshape([vec(A) for A in mats], (h, n * q)).T
-
-    # columns: effect of alpha_j on vec(S(X)); then the -B U coupling
-    M = np.hstack([columns(S_dirs), -kron(np.eye(q), B_hat)])
-    # y = (alpha, vec U) gives [vec X; vec U] = T y + c
-    T = bdiag([columns(basis.basis), np.eye(m * q)])
-    c = np.concatenate([vec(basis.X1), np.zeros(m * q)])
-    y = solve_min_trace(M, vec(D_hat - S1), T, c, Qbar, Rbar, rtol=1e-6)
-
-    alpha = y[:h]
-    U = unvec(y[h:], m, q)
-    X = basis.X1 + sum(a_j * N for a_j, N in zip(alpha, basis.basis))
-    S_X = S1 + sum(a_j * Sd for a_j, Sd in zip(alpha, S_dirs))
-    return RegulatorSolution(
-        X=X,
-        U=U,
-        residual_dyn=float(np.linalg.norm(S_X - B_hat @ U - D_hat)),
-        # the kernel parametrization satisfies the output equation exactly
-        residual_out=0.0,
-        trace_cost=float(np.trace(X.T @ Qbar @ X) + np.trace(U.T @ Rbar @ U)),
-    )
+    identified = StateSpaceModel(A=recovery.A_hat, B=B_hat, C=basis.C, D=recovery.D_hat,
+                                 F=basis.F)
+    exo = Exosystem(E=recovery.E_hat, v0=np.zeros(len(recovery.E_hat)))
+    return solve_regulator_exact(identified, exo, Qbar, Rbar, rtol=1e-6)
 
 
 def save_gains(path, controller):

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError
-from .matops import bdiag, check_weights, kron, null_space, unvec, vec
+from .matops import _svd_rank, bdiag, check_weights, kron, null_space, unvec, vec
 
 __all__ = [
     "RegulatorSolution",
     "KernelBasis",
     "kernel_basis",
     "solve_regulator_exact",
-    "solve_min_trace",
     "feedforward_gain",
 ]
 
@@ -50,11 +49,14 @@ class KernelBasis:
 
     ``X1`` is a particular solution of C X = -F, and ``basis`` a list of
     h = (n - p) q independent matrices spanning {X : C X = 0}. Every
-    constraint-satisfying X is X1 + sum_j alpha_j basis[j].
+    constraint-satisfying X is X1 + sum_j alpha_j basis[j]. ``C`` and
+    ``F`` are the output equation's matrices that it parametrizes.
     """
 
     X1: np.ndarray
     basis: list[np.ndarray]
+    C: np.ndarray
+    F: np.ndarray
 
     @property
     def h(self):
@@ -97,56 +99,24 @@ def kernel_basis(model):
         e_r[r] = 1.0
         for s in range(W.shape[1]):
             basis.append(np.outer(W[:, s], e_r))
-    return KernelBasis(X1=X1, basis=basis)
+    return KernelBasis(X1=X1, basis=basis, C=model.C, F=model.F)
 
 
-def solve_min_trace(M, b, T, c, Qbar, Rbar, rtol):
-    """Among the solutions y of M y = b, the one minimizing Tr(X'QbarX + U'RbarU).
-
-    (X, U) is read off y through [vec X; vec U] = T y + c, with X n x q
-    and U m x q for Qbar n x n and Rbar m x m. The least-squares solution
-    of M y = b is rejected when its residual exceeds rtol (1 + |b|); any
-    freedom left in the null space of M then minimizes the trace cost,
-    whose weight on [vec X; vec U] is blockdiag(I_q (*) Qbar, I_q (*) Rbar).
-
-    Raises
-    ------
-    NoSolutionError
-        If M y = b is inconsistent.
-    """
-    y0, *_ = np.linalg.lstsq(M, b, rcond=None)
-    residual = np.linalg.norm(M @ y0 - b)
-    if residual > rtol * (1.0 + np.linalg.norm(b)):
-        raise NoSolutionError(
-            f"regulator equations are inconsistent (residual {residual:.3e})",
-            residual=float(residual),
-        )
-    nullspace = null_space(M)
-    if nullspace.shape[1] == 0:
-        return y0
-    I_q = np.eye(T.shape[0] // (Qbar.shape[0] + Rbar.shape[0]))
-    W = bdiag([kron(I_q, Qbar), kron(I_q, Rbar)])
-    # minimizing (T y + c)' W (T y + c) over y0 + N a
-    weight = T.T @ W @ T
-    gradient = weight @ y0 + T.T @ (W @ c)
-    gram = nullspace.T @ weight @ nullspace
-    alpha, *_ = np.linalg.lstsq(gram, -(nullspace.T @ gradient), rcond=None)
-    return y0 + nullspace @ alpha
-
-
-def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
+def solve_regulator_exact(model, exo, Qbar=None, Rbar=None, rtol=_SOLVE_RTOL):
     """Solve the regulator equations, minimizing Tr(X'QbarX + U'RbarU).
 
-    Stacks both matrix equations into one linear system in
-    (vec X, vec U), takes the pseudoinverse solution, and if the system
-    is underdetermined minimizes the trace cost over the solution set.
-    Weights default to identity.
+    Stacks both matrix equations into one linear system M y = b in
+    y = [vec X; vec U] and factors M by one SVD. Its numerical rank, under
+    :func:`matops.numerical_rank`'s rule, gives both the minimum-norm
+    solution and the null space of M; if that null space is not empty,
+    the trace cost, whose weight on y is blockdiag(I_q (*) Qbar,
+    I_q (*) Rbar), is minimized over it. Weights default to identity.
 
     Raises
     ------
     NoSolutionError
-        If the stacked system is inconsistent beyond a relative
-        residual of 1e-8.
+        If the stacked system is inconsistent: the minimum-norm solution
+        leaves a residual above rtol (1 + |b|).
     """
     n, m, p, q = model.n, model.m, model.p, model.q
     if exo.q != q:
@@ -160,8 +130,22 @@ def solve_regulator_exact(model, exo, Qbar=None, Rbar=None):
     M = np.vstack([M_top, M_bot])
     b = np.concatenate([vec(model.D), vec(-model.F)])
 
-    size = (n + m) * q
-    z = solve_min_trace(M, b, np.eye(size), np.zeros(size), Qbar, Rbar, _SOLVE_RTOL)
+    left, sv, right = np.linalg.svd(M)
+    rank = _svd_rank(sv, M.shape)
+    z = right[:rank].T @ ((left[:, :rank].T @ b) / sv[:rank])
+    residual = np.linalg.norm(M @ z - b)
+    if residual > rtol * (1.0 + np.linalg.norm(b)):
+        raise NoSolutionError(
+            f"regulator equations are inconsistent (residual {residual:.3e})",
+            residual=float(residual),
+        )
+    nullspace = right[rank:].T
+    if nullspace.shape[1]:
+        W = bdiag([kron(I_q, Qbar), kron(I_q, Rbar)])
+        # minimizing (z + N a)' W (z + N a) over a
+        alpha, *_ = np.linalg.lstsq(nullspace.T @ W @ nullspace, -(nullspace.T @ (W @ z)),
+                                    rcond=None)
+        z = z + nullspace @ alpha
 
     X = unvec(z[: n * q], n, q)
     U = unvec(z[n * q :], m, q)

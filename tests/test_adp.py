@@ -59,10 +59,14 @@ def sylvester_image(X, A, E):
     return X @ E - A @ X
 
 
-def exact_recovery(model, exo, basis):
+def identified_sylvester_images(recovery, offsets):
+    """S(X_j) = X_j E_hat - A_hat X_j of the identified model, for each offset."""
+    return [sylvester_image(X, recovery.A_hat, recovery.E_hat) for X in offsets]
+
+
+def exact_recovery(model, exo):
     """ModelRecovery built from the true matrices, bypassing the data path."""
-    S = [sylvester_image(X, model.A, exo.E) for X in basis.sequence()[1:]]
-    return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(), S_values=S,
+    return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(),
                          A_hat=model.A.copy(), E_hat=exo.E.copy(), E_rank=exo.q ** 2,
                          E_required=exo.q ** 2, A_residual=0.0, E_residual=0.0)
 
@@ -192,8 +196,9 @@ def random_log_and_basis(n, m, q, n_samples, dt, generator):
                         u=generator.standard_normal((n_samples, m)),
                         v=generator.standard_normal((n_samples, q)),
                         e=np.zeros((n_samples, 1)))
-    basis = KernelBasis(X1=generator.standard_normal((n, q)),
-                        basis=[generator.standard_normal((n, q)) for _ in range(3)])
+    X1 = generator.standard_normal((n, q))
+    basis = KernelBasis(X1=X1, basis=[generator.standard_normal((n, q)) for _ in range(3)],
+                        C=np.eye(1, n), F=-X1[:1])
     R = generator.standard_normal((m, m))
     return log, basis, R @ R.T + np.eye(m)
 
@@ -440,7 +445,8 @@ def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, 
     for got, want in ((recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat)):
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
     truth = [sylvester_image(X, docking.model.A, docking.exo.E) for X in sweep.offsets[1:]]
-    for got, want, exact in zip(recovery.S_values, reference.S_values, truth, strict=True):
+    for got, want, exact in zip(identified_sylvester_images(recovery, sweep.offsets[1:]),
+                                reference.S_values, truth, strict=True):
         assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
         assert np.linalg.norm(got - exact) < np.linalg.norm(want - exact)
 
@@ -602,7 +608,8 @@ def exostate_sweep(freqs, T, c0, dt, horizon=10.0, interval=0.1):
     g = np.random.default_rng(0)
     log = TrajectoryLog(t=t, x=g.standard_normal((len(t), 1)), u=g.standard_normal((len(t), 1)),
                         v=c @ T.T, e=np.zeros((len(t), 1)))
-    basis = KernelBasis(X1=np.ones((1, T.shape[0])), basis=[])
+    basis = KernelBasis(X1=np.ones((1, T.shape[0])), basis=[], C=np.eye(1),
+                        F=-np.ones((1, T.shape[0])))
     return assemble_regression(log, basis, np.eye(1), interval)
 
 
@@ -643,8 +650,9 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
     # sampled at 10 ms, which has 1000 intervals too
     g = np.random.default_rng(1000)
     log, _, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
-    basis = KernelBasis(X1=g.standard_normal((6, 8)),
-                        basis=[g.standard_normal((6, 8)) for _ in range(24)])
+    X1 = g.standard_normal((6, 8))
+    basis = KernelBasis(X1=X1, basis=[g.standard_normal((6, 8)) for _ in range(24)],
+                        C=np.eye(3, 6), F=-X1[:3])
     W = g.standard_normal((6, 6))
     P, K = W @ W.T + 6 * np.eye(6), g.standard_normal((3, 6))
     cfg = docking.config
@@ -670,8 +678,10 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
         put(previous)
     (verdict, plant_verdict, one, P_one, K_one), (*verdicts, two, P_two, K_two) = runs
     assert verdict == plant_verdict == (True, 87, 87) and verdicts == [verdict, plant_verdict]
-    for name in ("D_hat", "B_hat", "A_hat", "E_hat", "S_values", "A_residual", "E_residual"):
+    for name in ("D_hat", "B_hat", "A_hat", "E_hat", "A_residual", "E_residual"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert np.array_equal(identified_sylvester_images(one, basis.sequence()[1:]),
+                          identified_sylvester_images(two, basis.sequence()[1:]))
     assert np.array_equal(P_one, P_two) and np.array_equal(K_one, K_two)
 
 
@@ -1055,7 +1065,8 @@ def test_recovery_against_truth(docking, learned):
     # S(X_1) from data vs the true Sylvester image
     basis = kernel_basis(model)
     S1_true = sylvester_image(basis.X1, model.A, exo.E)
-    err = np.linalg.norm(recovery.S_values[0] - S1_true)
+    S1, = identified_sylvester_images(recovery, [basis.X1])
+    err = np.linalg.norm(S1 - S1_true)
     assert err <= 1e-2 * (1.0 + np.linalg.norm(S1_true))
 
 
@@ -1095,7 +1106,7 @@ def test_problem1_from_exact_recovery(docking, oracle):
     # fed the true matrices, the data-driven path reproduces the exact solver
     cfg = docking.config
     basis = kernel_basis(docking.model)
-    recovery = exact_recovery(docking.model, docking.exo, basis)
+    recovery = exact_recovery(docking.model, docking.exo)
     sol = solve_problem1_datadriven(recovery, basis, cfg.Qbar, cfg.Rbar)
     ref = oracle.exact
     assert np.max(np.abs(sol.X - ref.X)) <= 1e-6 * (1.0 + np.max(np.abs(ref.X)))
@@ -1104,18 +1115,18 @@ def test_problem1_from_exact_recovery(docking, oracle):
 
 
 def test_problem1_from_data_is_the_exact_solve_on_the_identified_model(docking, learned):
-    # the data route poses the regulator equations of the model recovery
-    # identified, (A_hat, B_hat, C, D_hat, F) with E_hat; the docking run
-    # agrees with the model-based solver on it to about 5e-15
+    # the data route is the model-based solver on the model recovery identified,
+    # (A_hat, B_hat, C, D_hat, F) with E_hat, bit for bit
     cfg, model, recovery = docking.config, docking.model, learned.recovery
     identified = StateSpaceModel(A=recovery.A_hat, B=recovery.B_hat, C=model.C,
                                  D=recovery.D_hat, F=model.F)
-    ref = solve_regulator_exact(identified, Exosystem(E=recovery.E_hat, v0=docking.exo.v0),
-                                cfg.Qbar, cfg.Rbar)
+    with matops.one_blas_thread():  # the data route's own BLAS setting
+        ref = solve_regulator_exact(identified, Exosystem(E=recovery.E_hat, v0=docking.exo.v0),
+                                    cfg.Qbar, cfg.Rbar)
     sol = learned.solution
     for got, want in ((sol.X, ref.X), (sol.U, ref.U),
                       (learned.L, feedforward_gain(ref, learned.K))):
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1131,11 +1142,37 @@ def test_problem1_from_exact_recovery_matches_exact_solver(plant):
     Qbar = np.diag(g.uniform(0.5, 2.0, n))
     Rbar = np.diag(g.uniform(0.5, 2.0, m))
     basis = kernel_basis(model)
-    sol = solve_problem1_datadriven(exact_recovery(model, exo, basis), basis, Qbar, Rbar)
+    sol = solve_problem1_datadriven(exact_recovery(model, exo), basis, Qbar, Rbar)
     ref = solve_regulator_exact(model, exo, Qbar, Rbar)
     got = np.concatenate([vec(sol.X), vec(sol.U)])
     want = np.concatenate([vec(ref.X), vec(ref.U)])
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_problem1_accepts_a_residual_that_the_model_based_solver_rejects():
+    # p > m: (n + p) q equations in (n + m) q unknowns, so a generic change of D
+    # leaves a residual. Scaled to 1e-7 of 1 + |b|, it lies between the exact
+    # solver's default tolerance (1e-8) and the data route's (1e-6)
+    g = np.random.default_rng(24)
+    n, m, p, q = 4, 1, 2, 2
+    model, exo = random_solvable(n, m, p, q, g)
+    M = np.vstack([np.hstack([np.kron(exo.E.T, np.eye(n)) - np.kron(np.eye(q), model.A),
+                              -np.kron(np.eye(q), model.B)]),
+                   np.hstack([np.kron(np.eye(q), model.C), np.zeros((p * q, m * q))])])
+
+    def relative_residual(D):
+        b = np.concatenate([vec(D), vec(-model.F)])
+        y, *_ = np.linalg.lstsq(M, b, rcond=None)
+        return np.linalg.norm(M @ y - b) / (1.0 + np.linalg.norm(b))
+
+    direction = g.standard_normal((n, q))
+    D = model.D + 1e-7 / relative_residual(model.D + direction) * direction
+    assert 1e-8 < relative_residual(D) < 1e-6
+    perturbed = dataclasses.replace(model, D=D)
+    with pytest.raises(NoSolutionError):
+        solve_regulator_exact(perturbed, exo)
+    sol = solve_problem1_datadriven(exact_recovery(perturbed, exo), kernel_basis(perturbed))
+    assert np.array_equal(sol.X, solve_regulator_exact(perturbed, exo, rtol=1e-6).X)
 
 
 def test_problem1_trivial_when_unforced(docking):
@@ -1143,7 +1180,7 @@ def test_problem1_trivial_when_unforced(docking):
     clean = StateSpaceModel(A=model.A, B=model.B, C=model.C,
                             D=np.zeros_like(model.D), F=np.zeros_like(model.F))
     basis = kernel_basis(clean)
-    recovery = exact_recovery(clean, docking.exo, basis)
+    recovery = exact_recovery(clean, docking.exo)
     sol = solve_problem1_datadriven(recovery, basis)
     assert np.max(np.abs(sol.X)) <= 1e-9
     assert np.max(np.abs(sol.U)) <= 1e-9
@@ -1157,7 +1194,7 @@ def test_problem1_learned_matches_oracle(docking, oracle, learned):
 
 def test_problem1_rejects_deficient_input_matrix(docking):
     basis = kernel_basis(docking.model)
-    recovery = exact_recovery(docking.model, docking.exo, basis)
+    recovery = exact_recovery(docking.model, docking.exo)
     broken = dataclasses.replace(recovery, B_hat=np.zeros_like(recovery.B_hat))
     with pytest.raises(RankDeficiencyError):
         solve_problem1_datadriven(broken, basis)

@@ -16,11 +16,15 @@ from adpdock.matops import vec
 rng = np.random.default_rng(99)
 
 
-def random_solvable(n, m, p, q, generator=None):
-    """Backsolve D and F from a chosen (X, U) so a solution exists."""
+def random_solvable(n, m, p, q, generator=None, dead_inputs=0):
+    """Backsolve D and F from a chosen (X, U) so a solution exists.
+
+    The first ``dead_inputs`` columns of B are zero.
+    """
     g = rng if generator is None else generator
     A = g.standard_normal((n, n))
     B = g.standard_normal((n, m))
+    B[:, :dead_inputs] = 0.0
     C = g.standard_normal((p, n))
     E = g.standard_normal((q, q))
     E = 0.5 * (E - E.T)  # neutrally stable, like a real exosystem
@@ -71,16 +75,23 @@ def test_exact_solver_docking(docking, oracle):
 
 
 def test_exact_solver_random_instances():
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 4))
-        p = int(rng.integers(1, min(n, m) + 1))
-        q = int(rng.integers(1, 9))
-        model, exo = random_solvable(n, m, p, q)
-        sol = solve_regulator_exact(model, exo)
-        bound = 1e-8 * (1.0 + np.linalg.norm(model.D) + np.linalg.norm(model.F))
-        assert sol.residual_dyn <= bound
-        assert sol.residual_out <= bound
+    # three shape families: p <= min(n, m); p > m, more equations than
+    # unknowns; and p = n, where C X = -F pins X (h = 0)
+    for family in ("p <= min(n, m)", "p > m", "p = n"):
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            if family == "p <= min(n, m)":
+                m = int(rng.integers(1, 4))
+                p = int(rng.integers(1, min(n, m) + 1))
+            else:
+                m = int(rng.integers(1, n))
+                p = n if family == "p = n" else int(rng.integers(m + 1, n + 1))
+            q = int(rng.integers(1, 9))
+            model, exo = random_solvable(n, m, p, q)
+            sol = solve_regulator_exact(model, exo)
+            bound = 1e-8 * (1.0 + np.linalg.norm(model.D) + np.linalg.norm(model.F))
+            assert sol.residual_dyn <= bound, (family, n, m, p, q)
+            assert sol.residual_out <= bound, (family, n, m, p, q)
 
 
 def test_exact_solver_minimizes_trace():
@@ -88,9 +99,9 @@ def test_exact_solver_minimizes_trace():
     # cost gradient must be orthogonal to the feasible directions
     from scipy.linalg import null_space
 
-    for _ in range(5):
+    for dead_inputs in (0, 0, 0, 0, 0, 1, 1):
         n, m, p, q = 4, 3, 1, 3
-        model, exo = random_solvable(n, m, p, q)
+        model, exo = random_solvable(n, m, p, q, dead_inputs=dead_inputs)
         Qbar = np.diag(rng.uniform(0.5, 2.0, n))
         Rbar = np.diag(rng.uniform(0.5, 2.0, m))
         sol = solve_regulator_exact(model, exo, Qbar, Rbar)
@@ -107,6 +118,8 @@ def test_exact_solver_minimizes_trace():
         z = np.concatenate([vec(sol.X), vec(sol.U)])
         gradient = weight @ z
         assert np.linalg.norm(feasible.T @ gradient) <= 1e-8 * (1.0 + np.linalg.norm(gradient))
+        # an input that B does not carry costs without acting: it is left at zero
+        assert np.abs(sol.U[:dead_inputs]).max(initial=0.0) <= 1e-12
 
 
 def test_exact_solver_inconsistent():
