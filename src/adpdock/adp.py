@@ -71,12 +71,12 @@ solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
 their matrices are at most a few thousand by a hundred, where a second
 BLAS thread costs more in wake-ups than it saves. Assembly instead
 splits the intervals into contiguous ranges, one per free CPU, each
-integrated on a thread of its own (:func:`matops._split_over_cpus`): a
-CPU held by a :func:`matops.write_csv_in_background` child is not free,
-and a log below the size floor of :func:`matops._worker_count` stays
-in the calling thread. Every interval is integrated by products of its
-own, so the moments, and all that is learned from them, have the same
-bits on any number of threads.
+integrated on a thread of its own (:func:`matops._split_over_cpus`).
+:func:`matops._worker_count` is the rule: a CPU held by a
+:func:`matops.write_csv_in_background` child is not free, and a log
+below its size floor stays in the calling thread. Every interval is
+integrated by products of its own, so the moments, and all that is
+learned from them, have the same bits on any number of threads.
 """
 
 from __future__ import annotations
@@ -325,7 +325,8 @@ def assemble_regression(log, basis, R, interval):
     R takes every weight form of :func:`matops.check_weights`.
 
     The intervals are split into contiguous ranges, one per free CPU
-    (:func:`matops._split_over_cpus`): a usable CPU that no live
+    (:func:`matops._split_over_cpus`, by :func:`matops._worker_count`'s
+    rule): a usable CPU that no live
     :func:`matops.write_csv_in_background` child holds. Below one range
     per :data:`matops.FORK_MIN_VALUES` values of samples x (n + m + q),
     the whole log is integrated in the calling thread. A range

@@ -385,14 +385,19 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     reports: value iteration rejects a rank-deficient data matrix by the
     same rule, in stage 'rank'. An exostate that does not identify the
     exosystem ends the run in stage 'recover'; ``report.json`` records
-    the identification's ranks and residuals beside the data matrix's
-    rank. The whole run holds numpy's OpenBLAS at
-    one thread (:class:`matops.one_blas_thread`). The output directory is
-    made when collection ends, and a forked child then writes
+    the identification's ranks and residuals, and the residuals of the
+    regulator equations solved on the identified model, beside the data
+    matrix's rank. The whole run holds every OpenBLAS it has loaded at one
+    thread (:class:`matops.one_blas_thread`): numpy's, and from the oracle
+    stage on scipy's own copy, whose idle worker would otherwise spin on
+    the CPU the CSV child writes on. The output directory is made when
+    collection ends, and a forked child then writes
     ``trajectory_learning.csv`` while the later stages run
-    (:func:`matops.write_csv_in_background`); the file is complete before
-    the JSON artifacts are written and, in a failed run, before
-    StageFailure propagates. Every other artifact is flushed as soon as
+    (:func:`matops.write_csv_in_background`). While it lives the child
+    holds a CPU, so on two CPUs ``trajectory_eval.csv`` is formatted here
+    alone, without a forked worker (:func:`matops._worker_count`). The
+    learning CSV is complete before the JSON artifacts are written and,
+    in a failed run, before StageFailure propagates. Every other artifact is flushed as soon as
     its stage completes, so a failed run leaves the earlier CSVs behind.
 
     Raises ValueError naming the knob for a config that fails its checks,
@@ -433,12 +438,17 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             f"{history.newton_steps} Newton steps ({history.resets} resets)")
 
         recovery = _stage("recover", adp.recover_model_artifacts, sweep, P, K, config.R)
-        identification = {key: getattr(recovery, key) for key in (
-            "E_rank", "E_required", "A_residual", "E_residual", "A_hat", "E_hat")}
         log(f"identified A and E: E rank {recovery.E_rank}/{recovery.E_required}, relative "
             f"residuals {recovery.A_residual:.3e} (A) and {recovery.E_residual:.3e} (E)")
         solution = _stage("regulator", adp.solve_problem1_datadriven,
                           recovery, basis, config.Qbar, config.Rbar)
+        identification = {
+            **{key: getattr(recovery, key) for key in
+               ("E_rank", "E_required", "A_residual", "E_residual")},
+            "regulator_residual_dyn": solution.residual_dyn,
+            "regulator_residual_out": solution.residual_out,
+            **{key: getattr(recovery, key) for key in ("A_hat", "E_hat")},
+        }
         L = regulator.feedforward_gain(solution, K)
         learned = adp.LearnedController(
             K=K, L=L, P=P, iterations=history.iterations, newton_steps=history.newton_steps,

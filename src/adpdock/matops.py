@@ -43,12 +43,17 @@ order, so each result dataclass is the schema of the artifact it becomes;
 an array or numpy scalar becomes its ``tolist()``, and a complex number
 ``[real, imag]``. Anything else raises TypeError.
 
-:class:`one_blas_thread` runs a block, or a decorated function, with the
-OpenBLAS that numpy loaded set to one thread. Every matrix of the
-learning chain is small (at most a few thousand by a hundred), so a
-second BLAS thread only adds wake-ups; with one, a second CPU is free
-for a forked CSV writer. :func:`_split_over_cpus` runs a task's ranges
-on threads of their own, one per CPU that no such writer holds.
+:class:`one_blas_thread` runs a block, or a decorated function, with every
+OpenBLAS the process has loaded set to one thread: numpy's, and the
+separate copy that scipy's wheels bundle once :mod:`scipy.linalg` is
+imported. Every matrix of the learning chain is small (at most a few
+thousand by a hundred), so a second BLAS thread only adds wake-ups; and
+an OpenBLAS left at two threads keeps a worker thread spinning after its
+last call, on the CPU that a forked CSV writer needs. A CPU is free when
+it is usable and no :func:`write_csv_in_background` child holds it;
+:func:`_worker_count` states that rule once, and :func:`write_csv`,
+:func:`read_csv` and :func:`_split_over_cpus` split their work over the
+free CPUs alone.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import json
 import os
 import re
 import signal
+import sys
 import threading
 import warnings
 from contextlib import ContextDecorator, contextmanager
@@ -422,76 +428,108 @@ def is_hurwitz(a):
     return bool(np.all(np.linalg.eigvals(a).real < 0))
 
 
-#: (get, set) names of OpenBLAS's thread-count functions: the prefixed,
-#: 64-bit-integer build that numpy's wheels bundle first, then plain builds.
+#: (get, set) names of OpenBLAS's thread-count functions: the prefixed builds
+#: that numpy's (64-bit integers) and scipy's wheels bundle first, then plain builds.
 _OPENBLAS_THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
                              f"{prefix}_set_num_threads{suffix}")
                             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+#: Packages whose wheels bundle an OpenBLAS of their own, in ``<package>.libs``.
+_OPENBLAS_PACKAGES = ("numpy", "scipy")
 
 
 def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+    """{path: (get, set)}: the thread-count functions of every OpenBLAS this process has loaded.
 
-    Looks in the ``numpy.libs`` directory that numpy's wheels bundle
-    their OpenBLAS in, and only at a library this process has already
-    loaded (``RTLD_NOLOAD``), so no second copy is ever loaded and set.
+    Looks in the ``<package>.libs`` directory of each imported package of
+    :data:`_OPENBLAS_PACKAGES`, where its wheel bundles its own OpenBLAS,
+    and only at a library this process has already loaded
+    (``RTLD_NOLOAD``), so no further copy is ever loaded and set.
     """
     import ctypes
     import glob
 
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for path in sorted(libs):
-        try:
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
+    found = {}
+    for name in _OPENBLAS_PACKAGES:
+        module = sys.modules.get(name)
+        if getattr(module, "__file__", None) is None:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
+        libs = glob.glob(os.path.join(os.path.dirname(module.__file__), os.pardir,
+                                      f"{name}.libs", "*openblas*"))
+        for path in sorted(libs):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found[path] = get, put
+                    break
+    return found
 
 
 class one_blas_thread(ContextDecorator):
     """Run a block, or every call of a decorated function, on one OpenBLAS thread.
 
-    Entering sets the thread count of the OpenBLAS that numpy loaded to 1,
-    and leaving the outermost block restores the count it had, also when
-    the block raises. Entering while another block holds the pin, in this
-    thread or another, changes nothing. The library is looked up on first
-    use, never at import. Where no OpenBLAS thread control is found, the
-    block runs with the count as it is.
+    Entering the outermost block sets every OpenBLAS the process has
+    loaded to one thread, numpy's and scipy's alike, and leaving it
+    restores the count each had, also when the block raises. A library
+    that loads while a block is open (scipy's, when the block imports
+    :mod:`scipy.linalg`) is set by the next entry, nested or not, and
+    restored with the others at the outermost exit; a nested entry
+    changes nothing else, in this thread or another. Libraries are
+    looked up on first use, never at import, and again only on an entry
+    that finds ``sys.modules`` grown or shrunk since the last lookup, so
+    an entry that follows no import costs a length comparison. Where no
+    OpenBLAS thread control is found, the block runs with the count as
+    it is.
+
+    A library left at two threads is not idle after its last call: its
+    worker spins for a while, on the CPU a forked CSV writer needs. The
+    :mod:`scipy.linalg` functions that :mod:`adpdock.riccati` calls
+    therefore enter this block after importing scipy, so their callers
+    need not.
     """
 
     _lock = threading.Lock()
-    _control = None  # (get, set), False when none was found, None before the lookup
+    _controls = {}  # path -> (get, set) of every OpenBLAS found loaded
+    _modules = None  # len(sys.modules) at the last lookup, None before the first
     _depth = 0
-    _restore = None  # count to set on leaving the outermost block, None for none
+    _restore = ()  # (set, count) pairs to apply on leaving the outermost block
 
     def __enter__(self):
         cls = type(self)
         with cls._lock:
             cls._depth += 1
-            if cls._depth == 1:
-                if cls._control is None:
-                    cls._control = _find_openblas() or False
-                if cls._control:
-                    get, put = cls._control
-                    previous = get()
-                    cls._restore = None if previous == 1 else previous
-                    if cls._restore is not None:
-                        put(1)
+            loaded = cls._look_up()
+            # the outermost entry sets every library; a nested one those just loaded
+            for get, put in (cls._controls.values() if cls._depth == 1 else loaded):
+                previous = get()
+                if previous != 1:
+                    put(1)
+                    cls._restore += ((put, previous),)
+
+    @classmethod
+    def _look_up(cls):
+        """The (get, set) pairs of the libraries found since the last lookup; call under the lock."""
+        if len(sys.modules) == cls._modules:
+            return []
+        cls._modules = len(sys.modules)
+        loaded = {path: control for path, control in _find_openblas().items()
+                  if path not in cls._controls}
+        cls._controls = {**cls._controls, **loaded}
+        return list(loaded.values())
 
     def __exit__(self, *exc):
         cls = type(self)
         with cls._lock:
             cls._depth -= 1
-            if cls._depth == 0 and cls._restore is not None:
-                cls._control[1](cls._restore)
-                cls._restore = None
+            if cls._depth == 0:
+                for put, count in cls._restore:
+                    put(count)
+                cls._restore = ()
         return False
 
 
@@ -516,30 +554,39 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _worker_count(values):
-    """Ranges to split ``values`` values of work into.
-
-    One per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
-    values, and a single range where ``os.fork`` is missing.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), values // FORK_MIN_VALUES))
-
-
 #: Live children of :func:`write_csv_in_background`; each holds a usable CPU.
 _background_children = 0
 _background_lock = threading.Lock()
 
 
+def _free_cpus():
+    """Usable CPUs that no live :func:`write_csv_in_background` child holds."""
+    return _usable_cpus() - _background_children
+
+
+def _worker_count(values):
+    """Ranges to split ``values`` values of work into.
+
+    One per free CPU (:func:`_free_cpus`), but no more than one per
+    :data:`FORK_MIN_VALUES` values, at least one, and a single range where
+    ``os.fork`` is missing. :func:`write_csv`, :func:`read_csv` and
+    :func:`_split_over_cpus` all split by this rule, so inside a
+    background writer's block none of them competes with the child for
+    its CPU.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_free_cpus(), values // FORK_MIN_VALUES))
+
+
 def _split_over_cpus(task, count, values):
     """``[task(chunk) for chunk in chunks]``, the chunks cut contiguously from ``range(count)``.
 
-    There is one chunk, a ``slice``, per free CPU: a usable CPU that no
-    live :func:`write_csv_in_background` child holds. There are no more
-    chunks than ``count`` or than :func:`_worker_count` gives for
-    ``values`` values of work, so a task below that size floor runs
-    whole in the calling thread. The first chunk runs in the calling
+    There is one chunk, a ``slice``, per range that :func:`_worker_count`
+    gives for ``values`` values of work, one per free CPU at most, and no
+    more chunks than ``count``; so a task below that size floor, or with
+    no CPU free beside the caller's, runs whole in the calling thread.
+    The first chunk runs in the calling
     thread and every other one in a thread of its own; that pays where
     ``task`` spends its time in numpy calls that release the GIL. Every
     thread is joined before this returns or raises, so none outlives the
@@ -547,7 +594,7 @@ def _split_over_cpus(task, count, values):
     exception raised by ``task`` is raised here, the earliest chunk's
     first.
     """
-    parts = max(1, min(_worker_count(values), _usable_cpus() - _background_children, count))
+    parts = max(1, min(_worker_count(values), count))
     chunks = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
     results, errors = [None] * parts, [None] * parts
 
@@ -693,9 +740,9 @@ def write_csv(path, data, header):
     header : str
         First line (written without a comment prefix); empty for none.
 
-    The rows are split into contiguous ranges, one per usable CPU but no
-    more than one per :data:`FORK_MIN_VALUES` values, and a single range
-    where ``os.fork`` is missing. This process formats the first range
+    The rows are split into contiguous ranges, as many as
+    :func:`_worker_count` gives: one per free CPU, but no more than one
+    per :data:`FORK_MIN_VALUES` values. This process formats the first range
     straight into the file; a forked child formats each other range, and
     its pipe is copied into the file in bounded reads and in row order,
     so the whole text is never held in memory.
@@ -753,13 +800,13 @@ def write_csv_in_background(path, table):
     never holds the array. Leaving the block waits until the file is
     complete, also when the block raises; the child is then reaped and,
     if it failed, OSError is raised (an error in the block takes
-    precedence). Where ``os.fork`` is missing or only one CPU is usable,
-    the file is written here by :func:`write_csv`, on entering the block.
-    While the child may live, :func:`_split_over_cpus` does not count the
-    CPU it holds.
+    precedence). Where ``os.fork`` is missing or no CPU is free beside
+    this process's (:func:`_free_cpus`), the file is written here by
+    :func:`write_csv`, on entering the block. While the child may live,
+    it holds a CPU: :func:`_worker_count` does not count it as free.
     """
     global _background_children
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
+    if not hasattr(os, "fork") or _free_cpus() < 2:
         write_csv(path, *table())
         yield
         return
@@ -883,10 +930,9 @@ def read_csv(path):
     after the header line.
 
     The body is split into contiguous byte ranges, each starting and
-    ending on a line boundary: one per usable CPU, but no more than one
-    per :data:`FORK_MIN_VALUES` values (a value counted as
-    :data:`CSV_VALUE_BYTES` bytes), and a single range where ``os.fork``
-    is missing. This process parses the first range; a forked child
+    ending on a line boundary, as many as :func:`_worker_count` gives:
+    one per free CPU, but no more than one per :data:`FORK_MIN_VALUES`
+    values (a value counted as :data:`CSV_VALUE_BYTES` bytes). This process parses the first range; a forked child
     parses each other range and sends its row count and raw float64 rows
     down a pipe, and the rows are put into one array in file order. Every
     range is read in bounded chunks, so the whole text is never held in

@@ -15,7 +15,10 @@ with a Newton step on it that finishes the iteration.
 
 The Lyapunov and CARE solves come from :mod:`scipy.linalg`, imported
 where they are called: the data-driven learner, which shares this
-module's value-iteration loop, never loads scipy.
+module's value-iteration loop, never loads scipy. scipy's wheels bundle
+an OpenBLAS of their own, so each solve enters
+:class:`matops.one_blas_thread` after the import, which sets that copy
+to one thread as well.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .matops import check_weights, is_hurwitz, numerical_rank, write_csv
+from .matops import check_weights, is_hurwitz, numerical_rank, one_blas_thread, write_csv
 
 __all__ = [
     "ViHistory",
@@ -123,7 +126,8 @@ def lyapunov_solve(a_cl, m):
         raise ValueError("a_cl must be Hurwitz for a unique definite solution")
     from scipy.linalg import solve_continuous_lyapunov
 
-    P = _symmetrize(solve_continuous_lyapunov(a_cl.T, -m))
+    with one_blas_thread():
+        P = _symmetrize(solve_continuous_lyapunov(a_cl.T, -m))
     residual = np.linalg.norm(a_cl.T @ P + P @ a_cl + m)
     if residual > _LYAP_RTOL * (1.0 + np.linalg.norm(m)):
         raise ValueError(f"Lyapunov solve failed: residual {residual:.3e}")
@@ -199,10 +203,11 @@ def kleinman_from_care(model, Q, R):
     """
     from scipy.linalg import solve_continuous_are
 
-    Q, R = check_weights(Q, R, model.n, model.m)
-    P0 = solve_continuous_are(model.A, model.B, Q, R)
-    K0 = np.linalg.solve(R, model.B.T @ P0)
-    return kleinman_pi(model, Q, R, K0)
+    with one_blas_thread():
+        Q, R = check_weights(Q, R, model.n, model.m)
+        P0 = solve_continuous_are(model.A, model.B, Q, R)
+        K0 = np.linalg.solve(R, model.B.T @ P0)
+        return kleinman_pi(model, Q, R, K0)
 
 
 def _newton_finish(residual_fn, newton_step, P, delta, aux, stop_eps):

@@ -5,8 +5,8 @@ numbers agree across test modules.
 
 Also the process helpers that the fork and subprocess tests share:
 ``run_python``, ``counting_forks``, ``open_fds``,
-``assert_no_child_left`` and ``slow_blocks`` (import them with
-``from conftest import ...``).
+``assert_no_child_left``, ``slow_blocks``, ``numpy_openblas`` and
+``unpinned`` (import them with ``from conftest import ...``).
 """
 
 import os
@@ -81,6 +81,19 @@ def slow_blocks(mp, seconds=0.01):
             real(data, row_fmt, lo, min(lo + matops.CSV_BLOCK_ROWS, stop), write)
 
     mp.setattr(matops, "_format_rows", slow)
+
+
+def numpy_openblas():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None where none is found."""
+    return next((control for path, control in matops._find_openblas().items()
+                 if os.path.basename(os.path.dirname(path)) == "numpy.libs"), None)
+
+
+def unpinned(mp):
+    """Make ``one_blas_thread`` find no OpenBLAS while the patch holds: every count stays as it is."""
+    mp.setattr(matops, "_find_openblas", lambda: {})
+    mp.setattr(matops.one_blas_thread, "_controls", {})
+    mp.setattr(matops.one_blas_thread, "_modules", None)
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,7 @@ from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unv
                             vecv, vecv_map)
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
+from conftest import numpy_openblas, unpinned
 from test_regulator import random_solvable
 
 rng = np.random.default_rng(1618)
@@ -640,7 +641,7 @@ def test_exosystem_identified_after_the_end_correction(case):
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
-@pytest.mark.skipif(matops._find_openblas() is None, reason="needs OpenBLAS thread control")
+@pytest.mark.skipif(numpy_openblas() is None, reason="needs OpenBLAS thread control")
 def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(docking,
                                                                                  monkeypatch):
     # the docking dimensions and 26 offsets over 1000 intervals, the size of a
@@ -659,8 +660,8 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
     plant_log = collect_data(docking.model, docking.exo, None, cfg.noise_spec(), cfg.x0,
                              horizon=100.0, dt=0.01, interval=cfg.interval)
     plant_basis = kernel_basis(docking.model)
-    get, put = matops._find_openblas()
-    monkeypatch.setattr(matops.one_blas_thread, "_control", False)
+    get, put = numpy_openblas()
+    unpinned(monkeypatch)
     previous, runs = get(), []
     try:
         for threads in (1, 2):

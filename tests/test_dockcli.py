@@ -28,8 +28,8 @@ from adpdock.adp import collect_data
 from adpdock.dockcli import _SCHEMA, main
 from adpdock.regulator import kernel_basis
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
-from conftest import (REPO, assert_no_child_left, counting_forks, open_fds, run_python,
-                      slow_blocks)
+from conftest import (REPO, assert_no_child_left, counting_forks, numpy_openblas, open_fds,
+                      run_python, slow_blocks, unpinned)
 from test_regulator import random_solvable
 
 
@@ -374,6 +374,7 @@ def test_json_artifact_key_layout(pipeline):
                                    "oracle", "comparison", "tracking", "files"]
     report = json.loads((pipeline.out / "report.json").read_text())
     assert list(report["identification"]) == ["E_rank", "E_required", "A_residual", "E_residual",
+                                              "regulator_residual_dyn", "regulator_residual_out",
                                               "A_hat", "E_hat"]
     assert list(report["learned"]) == gains
     assert list(report["assumptions"]) == ["ok", "stabilizable", "observable",
@@ -418,6 +419,10 @@ def test_report_records_the_identification_beside_the_rank(pipeline, docking):
     assert 0.0 < identification["A_residual"] <= 1e-3
     # the end-corrected exosystem is the true one to 1e-9
     assert np.abs(np.array(identification["E_hat"]) - docking.exo.E).max() <= 1e-9
+    # the regulator equations on the identified model hold to round-off, far
+    # inside the 1e-6 relative bound that solve accepts
+    assert 0.0 <= identification["regulator_residual_dyn"] <= 1e-12
+    assert 0.0 <= identification["regulator_residual_out"] <= 1e-12
     assert np.abs(np.array(identification["A_hat"]) - docking.model.A).max() <= 1e-3
 
 
@@ -630,6 +635,52 @@ def test_learning_path_never_loads_scipy_linalg(pipeline):
     assert steps == ["import", "learn", "read", "check", "compare", "help"]
 
 
+_ORACLE_STAGE_PIN = """
+import ctypes, glob, json, os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "2"  # each OpenBLAS starts with a pool of two
+from adpdock import default_config, regulator, riccati, run_experiment
+
+def scipy_blas_threads():
+    import scipy
+    for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
+                                       "scipy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        if hasattr(lib, "scipy_openblas_get_num_threads"):
+            return lib.scipy_openblas_get_num_threads()
+    raise SystemExit("no scipy OpenBLAS thread control")
+
+seen = []
+
+def spy(name, real):
+    def call(*args, **kwargs):
+        seen.append([name, scipy_blas_threads()])
+        return real(*args, **kwargs)
+    return call
+
+# kleinman_pi runs after the CARE solve, inside kleinman_from_care; the exact
+# solve runs after kleinman_from_care has returned, in the run's own block
+riccati.kleinman_pi = spy("kleinman_pi", riccati.kleinman_pi)
+regulator.solve_regulator_exact = spy("solve_regulator_exact", regulator.solve_regulator_exact)
+assert "scipy.linalg" not in sys.modules
+run_experiment(default_config(), sys.argv[1], log=lambda *args: None)
+print(json.dumps({"seen": seen, "after": scipy_blas_threads()}))
+"""
+
+
+@pytest.mark.skipif(numpy_openblas() is None or matops._usable_cpus() < 2,
+                    reason="needs OpenBLAS thread control and two usable CPUs")
+def test_oracle_stage_runs_scipys_openblas_on_one_thread(tmp_path):
+    # scipy's wheels bundle an OpenBLAS of their own, loaded inside the run's
+    # pinned block by the oracle stage's import; the next entry pins it, the
+    # run keeps it at one thread, and its outermost exit restores the two
+    proc = run_python("-c", _ORACLE_STAGE_PIN, str(tmp_path / "out"))
+    if "no scipy OpenBLAS thread control" in proc.stderr:
+        pytest.skip("scipy's OpenBLAS thread control not found")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "seen": [["kleinman_pi", 1], ["solve_regulator_exact", 1]], "after": 2}
+
+
 _MULTI_RANGE_READ = """
 import os, sys
 from adpdock import TrajectoryLog, matops
@@ -666,7 +717,7 @@ def test_reference_run_is_warning_free_and_reproducible(tmp_path, pipeline):
         assert (out / name).read_bytes() == (pipeline.out / name).read_bytes(), name
 
 
-needs_pin = pytest.mark.skipif(not hasattr(os, "fork") or matops._find_openblas() is None,
+needs_pin = pytest.mark.skipif(not hasattr(os, "fork") or numpy_openblas() is None,
                                reason="needs os.fork and numpy's OpenBLAS thread control")
 
 
@@ -696,11 +747,21 @@ def csv_writes(monkeypatch):
 def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, monkeypatch,
                                                                      pipeline, csv_writes):
     cfg = default_config()
-    run_experiment(cfg, tmp_path / "bg", log=quiet)
-    # without a thread control the count stays as it is; the child still writes
+    # two usable CPUs: the learning CSV's child holds one, so trajectory_eval.csv
+    # is formatted in this process alone and that child is the run's one fork
     with monkeypatch.context() as mp:
-        mp.setattr(matops, "_find_openblas", lambda: None)
-        mp.setattr(matops.one_blas_thread, "_control", None)
+        forks = counting_forks(mp)
+        run_experiment(cfg, tmp_path / "bg", log=quiet)
+    assert len(forks) == 1
+    # a third usable CPU is free for one trajectory_eval.csv worker
+    with monkeypatch.context() as mp:
+        mp.setattr(matops, "_usable_cpus", lambda: 3)
+        forks = counting_forks(mp)
+        run_experiment(cfg, tmp_path / "three", log=quiet)
+    assert len(forks) == 2
+    # without a thread control the counts stay as they are; the child still writes
+    with monkeypatch.context() as mp:
+        unpinned(mp)
         run_experiment(cfg, tmp_path / "unpinned", log=quiet)
     # with one usable CPU the learning CSV is written in this process, before assembly
     with monkeypatch.context() as mp:
@@ -708,12 +769,12 @@ def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, m
         forks = counting_forks(mp)
         run_experiment(cfg, tmp_path / "fg", log=quiet)
     assert forks == []
-    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")] * 3
+    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")] * 4
     names = sorted(p.name for p in pipeline.out.iterdir())
     assert len(names) == 6
     for name in names:
         expected = (pipeline.out / name).read_bytes()
-        for run in ("bg", "unpinned", "fg"):
+        for run in ("bg", "three", "unpinned", "fg"):
             assert (tmp_path / run / name).read_bytes() == expected, (run, name)
 
 

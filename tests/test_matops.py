@@ -23,7 +23,8 @@ from hypothesis.extra.numpy import arrays
 
 from adpdock import matops
 from adpdock.errors import RankDeficiencyError
-from conftest import assert_no_child_left, counting_forks, open_fds, run_python, slow_blocks
+from conftest import (assert_no_child_left, counting_forks, open_fds, run_python, slow_blocks,
+                      unpinned)
 from adpdock.matops import (
     bdiag,
     check_weights,
@@ -523,6 +524,25 @@ def test_write_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus, forks", [(2, 0), (3, 1)])
+@needs_fork
+def test_write_and_read_csv_leave_a_background_childs_cpu_free(tmp_path, monkeypatch, cpus,
+                                                                forks):
+    # a live write_csv_in_background child holds one usable CPU: on two, both
+    # split nothing; on three, each forks one worker. The bytes and values stay
+    force_workers(monkeypatch, cpus, min_values=1)
+    monkeypatch.setattr(matops, "_background_children", 1)
+    pids = counting_forks(monkeypatch)
+    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
+    path = tmp_path / "t.csv"
+    assert written_bytes(path, data, "a,b,c,d,e,f") == savetxt_bytes(data, "a,b,c,d,e,f")
+    assert len(pids) == forks
+    header, back = matops.read_csv(path)
+    assert len(pids) == 2 * forks
+    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
+    assert_no_child_left()
+
+
 @needs_fork
 def test_write_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
     # Python 3.12+ warns in the parent when it forks with threads alive;
@@ -623,63 +643,156 @@ def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypa
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    """A stand-in OpenBLAS thread control at count 4 that records every lookup and set."""
-    state = SimpleNamespace(count=4, sets=[], lookups=0)
+    """Two stand-in OpenBLAS thread controls, "numpy" and "scipy", both at count 4.
 
-    def put(count):
-        state.sets.append(count)
-        state.count = count
+    ``loaded`` names the libraries that a lookup finds (both at first),
+    ``sets`` records every set as (library, count) and ``lookups`` counts
+    the lookups.
+    """
+    state = SimpleNamespace(count={"numpy": 4, "scipy": 4}, loaded=["numpy", "scipy"], sets=[],
+                            lookups=0)
+
+    def control(name):
+        def put(count):
+            state.sets.append((name, count))
+            state.count[name] = count
+
+        return (lambda: state.count[name]), put
 
     def find():
         state.lookups += 1
-        return (lambda: state.count), put
+        return {name: control(name) for name in state.loaded}
 
     monkeypatch.setattr(matops, "_find_openblas", find)
-    monkeypatch.setattr(one_blas_thread, "_control", None)
+    monkeypatch.setattr(one_blas_thread, "_controls", {})
+    monkeypatch.setattr(one_blas_thread, "_modules", None)
     return state
+
+
+def import_module(monkeypatch):
+    """Grow ``sys.modules`` by one entry until the test ends, as an import does."""
+    monkeypatch.setitem(sys.modules, f"fake_import_{len(sys.modules)}", SimpleNamespace())
+
+
+BOTH = {"numpy": 1, "scipy": 1}
+RESTORED = {"numpy": 4, "scipy": 4}
+PIN_AND_RESTORE = [("numpy", 1), ("scipy", 1), ("numpy", 4), ("scipy", 4)]
 
 
 def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake_blas):
     with one_blas_thread():
-        assert fake_blas.count == 1
-    assert fake_blas.count == 4
+        assert fake_blas.count == BOTH
+    assert fake_blas.count == RESTORED
 
     @one_blas_thread()
     def count():
-        return fake_blas.count
+        return dict(fake_blas.count)
 
-    assert count() == 1 and fake_blas.count == 4
+    assert count() == BOTH and fake_blas.count == RESTORED
     with pytest.raises(KeyError):
         with one_blas_thread():
             raise KeyError("stage")
-    assert fake_blas.count == 4
+    assert fake_blas.count == RESTORED
     with one_blas_thread():
         with one_blas_thread():
-            assert fake_blas.count == 1
-        assert fake_blas.count == 1
-        assert count() == 1
+            assert fake_blas.count == BOTH
+        assert fake_blas.count == BOTH
+        assert count() == BOTH
         with pytest.raises(KeyError):
             with one_blas_thread():
                 raise KeyError("stage")
-        assert fake_blas.count == 1
-    assert fake_blas.count == 4
-    # only the outermost block sets and restores; the library is looked up once
-    assert fake_blas.sets == [1, 4] * 4
+        assert fake_blas.count == BOTH
+    assert fake_blas.count == RESTORED
+    # only the outermost block sets and restores; sys.modules never changed,
+    # so the libraries were looked up once
+    assert fake_blas.sets == PIN_AND_RESTORE * 4
     assert fake_blas.lookups == 1
 
 
-def test_one_blas_thread_leaves_a_count_of_one_alone(fake_blas):
-    fake_blas.count = 1
+def test_one_blas_thread_pins_a_library_loaded_inside_an_open_block(fake_blas, monkeypatch):
+    fake_blas.loaded.remove("scipy")
     with one_blas_thread():
-        assert fake_blas.count == 1
-    assert fake_blas.sets == [] and fake_blas.count == 1
+        assert fake_blas.count == {"numpy": 1, "scipy": 4}
+        fake_blas.loaded.append("scipy")  # as importing scipy.linalg loads scipy's OpenBLAS
+        import_module(monkeypatch)
+        assert fake_blas.count == {"numpy": 1, "scipy": 4}  # nothing sets it before an entry
+        with one_blas_thread():
+            assert fake_blas.count == BOTH
+        assert fake_blas.count == BOTH  # a nested exit restores nothing
+        with one_blas_thread():
+            assert fake_blas.count == BOTH
+    assert fake_blas.count == RESTORED  # the outermost exit restores both
+    assert fake_blas.sets == PIN_AND_RESTORE
+    assert fake_blas.lookups == 2
+    # both are known now: the next block sets both on entry and looks up nothing
+    with one_blas_thread():
+        assert fake_blas.count == BOTH
+    assert fake_blas.sets == PIN_AND_RESTORE * 2 and fake_blas.lookups == 2
+
+
+def test_one_blas_thread_looks_up_again_only_when_sys_modules_changes(fake_blas, monkeypatch):
+    for _ in range(3):
+        with one_blas_thread(), one_blas_thread():
+            pass
+    assert fake_blas.lookups == 1
+    import_module(monkeypatch)
+    with one_blas_thread():
+        pass
+    assert fake_blas.lookups == 2
+    with one_blas_thread():
+        pass
+    assert fake_blas.lookups == 2
+    assert fake_blas.sets == PIN_AND_RESTORE * 5
+
+
+def test_one_blas_thread_keeps_the_pin_under_frequent_thread_switches(fake_blas, monkeypatch):
+    # eight threads enter and leave nested blocks, switching every microsecond,
+    # while a second library loads: inside every block each known library reads
+    # one, and once all have left both counts are restored
+    fake_blas.loaded.remove("scipy")
+    interval, errors = sys.getswitchinterval(), []
+    start = threading.Barrier(8, timeout=30)
+
+    def work(i):
+        try:
+            start.wait()
+            for k in range(200):
+                with one_blas_thread():
+                    if i == 0 and k == 100:
+                        fake_blas.loaded.append("scipy")
+                        import_module(monkeypatch)
+                    with one_blas_thread():
+                        assert fake_blas.count["numpy"] == 1
+        except Exception as exc:  # raised by the test once every thread is joined
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert fake_blas.count == RESTORED
+    assert one_blas_thread._depth == 0 and one_blas_thread._restore == ()
+    assert sorted(one_blas_thread._controls) == ["numpy", "scipy"]
+
+
+def test_one_blas_thread_leaves_a_count_of_one_alone(fake_blas):
+    fake_blas.count["numpy"] = 1
+    with one_blas_thread():
+        assert fake_blas.count == BOTH
+    assert fake_blas.sets == [("scipy", 1), ("scipy", 4)]
+    assert fake_blas.count == {"numpy": 1, "scipy": 4}
 
 
 def test_one_blas_thread_without_a_thread_control_does_nothing(monkeypatch):
-    monkeypatch.setattr(matops, "_find_openblas", lambda: None)
-    monkeypatch.setattr(one_blas_thread, "_control", None)
+    unpinned(monkeypatch)
     with one_blas_thread():
-        assert one_blas_thread._control is False and one_blas_thread._restore is None
+        assert one_blas_thread._controls == {} and one_blas_thread._restore == ()
     assert one_blas_thread._depth == 0
 
 
@@ -701,7 +814,7 @@ def count():
 before = count()
 import adpdock
 from adpdock import matops
-assert matops.one_blas_thread._control is None, "looked up at import"
+assert matops.one_blas_thread._modules is None, "looked up at import"
 assert count() == before, (count(), before)
 with matops.one_blas_thread():
     assert count() == 1, count()
