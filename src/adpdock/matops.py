@@ -478,8 +478,9 @@ class one_blas_thread(ContextDecorator):
     restores the count each had, also when the block raises. A library
     that loads while a block is open (scipy's, when the block imports
     :mod:`scipy.linalg`) is set by the next entry, nested or not, and
-    restored with the others at the outermost exit; a nested entry
-    changes nothing else, in this thread or another. Libraries are
+    restored with the others at the outermost exit. Apart from that, an
+    entry while another block is open, in this thread or another,
+    changes nothing. Libraries are
     looked up on first use, never at import, and again only on an entry
     that finds ``sys.modules`` grown or shrunk since the last lookup, so
     an entry that follows no import costs a length comparison. Where no
