@@ -2,59 +2,43 @@
 
 Nothing in this module multiplies by A, B, or D. One off-policy
 trajectory is collected under an arbitrary (not necessarily stabilizing)
-gain plus exploration noise; integral data matrices are assembled for a
-sweep of tracking offsets X_j; and value iteration runs entirely on the
-j = 0 regression equation
+gain plus exploration noise; the log is integrated over regression
+intervals into the j = 0 regression equation
 
     Dxx vecs(P) = Theta [vecs(H); vec(K); vec(M)],
 
-whose blocks recover H = A'P + PA, the improved gain K = R^{-1}B'P, and
-M = (D - S(X_j))' P with the Sylvester map S(X) = X E - A X. Newton
+and value iteration runs entirely on it. Its blocks recover
+H = A'P + PA, the improved gain K = R^{-1}B'P, and M = D'P. Newton
 steps on the same equation finish the iteration. After convergence the
 plant and the exosystem are identified from the same data (see below):
 A_hat, B_hat, D_hat and E_hat. The trace-optimal regulator pair is then
 the exact solve of the identified model's regulator equations
 (:func:`regulator.solve_regulator_exact`), from data alone.
 
-Derivation of the regression equation: along dx/dt = A x + B u + D v the
-shifted state xbar_j = x - X_j v obeys
-dxbar/dt = A xbar + B u + (D - S(X_j)) v, so
+Derivation of the regression equation: along dx/dt = A x + B u + D v,
 
-    d/dt xbar'P xbar = xbar'H xbar + 2 u'R K xbar + 2 v'M xbar,
+    d/dt x'P x = x'H x + 2 u'R K x + 2 v'M x,
 
 and integrating over [t_{l-1}, t_l] gives one row per interval with the
 Kronecker identities a'Wb = (b (*) a)' vec(W) and vec(RK) =
-(I_n (*) R) vec(K), where (*) is the Kronecker product.
+(I_n (*) R) vec(K), where (*) is the Kronecker product. The paper
+writes the same identity for the shifted state x - X_j v at each offset
+X_j of a kernel basis; the shift changes M to (D - S(X_j))'P with the
+Sylvester map S(X) = X E - A X, and X_0 = 0 gives the equation above.
+Only that one is built: recovery identifies the model instead of
+solving a regression per offset.
 
-The sweep needs no pass over the log per offset. With z = [x; v] every
-shifted state is linear in z, xbar_j = T_j z with T_j = [I_n, -X_j], so
-the integrands of all offsets are fixed linear images of three interval
-moments of z, each integrated once:
-
-    vecv(xbar_j)    = V(T_j) vecv(z),          V = matops.vecv_map,
-    xbar_j (*) u    = (T_j (*) I_m) (z (*) u),
-    xbar_j (*) v    = (T_j (*) I_q) (z (*) v).
-
-Integration is linear, so Ixx_j = M_zz V(T_j)', Gxu_j = M_zu (T_j (*) I_m)'
-and Gxv_j = M_zv (T_j (*) I_q)', where row l of M_zz, M_zu, M_zv holds the
-interval-l integrals of vecv(z), z (*) u and z (*) v. The same holds at
-the interval ends: Dxx_j = dZZ V(T_j)' with dZZ the differences of vecv(z).
-
-So every offset's regression is a fixed column image of the moments.
-:class:`RegressionSweep` holds them and builds an offset's Theta_j only
-when asked for it.
-
-Recovery solves no offset's regression. Bundle 0's least-squares
-operator, vecs(P) -> [vecs(H); vec(K); vec(M)], is solved once, on one
-thin QR factor of the equilibrated Theta beside Dxx
-(:func:`matops.lstsq`), and shared by the rank check, value iteration
-and recovery (:attr:`RegressionBundle.solve_op`): the factor that gives
-the operator also gives the rank verdict. Its H block is the matrix of
-the Lyapunov operator P -> A'P + PA, so a least-squares fit of that
-operator gives A_hat; at the converged P its M block gives D_hat and K
-gives B_hat. The exosystem is identified from the exostate alone: over
-interval l, with M_vv,l the integral of v v' (the vv' columns of M_zz)
-and Delta_l the change of v v' across it,
+Recovery solves the regression once. Its least-squares operator,
+vecs(P) -> [vecs(H); vec(K); vec(M)], is solved on one thin QR factor of
+the equilibrated Theta beside Dxx (:func:`matops.lstsq`), and shared by
+the rank check, value iteration and recovery
+(:attr:`RegressionBundle.solve_op`): the factor that gives the operator
+also gives the rank verdict. Its H block is the matrix of the Lyapunov
+operator P -> A'P + PA, so a least-squares fit of that operator gives
+A_hat; at the converged P its M block gives D_hat and K gives B_hat.
+The exosystem is identified from the exostate alone: over interval l,
+with M_vv,l the integral of v v' and Delta_l the change of v v' across
+it,
 
     Delta_l = E M_vv,l + M_vv,l E'.
 
@@ -75,14 +59,13 @@ integrated on a thread of its own (:func:`matops._split_over_cpus`).
 :func:`matops._worker_count` is the rule: a CPU held by a
 :func:`matops.write_csv_in_background` child is not free, and a log
 below its size floor stays in the calling thread. Every interval is
-integrated by products of its own, so the moments, and all that is
-learned from them, have the same bits on any number of threads.
+integrated by products of its own, so Theta, Dxx and M_vv, and all that
+is learned from them, have the same bits on any number of threads.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -91,8 +74,7 @@ import numpy as np
 from .errors import NoSolutionError, RankDeficiencyError
 # unvecs is not called here any more; perfbench counts the calls of adp.unvecs
 from .matops import (_split_over_cpus, check_input_weight, check_weights, kron, lstsq,
-                     numerical_rank, one_blas_thread, unvec, unvecs, vecs, vecv, vecv_map,
-                     write_json)
+                     numerical_rank, one_blas_thread, unvec, unvecs, vecs, vecv, write_json)
 # by name: perfbench times regulator.solve_regulator_exact for the oracle's call only
 from .regulator import solve_regulator_exact
 from .riccati import linear_balls, run_value_iteration
@@ -117,18 +99,17 @@ __all__ = [
 
 @dataclass
 class RegressionBundle:
-    """The regression Dxx vecs(P) = Theta [vecs(H); vec(K); vec(M)] for one offset X_j.
+    """The regression Dxx vecs(P) = Theta [vecs(H); vec(K); vec(M)] of one log.
 
     Rows are collection intervals. ``Dxx`` holds the vecv differences of
-    the shifted state at interval endpoints, n(n+1)/2 columns. ``Theta``
-    is [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv], n(n+1)/2 + (m+q)n columns:
-    Ixx holds the integrated vecv of the shifted state, and Gxu and Gxv
-    its integrated Kronecker products with the input and the exostate.
+    the state at interval endpoints, n(n+1)/2 columns. ``Theta`` is
+    [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv], n(n+1)/2 + (m+q)n columns: Ixx
+    holds the integrated vecv of the state, and Gxu and Gxv its
+    integrated Kronecker products with the input and the exostate.
     ``n``, ``m`` and ``q`` are the state, input and exostate dimensions
     the matrices were built for.
     """
 
-    j: int
     Theta: np.ndarray
     Dxx: np.ndarray
     n: int
@@ -164,56 +145,32 @@ class RegressionBundle:
         return lstsq(self.Theta, self.Dxx)[0]
 
 
-class RegressionSweep(Sequence):
-    """The regressions of a whole offset sweep, held as interval moments of z = [x; v].
+class RegressionSweep:
+    """What assembly keeps of a log: its regression and its exostate moments.
 
-    ``sweep[j]`` is the :class:`RegressionBundle` of offset ``offsets[j]``,
-    built on request from the moments; bundle 0 is built once, with the
-    sweep. A slice gives a list of bundles. The sweep keeps the moments
-    ``M_zz``, ``M_zu`` and ``M_zv`` of :func:`assemble_regression`, the
-    state ``x_end`` and exostate ``v_end`` at the interval ends, and
-    ``scale_u`` = 2 (I_n (*) R), all read-only, and ``dt``, the fine step
-    the moments were integrated with by the trapezoidal rule (0 for
-    exact integrals, which need no end correction); it does not keep
-    the log.
+    ``sweep[0]`` is the :class:`RegressionBundle` of the log, and
+    ``len(sweep)`` is 1; any other index raises IndexError. ``M_vv``
+    holds the trapezoidal integral of vecv(v) over each interval and
+    ``v_end`` the exostate at the interval ends: the data of the
+    exosystem fit. ``dt`` is the fine step the moments were integrated
+    with (0 for exact integrals, which need no end correction). The
+    arrays are read-only, and the log is not kept.
     """
 
-    def __init__(self, offsets, M_zz, M_zu, M_zv, x_end, v_end, scale_u, dt):
-        self.offsets = tuple(offsets)
-        self.M_zz, self.M_zu, self.M_zv = M_zz, M_zu, M_zv
-        self.x_end, self.v_end, self.scale_u = x_end, v_end, scale_u
-        for a in (M_zz, M_zu, M_zv, x_end, v_end, scale_u):
+    def __init__(self, bundle, M_vv, v_end, dt):
+        self.bundle, self.M_vv, self.v_end = bundle, M_vv, v_end
+        for a in (bundle.Theta, bundle.Dxx, M_vv, v_end):
             a.flags.writeable = False
         self.dt = float(dt)
-        self.n, self.q = self.offsets[0].shape
-        self.m = scale_u.shape[0] // self.n
-        self._first = self._bundle(0)
+        self.n, self.m, self.q = bundle.n, bundle.m, bundle.q
 
     def __len__(self):
-        return len(self.offsets)
+        return 1
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[i] for i in range(len(self))[j]]
-        j = range(len(self))[j]  # a list's index rules: IndexError, negatives from the end
-        return self._first if j == 0 else self._bundle(j)
-
-    def _bundle(self, j):
-        """Bundle j from the moments: T_j = [I_n, -X_j] maps z to its shifted state."""
-        X = self.offsets[j]
-        T = np.hstack([np.eye(self.n), -X])
-        vv = vecv(self.x_end - self.v_end @ X.T)
-        # V(T_j)' C-ordered: a product's bits depend on its operands' layout
-        Vt = np.ascontiguousarray(vecv_map(T).T)
-        Ku, Kv = kron(T, np.eye(self.m)).T, kron(T, np.eye(self.q)).T
-        cut_u, cut_v = Vt.shape[1], Vt.shape[1] + Ku.shape[1]
-        # written in place: bundle 0 is built while assembly's temporaries are alive
-        Theta = np.empty((len(self.M_zz), cut_v + Kv.shape[1]))
-        np.matmul(self.M_zz, Vt, out=Theta[:, :cut_u])
-        np.matmul(self.M_zu @ Ku, self.scale_u, out=Theta[:, cut_u:cut_v])
-        np.multiply(self.M_zv @ Kv, 2.0, out=Theta[:, cut_v:])
-        return RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
-                                n=self.n, m=self.m, q=self.q)
+        if j != 0:
+            raise IndexError(f"a sweep holds bundle 0 only, not {j!r}")
+        return self.bundle
 
 
 @dataclass
@@ -299,28 +256,24 @@ ASSEMBLY_BLOCK_VALUES = 1 << 16
 
 @one_blas_thread()
 def assemble_regression(log, basis, R, interval):
-    """Integrate the interval moments that every offset of the basis sweep is built from.
+    """Integrate the log into its regression and its exostate moments.
 
-    For each X_j in X_0, X_1, X_1 + N_1, ..., X_1 + N_h the shifted
-    state is xbar = x - X_j v. Within each interval the integrals use
-    trapezoidal quadrature on the fine grid, except that the input
-    factor of the xbar (*) u rows is taken as the held (zero-order)
-    value on each fine step, matching how the input was actually
-    applied; the xbar factor is still averaged. Endpoint vecv
-    differences form Dxx exactly.
+    Within each interval the integrals use trapezoidal quadrature on the
+    fine grid, except that the input factor of the x (*) u columns is
+    taken as the held (zero-order) value on each fine step, matching how
+    the input was actually applied; the x factor is still averaged.
+    Endpoint vecv differences form Dxx exactly. ``basis`` is the
+    :class:`regulator.KernelBasis` of the plant; its ``X1`` must be
+    n x q.
 
-    The log is integrated once, as moments of z = [x; v]: M_zz holds the
-    trapezoidal integrals of vecv(z), M_zv those of z (*) v, and M_zu the
-    held-input integrals of z (*) u. Since xbar_j = T_j z with
-    T_j = [I_n, -X_j], each offset is then
-
-        Ixx_j = M_zz V(T_j)',  Gxu_j = M_zu (T_j (*) I_m)',
-        Gxv_j = M_zv (T_j (*) I_q)',
-
-    with V = :func:`adpdock.matops.vecv_map`. Interval sums are batched
-    products over (intervals, steps, columns) views of the log: the sum
-    of f over the left samples of the fine steps, plus half of f at the
-    interval's end minus half at its start, is the trapezoidal sum.
+    The products are those of z = [x; v]: per interval, the trapezoidal
+    integral of z z' and the held-input integral of z u'. Their x x'
+    triangle is Ixx, their x u' block scaled once by 2 (I_n (*) R) is
+    the input block of Theta, 2 x v' is its exostate block, and the
+    v v' triangle is ``M_vv``. Interval sums are batched products over
+    (intervals, steps, columns) views of the log: the sum of f over the
+    left samples of the fine steps, plus half of f at the interval's end
+    minus half at its start, is the trapezoidal sum.
 
     R takes every weight form of :func:`matops.check_weights`.
 
@@ -333,16 +286,14 @@ def assemble_regression(log, basis, R, interval):
     integrates its intervals a block at a time: it copies a block's rows
     of z into a buffer of its own, of at most
     :data:`ASSEMBLY_BLOCK_VALUES` values, runs the batched products on it
-    and writes the block's rows of the moments. Ranges share no buffer
-    but the moments, of which each writes its own rows. Every thread is
+    and writes the block's rows of Theta, Dxx and M_vv. Ranges share no
+    buffer but those, of which each writes its own rows. Every thread is
     joined before this returns or raises. An interval's products do not
-    depend on the range or block that holds it, so the moments, bundle 0
-    and all that is learned from them have the same bits on any number
+    depend on the range or block that holds it, so Theta, Dxx and M_vv,
+    and all that is learned from them, have the same bits on any number
     of threads.
 
-    Returns a :class:`RegressionSweep` of h + 2 bundles, one per j in
-    sweep order. Only bundle 0 is built here; ``sweep[j]`` builds bundle
-    j from the moments when asked for it, by the products above.
+    Returns the :class:`RegressionSweep` of the log.
     """
     if len(log) < 2:
         raise ValueError("log too short for a single interval")
@@ -360,19 +311,20 @@ def assemble_regression(log, basis, R, interval):
     R = check_input_weight(R, m)
     if basis.X1.shape != (n, q):
         raise ValueError(f"basis shape {basis.X1.shape} does not match log dims ({n}, {q})")
-    scale_u = 2.0 * kron(np.eye(n), R)
 
     d = n + q
-    ic, ie = np.triu_indices(d)
-    # M_zz column-major, as numpy lays out the triu gather zz[:, ic, ie] that
-    # fills it: a product's bits depend on its operands' layout
-    M_zz = np.empty((n_int, len(ic)), order="F")
-    M_zu, M_zv = np.empty((n_int, d * m)), np.empty((n_int, d * q))
+    ix, jx = np.triu_indices(n)
+    iv, jv = n + np.stack(np.triu_indices(q))  # the v v' triangle of z z'
+    cut_u, cut_v = len(ix), len(ix) + n * m
+    Theta = np.empty((n_int, cut_v + n * q))
+    M_vv = np.empty((n_int, len(iv)))
+    G_xu = np.empty((n_int, n * m))  # scaled into Theta once every range is done
     block = max(1, ASSEMBLY_BLOCK_VALUES // (steps * d))
 
     def integrate(span):
-        """Write the moment rows of the intervals in ``span``, a block of intervals at a time."""
-        z = np.empty((min(block, span.stop - span.start) * steps + 1, d))
+        """Write the rows of the intervals in ``span``, a block of intervals at a time."""
+        most = min(block, span.stop - span.start)
+        z, zu_buffer = np.empty((most * steps + 1, d)), np.empty((most, d, m))
         for first in range(span.start, span.stop, block):
             rows = slice(first, min(first + block, span.stop))
             count, lo = rows.stop - rows.start, rows.start * steps
@@ -384,20 +336,26 @@ def assemble_regression(log, basis, R, interval):
             u_held = u[lo : lo + count * steps].reshape(count, steps, m)
             z_end = zb[::steps]
             zz_end = z_end[:, :, None] * z_end[:, None, :]
-            # per-interval integral of z z'; v is part of z, so z (*) v is its v columns
+            # per-interval integral of z z'
             zz = dt * (np.matmul(z_left, z_left.transpose(0, 2, 1))
                        + 0.5 * (zz_end[1:] - zz_end[:-1]))
-            M_zz[rows] = zz[:, ic, ie]
-            M_zv[rows].reshape(count, d, q)[...] = zz[:, :, n:]
+            # its x x' triangle and 2 x v' into Theta, its v v' triangle into M_vv
+            Theta[rows, :cut_u] = zz[:, ix, jx]
+            np.multiply(zz[:, :n, n:], 2.0, out=Theta[rows, cut_v:].reshape(count, n, q))
+            M_vv[rows] = zz[:, iv, jv]
             # held input: exact in u, trapezoidal in z
-            zu = np.matmul(z_left, u_held, out=M_zu[rows].reshape(count, d, m))
+            zu = np.matmul(z_left, u_held, out=zu_buffer[:count])
             zu += np.matmul(z_right, u_held)
             zu *= 0.5 * dt
+            G_xu[rows].reshape(count, n, m)[...] = zu[:, :n]
 
     _split_over_cpus(integrate, n_int, len(log) * (d + m))
-    ends = slice(0, n_fine + 1, steps)  # copied below: the sweep does not keep the log
-    return RegressionSweep(basis.sequence(), M_zz, M_zu, M_zv, x[ends].copy(), v[ends].copy(),
-                           scale_u, dt)
+    np.matmul(G_xu, 2.0 * kron(np.eye(n), R), out=Theta[:, cut_u:cut_v])
+    ends = slice(0, n_fine + 1, steps)
+    vv = vecv(x[ends])
+    bundle = RegressionBundle(Theta=Theta, Dxx=vv[1:] - vv[:-1], n=n, m=m, q=q)
+    # copied: the sweep does not keep the log
+    return RegressionSweep(bundle, M_vv, v[ends].copy(), dt)
 
 
 @one_blas_thread()
@@ -561,15 +519,17 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     shared with :func:`vi_learn`). E_hat is fitted to the exostate moments
     of the :class:`RegressionSweep` ``sweep`` and refitted after the
     Euler-Maclaurin end correction (see the module docstring). At the
-    converged P, the M block of bundle 0's solution is vec(D'P) since
-    S(X_0) = 0, giving D_hat, and B_hat follows from inverting
+    converged P, the M block of bundle 0's solution is vec(D'P), giving
+    D_hat, and B_hat follows from inverting
     K = R^{-1}B'P, with R in any weight form of
     :func:`matops.check_weights`.
 
     Raises
     ------
     ValueError
-        If ``sweep`` is not a RegressionSweep, or R is not a valid weight.
+        If ``sweep`` is not a RegressionSweep, P_final is not n x n or
+        K_next_final not m x n for the bundle's (n, m), or R is not a
+        valid weight.
     NoSolutionError
         If P_final is singular.
     RankDeficiencyError
@@ -580,11 +540,14 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     if not isinstance(sweep, RegressionSweep):
         raise ValueError("recovery needs the RegressionSweep of assemble_regression, "
                          f"got {type(sweep).__name__}")
-    P = np.asarray(P_final, dtype=float)
-    n = P.shape[0]
+    n, m, q = sweep.n, sweep.m, sweep.q
+    P, K = np.asarray(P_final, dtype=float), np.asarray(K_next_final, dtype=float)
+    for name, value, shape in (("P_final", P, (n, n)), ("K_next_final", K, (m, n))):
+        if value.shape != shape:
+            raise ValueError(f"{name} must be {shape[0]}x{shape[1]} for the bundle's "
+                             f"(n, m) = ({n}, {m}), got shape {value.shape}")
     if numerical_rank(P) < n:
         raise NoSolutionError("P_final is singular; model recovery needs P invertible")
-    m, q = sweep.m, sweep.q
     ns = n * (n + 1) // 2
     R = check_input_weight(R, m)
 
@@ -593,7 +556,7 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
     E_hat, E_rank, E_residual = _identify_exosystem(sweep)
     # the M block is vec(D'P), so it reshapes to P D row by row
     D_hat = np.linalg.solve(P, (solve_op[ns + m * n :] @ vecs(P)).reshape(n, q))
-    B_hat = np.linalg.solve(P, (R @ np.asarray(K_next_final, dtype=float)).T)
+    B_hat = np.linalg.solve(P, (R @ K).T)
     return ModelRecovery(D_hat=D_hat, B_hat=B_hat, A_hat=A_hat, E_hat=E_hat,
                          E_rank=E_rank, E_required=q * q,
                          A_residual=A_residual, E_residual=E_residual)
@@ -638,12 +601,11 @@ def _identify_exosystem(sweep):
     least-squares problem in at most q(q+1) rows. The end correction of
     M_vv is linear in the Delta columns, so it acts on the same factor.
     """
-    n, q = sweep.n, sweep.q
-    rows, _ = np.triu_indices(n + q)
+    q = sweep.q
     iu, ju = np.triu_indices(q)
-    # the vv' columns of M_zz, in vecv(v) order, and the changes of vecv(v)
-    factor = np.linalg.qr(np.hstack([sweep.M_zz[:, rows >= n],
-                                     np.diff(vecv(sweep.v_end), axis=0)]), mode="r")
+    # the integrals and the changes of vecv(v)
+    factor = np.linalg.qr(np.hstack([sweep.M_vv, np.diff(vecv(sweep.v_end), axis=0)]),
+                          mode="r")
     S, D = np.empty((2, len(factor), q, q))
     for out, half in zip((S, D), np.hsplit(factor, 2)):
         out[:, iu, ju] = out[:, ju, iu] = half

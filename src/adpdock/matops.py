@@ -17,17 +17,6 @@ The pairing of the two is the quadratic-form identity
 which the regression machinery in :mod:`adpdock.adp` relies on; both
 orderings are frozen because they define regression column layouts.
 
-* ``vecv_map(T)`` is the matrix that carries ``vecv`` through a linear
-  map: for any r x d matrix ``T`` and d-vector ``z``,
-
-      vecv(T z) == vecv_map(T) @ vecv(z),
-
-  with shape ``(r(r+1)/2, d(d+1)/2)``. Entry ((a, b), (c, e)) is
-  ``T[a, c] T[b, e] + T[a, e] T[b, c]`` for c < e and ``T[a, c] T[b, c]``
-  on the diagonal c == e. Together with ``kron(T, I) (z (*) w) ==
-  (T z) (*) w`` it lets a quadratic moment of ``z`` be integrated once
-  and then shifted to any ``T z``.
-
 :func:`write_csv` is the one CSV artifact writer. Its bytes equal
 ``numpy.savetxt(path, data, delimiter=",", header=header, comments="",
 fmt="%.17g")``, and it splits the formatting across forked workers.
@@ -81,7 +70,6 @@ __all__ = [
     "vecs",
     "unvecs",
     "vecv",
-    "vecv_map",
     "bdiag",
     "equilibrate",
     "lstsq",
@@ -210,32 +198,6 @@ def vecv(v):
         iu, ju = np.triu_indices(v.shape[1])
         return v[:, iu] * v[:, ju]
     raise ValueError(f"v must be 1-D or 2-D, got shape {v.shape}")
-
-
-def vecv_map(t):
-    """Linear map V with ``vecv(t @ z) == V @ vecv(z)`` for every z.
-
-    Parameters
-    ----------
-    t : array_like, shape (r, d)
-        Any real matrix, or a stack of them, shape (..., r, d).
-
-    Returns
-    -------
-    ndarray
-        Matrix of shape ``(r(r+1)/2, d(d+1)/2)`` in the ``vecv`` row and
-        column orderings; for a stack, one such matrix per matrix of ``t``.
-    """
-    t = require_finite(np.asarray(t, dtype=float), "t")
-    if t.ndim < 2:
-        raise ValueError(f"t must be at least 2-D, got shape {t.shape}")
-    ia, ib = np.triu_indices(t.shape[-2])
-    ic, ie = np.triu_indices(t.shape[-1])
-    ta, tb = t[..., ia, :], t[..., ib, :]
-    # z_c z_e appears once in vecv(z) for c < e but twice in (Tz)_a (Tz)_b
-    v = ta[..., ic] * tb[..., ie] + ta[..., ie] * tb[..., ic]
-    v[..., ic == ie] *= 0.5
-    return v
 
 
 def bdiag(blocks):

@@ -50,7 +50,9 @@ class KernelBasis:
     ``X1`` is a particular solution of C X = -F, and ``basis`` a list of
     h = (n - p) q independent matrices spanning {X : C X = 0}. Every
     constraint-satisfying X is X1 + sum_j alpha_j basis[j]. ``C`` and
-    ``F`` are the output equation's matrices that it parametrizes.
+    ``F`` are the output equation's matrices that it parametrizes: the
+    learned regulator solve reads them, and assembly checks the log's
+    dimensions against the shape of ``X1``.
     """
 
     X1: np.ndarray
@@ -61,20 +63,6 @@ class KernelBasis:
     @property
     def h(self):
         return len(self.basis)
-
-    @property
-    def X0(self):
-        """The zero matrix of ``X1``'s shape: data recovery takes S(X_0) = 0."""
-        return np.zeros_like(self.X1)
-
-    def sequence(self):
-        """The h + 2 sweep points X_0, X_1, X_1 + N_1, ..., X_1 + N_h.
-
-        Data collection visits these in order: the zero matrix first,
-        then the particular solution, then one kernel direction at a
-        time on top of it.
-        """
-        return [self.X0, self.X1] + [self.X1 + N for N in self.basis]
 
 
 def kernel_basis(model):

@@ -1,7 +1,8 @@
 """Session fixtures: the default docking scenario, its model-based
-oracles, one data-collection pass, one library-level learning pass, and
-one full CLI pipeline run. Everything downstream of the same seed, so
-numbers agree across test modules.
+oracles, one data-collection pass, the per-offset regressions of its
+log, one library-level learning pass, and one full CLI pipeline run.
+Everything downstream of the same seed, so numbers agree across test
+modules.
 
 Also the process helpers that the fork and subprocess tests share:
 ``run_python``, ``counting_forks``, ``open_fds``,
@@ -128,6 +129,19 @@ def learning_data(docking):
     basis = kernel_basis(docking.model)
     bundles = assemble_regression(log, basis, cfg.R, cfg.interval)
     return SimpleNamespace(noise=noise, log=log, basis=basis, bundles=bundles)
+
+
+@pytest.fixture(scope="session")
+def offset_bundles(docking, learning_data):
+    """The paper's kernel-basis sweep over the docking log: its h + 2 = 26
+    offsets X_j and one regression per offset, each integrated from the log
+    literally by ``test_adp.reference_assembly``."""
+    from test_adp import reference_assembly, sweep_offsets
+
+    cfg = docking.config
+    offsets = sweep_offsets(learning_data.basis)
+    bundles = reference_assembly(learning_data.log, offsets, cfg.R, cfg.interval)
+    return SimpleNamespace(offsets=offsets, bundles=bundles)
 
 
 @pytest.fixture(scope="session")

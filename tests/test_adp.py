@@ -47,7 +47,7 @@ from adpdock.errors import (
     RankDeficiencyError,
 )
 from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs,
-                            vecv, vecv_map)
+                            vecv)
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
 from conftest import numpy_openblas, unpinned
@@ -72,11 +72,16 @@ def exact_recovery(model, exo):
                          E_required=exo.q ** 2, A_residual=0.0, E_residual=0.0)
 
 
-def reference_assembly(log, basis, R, interval):
+def sweep_offsets(basis):
+    """The paper's h + 2 kernel-basis offsets X_0 = 0, X_1, X_1 + N_1, ..., X_1 + N_h."""
+    return [np.zeros_like(basis.X1), basis.X1] + [basis.X1 + N for N in basis.basis]
+
+
+def reference_assembly(log, offsets, R, interval):
     """Per-offset integration of the log: one pass over every sample for
-    each X_j. Slow but literal; the moment algebra must reproduce it.
-    Returns the three column blocks of Theta, Ixx, 2 Gxu (I_n (*) R) and
-    2 Gxv, and Dxx per offset, in sweep order."""
+    each offset X_j, of the shifted state x - X_j v. Slow but literal.
+    Returns one RegressionBundle per offset, in the order given: Theta is
+    [Ixx | 2 Gxu (I_n (*) R) | 2 Gxv] and Dxx the endpoint differences."""
     dt = log.dt
     steps = int(round(interval / dt))
     n_int = (len(log) - 1) // steps
@@ -90,7 +95,7 @@ def reference_assembly(log, basis, R, interval):
         return step_values[:n_fine].reshape(n_int, steps, -1).sum(axis=1)
 
     out = []
-    for Xj in basis.sequence():
+    for Xj in offsets:
         xbar = x - v @ Xj.T
         vv = vecv(xbar)
         xbar_avg = (0.5 * dt) * (xbar[:-1] + xbar[1:])
@@ -99,14 +104,15 @@ def reference_assembly(log, basis, R, interval):
         Ixx = per_interval((0.5 * dt) * (vv[:-1] + vv[1:]))
         Gxu = per_interval(xu)
         Gxv = per_interval((0.5 * dt) * (xv[:-1] + xv[1:]))
-        Dxx = vv[ends[1:]] - vv[ends[:-1]]
-        out.append(([Ixx, Gxu @ scale_u, 2.0 * Gxv], Dxx))
+        out.append(RegressionBundle(Theta=np.hstack([Ixx, Gxu @ scale_u, 2.0 * Gxv]),
+                                    Dxx=vv[ends[1:]] - vv[ends[:-1]], n=n, m=m, q=q))
     return out
 
 
-def eager_moments(log, interval):
-    """(M_zz, M_zu, M_zv, x_end, v_end): the interval moments of z = [x; v],
-    integrated in one pass over the whole log by batched products."""
+def eager_assembly(log, R, interval):
+    """(Theta, Dxx, M_vv) from the products of z = [x; v] over the whole log
+    in one pass, by batched products. Assembly must reproduce each bit for
+    bit, whatever its ranges and blocks."""
     dt = log.dt
     steps = int(round(interval / dt))
     n_int = (len(log) - 1) // steps
@@ -124,31 +130,13 @@ def eager_moments(log, interval):
     zz_end = z_end[:, :, None] * z_end[:, None, :]
     zz = dt * (np.matmul(z_left, z_left.transpose(0, 2, 1))
                + 0.5 * (zz_end[1:] - zz_end[:-1]))
-    ic, ie = np.triu_indices(d)
-    M_zz = zz[:, ic, ie]
-    M_zv = zz[:, :, n:].reshape(n_int, d * q)
-    M_zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
-    M_zu = M_zu.reshape(n_int, d * m)
-    return M_zz, M_zu, M_zv, x[ends], v[ends]
-
-
-def eager_assembly(log, basis, R, interval):
-    """The moment assembly with every offset's bundle built at once, one
-    Theta_j per X_j in sweep order. The lazy sweep must reproduce each
-    bundle bit for bit."""
-    M_zz, M_zu, M_zv, x_end, v_end = eager_moments(log, interval)
-    n, m, q = log.x.shape[1], log.u.shape[1], log.v.shape[1]
-    scale_u = 2.0 * kron(np.eye(n), R)
-    bundles = []
-    for j, Xj in enumerate(basis.sequence()):
-        T = np.hstack([np.eye(n), -Xj])
-        Theta = np.hstack([M_zz @ vecv_map(T).T,
-                           M_zu @ kron(T, np.eye(m)).T @ scale_u,
-                           2.0 * (M_zv @ kron(T, np.eye(q)).T)])
-        vv = vecv(x_end - v_end @ Xj.T)
-        bundles.append(RegressionBundle(j=j, Theta=Theta, Dxx=vv[1:] - vv[:-1],
-                                        n=n, m=m, q=q))
-    return bundles
+    zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
+    ix, jx = np.triu_indices(n)
+    iv, jv = np.triu_indices(q)
+    Theta = np.hstack([zz[:, ix, jx], zu[:, :n].reshape(n_int, n * m) @ (2.0 * kron(np.eye(n), R)),
+                       2.0 * zz[:, :n, n:].reshape(n_int, n * q)])
+    vv = vecv(x[ends])
+    return Theta, vv[1:] - vv[:-1], zz[:, n + iv, n + jv]
 
 
 def reference_recovery(bundles, P, K, R):
@@ -178,28 +166,27 @@ def reference_vi_residual(solve_op, Q, R, n, m):
     return residual_fn
 
 
-def assert_matches_reference(bundles, reference):
-    assert len(bundles) == len(reference)
-    for bundle, (blocks, Dxx) in zip(bundles, reference):
-        assert bundle.Theta.shape == (Dxx.shape[0], sum(ref.shape[1] for ref in blocks))
-        got = np.split(bundle.Theta, np.cumsum([ref.shape[1] for ref in blocks[:-1]]), axis=1)
-        for name, block, ref in zip(("Ixx", "2 Gxu (I (*) R)", "2 Gxv"), got, blocks):
-            rel = np.linalg.norm(block - ref) / np.linalg.norm(ref)
-            assert rel <= 1e-12, f"{name} at j = {bundle.j}: relative error {rel:.2e}"
-        assert bundle.Dxx.shape == Dxx.shape
-        assert np.array_equal(bundle.Dxx, Dxx), f"Dxx differs at j = {bundle.j}"
+def assert_matches_reference(bundle, reference):
+    assert bundle.Theta.shape == reference.Theta.shape
+    ns, nm = bundle.n * (bundle.n + 1) // 2, bundle.n * bundle.m
+    cuts = [ns, ns + nm]
+    for name, block, ref in zip(("Ixx", "2 Gxu (I (*) R)", "2 Gxv"),
+                                np.split(bundle.Theta, cuts, axis=1),
+                                np.split(reference.Theta, cuts, axis=1)):
+        rel = np.linalg.norm(block - ref) / np.linalg.norm(ref)
+        assert rel <= 1e-12, f"{name}: relative error {rel:.2e}"
+    assert np.array_equal(bundle.Dxx, reference.Dxx)
 
 
 def random_log_and_basis(n, m, q, n_samples, dt, generator):
-    """Unstructured data of the given dimensions and a random sweep."""
+    """Unstructured data of the given dimensions, a basis of their shape and a weight R."""
     t = dt * np.arange(n_samples)
     log = TrajectoryLog(t=t, x=generator.standard_normal((n_samples, n)),
                         u=generator.standard_normal((n_samples, m)),
                         v=generator.standard_normal((n_samples, q)),
                         e=np.zeros((n_samples, 1)))
     X1 = generator.standard_normal((n, q))
-    basis = KernelBasis(X1=X1, basis=[generator.standard_normal((n, q)) for _ in range(3)],
-                        C=np.eye(1, n), F=-X1[:1])
+    basis = KernelBasis(X1=X1, basis=[], C=np.eye(1, n), F=-X1[:1])
     R = generator.standard_normal((m, m))
     return log, basis, R @ R.T + np.eye(m)
 
@@ -265,9 +252,7 @@ def test_collect_validates_inputs(docking):
 
 
 def test_bundle_dimensions(learning_data):
-    bundles = learning_data.bundles
-    assert len(bundles) == 2 + learning_data.basis.h
-    b0 = bundles[0]
+    b0 = learning_data.bundles[0]
     assert (b0.n, b0.m, b0.q) == (6, 3, 8)
     assert b0.rows == 250
     assert b0.required_rank == 87
@@ -276,45 +261,42 @@ def test_bundle_dimensions(learning_data):
 
 def test_bundle_rejects_inconsistent_dimensions(learning_data):
     b0 = learning_data.bundles[0]
-    matrices = dict(j=0, Theta=b0.Theta, Dxx=b0.Dxx)
+    matrices = dict(Theta=b0.Theta, Dxx=b0.Dxx)
     with pytest.raises(ValueError, match="Theta must have 250 rows and 63 columns"):
         RegressionBundle(**matrices, n=6, m=3, q=4)
     with pytest.raises(ValueError, match="Theta must have 250 rows and 70 columns"):
         RegressionBundle(**matrices, n=5, m=3, q=8)
     with pytest.raises(ValueError, match="Dxx must have 250 rows and 21 columns"):
-        RegressionBundle(j=0, Theta=b0.Theta, Dxx=b0.Dxx[1:], n=6, m=3, q=8)
+        RegressionBundle(Theta=b0.Theta, Dxx=b0.Dxx[1:], n=6, m=3, q=8)
 
 
-def test_sweep_stores_each_regression_once(learning_data):
-    # the moments, the interval ends, 2 (I (*) R) and bundle 0: no other
-    # offset's Theta and no copy of the log
+def test_sweep_stores_bundle_0_and_the_exostate_moments_only(learning_data):
+    # Theta, Dxx, the vv' integrals and the exostate at the interval ends: no
+    # moment that only an offset regression reads, and no copy of the log
     sweep = learning_data.bundles
     stored = [value for value in vars(sweep).values() if isinstance(value, np.ndarray)]
     stored += [sweep[0].Theta, sweep[0].Dxx]
     assert all(value.dtype == np.float64 for value in stored)
-    moments = 250 * (105 + 42 + 14 * 8) + 251 * (6 + 8) + 18 * 18
-    assert sum(value.size for value in stored) == moments + 250 * (87 + 21)
-    assert sweep[0] is sweep[0] and sweep[1] is not sweep[1]
+    assert sum(value.size for value in stored) == 250 * (87 + 21 + 36) + 251 * 8
+    assert sweep.M_vv.shape == (250, 36) and sweep.v_end.shape == (251, 8)
 
 
-def test_sweep_is_a_read_only_sequence(learning_data):
+def test_sweep_holds_bundle_0_read_only(learning_data):
     sweep = learning_data.bundles
-    assert isinstance(sweep, RegressionSweep) and len(sweep) == 26
-    assert [b.j for b in sweep[24:]] == [24, 25] and isinstance(sweep[:2], list)
-    assert sweep[-1].j == 25 and [b.j for b in sweep[::-10]] == [25, 15, 5]
-    with pytest.raises(IndexError):
-        sweep[26]
+    assert isinstance(sweep, RegressionSweep) and len(sweep) == 1
+    assert sweep[0] is sweep[0] is sweep.bundle
+    for j in (1, -1):
+        with pytest.raises(IndexError, match="bundle 0 only"):
+            sweep[j]
     with pytest.raises(TypeError):
-        sweep[0] = sweep[1]
-    with pytest.raises(ValueError, match="read-only"):
-        sweep.M_zz[0, 0] = 1.0
+        sweep[0] = sweep[0]
+    for value in (sweep[0].Theta, sweep[0].Dxx, sweep.M_vv, sweep.v_end):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0, 0] = 1.0
 
 
-def test_assembly_matches_per_offset_reference(docking, learning_data):
-    cfg = docking.config
-    reference = reference_assembly(learning_data.log, learning_data.basis, cfg.R,
-                                   cfg.interval)
-    assert_matches_reference(learning_data.bundles, reference)
+def test_assembly_matches_per_offset_reference(learning_data, offset_bundles):
+    assert_matches_reference(learning_data.bundles[0], offset_bundles.bundles[0])
 
 
 @pytest.mark.parametrize("n, m, q", [(1, 1, 1), (2, 1, 3), (4, 2, 1), (5, 3, 4)])
@@ -322,15 +304,16 @@ def test_assembly_matches_reference_random_dims(n, m, q):
     # 7 whole intervals of 20 steps plus a ragged tail the assembly must ignore
     g = np.random.default_rng(100 * n + 10 * m + q)
     log, basis, R = random_log_and_basis(n, m, q, 7 * 20 + 6, 0.01, g)
-    bundles = assemble_regression(log, basis, R, 0.2)
-    assert [(b.n, b.m, b.q, b.rows) for b in bundles] == [(n, m, q, 7)] * 5
-    assert_matches_reference(bundles, reference_assembly(log, basis, R, 0.2))
+    bundle = assemble_regression(log, basis, R, 0.2)[0]
+    assert (bundle.n, bundle.m, bundle.q, bundle.rows) == (n, m, q, 7)
+    reference, = reference_assembly(log, [np.zeros((n, q))], R, 0.2)
+    assert_matches_reference(bundle, reference)
 
 
 @st.composite
-def random_sweep_case(draw):
-    """Random (n, m, q) data over at least as many intervals as unknowns, a
-    ragged tail and a random sweep of five offsets."""
+def random_assembly_case(draw):
+    """Random (n, m, q) data over at least as many intervals as unknowns and a
+    ragged tail."""
     n, m, q = draw(st.sampled_from([(1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 2, 1), (5, 3, 4)]))
     cols, d = n * (n + 1) // 2 + (m + q) * n, n + q
     intervals = draw(st.integers(cols, d * (d + 1) // 2 + d * m + 40))
@@ -342,21 +325,19 @@ def random_sweep_case(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(random_sweep_case())
-def test_sweep_matches_eager_bundles(case):
+@given(random_assembly_case())
+def test_assembly_matches_the_one_pass_reference(case):
     log, basis, R, interval = case
     sweep = assemble_regression(log, basis, R, interval)
-    eager = eager_assembly(log, basis, R, interval)
-    assert len(sweep) == len(eager) == 5
     assert sweep.dt == log.dt
-    for got, want in zip(sweep, eager):
-        assert got.j == want.j and (got.n, got.m, got.q) == (want.n, want.m, want.q)
-        assert np.array_equal(got.Theta, want.Theta) and np.array_equal(got.Dxx, want.Dxx)
+    assert (sweep.n, sweep.m, sweep.q) == (log.x.shape[1], log.u.shape[1], log.v.shape[1])
+    for got, want in zip((sweep[0].Theta, sweep[0].Dxx, sweep.M_vv),
+                         eager_assembly(log, R, interval), strict=True):
+        assert np.array_equal(got, want)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="where os.fork is missing, assembly starts no thread")
-MOMENTS = ("M_zz", "M_zu", "M_zv", "x_end", "v_end")
 
 
 def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
@@ -389,24 +370,23 @@ def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
 
 
 def assert_same_bits_on_1_2_3_threads(log, basis, R, interval, block_values=None):
-    """Moments and bundle 0 on 1, 2 and 3 threads equal the one-pass reference to the bit."""
-    moments, bundle = eager_moments(log, interval), eager_assembly(log, basis, R, interval)[0]
+    """Theta, Dxx and M_vv on 1, 2 and 3 threads equal the one-pass reference to the bit."""
+    eager = eager_assembly(log, R, interval)
     sweeps = []
     for cpus in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             sweep, started = assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval)
         assert started == min(cpus, sweep[0].rows) - 1
-        for name, want in zip(MOMENTS, moments):
-            assert np.array_equal(getattr(sweep, name), want), (name, cpus)
-        assert np.array_equal(sweep[0].Theta, bundle.Theta), cpus
-        assert np.array_equal(sweep[0].Dxx, bundle.Dxx), cpus
+        for name, got, want in zip(("Theta", "Dxx", "M_vv"),
+                                   (sweep[0].Theta, sweep[0].Dxx, sweep.M_vv), eager):
+            assert np.array_equal(got, want), (name, cpus)
         sweeps.append(sweep)
     return sweeps
 
 
 @needs_fork
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(random_sweep_case(), st.integers(1, 400))
+@given(random_assembly_case(), st.integers(1, 400))
 def test_assembly_bits_do_not_depend_on_the_thread_count(case, block_values):
     # blocks from one interval to the whole log, with a ragged last block
     assert_same_bits_on_1_2_3_threads(*case, block_values=block_values)
@@ -434,19 +414,19 @@ def test_learned_gains_do_not_depend_on_the_assembly_thread_count_at_1000_interv
         assert np.array_equal(P_other, P) and np.array_equal(K_other, K)
 
 
-def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, learning_data,
+def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, offset_bundles,
                                                                       learned):
     # the per-offset regressions of the docking log stay the reference: D_hat and
     # B_hat solve bundle 0's regression as they do (D_hat is about 5e-5 in size, so
     # its rounding shows at 1e-8 relative), and each S(X_j) agrees within the
     # reference's own quadrature error while lying closer to the true Sylvester image
-    cfg, sweep = docking.config, learning_data.bundles
+    cfg, offsets = docking.config, offset_bundles.offsets
     recovery = learned.recovery
-    reference = reference_recovery(sweep[:], learned.P, learned.K, cfg.R)
+    reference = reference_recovery(offset_bundles.bundles, learned.P, learned.K, cfg.R)
     for got, want in ((recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat)):
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
-    truth = [sylvester_image(X, docking.model.A, docking.exo.E) for X in sweep.offsets[1:]]
-    for got, want, exact in zip(identified_sylvester_images(recovery, sweep.offsets[1:]),
+    truth = [sylvester_image(X, docking.model.A, docking.exo.E) for X in offsets[1:]]
+    for got, want, exact in zip(identified_sylvester_images(recovery, offsets[1:]),
                                 reference.S_values, truth, strict=True):
         assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want)
         assert np.linalg.norm(got - exact) < np.linalg.norm(want - exact)
@@ -518,7 +498,7 @@ def test_exosystem_fit_reports_the_rank_of_a_silent_exostate():
     assert (excinfo.value.rank, excinfo.value.required) == (0, 9)
 
 
-def exact_moment_sweep(model, exo, basis, R, K0, intervals, h, generator):
+def exact_moment_sweep(model, exo, R, K0, intervals, h, generator):
     """A RegressionSweep of exact interval moments of the plant's flow.
 
     z = [x; v] follows dz/dt = [[A, D], [0, E]] z + [B; 0] u exactly (matrix
@@ -545,11 +525,13 @@ def exact_moment_sweep(model, exo, basis, R, K0, intervals, h, generator):
         zu.append(np.outer(0.5 * h * weights @ samples, u).ravel())
         z = (step @ w0)[:d]
         ends.append(z)
-    zz, ends = np.array(zz), np.array(ends)
-    ic, ie = np.triu_indices(d)
-    return RegressionSweep(basis.sequence(), zz[:, ic, ie], np.array(zu),
-                           zz[:, :, n:].reshape(intervals, d * q), ends[:, :n], ends[:, n:],
-                           2.0 * np.kron(np.eye(n), R), 0.0)
+    zz, zu, ends = np.array(zz), np.array(zu), np.array(ends)
+    ix, jx = np.triu_indices(n)
+    iv, jv = np.triu_indices(q)
+    Theta = np.hstack([zz[:, ix, jx], zu[:, : n * m] @ (2.0 * np.kron(np.eye(n), R)),
+                       2.0 * zz[:, :n, n:].reshape(intervals, n * q)])
+    bundle = RegressionBundle(Theta=Theta, Dxx=np.diff(vecv(ends[:, :n]), axis=0), n=n, m=m, q=q)
+    return RegressionSweep(bundle, zz[:, n + iv, n + jv], ends[:, n:], 0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -570,7 +552,7 @@ def test_identification_on_exact_moments_matches_exact_regulator(plant):
     K0 = np.linalg.solve(R, model.B.T @ solve_continuous_are(model.A, model.B, np.eye(n), R))
     basis = kernel_basis(model)
     cols = n * (n + 1) // 2 + (m + q) * n
-    sweep = exact_moment_sweep(model, exo, basis, R, K0, 3 * cols + 20, 0.1, g)
+    sweep = exact_moment_sweep(model, exo, R, K0, 3 * cols + 20, 0.1, g)
     assume(np.linalg.cond(equilibrate(sweep[0].Theta)[0]) < 1e8)
     W = g.standard_normal((n, n))
     P = W @ W.T + n * np.eye(n)  # any P: K carries B and the M block D at every P
@@ -615,8 +597,7 @@ def exostate_sweep(freqs, T, c0, dt, horizon=10.0, interval=0.1):
 
 
 def without_end_correction(sweep):
-    return RegressionSweep(sweep.offsets, sweep.M_zz, sweep.M_zu, sweep.M_zv, sweep.x_end,
-                           sweep.v_end, sweep.scale_u, 0.0)
+    return RegressionSweep(sweep[0], sweep.M_vv, sweep.v_end, 0.0)
 
 
 def bdiag_rotations(freqs):
@@ -644,16 +625,13 @@ def test_exosystem_identified_after_the_end_correction(case):
 @pytest.mark.skipif(numpy_openblas() is None, reason="needs OpenBLAS thread control")
 def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(docking,
                                                                                  monkeypatch):
-    # the docking dimensions and 26 offsets over 1000 intervals, the size of a
-    # 100 s log, unpinned: bundle 0's 1000 x 108 QR (rank verdict and operator)
-    # and the exosystem's 1000 x 72 QR run on one and on two OpenBLAS threads.
-    # Value iteration needs data from a plant, so it runs on a 100 s docking log
+    # the docking dimensions over 1000 intervals, the size of a 100 s log,
+    # unpinned: bundle 0's 1000 x 108 QR (rank verdict and operator) and the
+    # exosystem's 1000 x 72 QR run on one and on two OpenBLAS threads. Value
+    # iteration needs data from a plant, so it runs on a 100 s docking log
     # sampled at 10 ms, which has 1000 intervals too
     g = np.random.default_rng(1000)
-    log, _, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
-    X1 = g.standard_normal((6, 8))
-    basis = KernelBasis(X1=X1, basis=[g.standard_normal((6, 8)) for _ in range(24)],
-                        C=np.eye(3, 6), F=-X1[:3])
+    log, basis, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
     W = g.standard_normal((6, 6))
     P, K = W @ W.T + 6 * np.eye(6), g.standard_normal((3, 6))
     cfg = docking.config
@@ -667,7 +645,7 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
         for threads in (1, 2):
             put(threads)
             sweep = assemble_regression(log, basis, R, 0.01)
-            assert len(sweep) == 26 and sweep[0].rows == 1000
+            assert sweep[0].rows == 1000
             verdict = check_rank(sweep[0])
             recovery = recover_model_artifacts(sweep, P, K, R)
             plant_sweep = assemble_regression(plant_log, plant_basis, cfg.R, cfg.interval)
@@ -681,8 +659,6 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
     assert verdict == plant_verdict == (True, 87, 87) and verdicts == [verdict, plant_verdict]
     for name in ("D_hat", "B_hat", "A_hat", "E_hat", "A_residual", "E_residual"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
-    assert np.array_equal(identified_sylvester_images(one, basis.sequence()[1:]),
-                          identified_sylvester_images(two, basis.sequence()[1:]))
     assert np.array_equal(P_one, P_two) and np.array_equal(K_one, K_two)
 
 
@@ -696,7 +672,7 @@ def test_bundle_j0_difference_is_raw(docking, learning_data):
     assert np.array_equal(b0.Dxx, vv[1:] - vv[:-1])
 
 
-def test_regression_identity_all_offsets(docking, oracle, learning_data):
+def test_regression_identity_all_offsets(docking, oracle, offset_bundles):
     # the integrated rows must satisfy the continuous-time value identity
     # for the true (H, K, M) at any symmetric P, every offset included
     A, B, D = docking.model.A, docking.model.B, docking.model.D
@@ -706,8 +682,7 @@ def test_regression_identity_all_offsets(docking, oracle, learning_data):
     for P in (oracle.P_star, raw + raw.T):
         H = A.T @ P + P @ A
         K = np.linalg.solve(R, B.T @ P)
-        for bundle, Xj in zip(learning_data.bundles,
-                              learning_data.basis.sequence()):
+        for bundle, Xj in zip(offset_bundles.bundles, offset_bundles.offsets, strict=True):
             M = (D - sylvester_image(Xj, A, E)).T @ P
             theta = np.concatenate([vecs(H), vec(K), vec(M)])
             lhs = bundle.Dxx @ vecs(P)
@@ -741,7 +716,7 @@ def test_rank_check(docking, learning_data):
 def _scaled_bundle(theta):
     """A (n, m, q) = (2, 1, 1) bundle with R = I around a given Theta."""
     rows = theta.shape[0]
-    return RegressionBundle(j=0, Theta=theta, Dxx=np.ones((rows, 3)), n=2, m=1, q=1)
+    return RegressionBundle(Theta=theta, Dxx=np.ones((rows, 3)), n=2, m=1, q=1)
 
 
 def test_rank_check_agrees_with_lstsq_across_column_scales():
@@ -957,7 +932,7 @@ def exact_operator_bundle(model, R):
         np.concatenate([vecs(model.A.T @ P + P @ model.A),
                         vec(np.linalg.solve(R, model.B.T @ P)), vec(model.D.T @ P)])
         for P in map(unvecs, np.eye(n * (n + 1) // 2))])
-    return RegressionBundle(j=0, Theta=np.eye(len(Dxx)), Dxx=Dxx, n=n, m=model.m, q=model.q)
+    return RegressionBundle(Theta=np.eye(len(Dxx)), Dxx=Dxx, n=n, m=model.m, q=model.q)
 
 
 def test_vi_learn_newton_finisher_on_random_plants():
@@ -1037,8 +1012,9 @@ def test_assembly_and_recovery_take_every_weight_form(docking, learning_data, le
     log, basis, bundles = learning_data.log, learning_data.basis, learning_data.bundles
     for R in (2.0, [2.0, 2.0, 2.0]):
         again = assemble_regression(log, basis, R, cfg.interval)
-        assert all(np.array_equal(a.Theta, b.Theta) and np.array_equal(a.Dxx, b.Dxx)
-                   for a, b in zip(again, bundles, strict=True))
+        assert np.array_equal(again[0].Theta, bundles[0].Theta)
+        assert np.array_equal(again[0].Dxx, bundles[0].Dxx)
+        assert np.array_equal(again.M_vv, bundles.M_vv)
         recovery = recover_model_artifacts(bundles, learned.P, learned.K, R)
         assert np.array_equal(recovery.B_hat, learned.recovery.B_hat)
         assert np.array_equal(recovery.D_hat, learned.recovery.D_hat)
@@ -1092,7 +1068,7 @@ def test_recovery_validates_inputs(docking, learning_data, learned):
         recover_model_artifacts(learning_data.bundles, np.zeros((6, 6)),
                                 learned.K, cfg.R)
     with pytest.raises(ValueError):
-        recover_model_artifacts(learning_data.bundles[1:], learned.P,
+        recover_model_artifacts(learning_data.bundles[0], learned.P,
                                 learned.K, cfg.R)
     # a silent log: bundle 0's operator raises lstsq's verdict before any fit
     silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
@@ -1101,6 +1077,18 @@ def test_recovery_validates_inputs(docking, learning_data, learned):
     sweep = assemble_regression(zero_log, learning_data.basis, cfg.R, cfg.interval)
     with pytest.raises(RankDeficiencyError, match="regression matrix rank 0 < 87 columns"):
         recover_model_artifacts(sweep, learned.P, learned.K, cfg.R)
+
+
+def test_recovery_names_a_P_or_K_of_the_wrong_shape(docking, learning_data, learned):
+    # the bundle's (n, m) = (6, 3) fixes P at 6 x 6 and K at 3 x 6; a 6 x 5 P is
+    # not singular, and a 5 x 5 P or a 2 x 6 K does not reach a numpy solve
+    P, K = learned.P, learned.K
+    for P_final, K_next, message in ((P[:, :5], K, r"P_final must be 6x6 .* \(6, 5\)"),
+                                     (P[:5, :5], K, r"P_final must be 6x6 .* \(5, 5\)"),
+                                     (P, K[:2], r"K_next_final must be 3x6 .* \(2, 6\)")):
+        with pytest.raises(ValueError, match=r"for the bundle's \(n, m\) = \(6, 3\)") as excinfo:
+            recover_model_artifacts(learning_data.bundles, P_final, K_next, docking.config.R)
+        assert re.search(message, str(excinfo.value))
 
 
 def test_problem1_from_exact_recovery(docking, oracle):

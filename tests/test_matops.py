@@ -39,7 +39,6 @@ from adpdock.matops import (
     vec,
     vecs,
     vecv,
-    vecv_map,
     write_csv,
     write_csv_in_background,
 )
@@ -107,36 +106,6 @@ def test_vecv_batch_rows():
 
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def map_and_batch(draw):
-    """A rectangular r x d map T and a batch of d-vectors as rows."""
-    r, d, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    return draw(arrays(float, (r, d), elements=finite)), draw(arrays(float, (rows, d), elements=finite))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(map_and_batch())
-def test_vecv_map_carries_vecv_through_linear_maps(case):
-    # vecv(T z) == V(T) vecv(z), row by row over a batch of z
-    T, z = case
-    V = vecv_map(T)
-    r, d = T.shape
-    assert V.shape == (r * (r + 1) // 2, d * (d + 1) // 2)
-    scale = (1.0 + np.abs(T).max()) ** 2 * (1.0 + np.abs(z).max()) ** 2
-    assert np.allclose(vecv(z @ T.T), vecv(z) @ V.T, rtol=0.0, atol=1e-13 * scale)
-    assert np.allclose(vecv(T @ z[0]), V @ vecv(z[0]), rtol=0.0, atol=1e-13 * scale)
-    # a stack of maps gives each map's V, to the bit
-    stack = np.stack([T, -T, 2.0 * T])
-    assert np.array_equal(vecv_map(stack), np.stack([vecv_map(S) for S in stack]))
-
-
-def test_vecv_map_pinned_example():
-    # (a + 2b)^2, (a + 2b)(3a), (3a)^2 over vecv([a, b]) = [a^2, ab, b^2]
-    T = np.array([[1.0, 2.0], [3.0, 0.0]])
-    assert np.array_equal(vecv_map(T), [[1.0, 4.0, 4.0], [3.0, 6.0, 0.0], [9.0, 0.0, 0.0]])
-    assert np.array_equal(vecv_map(np.eye(4)), np.eye(10))
 
 
 def test_bdiag_layout():

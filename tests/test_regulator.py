@@ -40,16 +40,11 @@ def test_kernel_basis_docking(docking):
     model = docking.model
     basis = kernel_basis(model)
     assert basis.h == (model.n - model.p) * model.q == 24
-    assert np.array_equal(basis.X0, np.zeros((6, 8)))
     assert np.linalg.norm(model.C @ basis.X1 + model.F) <= 1e-12
     stacked = np.column_stack([vec(N) for N in basis.basis])
     assert np.linalg.matrix_rank(stacked) == basis.h
     for N in basis.basis:
         assert np.linalg.norm(model.C @ N) <= 1e-12
-    seq = basis.sequence()
-    assert len(seq) == basis.h + 2
-    assert np.array_equal(seq[0], basis.X0) and seq[1] is basis.X1
-    assert np.allclose(seq[2], basis.X1 + basis.basis[0])
 
 
 def test_kernel_basis_needs_full_row_rank():
