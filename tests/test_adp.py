@@ -672,6 +672,20 @@ def test_bundle_j0_difference_is_raw(docking, learning_data):
     assert np.array_equal(b0.Dxx, vv[1:] - vv[:-1])
 
 
+def test_offset_fixture_holds_the_papers_26_offsets(docking, learning_data, offset_bundles):
+    # criterion 8 and the per-offset tests cover the paper's h + 2 = 26 offsets:
+    # X_0 = 0, then X_1 and X_1 + N_i, all solving C X + F = 0, with the N_i
+    # spanning C's h-dimensional kernel
+    model, basis = docking.model, learning_data.basis
+    offsets = offset_bundles.offsets
+    assert len(offsets) == len(offset_bundles.bundles) == basis.h + 2 == 26
+    assert np.array_equal(offsets[0], np.zeros((6, 8))) and offsets[1] is basis.X1
+    for Xj in offsets[1:]:
+        assert np.linalg.norm(model.C @ Xj + model.F) <= 1e-12
+    directions = np.column_stack([vec(Xj - basis.X1) for Xj in offsets[2:]])
+    assert np.linalg.matrix_rank(directions) == basis.h
+
+
 def test_regression_identity_all_offsets(docking, oracle, offset_bundles):
     # the integrated rows must satisfy the continuous-time value identity
     # for the true (H, K, M) at any symmetric P, every offset included
