@@ -55,6 +55,11 @@ _ARTIFACTS = ("trajectory_learning.csv", "convergence.csv", "trajectory_eval.csv
               "learned_gains.json", "oracle_gains.json", "report.json")
 
 
+def _is_integer(value):
+    """The rule for an integer knob: an int or np.integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Every knob of one experiment; defaults give the reference run."""
@@ -106,10 +111,13 @@ class ExperimentConfig:
                  for name in ("horizon", "interval", "eval_horizon")}
         if steps["horizon"] < steps["interval"]:
             raise ValueError("horizon must cover at least one interval")
+        # the integer knobs: an int or np.integer, never a bool (True would pass for 1)
         for name in ("max_k", "noise_terms"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         # not left to noise_spec(): it imports numpy.random and its messages name no key
         if not 0 < self.noise_freq_min < self.noise_freq_max:
@@ -393,9 +401,11 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     the CPU the CSV child writes on. The output directory is made when
     collection ends, and a forked child then writes
     ``trajectory_learning.csv`` while the later stages run
-    (:func:`matops.write_csv_in_background`). While it lives the child
-    holds a CPU, so on two CPUs ``trajectory_eval.csv`` is formatted here
-    alone, without a forked worker (:func:`matops._worker_count`). The
+    (:func:`matops.write_csv_in_background`); where no CPU is free beside
+    this process's, the file is written here instead, before assembly.
+    That child is the run's only fork: every other artifact is written in
+    this process. While it lives the child holds a CPU that assembly does
+    not count as free (:func:`matops._worker_count`). The
     learning CSV is complete before the JSON artifacts are written and,
     in a failed run, before StageFailure propagates. Every other artifact is flushed as soon as
     its stage completes, so a failed run leaves the earlier CSVs behind.

@@ -19,11 +19,11 @@ orderings are frozen because they define regression column layouts.
 
 :func:`write_csv` is the one CSV artifact writer. Its bytes equal
 ``numpy.savetxt(path, data, delimiter=",", header=header, comments="",
-fmt="%.17g")``, and it splits the formatting across forked workers.
+fmt="%.17g")``, and it formats the rows in the calling process.
 :func:`read_csv` reads such a file back, splitting the parsing across
-forked workers the same way; its values equal a serial ``numpy.loadtxt``.
-:func:`write_csv_in_background` writes the same bytes from one forked
-child while the caller goes on with other work.
+forked workers; its values equal a serial ``numpy.loadtxt``.
+:func:`write_csv_in_background` writes :func:`write_csv`'s bytes from
+one forked child while the caller goes on with other work.
 
 :func:`write_json` is the one JSON artifact writer: two-space indents and
 a final newline. What the ``json`` module cannot encode itself goes
@@ -40,9 +40,8 @@ thousand by a hundred), so a second BLAS thread only adds wake-ups; and
 an OpenBLAS left at two threads keeps a worker thread spinning after its
 last call, on the CPU that a forked CSV writer needs. A CPU is free when
 it is usable and no :func:`write_csv_in_background` child holds it;
-:func:`_worker_count` states that rule once, and :func:`write_csv`,
-:func:`read_csv` and :func:`_split_over_cpus` split their work over the
-free CPUs alone.
+:func:`_worker_count` states that rule once, and :func:`read_csv` and
+:func:`_split_over_cpus` split their work over the free CPUs alone.
 """
 
 from __future__ import annotations
@@ -500,14 +499,17 @@ class one_blas_thread(ContextDecorator):
 #: holds about 1 KB per 17-column row of a block while it formats one, so
 #: a small block keeps its peak memory flat at no measurable speed cost.
 CSV_BLOCK_ROWS = 256
-#: Fewest values worth a forked worker. A worker costs milliseconds: split
-#: over two CPUs, the 28k-value VI history took 8 ms longer to write.
+#: Fewest values worth a range of their own: a forked :func:`read_csv` worker
+#: or an assembly thread. On a 2-vCPU VM a second read range broke even near
+#: 20k values and read 64k in 8.6 ms instead of 12.5; a second assembly
+#: thread broke even near 15k samples (255k values) and cost at most 0.16 ms
+#: below that.
 FORK_MIN_VALUES = 1 << 16
 #: Bytes that :func:`read_csv` counts as one value when it sizes its ranges:
 #: a ``%.17g`` double with its delimiter averages 20 bytes (42.7 MB for the
 #: 2.1M values of a 100 s trajectory).
 CSV_VALUE_BYTES = 20
-_PIPE_READ_BYTES = 1 << 16
+_READ_BUFFER_BYTES = 1 << 16
 
 
 def _usable_cpus():
@@ -532,10 +534,9 @@ def _worker_count(values):
 
     One per free CPU (:func:`_free_cpus`), but no more than one per
     :data:`FORK_MIN_VALUES` values, at least one, and a single range where
-    ``os.fork`` is missing. :func:`write_csv`, :func:`read_csv` and
-    :func:`_split_over_cpus` all split by this rule, so inside a
-    background writer's block none of them competes with the child for
-    its CPU.
+    ``os.fork`` is missing. :func:`read_csv` and :func:`_split_over_cpus`
+    both split by this rule, so inside a background writer's block
+    neither competes with the child for its CPU.
     """
     if not hasattr(os, "fork"):
         return 1
@@ -587,7 +588,8 @@ def _fork_worker(send):
     """Fork a child that calls ``send(pipe)`` on the write end of a new pipe; returns (pid, read fd).
 
     Forking with OpenBLAS threads alive is safe because the child only
-    formats or parses, writes and leaves through ``os._exit``: it calls no
+    writes a CSV file, or parses a range of one and sends the values down
+    its pipe, and leaves through ``os._exit``: it calls no
     BLAS routine, takes no lock another thread could have held at the
     fork, and runs none of the parent's exit handlers or buffer flushes.
     The DeprecationWarning that Python 3.12+ gives for forking a
@@ -658,37 +660,12 @@ def _read_into(fd, buf):
     return got
 
 
-def _format_rows(data, row_fmt, start, stop, write):
-    """Pass rows ``start:stop`` of ``data`` to ``write`` as ASCII, one block at a time."""
-    for lo in range(start, stop, CSV_BLOCK_ROWS):
-        block = data[lo:min(lo + CSV_BLOCK_ROWS, stop)]
+def _format_rows(data, write):
+    """Pass the rows of the 2-D array ``data`` to ``write`` as ASCII, one block at a time."""
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for lo in range(0, len(data), CSV_BLOCK_ROWS):
+        block = data[lo:lo + CSV_BLOCK_ROWS]
         write((row_fmt * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
-
-
-def _send_rows(data, row_fmt, start, stop, pipe):
-    """Format rows ``start:stop`` whole, then write them to ``pipe``.
-
-    Formatting before writing keeps a full pipe from stalling the child
-    while the parent formats its own range.
-    """
-    chunks = []
-    _format_rows(data, row_fmt, start, stop, chunks.append)
-    pipe.writelines(chunks)
-
-
-def _row_format(data):
-    """``data`` as a 2-D array and the ``%`` format of one of its rows."""
-    data = np.asarray(data)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-D, got shape {data.shape}")
-    return data, ",".join(["%.17g"] * data.shape[1]) + "\n"
-
-
-def _write_head(fh, header, data, row_fmt, stop):
-    """Write ``header`` (if any) and rows ``0:stop`` of ``data`` to the binary file ``fh``."""
-    if header:
-        fh.write((header + "\n").encode("ascii"))
-    _format_rows(data, row_fmt, 0, stop, fh.write)
 
 
 def write_csv(path, data, header):
@@ -703,54 +680,27 @@ def write_csv(path, data, header):
     header : str
         First line (written without a comment prefix); empty for none.
 
-    The rows are split into contiguous ranges, as many as
-    :func:`_worker_count` gives: one per free CPU, but no more than one
-    per :data:`FORK_MIN_VALUES` values. This process formats the first range
-    straight into the file; a forked child formats each other range, and
-    its pipe is copied into the file in bounded reads and in row order,
-    so the whole text is never held in memory.
+    The rows are formatted in this process, :data:`CSV_BLOCK_ROWS` at a
+    time, and each block is written before the next is formatted, so the
+    whole text is never held in memory.
 
     Raises
     ------
-    OSError
-        If a child fails or sends fewer rows than its range holds. Every
-        child is reaped before this function returns or raises.
+    ValueError
+        If ``data`` is not 2-D.
     """
-    data, row_fmt = _row_format(data)
-    rows, cols = data.shape
-    workers = _worker_count(rows * cols)
-    bounds = [rows * i // workers for i in range(workers + 1)]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
+    data = np.asarray(data)
+    if data.ndim != 2:
+        raise ValueError(f"data must be 2-D, got shape {data.shape}")
     with open(path, "wb") as fh:
-
-        def parent(read_fds):
-            _write_head(fh, header, data, row_fmt, ranges[0][1])
-            # one reused buffer: a fresh bytes object per read grows the heap
-            buf = bytearray(_PIPE_READ_BYTES)
-            view = memoryview(buf)
-            received = []
-            for read_fd in read_fds:
-                received.append(0)
-                while size := os.readv(read_fd, [buf]):
-                    received[-1] += buf.count(b"\n", 0, size)
-                    fh.write(view[:size])
-            return received
-
-        tasks = [partial(_send_rows, data, row_fmt, start, stop) for start, stop in ranges[1:]]
-        with _forked(tasks) as read_fds:
-            received = parent(read_fds)
-    for (start, stop), count in zip(ranges[1:], received):
-        if count != stop - start:
-            raise OSError(f"CSV worker for rows {start}:{stop} exited after sending "
-                          f"{count} of {stop - start} rows")
+        if header:
+            fh.write((header + "\n").encode("ascii"))
+        _format_rows(data, fh.write)
 
 
 def _write_whole(path, table, pipe):
-    """Write the CSV of ``table()`` alone; ``pipe`` closes after the file does."""
-    data, header = table()
-    data, row_fmt = _row_format(data)
-    with open(path, "wb") as fh:
-        _write_head(fh, header, data, row_fmt, len(data))
+    """Write the CSV of ``table()``; ``pipe`` closes after the file does."""
+    write_csv(path, *table())
 
 
 @contextmanager
@@ -825,7 +775,7 @@ def _parse_range(path, start, stop):
     """``numpy.loadtxt`` of bytes ``start:stop`` of ``path``, whole lines, read in bounded chunks."""
     with open(path, "rb", buffering=0) as raw:
         raw.seek(start)
-        text = io.TextIOWrapper(io.BufferedReader(_Bounded(raw, stop - start), _PIPE_READ_BYTES),
+        text = io.TextIOWrapper(io.BufferedReader(_Bounded(raw, stop - start), _READ_BUFFER_BYTES),
                                 encoding="ascii")
         with warnings.catch_warnings():
             # a range of blank lines holds no rows, which a serial read would not warn about

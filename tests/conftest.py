@@ -76,10 +76,10 @@ def slow_blocks(mp, seconds=0.01):
     """Make every block of CSV rows take ``seconds`` longer to format, in forked children too."""
     real = matops._format_rows
 
-    def slow(data, row_fmt, start, stop, write):
-        for lo in range(start, stop, matops.CSV_BLOCK_ROWS):
+    def slow(data, write):
+        for lo in range(0, len(data), matops.CSV_BLOCK_ROWS):
             time.sleep(seconds)
-            real(data, row_fmt, lo, min(lo + matops.CSV_BLOCK_ROWS, stop), write)
+            real(data[lo:lo + matops.CSV_BLOCK_ROWS], write)
 
     mp.setattr(matops, "_format_rows", slow)
 

@@ -67,6 +67,8 @@ def test_config_validation():
         ExperimentConfig(dt=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(max_k=0)
+    cfg = ExperimentConfig(max_k=np.int64(5), noise_terms=np.int32(3), seed=np.uint8(3))
+    assert (cfg.max_k, cfg.noise_terms, cfg.seed) == (5, 3, 3)
 
 
 def test_config_roundtrip(tmp_path):
@@ -548,6 +550,11 @@ def test_run_seed_argument_is_the_seed_of_the_run(tmp_path, pipeline, capsys):
 @pytest.mark.parametrize("knob, value, message", [
     ("seed", -1, "seed must be a non-negative integer"),
     ("horizon", 25.0005, "horizon = 25.0005 is not an integer multiple of dt = 0.001"),
+    # an integer knob takes an int or np.integer, never a float or a bool
+    ("noise_terms", 2.5, "noise_terms must be an integer, got 2.5"),
+    ("max_k", 10.5, "max_k must be an integer, got 10.5"),
+    ("max_k", True, "max_k must be an integer, got True"),
+    ("seed", True, "seed must be a non-negative integer"),
 ])
 def test_run_rechecks_a_knob_assigned_after_construction(tmp_path, monkeypatch, knob, value,
                                                          message):
@@ -747,18 +754,14 @@ def csv_writes(monkeypatch):
 def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, monkeypatch,
                                                                      pipeline, csv_writes):
     cfg = default_config()
-    # two usable CPUs: the learning CSV's child holds one, so trajectory_eval.csv
-    # is formatted in this process alone and that child is the run's one fork
-    with monkeypatch.context() as mp:
-        forks = counting_forks(mp)
-        run_experiment(cfg, tmp_path / "bg", log=quiet)
-    assert len(forks) == 1
-    # a third usable CPU is free for one trajectory_eval.csv worker
-    with monkeypatch.context() as mp:
-        mp.setattr(matops, "_usable_cpus", lambda: 3)
-        forks = counting_forks(mp)
-        run_experiment(cfg, tmp_path / "three", log=quiet)
-    assert len(forks) == 2
+    # the learning CSV's child is the run's one fork on two usable CPUs, and
+    # on three: every other artifact is written in this process
+    for cpus, run in ((2, "bg"), (3, "three")):
+        with monkeypatch.context() as mp:
+            mp.setattr(matops, "_usable_cpus", lambda: cpus)
+            forks = counting_forks(mp)
+            run_experiment(cfg, tmp_path / run, log=quiet)
+        assert len(forks) == 1, cpus
     # without a thread control the counts stay as they are; the child still writes
     with monkeypatch.context() as mp:
         unpinned(mp)

@@ -394,149 +394,46 @@ def csv_tables(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(csv_tables())
 def test_write_csv_matches_savetxt(tmp_path_factory, data):
-    # one range, and three ranges of which the first is formatted in this
-    # process and the others by forked workers
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(data.shape[1]))
-    expected = savetxt_bytes(data, header)
-    for cpus in (1, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            force_workers(mp, cpus, min_values=1)
-            assert written_bytes(path, data, header) == expected
-    assert_no_child_left()
+    assert written_bytes(path, data, header) == savetxt_bytes(data, header)
 
 
-@needs_fork
-@pytest.mark.parametrize("row, error", [(BLOCK, OSError), (3 * BLOCK - 1, OSError),
-                                        (0, ValueError)])
-def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch, row, error):
-    # formatting fails on the NaN-marked row, which sits in the first
-    # worker's range, the last one's, or the range this process formats
-    # itself; the forked workers inherit the patch
+def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch):
+    # formatting fails on the NaN-marked row, in this process: the error is
+    # raised as it is and no child is left, also with CPUs to spare
     real = matops._format_rows
 
-    def fail_on_nan(data, row_fmt, start, stop, write):
-        if np.isnan(data[start:stop]).any():
+    def fail_on_nan(data, write):
+        if np.isnan(data).any():
             raise ValueError("cannot format NaN")
-        real(data, row_fmt, start, stop, write)
+        real(data, write)
 
     monkeypatch.setattr(matops, "_format_rows", fail_on_nan)
     force_workers(monkeypatch, 3, min_values=1)
+    pids = counting_forks(monkeypatch)
     data = np.ones((3 * BLOCK, 2))
-    data[row, 1] = np.nan
-    with pytest.raises(error, match="exited with code 1" if error is OSError else "NaN"):
+    data[0, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
         write_csv(tmp_path / "t.csv", data, "a,b")
+    assert pids == []
     assert_no_child_left()
 
 
-@needs_fork
-def test_write_csv_short_worker_output_raises_and_reaps(tmp_path, monkeypatch):
-    # the forked children inherit the patch: each worker drops its last row
-    real = matops._format_rows
-
-    def drop_last_row(data, row_fmt, start, stop, write):
-        real(data, row_fmt, start, stop - (start > 0), write)
-
-    monkeypatch.setattr(matops, "_format_rows", drop_last_row)
-    force_workers(monkeypatch, 3, min_values=1)
-    data = np.ones((3 * BLOCK, 2))
-    with pytest.raises(OSError, match=f"sending {BLOCK - 1} of {BLOCK} rows"):
-        write_csv(tmp_path / "t.csv", data, "a,b")
-    assert_no_child_left()
-
-
-@needs_fork
-def test_write_csv_failed_fork_raises_and_reaps(tmp_path, monkeypatch):
-    # the second fork fails: the first worker is reaped and no pipe is left open
-    real_fork = os.fork
-    forks = []
-
-    def second_fork_fails():
-        forks.append(None)
-        if len(forks) == 2:
-            raise BlockingIOError("fork: resource temporarily unavailable")
-        return real_fork()
-
-    force_workers(monkeypatch, 3, min_values=1)
-    monkeypatch.setattr(os, "fork", second_fork_fails)
-    fds = open_fds()
-    with pytest.raises(BlockingIOError):
-        write_csv(tmp_path / "t.csv", np.ones((3 * BLOCK, 2)), "a,b")
-    assert_no_child_left()
-    assert open_fds() <= fds
-
-
-def test_write_csv_one_cpu_never_forks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_write_csv_never_forks(tmp_path, monkeypatch, cpus):
+    # every row is formatted in this process, at any CPU count and far above
+    # the size floor of a forked range
     def no_fork():
-        raise AssertionError("os.fork called with one usable CPU")
+        raise AssertionError(f"os.fork called by write_csv with {cpus} usable CPUs")
 
-    force_workers(monkeypatch, 1)
+    force_workers(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
     assert written_bytes(tmp_path / "t.csv", data, "h") == savetxt_bytes(data, "h")
     assert written_bytes(tmp_path / "e.csv", data[:0], "") == b""
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", data[0], "h")
-
-
-@needs_fork
-def test_write_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
-    force_workers(monkeypatch, 3)
-    pids = counting_forks(monkeypatch)
-    data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
-    # small tables are not worth a fork: one range per FORK_MIN_VALUES values
-    for rows, forks in ((len(data), 2), (len(data) - 1, 1), (len(data) // 3 - 1, 0)):
-        pids.clear()
-        assert written_bytes(tmp_path / "t.csv", data[:rows], "h") == \
-            savetxt_bytes(data[:rows], "h")
-        assert len(pids) == forks
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("cpus, forks", [(2, 0), (3, 1)])
-@needs_fork
-def test_write_and_read_csv_leave_a_background_childs_cpu_free(tmp_path, monkeypatch, cpus,
-                                                                forks):
-    # a live write_csv_in_background child holds one usable CPU: on two, both
-    # split nothing; on three, each forks one worker. The bytes and values stay
-    force_workers(monkeypatch, cpus, min_values=1)
-    monkeypatch.setattr(matops, "_background_children", 1)
-    pids = counting_forks(monkeypatch)
-    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
-    path = tmp_path / "t.csv"
-    assert written_bytes(path, data, "a,b,c,d,e,f") == savetxt_bytes(data, "a,b,c,d,e,f")
-    assert len(pids) == forks
-    header, back = matops.read_csv(path)
-    assert len(pids) == 2 * forks
-    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
-    assert_no_child_left()
-
-
-@needs_fork
-def test_write_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
-    # Python 3.12+ warns in the parent when it forks with threads alive;
-    # the worker only formats and exits, so the writer ignores that one
-    real_fork = os.fork
-
-    def warn():
-        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
-                      "may lead to deadlocks in the child.", DeprecationWarning)
-
-    def warning_fork():
-        pid = real_fork()
-        if pid:
-            warn()
-        return pid
-
-    force_workers(monkeypatch, 2, min_values=1)
-    monkeypatch.setattr(os, "fork", warning_fork)
-    data = np.arange(4 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert written_bytes(tmp_path / "t.csv", data, "h") == savetxt_bytes(data, "h")
-        with pytest.raises(DeprecationWarning):
-            warn()  # the same warning outside the writer is an error
-    assert_no_child_left()
 
 
 @needs_fork
@@ -883,6 +780,54 @@ def test_read_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
         pids.clear()
         assert np.array_equal(matops.read_csv(path)[1], expected)
         assert len(pids) == forks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, forks", [(2, 0), (3, 1)])
+@needs_fork
+def test_read_csv_leaves_a_background_childs_cpu_free(tmp_path, monkeypatch, cpus, forks):
+    # a live write_csv_in_background child holds one usable CPU: on two,
+    # read_csv splits nothing; on three, it forks one worker. The values stay
+    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
+    path = tmp_path / "t.csv"
+    write_csv(path, data, "a,b,c,d,e,f")
+    force_ranges(monkeypatch, cpus)
+    monkeypatch.setattr(matops, "_background_children", 1)
+    pids = counting_forks(monkeypatch)
+    header, back = matops.read_csv(path)
+    assert len(pids) == forks
+    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
+    assert_no_child_left()
+
+
+@needs_fork
+def test_read_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
+    # Python 3.12+ warns in the parent when it forks with threads alive;
+    # the worker only parses, sends and exits, so the reader ignores that one
+    real_fork = os.fork
+    forks = []
+
+    def warn():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning)
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            warn()
+        return pid
+
+    data = np.arange(4 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
+    write_csv(tmp_path / "t.csv", data, "a,b")
+    force_ranges(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(matops.read_csv(tmp_path / "t.csv")[1], data)
+        with pytest.raises(DeprecationWarning):
+            warn()  # the same warning outside the reader is an error
+    assert len(forks) == 1
     assert_no_child_left()
 
 
