@@ -10,10 +10,11 @@ intervals into the j = 0 regression equation
 and value iteration runs entirely on it. Its blocks recover
 H = A'P + PA, the improved gain K = R^{-1}B'P, and M = D'P. Newton
 steps on the same equation finish the iteration. After convergence the
-plant and the exosystem are identified from the same data (see below):
-A_hat, B_hat, D_hat and E_hat. The trace-optimal regulator pair is then
-the exact solve of the identified model's regulator equations
-(:func:`regulator.solve_regulator_exact`), from data alone.
+plant and the exosystem are identified from the first moments of the
+same log (see below): A_hat, B_hat, D_hat and E_hat. The trace-optimal
+regulator pair is then the exact solve of the identified model's
+regulator equations (:func:`regulator.solve_regulator_exact`), from
+data alone.
 
 Derivation of the regression equation: along dx/dt = A x + B u + D v,
 
@@ -28,27 +29,27 @@ Sylvester map S(X) = X E - A X, and X_0 = 0 gives the equation above.
 Only that one is built: recovery identifies the model instead of
 solving a regression per offset.
 
-Recovery solves the regression once. Its least-squares operator,
-vecs(P) -> [vecs(H); vec(K); vec(M)], is solved on one thin QR factor of
-the equilibrated Theta beside Dxx (:func:`matops.lstsq`), and shared by
-the rank check, value iteration and recovery
-(:attr:`RegressionBundle.solve_op`): the factor that gives the operator
-also gives the rank verdict. Its H block is the matrix of the Lyapunov
-operator P -> A'P + PA, so a least-squares fit of that operator gives
-A_hat; at the converged P its M block gives D_hat and K gives B_hat.
-The exosystem is identified from the exostate alone: over interval l,
-with M_vv,l the integral of v v' and Delta_l the change of v v' across
-it,
+The regression's least-squares operator, vecs(P) -> [vecs(H); vec(K);
+vec(M)], is solved on one thin QR factor of the equilibrated Theta
+beside Dxx (:func:`matops.lstsq`) and shared by the rank check and value
+iteration (:attr:`RegressionBundle.solve_op`): the factor that gives the
+operator also gives the rank verdict.
 
-    Delta_l = E M_vv,l + M_vv,l E'.
+Recovery identifies the model by the integral-equation route of
+continuous-time identification (Garnier & Wang, eds., *Identification
+of Continuous-time Models from Sampled Data*, Springer 2008). Over
+interval l the flow integrates to
 
-One thin QR of [M_vv | Delta] compresses the intervals to a square
-factor with the same least-squares problem, which is solved for E_hat by
-q^2 x q^2 normal equations. The trapezoidal M_vv,l is biased by
-dt^2/12 (E Delta_l + Delta_l E'), the Euler-Maclaurin end term of
-d(v v')/dt = E v v' + v v' E'. That term is linear in the Delta columns,
-so it is subtracted on the same factor with the first E_hat, and E_hat
-is refitted.
+    Delta v_l = E int v,    Delta x_l = A int x + B int u + D int v,
+
+regressions of q and n + m + q columns in the first moments that
+assembly keeps. The held input makes int u exact. The trapezoidal int x
+and int v exceed the exact integrals by the Euler-Maclaurin end term
+dt^2/12 times the jump of the integrand's derivative over the interval:
+dt^2/12 E Delta v_l for v, and dt^2/12 (A Delta x_l + D Delta v_l) for x,
+because the held input is constant on every fine step and drops out of
+the jump. That term is linear in the model, so each regression is
+fitted, corrected with its own fit and refitted.
 
 Assembly, the rank check, value iteration, recovery and the regulator
 solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
@@ -59,20 +60,22 @@ integrated on a thread of its own (:func:`matops._split_over_cpus`).
 :func:`matops._worker_count` is the rule: a CPU held by a
 :func:`matops.write_csv_in_background` child is not free, and a log
 below its size floor stays in the calling thread. Every interval is
-integrated by products of its own, so Theta, Dxx and M_vv, and all that
-is learned from them, have the same bits on any number of threads.
+integrated by products of its own, so Theta, Dxx and the first moments,
+and all that is learned from them, have the same bits on any number of
+threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NoSolutionError, RankDeficiencyError
-# unvecs is not called here any more; perfbench counts the calls of adp.unvecs
+from .errors import RankDeficiencyError
+# vecs and unvecs are not called here any more; perfbench counts the calls of adp.vecs
+# and adp.unvecs
 from .matops import (_split_over_cpus, check_input_weight, check_weights, kron, lstsq,
                      numerical_rank, one_blas_thread, unvec, unvecs, vecs, vecv, write_json)
 # by name: perfbench times regulator.solve_regulator_exact for the oracle's call only
@@ -137,8 +140,8 @@ class RegressionBundle:
 
         It maps vecs(P) to the regression's solution [vecs(H); vec(K);
         vec(M)] at P. One QR factor of the equilibrated Theta beside Dxx
-        gives both the rank verdict and the operator, so :func:`check_rank`,
-        value iteration and recovery share one factorisation. Raises
+        gives both the rank verdict and the operator, so :func:`check_rank`
+        and value iteration share one factorisation. Raises
         :class:`RankDeficiencyError` as :func:`matops.lstsq` does; a failed
         solve is not kept.
         """
@@ -146,20 +149,20 @@ class RegressionBundle:
 
 
 class RegressionSweep:
-    """What assembly keeps of a log: its regression and its exostate moments.
+    """What assembly keeps of a log: its regression and its first moments.
 
     ``sweep[0]`` is the :class:`RegressionBundle` of the log, and
-    ``len(sweep)`` is 1; any other index raises IndexError. ``M_vv``
-    holds the trapezoidal integral of vecv(v) over each interval and
-    ``v_end`` the exostate at the interval ends: the data of the
-    exosystem fit. ``dt`` is the fine step the moments were integrated
-    with (0 for exact integrals, which need no end correction). The
-    arrays are read-only, and the log is not kept.
+    ``len(sweep)`` is 1; any other index raises IndexError. Per interval,
+    ``M_z`` holds the trapezoidal integral of z = [x; v] and ``M_u`` the
+    exact integral of the held input, and ``z_end`` holds z at the
+    interval ends: the data of the model fit. ``dt`` is the fine step the
+    moments were integrated with (0 for exact integrals, which need no
+    end correction). The arrays are read-only, and the log is not kept.
     """
 
-    def __init__(self, bundle, M_vv, v_end, dt):
-        self.bundle, self.M_vv, self.v_end = bundle, M_vv, v_end
-        for a in (bundle.Theta, bundle.Dxx, M_vv, v_end):
+    def __init__(self, bundle, M_z, M_u, z_end, dt):
+        self.bundle, self.M_z, self.M_u, self.z_end = bundle, M_z, M_u, z_end
+        for a in (bundle.Theta, bundle.Dxx, M_z, M_u, z_end):
             a.flags.writeable = False
         self.dt = float(dt)
         self.n, self.m, self.q = bundle.n, bundle.m, bundle.q
@@ -206,9 +209,12 @@ class ModelRecovery:
     and ``E_hat`` the identified exosystem matrix; with the output
     equation's C and F they pose the regulator equations that
     :func:`solve_problem1_datadriven` solves. ``E_rank`` is the
-    numerical rank of E_hat's normal system and ``E_required`` its size,
-    q^2. ``A_residual`` and ``E_residual`` are the relative least-squares
-    residuals of the two fits (Frobenius norms, residual over data).
+    numerical rank of the integrals of v that E_hat is fitted to and
+    ``E_required`` their column count, q. ``A_residual`` and
+    ``E_residual`` are the relative least-squares residuals of the plant
+    and the exosystem fits (Frobenius norms, residual over data).
+    ``gain_consistency`` is |K - R^{-1} B_hat' P|max for the learned P
+    and K: a model-free read of how far the learned gain is from B_hat.
     """
 
     D_hat: np.ndarray
@@ -219,6 +225,7 @@ class ModelRecovery:
     E_required: int
     A_residual: float
     E_residual: float
+    gain_consistency: float
 
 
 def collect_data(model, exo, K0, noise, x0, horizon=25.0, dt=1e-3, interval=0.1):
@@ -256,7 +263,7 @@ ASSEMBLY_BLOCK_VALUES = 1 << 16
 
 @one_blas_thread()
 def assemble_regression(log, basis, R, interval):
-    """Integrate the log into its regression and its exostate moments.
+    """Integrate the log into its regression and its first moments.
 
     Within each interval the integrals use trapezoidal quadrature on the
     fine grid, except that the input factor of the x (*) u columns is
@@ -266,11 +273,14 @@ def assemble_regression(log, basis, R, interval):
     :class:`regulator.KernelBasis` of the plant; its ``X1`` must be
     n x q.
 
-    The products are those of z = [x; v]: per interval, the trapezoidal
-    integral of z z' and the held-input integral of z u'. Their x x'
-    triangle is Ixx, their x u' block scaled once by 2 (I_n (*) R) is
-    the input block of Theta, 2 x v' is its exostate block, and the
-    v v' triangle is ``M_vv``. Interval sums are batched products over
+    The products are those of z = [x; v; 1]: per interval, the
+    trapezoidal integral of z z' and the held-input integral of z u'.
+    Their x x' triangle is Ixx, their x u' block scaled once by
+    2 (I_n (*) R) is the input block of Theta, and 2 x v' is its
+    exostate block. The constant entry of z gives the first moments: the
+    last column of z z' is the trapezoidal integral of [x; v]
+    (``M_z``), and the last row of z u' the exact integral of the held
+    input, dt times the sum of its values (``M_u``). Interval sums are batched products over
     (intervals, steps, columns) views of the log: the sum of f over the
     left samples of the fine steps, plus half of f at the interval's end
     minus half at its start, is the trapezoidal sum.
@@ -286,10 +296,11 @@ def assemble_regression(log, basis, R, interval):
     integrates its intervals a block at a time: it copies a block's rows
     of z into a buffer of its own, of at most
     :data:`ASSEMBLY_BLOCK_VALUES` values, runs the batched products on it
-    and writes the block's rows of Theta, Dxx and M_vv. Ranges share no
+    and writes the block's rows of Theta, M_z and M_u. Ranges share no
     buffer but those, of which each writes its own rows. Every thread is
-    joined before this returns or raises. An interval's products do not
-    depend on the range or block that holds it, so Theta, Dxx and M_vv,
+    joined before this returns or raises; Dxx and the ends of z are
+    then taken from the log. An interval's products do not depend on the
+    range or block that holds it, so Theta, Dxx and the first moments,
     and all that is learned from them, have the same bits on any number
     of threads.
 
@@ -314,40 +325,43 @@ def assemble_regression(log, basis, R, interval):
 
     d = n + q
     ix, jx = np.triu_indices(n)
-    iv, jv = n + np.stack(np.triu_indices(q))  # the v v' triangle of z z'
     cut_u, cut_v = len(ix), len(ix) + n * m
     Theta = np.empty((n_int, cut_v + n * q))
-    M_vv = np.empty((n_int, len(iv)))
+    M_z = np.empty((n_int, d))
     G_xu = np.empty((n_int, n * m))  # scaled into Theta once every range is done
-    block = max(1, ASSEMBLY_BLOCK_VALUES // (steps * d))
+    M_u = np.empty((n_int, m))
+    block = max(1, ASSEMBLY_BLOCK_VALUES // (steps * (d + 1)))
 
     def integrate(span):
         """Write the rows of the intervals in ``span``, a block of intervals at a time."""
         most = min(block, span.stop - span.start)
-        z, zu_buffer = np.empty((most * steps + 1, d)), np.empty((most, d, m))
+        z, zu_buffer = np.empty((most * steps + 1, d + 1)), np.empty((most, d + 1, m))
+        z[:, d] = 1.0  # the constant column: z z' and z u' carry the first moments
         for first in range(span.start, span.stop, block):
             rows = slice(first, min(first + block, span.stop))
             count, lo = rows.stop - rows.start, rows.start * steps
             zb = z[: count * steps + 1]
-            zb[:, :n], zb[:, n:] = x[lo : lo + len(zb)], v[lo : lo + len(zb)]
-            # (intervals, d, steps) views: z at the left and right end of each fine step
-            z_left = zb[:-1].reshape(count, steps, d).transpose(0, 2, 1)
-            z_right = zb[1:].reshape(count, steps, d).transpose(0, 2, 1)
+            zb[:, :n], zb[:, n:d] = x[lo : lo + len(zb)], v[lo : lo + len(zb)]
+            # (intervals, d + 1, steps) views: z at the left and right end of each fine step
+            z_left = zb[:-1].reshape(count, steps, d + 1).transpose(0, 2, 1)
+            z_right = zb[1:].reshape(count, steps, d + 1).transpose(0, 2, 1)
             u_held = u[lo : lo + count * steps].reshape(count, steps, m)
             z_end = zb[::steps]
             zz_end = z_end[:, :, None] * z_end[:, None, :]
             # per-interval integral of z z'
             zz = dt * (np.matmul(z_left, z_left.transpose(0, 2, 1))
                        + 0.5 * (zz_end[1:] - zz_end[:-1]))
-            # its x x' triangle and 2 x v' into Theta, its v v' triangle into M_vv
+            # its x x' triangle and 2 x v' into Theta, its constant column (the
+            # integral of x and v) into M_z
             Theta[rows, :cut_u] = zz[:, ix, jx]
-            np.multiply(zz[:, :n, n:], 2.0, out=Theta[rows, cut_v:].reshape(count, n, q))
-            M_vv[rows] = zz[:, iv, jv]
-            # held input: exact in u, trapezoidal in z
+            np.multiply(zz[:, :n, n:d], 2.0, out=Theta[rows, cut_v:].reshape(count, n, q))
+            M_z[rows] = zz[:, :d, d]
+            # held input: exact in u, trapezoidal in z; the constant row is dt sum_k u_k
             zu = np.matmul(z_left, u_held, out=zu_buffer[:count])
             zu += np.matmul(z_right, u_held)
             zu *= 0.5 * dt
             G_xu[rows].reshape(count, n, m)[...] = zu[:, :n]
+            M_u[rows] = zu[:, d]
 
     _split_over_cpus(integrate, n_int, len(log) * (d + m))
     np.matmul(G_xu, 2.0 * kron(np.eye(n), R), out=Theta[:, cut_u:cut_v])
@@ -355,7 +369,7 @@ def assemble_regression(log, basis, R, interval):
     vv = vecv(x[ends])
     bundle = RegressionBundle(Theta=Theta, Dxx=vv[1:] - vv[:-1], n=n, m=m, q=q)
     # copied: the sweep does not keep the log
-    return RegressionSweep(bundle, M_vv, v[ends].copy(), dt)
+    return RegressionSweep(bundle, M_z, M_u, np.hstack([x[ends], v[ends]]), dt)
 
 
 @one_blas_thread()
@@ -367,7 +381,7 @@ def check_rank(bundle):
     verdict is that of bundle 0's solve (:attr:`RegressionBundle.solve_op`):
     the QR factor of :func:`matops.lstsq` decides the rank, under the
     ``max(shape) * eps * sigma_max`` threshold on ``equilibrate(bundle.Theta)``,
-    and the operator it solves is kept for value iteration and recovery.
+    and the operator it solves is kept for value iteration.
     Returns (ok, rank, required); the rank is the required count when the
     solve succeeds and that of the :class:`RankDeficiencyError` when it
     does not. Never raises for a deficient bundle.
@@ -391,7 +405,7 @@ def vi_learn(bundle_j0, Q, R, P0=None, eps=1e-3, ball_schedule=None, max_k=20000
     (:func:`riccati.run_value_iteration`); P0 defaults to the identity
     and ball radii to 10 (r + 1). The data matrices are fixed, so the
     least-squares operator is solved once (:attr:`RegressionBundle.solve_op`,
-    which recovery reuses) and composed with the vecs and unvecs maps
+    which :func:`check_rank` shares) and composed with the vecs and unvecs maps
     (:class:`DataRiccati`): an iteration is one matrix-vector product plus
     the K'RK term.
 
@@ -514,15 +528,16 @@ class DataRiccati:
 def recover_model_artifacts(sweep, P_final, K_next_final, R):
     """Identify the plant (A_hat, B_hat, D_hat) and the exosystem E_hat from data.
 
-    A_hat is the least-squares fit of the Lyapunov operator P -> A'P + PA
-    to the H block of bundle 0's operator (:attr:`RegressionBundle.solve_op`,
-    shared with :func:`vi_learn`). E_hat is fitted to the exostate moments
-    of the :class:`RegressionSweep` ``sweep`` and refitted after the
-    Euler-Maclaurin end correction (see the module docstring). At the
-    converged P, the M block of bundle 0's solution is vec(D'P), giving
-    D_hat, and B_hat follows from inverting
-    K = R^{-1}B'P, with R in any weight form of
-    :func:`matops.check_weights`.
+    Over interval l the flow integrates to Delta v_l = E int v and
+    Delta x_l = A int x + B int u + D int v, two regressions in the first
+    moments of the :class:`RegressionSweep` ``sweep``. Each is fitted,
+    its trapezoidal integral is corrected by the fit's Euler-Maclaurin
+    end term, and it is refitted (see the module docstring): four
+    :func:`matops.lstsq` solves under its one rank rule. E_hat comes
+    first, so the plant fit reads the corrected int v. The learned P and
+    K do not enter the model; ``gain_consistency`` is
+    |K - R^{-1} B_hat' P|max, how far K is from the gain that B_hat and
+    P give. R takes every weight form of :func:`matops.check_weights`.
 
     Raises
     ------
@@ -530,12 +545,10 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
         If ``sweep`` is not a RegressionSweep, P_final is not n x n or
         K_next_final not m x n for the bundle's (n, m), or R is not a
         valid weight.
-    NoSolutionError
-        If P_final is singular.
     RankDeficiencyError
-        If bundle 0's regression lacks full column rank, or the exostate
-        moments do not identify E: the rank of E_hat's normal system,
-        under :func:`matops.numerical_rank`'s rule, falls short of q^2.
+        If the first moments do not identify the model: the integrals of
+        v have rank below q (the exostate does not excite every mode of
+        the exosystem), or those of [x; u; v] rank below n + m + q.
     """
     if not isinstance(sweep, RegressionSweep):
         raise ValueError("recovery needs the RegressionSweep of assemble_regression, "
@@ -546,97 +559,42 @@ def recover_model_artifacts(sweep, P_final, K_next_final, R):
         if value.shape != shape:
             raise ValueError(f"{name} must be {shape[0]}x{shape[1]} for the bundle's "
                              f"(n, m) = ({n}, {m}), got shape {value.shape}")
-    if numerical_rank(P) < n:
-        raise NoSolutionError("P_final is singular; model recovery needs P invertible")
-    ns = n * (n + 1) // 2
     R = check_input_weight(R, m)
 
-    solve_op = sweep[0].solve_op
-    A_hat, A_residual = _identify_plant(solve_op[:ns], n)
-    E_hat, E_rank, E_residual = _identify_exosystem(sweep)
-    # the M block is vec(D'P), so it reshapes to P D row by row
-    D_hat = np.linalg.solve(P, (solve_op[ns + m * n :] @ vecs(P)).reshape(n, q))
-    B_hat = np.linalg.solve(P, (R @ K).T)
-    return ModelRecovery(D_hat=D_hat, B_hat=B_hat, A_hat=A_hat, E_hat=E_hat,
-                         E_rank=E_rank, E_required=q * q,
-                         A_residual=A_residual, E_residual=E_residual)
+    # a trapezoidal integral exceeds the exact one by dt^2/12 times the jump of
+    # the integrand's derivative across the interval; the held input drops out
+    end_term = sweep.dt ** 2 / 12.0
+    dx, dv = np.hsplit(np.diff(sweep.z_end, axis=0), [n])
+    int_x, int_v = np.hsplit(sweep.M_z, [n])
+    exosystem = "the exostate does not excite every mode of the exosystem"
+    E_t = _fit(int_v, dv, exosystem)[0]
+    int_v = int_v - end_term * (dv @ E_t)
+    E_t, E_residual = _fit(int_v, dv, exosystem)
+    plant = "the log does not excite every direction of the plant"
+    moments = np.hstack([int_x, sweep.M_u, int_v])
+    theta = _fit(moments, dx, plant)[0]
+    moments[:, :n] -= end_term * (dx @ theta[:n] + dv @ theta[n + m :])
+    theta, A_residual = _fit(moments, dx, plant)
+    A_hat, B_hat, D_hat = (block.T for block in np.split(theta, [n, n + m]))
+    gain_consistency = float(np.abs(K - np.linalg.solve(R, B_hat.T @ P)).max())
+    return ModelRecovery(D_hat=D_hat, B_hat=B_hat, A_hat=A_hat, E_hat=E_t.T,
+                         E_rank=q, E_required=q, A_residual=A_residual,
+                         E_residual=E_residual, gain_consistency=gain_consistency)
 
 
-def _relative(residual, data):
-    return float(np.linalg.norm(residual) / (np.linalg.norm(data) or 1.0))
+def _fit(moments, change, remedy):
+    """(solution, relative residual) of ``lstsq(moments, change)``.
 
-
-@cache
-def _lyapunov_design(n):
-    """(L, pinv(L)) for n: L maps vec(A), row by row, to the operator P -> A'P + PA.
-
-    The operator is taken as its n(n+1)/2 x n(n+1)/2 matrix on the vecs
-    coordinates, flattened row by row: the layout of the H block of
-    :attr:`RegressionBundle.solve_op`. Both arrays are read-only.
+    Raises RankDeficiencyError naming ``remedy`` if ``moments`` fails
+    :func:`matops.lstsq`'s rank rule.
     """
-    to_vecs, from_vecs = _vecs_maps(n)
-    ns = len(to_vecs)
-    units = np.eye(n * n).reshape(n * n, 1, n, n)  # A = e_a e_b', (a, b) row by row
-    coords = from_vecs.T.reshape(ns, n, n)  # P = unvecs(e_i)
-    images = (units.transpose(0, 1, 3, 2) @ coords + coords @ units).reshape(n * n, ns, n * n)
-    design = (images @ to_vecs.T).transpose(2, 1, 0).reshape(ns * ns, n * n)
-    pinv = np.linalg.pinv(design)
-    design.flags.writeable = pinv.flags.writeable = False
-    return design, pinv
-
-
-def _identify_plant(dH, n):
-    """(A_hat, relative residual): the least-squares fit of P -> A'P + PA to ``dH``."""
-    design, pinv = _lyapunov_design(n)
-    a = pinv @ dH.ravel()
-    return a.reshape(n, n), _relative(design @ a - dH.ravel(), dH)
-
-
-def _identify_exosystem(sweep):
-    """(E_hat, rank, relative residual) from the exostate moments of ``sweep``.
-
-    Interval l gives Delta_l = E M_vv,l + M_vv,l E'. Q in the thin QR
-    [M_vv | Delta] = Q [S | D] has orthonormal columns, so the rows of
-    the factor, read as symmetric matrices S_k and D_k, pose the same
-    least-squares problem in at most q(q+1) rows. The end correction of
-    M_vv is linear in the Delta columns, so it acts on the same factor.
-    """
-    q = sweep.q
-    iu, ju = np.triu_indices(q)
-    # the integrals and the changes of vecv(v)
-    factor = np.linalg.qr(np.hstack([sweep.M_vv, np.diff(vecv(sweep.v_end), axis=0)]),
-                          mode="r")
-    S, D = np.empty((2, len(factor), q, q))
-    for out, half in zip((S, D), np.hsplit(factor, 2)):
-        out[:, iu, ju] = out[:, ju, iu] = half
-    E, _ = _fit_exosystem(S, D)
-    # the trapezoidal integral of v v' minus the Euler-Maclaurin end term
-    S = S - sweep.dt ** 2 / 12.0 * (E @ D + D @ E.T)
-    E, rank = _fit_exosystem(S, D)
-    return E, rank, _relative(D - E @ S - S @ E.T, D)
-
-
-def _fit_exosystem(S, D):
-    """(E, rank) minimizing sum_k |D_k - E S_k - S_k E'|_F^2 over the stacks S and D.
-
-    Its normal equations E G + sum_k S_k E' S_k = sum_k D_k S_k, with
-    G = sum_k S_k S_k, are q^2 equations in E row by row. Their rank is
-    :func:`matops.numerical_rank`'s.
-
-    Raises RankDeficiencyError if it falls short of q^2.
-    """
-    k, q, _ = S.shape
-    flat = S.reshape(k, q * q)
-    # sum_k S_k E' S_k: entry (a, b) takes E[d, c] times sum_k S_k[a, c] S_k[d, b]
-    cross = (flat.T @ flat).reshape(q, q, q, q).transpose(0, 3, 2, 1).reshape(q * q, q * q)
-    normal = np.kron(np.eye(q), (S @ S).sum(axis=0)) + cross
-    rank = numerical_rank(normal)
-    if rank < q * q:
+    try:
+        solution, residual = lstsq(moments, change)
+    except RankDeficiencyError as exc:
         raise RankDeficiencyError(
-            f"exostate moments identify E to rank {rank} < {q * q}; "
-            "the exostate does not excite every mode of the exosystem",
-            rank=rank, required=q * q)
-    return np.linalg.solve(normal, (D @ S).sum(axis=0).ravel()).reshape(q, q), rank
+            f"first moments have rank {exc.rank} < {exc.required}; {remedy}",
+            rank=exc.rank, required=exc.required) from None
+    return solution, residual / (np.linalg.norm(change) or 1.0)
 
 
 @one_blas_thread()

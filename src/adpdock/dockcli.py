@@ -347,7 +347,7 @@ def _stage(name, fn, *args, **kwargs):
     except StageFailure:
         raise
     except RankDeficiencyError as exc:
-        # recovery's own rank verdict is on the exosystem, not on the data matrix
+        # recovery's own rank verdict is on the first moments, not on the data matrix
         raise StageFailure(name if name == "recover" else "rank", exc) from exc
     except ConvergenceError as exc:
         raise StageFailure("convergence", exc) from exc
@@ -391,11 +391,12 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     evaluation. A failed PBH check ends the run in stage 'assumptions',
     before collection; ``check`` lists every record. The rank check only
     reports: value iteration rejects a rank-deficient data matrix by the
-    same rule, in stage 'rank'. An exostate that does not identify the
-    exosystem ends the run in stage 'recover'; ``report.json`` records
-    the identification's ranks and residuals, and the residuals of the
-    regulator equations solved on the identified model, beside the data
-    matrix's rank. The whole run holds every OpenBLAS it has loaded at one
+    same rule, in stage 'rank'. First moments that do not identify the
+    model end the run in stage 'recover'; ``report.json`` records the
+    identification's ranks and residuals, the learned gain's consistency
+    with the identified B, and the residuals of the regulator equations
+    solved on the identified model, beside the data matrix's rank. The
+    whole run holds every OpenBLAS it has loaded at one
     thread (:class:`matops.one_blas_thread`): numpy's, and from the oracle
     stage on scipy's own copy, whose idle worker would otherwise spin on
     the CPU the CSV child writes on. The output directory is made when
@@ -454,7 +455,7 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
                           recovery, basis, config.Qbar, config.Rbar)
         identification = {
             **{key: getattr(recovery, key) for key in
-               ("E_rank", "E_required", "A_residual", "E_residual")},
+               ("E_rank", "E_required", "A_residual", "E_residual", "gain_consistency")},
             "regulator_residual_dyn": solution.residual_dyn,
             "regulator_residual_out": solution.residual_out,
             **{key: getattr(recovery, key) for key in ("A_hat", "E_hat")},

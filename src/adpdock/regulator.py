@@ -47,32 +47,26 @@ class RegulatorSolution:
 class KernelBasis:
     """Affine parametrization of {X : C X + F = 0}.
 
-    ``X1`` is a particular solution of C X = -F, and ``basis`` a list of
-    h = (n - p) q independent matrices spanning {X : C X = 0}. Every
-    constraint-satisfying X is X1 + sum_j alpha_j basis[j]. ``C`` and
-    ``F`` are the output equation's matrices that it parametrizes: the
-    learned regulator solve reads them, and assembly checks the log's
-    dimensions against the shape of ``X1``.
+    ``X1`` is a particular solution of C X = -F; every
+    constraint-satisfying X is X1 plus a matrix whose columns lie in
+    ker C, an (n - p) q-dimensional space. ``C`` and ``F`` are the output
+    equation's matrices that it parametrizes: the learned regulator
+    solve reads them, and assembly checks the log's dimensions against
+    the shape of ``X1``.
     """
 
     X1: np.ndarray
-    basis: list[np.ndarray]
     C: np.ndarray
     F: np.ndarray
-
-    @property
-    def h(self):
-        return len(self.basis)
 
 
 def kernel_basis(model):
     """Build the :class:`KernelBasis` for C X = -F.
 
-    The kernel directions are w_s e_r' over an orthonormal basis
-    {w_s} of ker C and exostate coordinate vectors e_r, ordered with the
-    exostate index varying slowest.
+    Raises NoSolutionError if C lacks full row rank or C X = -F has no
+    solution.
     """
-    n, p, q = model.n, model.p, model.q
+    n, p = model.n, model.p
     W = null_space(model.C)
     if W.shape[1] != n - p:
         raise NoSolutionError(
@@ -81,13 +75,7 @@ def kernel_basis(model):
     X1 = np.linalg.pinv(model.C) @ (-model.F)
     if np.linalg.norm(model.C @ X1 + model.F) > _SOLVE_RTOL * (1.0 + np.linalg.norm(model.F)):
         raise NoSolutionError("C X = -F has no solution")
-    basis = []
-    for r in range(q):
-        e_r = np.zeros(q)
-        e_r[r] = 1.0
-        for s in range(W.shape[1]):
-            basis.append(np.outer(W[:, s], e_r))
-    return KernelBasis(X1=X1, basis=basis, C=model.C, F=model.F)
+    return KernelBasis(X1=X1, C=model.C, F=model.F)
 
 
 def solve_regulator_exact(model, exo, Qbar=None, Rbar=None, rtol=_SOLVE_RTOL):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm, solve_continuous_are
@@ -29,6 +29,7 @@ from adpdock import (
     matops,
     model_based_vi,
     recover_model_artifacts,
+    sinusoid_noise,
     solve_problem1_datadriven,
     solve_regulator_exact,
     vi_learn,
@@ -46,12 +47,11 @@ from adpdock.errors import (
     NoSolutionError,
     RankDeficiencyError,
 )
-from adpdock.matops import (equilibrate, kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs,
-                            vecv)
+from adpdock.matops import kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs, vecv
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
 from conftest import numpy_openblas, unpinned
-from test_regulator import random_solvable
+from test_regulator import kernel_directions, random_solvable
 
 rng = np.random.default_rng(1618)
 
@@ -68,13 +68,14 @@ def identified_sylvester_images(recovery, offsets):
 def exact_recovery(model, exo):
     """ModelRecovery built from the true matrices, bypassing the data path."""
     return ModelRecovery(D_hat=model.D.copy(), B_hat=model.B.copy(),
-                         A_hat=model.A.copy(), E_hat=exo.E.copy(), E_rank=exo.q ** 2,
-                         E_required=exo.q ** 2, A_residual=0.0, E_residual=0.0)
+                         A_hat=model.A.copy(), E_hat=exo.E.copy(), E_rank=exo.q,
+                         E_required=exo.q, A_residual=0.0, E_residual=0.0,
+                         gain_consistency=0.0)
 
 
 def sweep_offsets(basis):
     """The paper's h + 2 kernel-basis offsets X_0 = 0, X_1, X_1 + N_1, ..., X_1 + N_h."""
-    return [np.zeros_like(basis.X1), basis.X1] + [basis.X1 + N for N in basis.basis]
+    return [np.zeros_like(basis.X1), basis.X1] + [basis.X1 + N for N in kernel_directions(basis)]
 
 
 def reference_assembly(log, offsets, R, interval):
@@ -110,9 +111,9 @@ def reference_assembly(log, offsets, R, interval):
 
 
 def eager_assembly(log, R, interval):
-    """(Theta, Dxx, M_vv) from the products of z = [x; v] over the whole log
-    in one pass, by batched products. Assembly must reproduce each bit for
-    bit, whatever its ranges and blocks."""
+    """(Theta, Dxx, M_z, M_u, z_end) from the products of z = [x; v; 1] over
+    the whole log in one pass, by batched products. Assembly must reproduce
+    each bit for bit, whatever its ranges and blocks."""
     dt = log.dt
     steps = int(round(interval / dt))
     n_int = (len(log) - 1) // steps
@@ -122,9 +123,9 @@ def eager_assembly(log, R, interval):
     ends = np.arange(0, n_fine + 1, steps)
 
     d = n + q
-    z = np.hstack([x, v])
-    z_left = z[:n_fine].reshape(n_int, steps, d).transpose(0, 2, 1)
-    z_right = z[1 : n_fine + 1].reshape(n_int, steps, d).transpose(0, 2, 1)
+    z = np.hstack([x, v, np.ones((len(x), 1))])
+    z_left = z[:n_fine].reshape(n_int, steps, d + 1).transpose(0, 2, 1)
+    z_right = z[1 : n_fine + 1].reshape(n_int, steps, d + 1).transpose(0, 2, 1)
     u_held = u[:n_fine].reshape(n_int, steps, m)
     z_end = z[ends]
     zz_end = z_end[:, :, None] * z_end[:, None, :]
@@ -132,11 +133,10 @@ def eager_assembly(log, R, interval):
                + 0.5 * (zz_end[1:] - zz_end[:-1]))
     zu = (0.5 * dt) * (np.matmul(z_left, u_held) + np.matmul(z_right, u_held))
     ix, jx = np.triu_indices(n)
-    iv, jv = np.triu_indices(q)
     Theta = np.hstack([zz[:, ix, jx], zu[:, :n].reshape(n_int, n * m) @ (2.0 * kron(np.eye(n), R)),
-                       2.0 * zz[:, :n, n:].reshape(n_int, n * q)])
+                       2.0 * zz[:, :n, n:d].reshape(n_int, n * q)])
     vv = vecv(x[ends])
-    return Theta, vv[1:] - vv[:-1], zz[:, n + iv, n + jv]
+    return Theta, vv[1:] - vv[:-1], zz[:, :d, d], zu[:, d], z[ends, :d]
 
 
 def reference_recovery(bundles, P, K, R):
@@ -186,7 +186,7 @@ def random_log_and_basis(n, m, q, n_samples, dt, generator):
                         v=generator.standard_normal((n_samples, q)),
                         e=np.zeros((n_samples, 1)))
     X1 = generator.standard_normal((n, q))
-    basis = KernelBasis(X1=X1, basis=[], C=np.eye(1, n), F=-X1[:1])
+    basis = KernelBasis(X1=X1, C=np.eye(1, n), F=-X1[:1])
     R = generator.standard_normal((m, m))
     return log, basis, R @ R.T + np.eye(m)
 
@@ -270,15 +270,16 @@ def test_bundle_rejects_inconsistent_dimensions(learning_data):
         RegressionBundle(Theta=b0.Theta, Dxx=b0.Dxx[1:], n=6, m=3, q=8)
 
 
-def test_sweep_stores_bundle_0_and_the_exostate_moments_only(learning_data):
-    # Theta, Dxx, the vv' integrals and the exostate at the interval ends: no
-    # moment that only an offset regression reads, and no copy of the log
+def test_sweep_stores_bundle_0_and_the_first_moments_only(learning_data):
+    # Theta, Dxx, the integrals of [x; v] and of u, and [x; v] at the interval
+    # ends: no moment that only an offset regression reads, and no copy of the log
     sweep = learning_data.bundles
     stored = [value for value in vars(sweep).values() if isinstance(value, np.ndarray)]
     stored += [sweep[0].Theta, sweep[0].Dxx]
     assert all(value.dtype == np.float64 for value in stored)
-    assert sum(value.size for value in stored) == 250 * (87 + 21 + 36) + 251 * 8
-    assert sweep.M_vv.shape == (250, 36) and sweep.v_end.shape == (251, 8)
+    assert sum(value.size for value in stored) == 250 * (87 + 21 + 14 + 3) + 251 * 14
+    assert sweep.M_z.shape == (250, 14) and sweep.M_u.shape == (250, 3)
+    assert sweep.z_end.shape == (251, 14)
 
 
 def test_sweep_holds_bundle_0_read_only(learning_data):
@@ -290,7 +291,7 @@ def test_sweep_holds_bundle_0_read_only(learning_data):
             sweep[j]
     with pytest.raises(TypeError):
         sweep[0] = sweep[0]
-    for value in (sweep[0].Theta, sweep[0].Dxx, sweep.M_vv, sweep.v_end):
+    for value in (sweep[0].Theta, sweep[0].Dxx, sweep.M_z, sweep.M_u, sweep.z_end):
         with pytest.raises(ValueError, match="read-only"):
             value[0, 0] = 1.0
 
@@ -331,8 +332,7 @@ def test_assembly_matches_the_one_pass_reference(case):
     sweep = assemble_regression(log, basis, R, interval)
     assert sweep.dt == log.dt
     assert (sweep.n, sweep.m, sweep.q) == (log.x.shape[1], log.u.shape[1], log.v.shape[1])
-    for got, want in zip((sweep[0].Theta, sweep[0].Dxx, sweep.M_vv),
-                         eager_assembly(log, R, interval), strict=True):
+    for got, want in zip(assembled(sweep), eager_assembly(log, R, interval), strict=True):
         assert np.array_equal(got, want)
 
 
@@ -369,16 +369,22 @@ def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
     return sweep, len(started)
 
 
+def assembled(sweep):
+    """(Theta, Dxx, M_z, M_u, z_end): all that assembly integrates, in eager_assembly's order."""
+    return sweep[0].Theta, sweep[0].Dxx, sweep.M_z, sweep.M_u, sweep.z_end
+
+
 def assert_same_bits_on_1_2_3_threads(log, basis, R, interval, block_values=None):
-    """Theta, Dxx and M_vv on 1, 2 and 3 threads equal the one-pass reference to the bit."""
+    """Theta, Dxx and the first moments on 1, 2 and 3 threads equal the one-pass
+    reference to the bit."""
     eager = eager_assembly(log, R, interval)
     sweeps = []
     for cpus in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             sweep, started = assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval)
         assert started == min(cpus, sweep[0].rows) - 1
-        for name, got, want in zip(("Theta", "Dxx", "M_vv"),
-                                   (sweep[0].Theta, sweep[0].Dxx, sweep.M_vv), eager):
+        for name, got, want in zip(("Theta", "Dxx", "M_z", "M_u", "z_end"), assembled(sweep),
+                                   eager, strict=True):
             assert np.array_equal(got, want), (name, cpus)
         sweeps.append(sweep)
     return sweeps
@@ -416,15 +422,17 @@ def test_learned_gains_do_not_depend_on_the_assembly_thread_count_at_1000_interv
 
 def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, offset_bundles,
                                                                       learned):
-    # the per-offset regressions of the docking log stay the reference: D_hat and
-    # B_hat solve bundle 0's regression as they do (D_hat is about 5e-5 in size, so
-    # its rounding shows at 1e-8 relative), and each S(X_j) agrees within the
-    # reference's own quadrature error while lying closer to the true Sylvester image
+    # the per-offset regressions of the docking log stay the reference: the
+    # first-moment D_hat and B_hat lie closer to the true matrices than the
+    # reference's, read from bundle 0 at the learned P, and each S(X_j) agrees
+    # within the reference's own quadrature error while lying closer to the
+    # true Sylvester image
     cfg, offsets = docking.config, offset_bundles.offsets
     recovery = learned.recovery
     reference = reference_recovery(offset_bundles.bundles, learned.P, learned.K, cfg.R)
-    for got, want in ((recovery.D_hat, reference.D_hat), (recovery.B_hat, reference.B_hat)):
-        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    for got, want, exact in ((recovery.D_hat, reference.D_hat, docking.model.D),
+                             (recovery.B_hat, reference.B_hat, docking.model.B)):
+        assert np.linalg.norm(got - exact) < np.linalg.norm(want - exact)
     truth = [sylvester_image(X, docking.model.A, docking.exo.E) for X in offsets[1:]]
     for got, want, exact in zip(identified_sylvester_images(recovery, offsets[1:]),
                                 reference.S_values, truth, strict=True):
@@ -432,10 +440,11 @@ def test_identification_matches_per_offset_recovery_on_a_simulated_log(docking, 
         assert np.linalg.norm(got - exact) < np.linalg.norm(want - exact)
 
 
-def test_recovery_reuses_the_operator_value_iteration_solved(docking, learning_data, learned,
-                                                            monkeypatch):
-    # one lstsq of bundle 0 gives check_rank's verdict and serves vi_learn and
-    # recovery, through adp's lstsq name
+def test_recovery_fits_first_moments_beside_the_operator_value_iteration_solved(
+        docking, learning_data, learned, monkeypatch):
+    # one lstsq of bundle 0 gives check_rank's verdict and serves vi_learn;
+    # recovery adds four of the first moments, through adp's lstsq name: E from
+    # the 8 integrals of v, twice, then (A, B, D) from the 17 of [x; u; v], twice
     cfg = docking.config
     calls = []
 
@@ -448,23 +457,9 @@ def test_recovery_reuses_the_operator_value_iteration_solved(docking, learning_d
     assert check_rank(sweep[0]) == (True, 87, 87) and calls == [(250, 87)]
     P, K, _ = vi_learn(sweep[0], cfg.Q, cfg.R)
     recovery = recover_model_artifacts(sweep, P, K, cfg.R)
-    assert calls == [(250, 87)]
+    assert calls == [(250, 87)] + [(250, 8)] * 2 + [(250, 17)] * 2
     assert np.array_equal(recovery.E_hat, learned.recovery.E_hat)
     assert np.array_equal(recovery.D_hat, learned.recovery.D_hat)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_lyapunov_fit_recovers_A_from_its_operator(n, seed):
-    # the H block of an exact operator is vecs(P) -> vecs(A'P + PA); the fit inverts it
-    A = np.random.default_rng(seed).standard_normal((n, n))
-    coords = [unvecs(e) for e in np.eye(n * (n + 1) // 2)]
-    dH = np.column_stack([vecs(A.T @ P + P @ A) for P in coords])
-    A_hat, residual = adp._identify_plant(dH, n)
-    assert np.abs(A_hat - A).max() <= 1e-12 * (1.0 + np.abs(A).max()) and residual <= 1e-14
-    design, pinv = adp._lyapunov_design(n)
-    assert adp._lyapunov_design(n)[1] is pinv and not pinv.flags.writeable
-    assert design.shape == ((n * (n + 1) // 2) ** 2, n * n)
 
 
 def test_bundle_operator_is_solved_once_and_a_failed_solve_is_not_kept(monkeypatch):
@@ -489,13 +484,15 @@ def test_bundle_operator_is_solved_once_and_a_failed_solve_is_not_kept(monkeypat
 
 
 def test_exosystem_fit_reports_the_rank_of_a_silent_exostate():
-    # v = 0: no moment and no change identifies any entry of E
+    # v = 0: no integral and no change of v identifies any entry of E
     g = np.random.default_rng(8)
     log, basis, R = random_log_and_basis(2, 1, 3, 201, 0.01, g)
     log = TrajectoryLog(t=log.t, x=log.x, u=log.u, v=np.zeros_like(log.v), e=log.e)
-    with pytest.raises(RankDeficiencyError, match="rank 0 < 9") as excinfo:
-        adp._identify_exosystem(assemble_regression(log, basis, R, 0.1))
-    assert (excinfo.value.rank, excinfo.value.required) == (0, 9)
+    with pytest.raises(RankDeficiencyError, match="rank 0 < 3; the exostate does not excite "
+                                                  "every mode") as excinfo:
+        recover_model_artifacts(assemble_regression(log, basis, R, 0.1), np.eye(2),
+                                np.zeros((1, 2)), R)
+    assert (excinfo.value.rank, excinfo.value.required) == (0, 3)
 
 
 def exact_moment_sweep(model, exo, R, K0, intervals, h, generator):
@@ -506,7 +503,7 @@ def exact_moment_sweep(model, exo, R, K0, intervals, h, generator):
     random, ten times the unit normal. The moments are 8-point
     Gauss-Legendre integrals of that flow, exact to rounding for its smooth
     integrands over short intervals, so the sweep carries dt = 0: there is
-    no quadrature bias to correct.
+    no quadrature bias to correct. The input is held, so its integral is h u.
     """
     n, m, q = model.n, model.m, exo.q
     d = n + q
@@ -516,34 +513,37 @@ def exact_moment_sweep(model, exo, R, K0, intervals, h, generator):
     at_nodes = [expm(flow * 0.5 * h * (1.0 + tau)) for tau in nodes]
     step = expm(flow * h)
     z = np.concatenate([generator.standard_normal(n), exo.v0])
-    ends, zz, zu = [z], [], []
+    ends, zz, z1, us = [z], [], [], []
     for _ in range(intervals):
         u = -K0 @ z[:n] + 10.0 * generator.standard_normal(m)
         w0 = np.concatenate([z, u])
         samples = np.array([flow_map @ w0 for flow_map in at_nodes])[:, :d]
         zz.append(np.einsum("k,ka,kb->ab", 0.5 * h * weights, samples, samples))
-        zu.append(np.outer(0.5 * h * weights @ samples, u).ravel())
+        z1.append(0.5 * h * weights @ samples)
+        us.append(u)
         z = (step @ w0)[:d]
         ends.append(z)
-    zz, zu, ends = np.array(zz), np.array(zu), np.array(ends)
+    zz, z1, us, ends = np.array(zz), np.array(z1), np.array(us), np.array(ends)
+    zu = np.einsum("la,lb->lab", z1, us).reshape(intervals, d * m)
     ix, jx = np.triu_indices(n)
-    iv, jv = np.triu_indices(q)
     Theta = np.hstack([zz[:, ix, jx], zu[:, : n * m] @ (2.0 * np.kron(np.eye(n), R)),
                        2.0 * zz[:, :n, n:].reshape(intervals, n * q)])
     bundle = RegressionBundle(Theta=Theta, Dxx=np.diff(vecv(ends[:, :n]), axis=0), n=n, m=m, q=q)
-    return RegressionSweep(bundle, zz[:, n + iv, n + jv], ends[:, n:], 0.0)
+    return RegressionSweep(bundle, z1, h * us, ends, 0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n), st.integers(1, n), st.integers(1, 3),
     st.integers(0, 2**32 - 1))))
+# a nearly uncontrollable plant (controllability singular values down to 1e-3,
+# its stabilizing gain 4.7e3), on which bundle 0's Theta has condition number 5e9
+@example((3, 1, 1, 1, 42972))
+@example((3, 1, 3, 1, 42972))
 def test_identification_on_exact_moments_matches_exact_regulator(plant):
     # p < n and p = n: identification from model-consistent data, then the
-    # data-driven regulator solve, gives the model-based (X, U). The bound
-    # assumes a data matrix of condition number below 1e8, where rounding in
-    # its least-squares solve stays well under 1e-9; a nearly uncontrollable
-    # plant (its stabilizing gain in the thousands) gives cond 5e9 and 1.6e-6
+    # data-driven regulator solve, gives the model-based (X, U). Identification
+    # reads the first moments alone, so no condition of Theta enters the bound
     n, m, p, q, seed = plant
     g = np.random.default_rng(seed)
     model, exo = random_solvable(n, m, p, q, g)
@@ -553,11 +553,10 @@ def test_identification_on_exact_moments_matches_exact_regulator(plant):
     basis = kernel_basis(model)
     cols = n * (n + 1) // 2 + (m + q) * n
     sweep = exact_moment_sweep(model, exo, R, K0, 3 * cols + 20, 0.1, g)
-    assume(np.linalg.cond(equilibrate(sweep[0].Theta)[0]) < 1e8)
     W = g.standard_normal((n, n))
-    P = W @ W.T + n * np.eye(n)  # any P: K carries B and the M block D at every P
+    P = W @ W.T + n * np.eye(n)  # any P: the model comes from the first moments alone
     recovery = recover_model_artifacts(sweep, P, np.linalg.solve(R, model.B.T @ P), R)
-    assert recovery.E_rank == recovery.E_required == q * q
+    assert recovery.E_rank == recovery.E_required == q
     Qbar, Rbar = np.diag(g.uniform(0.5, 2.0, n)), np.diag(g.uniform(0.5, 2.0, m))
     sol = solve_problem1_datadriven(recovery, basis, Qbar, Rbar)
     ref = solve_regulator_exact(model, exo, Qbar, Rbar)
@@ -591,13 +590,19 @@ def exostate_sweep(freqs, T, c0, dt, horizon=10.0, interval=0.1):
     g = np.random.default_rng(0)
     log = TrajectoryLog(t=t, x=g.standard_normal((len(t), 1)), u=g.standard_normal((len(t), 1)),
                         v=c @ T.T, e=np.zeros((len(t), 1)))
-    basis = KernelBasis(X1=np.ones((1, T.shape[0])), basis=[], C=np.eye(1),
-                        F=-np.ones((1, T.shape[0])))
+    basis = KernelBasis(X1=np.ones((1, T.shape[0])), C=np.eye(1), F=-np.ones((1, T.shape[0])))
     return assemble_regression(log, basis, np.eye(1), interval)
 
 
 def without_end_correction(sweep):
-    return RegressionSweep(sweep[0], sweep.M_vv, sweep.v_end, 0.0)
+    """The sweep's moments taken as exact integrals: recovery fits them plain."""
+    return RegressionSweep(sweep[0], sweep.M_z, sweep.M_u, sweep.z_end, 0.0)
+
+
+def recover_any_gain(sweep):
+    """recover_model_artifacts with P = I and K = 0: the model does not read them."""
+    return recover_model_artifacts(sweep, np.eye(sweep.n), np.zeros((sweep.m, sweep.n)),
+                                   np.eye(sweep.m))
 
 
 def bdiag_rotations(freqs):
@@ -614,11 +619,40 @@ def test_exosystem_identified_after_the_end_correction(case):
     errors = []
     for dt in (1e-3, 5e-4):
         sweep = exostate_sweep(freqs, T, c0, dt)
-        E_hat, rank, residual = adp._identify_exosystem(sweep)
-        assert rank == E.size and residual <= 1e-9
-        assert np.linalg.norm(E_hat - E) <= 1e-9 * np.linalg.norm(E)
-        plain = adp._identify_exosystem(without_end_correction(sweep))[0]
+        recovery = recover_any_gain(sweep)
+        assert recovery.E_rank == recovery.E_required == len(E)
+        assert recovery.E_residual <= 1e-9
+        assert np.linalg.norm(recovery.E_hat - E) <= 1e-9 * np.linalg.norm(E)
+        plain = recover_any_gain(without_end_correction(sweep)).E_hat
         errors.append(np.linalg.norm(plain - E) / np.linalg.norm(E))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_plant_identified_after_the_end_correction(n, m, q, seed):
+    # a random plant under its stabilizing CARE gain plus unit exploration,
+    # simulated on the fine grid: the corrected fit recovers (A, B, D) to 1e-9;
+    # the plain trapezoidal one is off by O(dt^2), a quarter of it at half the step
+    g = np.random.default_rng(seed)
+    model, exo = random_solvable(n, m, 1, q, g)
+    exo = Exosystem(E=exo.E, v0=g.standard_normal(q))
+    K0 = model.B.T @ solve_continuous_are(model.A, model.B, np.eye(n), np.eye(m))
+    noise = sinusoid_noise(m, amplitude=1.0, seed=int(g.integers(2**31)))
+    x0 = g.standard_normal(n)
+    truth = np.hstack([model.A, model.B, model.D])
+    errors = []
+    for dt in (1e-3, 5e-4):
+        log = collect_data(model, exo, K0, noise, x0, horizon=5.0, dt=dt, interval=0.1)
+        sweep = assemble_regression(log, KernelBasis(X1=np.zeros((n, q)), C=model.C, F=model.F),
+                                    np.eye(m), 0.1)
+        for fit, corrected in ((recover_any_gain(sweep), True),
+                               (recover_any_gain(without_end_correction(sweep)), False)):
+            error = np.linalg.norm(np.hstack([fit.A_hat, fit.B_hat, fit.D_hat]) - truth)
+            if corrected:
+                assert error <= 1e-9 * np.linalg.norm(truth)
+            else:
+                errors.append(error)
     assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
@@ -627,9 +661,9 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
                                                                                  monkeypatch):
     # the docking dimensions over 1000 intervals, the size of a 100 s log,
     # unpinned: bundle 0's 1000 x 108 QR (rank verdict and operator) and the
-    # exosystem's 1000 x 72 QR run on one and on two OpenBLAS threads. Value
-    # iteration needs data from a plant, so it runs on a 100 s docking log
-    # sampled at 10 ms, which has 1000 intervals too
+    # first-moment fits' 1000 x 16 and 1000 x 23 QRs run on one and on two
+    # OpenBLAS threads. Value iteration needs data from a plant, so it runs on
+    # a 100 s docking log sampled at 10 ms, which has 1000 intervals too
     g = np.random.default_rng(1000)
     log, basis, R = random_log_and_basis(6, 3, 8, 1001, 0.01, g)
     W = g.standard_normal((6, 6))
@@ -657,7 +691,8 @@ def test_recovery_bits_do_not_depend_on_the_blas_thread_count_at_1000_intervals(
         put(previous)
     (verdict, plant_verdict, one, P_one, K_one), (*verdicts, two, P_two, K_two) = runs
     assert verdict == plant_verdict == (True, 87, 87) and verdicts == [verdict, plant_verdict]
-    for name in ("D_hat", "B_hat", "A_hat", "E_hat", "A_residual", "E_residual"):
+    for name in ("D_hat", "B_hat", "A_hat", "E_hat", "A_residual", "E_residual",
+                 "gain_consistency"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
     assert np.array_equal(P_one, P_two) and np.array_equal(K_one, K_two)
 
@@ -678,12 +713,13 @@ def test_offset_fixture_holds_the_papers_26_offsets(docking, learning_data, offs
     # spanning C's h-dimensional kernel
     model, basis = docking.model, learning_data.basis
     offsets = offset_bundles.offsets
-    assert len(offsets) == len(offset_bundles.bundles) == basis.h + 2 == 26
+    h = (model.n - model.p) * model.q
+    assert len(offsets) == len(offset_bundles.bundles) == h + 2 == 26
     assert np.array_equal(offsets[0], np.zeros((6, 8))) and offsets[1] is basis.X1
     for Xj in offsets[1:]:
         assert np.linalg.norm(model.C @ Xj + model.F) <= 1e-12
     directions = np.column_stack([vec(Xj - basis.X1) for Xj in offsets[2:]])
-    assert np.linalg.matrix_rank(directions) == basis.h
+    assert np.linalg.matrix_rank(directions) == h
 
 
 def test_regression_identity_all_offsets(docking, oracle, offset_bundles):
@@ -771,20 +807,49 @@ def test_rank_check_reports_what_lstsq_raises_without_rows_to_spare():
         assert check_rank(_scaled_bundle(theta)) == (False, rows, 7)
 
 
-def test_recovery_fails_loudly_when_the_exostate_does_not_excite_the_exosystem(docking):
-    # the 4 rad/s mode starts at 1e-9: the data matrix keeps full rank and value
-    # iteration converges, but E_hat's normal system has rank 48 of 64
+def learn_from_exostate(docking, v0):
+    """The docking log with exostate start ``v0``: its sweep, and (P, K) of vi_learn
+    if the data matrix has full rank."""
     cfg = docking.config
-    model, exo = cfg.scenario()
-    faint = Exosystem(E=exo.E, v0=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-9, 0.0])
-    log = collect_data(model, faint, None, cfg.noise_spec(), cfg.x0, horizon=cfg.horizon,
-                       dt=cfg.dt, interval=cfg.interval)
-    sweep = assemble_regression(log, kernel_basis(model), cfg.R, cfg.interval)
-    assert check_rank(sweep[0]) == (True, 87, 87)
+    log = collect_data(docking.model, Exosystem(E=docking.exo.E, v0=v0), None, cfg.noise_spec(),
+                       cfg.x0, horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
+    sweep = assemble_regression(log, kernel_basis(docking.model), cfg.R, cfg.interval)
+    if not check_rank(sweep[0])[0]:
+        return sweep, None
     P, K, _ = vi_learn(sweep[0], cfg.Q, cfg.R)
-    with pytest.raises(RankDeficiencyError, match="does not excite every mode") as excinfo:
-        recover_model_artifacts(sweep, P, K, cfg.R)
-    assert (excinfo.value.rank, excinfo.value.required) == (48, 64)
+    return sweep, (P, K)
+
+
+def test_recovery_identifies_a_faint_exostate_mode(docking):
+    # the 4 rad/s mode starts at 1e-9: equilibrated, the integrals of v keep
+    # full rank 8, and the fit identifies that mode's block to round-off
+    sweep, (P, K) = learn_from_exostate(docking, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1e-9, 0.0])
+    recovery = recover_model_artifacts(sweep, P, K, docking.config.R)
+    E = docking.exo.E
+    assert recovery.E_rank == recovery.E_required == 8
+    assert np.abs(recovery.E_hat - E).max() <= 1e-6
+    assert np.abs(recovery.E_hat[6:, 6:] - E[6:, 6:]).max() <= 1e-9
+
+
+def test_rank_check_fails_when_the_exostate_leaves_a_mode_out(docking):
+    # the 4 rad/s mode never starts: its two exostate coordinates stay 0, and so
+    # do the 2 n = 12 columns of Theta they multiply
+    sweep, learned_pair = learn_from_exostate(docking, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    assert learned_pair is None and check_rank(sweep[0]) == (False, 75, 87)
+
+
+def test_recovery_fails_loudly_when_the_integrals_of_v_are_dependent(docking, learning_data,
+                                                                     learned):
+    # the last integral of v made a copy of the one before: Theta keeps full
+    # rank, and recovery's fit of E names the missing mode
+    sweep = learning_data.bundles
+    M_z = sweep.M_z.copy()
+    M_z[:, -1] = M_z[:, -2]
+    dependent = RegressionSweep(sweep[0], M_z, sweep.M_u, sweep.z_end, sweep.dt)
+    with pytest.raises(RankDeficiencyError, match="first moments have rank 7 < 8; the exostate "
+                                                  "does not excite every mode") as excinfo:
+        recover_model_artifacts(dependent, learned.P, learned.K, docking.config.R)
+    assert (excinfo.value.rank, excinfo.value.required) == (7, 8)
 
 
 def test_vi_learn_requires_rank(docking, learning_data):
@@ -1028,7 +1093,8 @@ def test_assembly_and_recovery_take_every_weight_form(docking, learning_data, le
         again = assemble_regression(log, basis, R, cfg.interval)
         assert np.array_equal(again[0].Theta, bundles[0].Theta)
         assert np.array_equal(again[0].Dxx, bundles[0].Dxx)
-        assert np.array_equal(again.M_vv, bundles.M_vv)
+        for name in ("M_z", "M_u", "z_end"):
+            assert np.array_equal(getattr(again, name), getattr(bundles, name)), name
         recovery = recover_model_artifacts(bundles, learned.P, learned.K, R)
         assert np.array_equal(recovery.B_hat, learned.recovery.B_hat)
         assert np.array_equal(recovery.D_hat, learned.recovery.D_hat)
@@ -1078,19 +1144,31 @@ def test_recovery_zero_disturbance(docking, oracle):
 
 def test_recovery_validates_inputs(docking, learning_data, learned):
     cfg = docking.config
-    with pytest.raises(NoSolutionError):
-        recover_model_artifacts(learning_data.bundles, np.zeros((6, 6)),
-                                learned.K, cfg.R)
     with pytest.raises(ValueError):
         recover_model_artifacts(learning_data.bundles[0], learned.P,
                                 learned.K, cfg.R)
-    # a silent log: bundle 0's operator raises lstsq's verdict before any fit
+    # a silent log: the first fit, that of E, raises lstsq's verdict on the integrals of v
     silent_exo = Exosystem(E=docking.exo.E, v0=np.zeros(8))
     zero_log = collect_data(docking.model, silent_exo, None, None, np.zeros(6),
                             horizon=1.0, dt=cfg.dt, interval=cfg.interval)
     sweep = assemble_regression(zero_log, learning_data.basis, cfg.R, cfg.interval)
-    with pytest.raises(RankDeficiencyError, match="regression matrix rank 0 < 87 columns"):
+    with pytest.raises(RankDeficiencyError, match="first moments have rank 0 < 8"):
         recover_model_artifacts(sweep, learned.P, learned.K, cfg.R)
+
+
+def test_recovery_reports_the_gain_consistency_of_the_learned_pair(docking, oracle,
+                                                                   learning_data, learned):
+    # |K - R^-1 B_hat' P|max reads the learned gain's error without the oracle:
+    # on the docking log it is of the size of |K - K*|. It is 0 for the gain
+    # that B_hat and P give, and neither P nor K changes the identified model
+    cfg, recovery, P = docking.config, learned.recovery, learned.P
+    gap = np.abs(learned.K - oracle.K_star).max()
+    assert 0.1 * gap <= recovery.gain_consistency <= 10.0 * gap
+    K_hat = np.linalg.solve(cfg.R, recovery.B_hat.T @ P)
+    again = recover_model_artifacts(learning_data.bundles, P, K_hat, cfg.R)
+    assert again.gain_consistency == 0.0
+    for name in ("A_hat", "B_hat", "D_hat", "E_hat"):
+        assert np.array_equal(getattr(again, name), getattr(recovery, name)), name
 
 
 def test_recovery_names_a_P_or_K_of_the_wrong_shape(docking, learning_data, learned):

@@ -1,5 +1,7 @@
 """Exact regulator-equation solver and the kernel parametrization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from adpdock import (
     solve_regulator_exact,
 )
 from adpdock.errors import NoSolutionError
-from adpdock.matops import vec
+from adpdock.matops import null_space, vec
 
 rng = np.random.default_rng(99)
 
@@ -36,14 +38,25 @@ def random_solvable(n, m, p, q, generator=None, dead_inputs=0):
     return model, Exosystem(E=E, v0=np.zeros(q))
 
 
+def kernel_directions(basis):
+    """The h = (n - p) q directions w_s e_r' spanning {X : C X = 0}, over an
+    orthonormal basis {w_s} of ker C and the exostate coordinates e_r, with
+    r varying slowest."""
+    W, q = null_space(basis.C), basis.X1.shape[1]
+    return [np.outer(W[:, s], e_r) for e_r in np.eye(q) for s in range(W.shape[1])]
+
+
 def test_kernel_basis_docking(docking):
     model = docking.model
     basis = kernel_basis(model)
-    assert basis.h == (model.n - model.p) * model.q == 24
+    assert [f.name for f in dataclasses.fields(basis)] == ["X1", "C", "F"]
+    assert basis.C is model.C and basis.F is model.F
     assert np.linalg.norm(model.C @ basis.X1 + model.F) <= 1e-12
-    stacked = np.column_stack([vec(N) for N in basis.basis])
-    assert np.linalg.matrix_rank(stacked) == basis.h
-    for N in basis.basis:
+    directions = kernel_directions(basis)
+    assert len(directions) == (model.n - model.p) * model.q == 24
+    stacked = np.column_stack([vec(N) for N in directions])
+    assert np.linalg.matrix_rank(stacked) == 24
+    for N in directions:
         assert np.linalg.norm(model.C @ N) <= 1e-12
 
 
