@@ -400,16 +400,16 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     thread (:class:`matops.one_blas_thread`): numpy's, and from the oracle
     stage on scipy's own copy, whose idle worker would otherwise spin on
     the CPU the CSV child writes on. The output directory is made when
-    collection ends, and a forked child then writes
-    ``trajectory_learning.csv`` while the later stages run
-    (:func:`matops.write_csv_in_background`); where no CPU is free beside
-    this process's, the file is written here instead, before assembly.
-    That child is the run's only fork: every other artifact is written in
-    this process. While it lives the child holds a CPU that assembly does
-    not count as free (:func:`matops._worker_count`). The
-    learning CSV is complete before the JSON artifacts are written and,
-    in a failed run, before StageFailure propagates. Every other artifact is flushed as soon as
-    its stage completes, so a failed run leaves the earlier CSVs behind.
+    collection ends. After assembly, whether it succeeds or not, a forked
+    child writes ``trajectory_learning.csv`` while the later stages run
+    (:func:`matops.write_csv_in_background`); where one CPU is usable,
+    the file is written here instead, after assembly. That child is the
+    run's only fork: every other artifact is written in this process, and
+    assembly's threads are joined before it. The learning CSV is
+    complete before the JSON artifacts are written and, in a run that
+    fails after collection, before StageFailure propagates. Every other
+    artifact is flushed as soon as its stage completes, so a failed run
+    leaves the earlier CSVs behind.
 
     Raises ValueError naming the knob for a config that fails its checks,
     before any stage runs and with no output directory made; StageFailure
@@ -430,12 +430,15 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         learning_log = _collect(config, model, exo, noise)
         out = Path(config.out_dir if out_dir is None else out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        # the second CPU writes it while this one learns; ExitStack waits for it
-        learning_csv.enter_context(
-            learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         log(f"collected {len(learning_log)} samples over {config.horizon} s")
 
-        basis, sweep, rank = _assemble(config, model, learning_log)
+        try:
+            basis, sweep, rank = _assemble(config, model, learning_log)
+        finally:
+            # assembly's threads are joined; a second CPU writes the CSV while
+            # this one learns, and ExitStack waits for it
+            learning_csv.enter_context(
+                learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         log(f"rank check: {rank['rank']}/{rank['required']}")
 
         P0 = config.p0_scale * np.eye(model.n)

@@ -38,10 +38,9 @@ separate copy that scipy's wheels bundle once :mod:`scipy.linalg` is
 imported. Every matrix of the learning chain is small (at most a few
 thousand by a hundred), so a second BLAS thread only adds wake-ups; and
 an OpenBLAS left at two threads keeps a worker thread spinning after its
-last call, on the CPU that a forked CSV writer needs. A CPU is free when
-it is usable and no :func:`write_csv_in_background` child holds it;
-:func:`_worker_count` states that rule once, and :func:`read_csv` and
-:func:`_split_over_cpus` split their work over the free CPUs alone.
+last call, on the CPU that a forked CSV writer needs. :func:`read_csv`
+and :func:`_split_over_cpus` split their work over the usable CPUs by
+the one rule of :func:`_worker_count`.
 """
 
 from __future__ import annotations
@@ -519,37 +518,26 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-#: Live children of :func:`write_csv_in_background`; each holds a usable CPU.
-_background_children = 0
-_background_lock = threading.Lock()
-
-
-def _free_cpus():
-    """Usable CPUs that no live :func:`write_csv_in_background` child holds."""
-    return _usable_cpus() - _background_children
-
-
 def _worker_count(values):
     """Ranges to split ``values`` values of work into.
 
-    One per free CPU (:func:`_free_cpus`), but no more than one per
-    :data:`FORK_MIN_VALUES` values, at least one, and a single range where
-    ``os.fork`` is missing. :func:`read_csv` and :func:`_split_over_cpus`
-    both split by this rule, so inside a background writer's block
-    neither competes with the child for its CPU.
+    One per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
+    values, at least one, and a single range where ``os.fork`` is
+    missing. :func:`read_csv` and :func:`_split_over_cpus` both split by
+    this rule.
     """
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_free_cpus(), values // FORK_MIN_VALUES))
+    return max(1, min(_usable_cpus(), values // FORK_MIN_VALUES))
 
 
 def _split_over_cpus(task, count, values):
     """``[task(chunk) for chunk in chunks]``, the chunks cut contiguously from ``range(count)``.
 
     There is one chunk, a ``slice``, per range that :func:`_worker_count`
-    gives for ``values`` values of work, one per free CPU at most, and no
-    more chunks than ``count``; so a task below that size floor, or with
-    no CPU free beside the caller's, runs whole in the calling thread.
+    gives for ``values`` values of work, one per usable CPU at most, and
+    no more chunks than ``count``; so a task below that size floor, or on
+    one usable CPU, runs whole in the calling thread.
     The first chunk runs in the calling
     thread and every other one in a thread of its own; that pays where
     ``task`` spends its time in numpy calls that release the GIL. Every
@@ -709,32 +697,23 @@ def write_csv_in_background(path, table):
 
     ``table()`` returns the ``(data, header)`` pair that :func:`write_csv`
     takes, and the file holds the same bytes. The child calls it and
-    formats every row, on a CPU this process leaves free, so this process
-    never holds the array. Leaving the block waits until the file is
-    complete, also when the block raises; the child is then reaped and,
-    if it failed, OSError is raised (an error in the block takes
-    precedence). Where ``os.fork`` is missing or no CPU is free beside
-    this process's (:func:`_free_cpus`), the file is written here by
-    :func:`write_csv`, on entering the block. While the child may live,
-    it holds a CPU: :func:`_worker_count` does not count it as free.
+    formats every row, so this process never holds the array. Leaving
+    the block waits until the file is complete, also when the block
+    raises; the child is then reaped and, if it failed, OSError is raised
+    (an error in the block takes precedence). Where ``os.fork`` is
+    missing or one CPU is usable, the file is written here by
+    :func:`write_csv`, on entering the block.
     """
-    global _background_children
-    if not hasattr(os, "fork") or _free_cpus() < 2:
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
         write_csv(path, *table())
         yield
         return
-    with _background_lock:
-        _background_children += 1
-    try:
-        with _forked([partial(_write_whole, path, table)]) as (read_fd,):
-            try:
-                yield
-            finally:
-                # the child sends nothing: end of file means the CSV is closed
-                os.read(read_fd, 1)
-    finally:
-        with _background_lock:
-            _background_children -= 1
+    with _forked([partial(_write_whole, path, table)]) as (read_fd,):
+        try:
+            yield
+        finally:
+            # the child sends nothing: end of file means the CSV is closed
+            os.read(read_fd, 1)
 
 
 def _jsonable(obj):
@@ -844,7 +823,7 @@ def read_csv(path):
 
     The body is split into contiguous byte ranges, each starting and
     ending on a line boundary, as many as :func:`_worker_count` gives:
-    one per free CPU, but no more than one per :data:`FORK_MIN_VALUES`
+    one per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
     values (a value counted as :data:`CSV_VALUE_BYTES` bytes). This process parses the first range; a forked child
     parses each other range and sends its row count and raw float64 rows
     down a pipe, and the rows are put into one array in file order. Every

@@ -341,7 +341,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 
 def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
-    """assemble_regression with ``cpus`` free CPUs, no size floor and blocks of
+    """assemble_regression with ``cpus`` usable CPUs, no size floor and blocks of
     ``block_values`` values (None for the default): (sweep, threads started).
 
     Every float buffer numpy.empty gives out starts as NaN, so a row that

@@ -26,7 +26,6 @@ from adpdock import (
 )
 from adpdock.adp import collect_data
 from adpdock.dockcli import _SCHEMA, main
-from adpdock.regulator import kernel_basis
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 from conftest import (REPO, assert_no_child_left, counting_forks, numpy_openblas, open_fds,
                       run_python, slow_blocks, unpinned)
@@ -746,7 +745,7 @@ def quiet(*args):
 
 @pytest.fixture
 def csv_writes(monkeypatch):
-    """A free CPU for the background writer, and a record of how each trajectory CSV is written.
+    """Two usable CPUs, and a record of how each trajectory CSV is written.
 
     The record lists ("fg", name) for ``TrajectoryLog.to_csv`` and ("bg",
     name) for ``TrajectoryLog.to_csv_in_background``, in call order.
@@ -778,7 +777,7 @@ def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, m
     with monkeypatch.context() as mp:
         unpinned(mp)
         run_experiment(cfg, tmp_path / "unpinned", log=quiet)
-    # with one usable CPU the learning CSV is written in this process, before assembly
+    # with one usable CPU the learning CSV is written in this process, after assembly
     with monkeypatch.context() as mp:
         mp.setattr(matops, "_usable_cpus", lambda: 1)
         forks = counting_forks(mp)
@@ -831,37 +830,61 @@ def test_rank_failure_still_leaves_the_complete_learning_csv(tmp_path, monkeypat
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_assembly_leaves_the_learning_csv_childs_cpu_free(tmp_path, monkeypatch, csv_writes):
-    # two usable CPUs: while the child writing trajectory_learning.csv holds one,
-    # assembly runs whole in this thread; outside run_experiment the same
-    # 25001-sample log is above the size floor and assembly starts one thread
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: (started.append(thread), start(thread)))
-    alive_at_fork, fork = [], os.fork
+def test_assemble_failure_still_leaves_the_complete_learning_csv(tmp_path, monkeypatch,
+                                                                  csv_writes, capsys):
+    def broken(*args):
+        raise FloatingPointError("assembly broke")
 
-    def counted_fork():
-        alive_at_fork.append(threading.active_count())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    calls, assemble = [], adp.assemble_regression
-
-    def spy(log, *args):
-        calls.append((len(log), matops._background_children))
-        return assemble(log, *args)
-
-    monkeypatch.setattr(adp, "assemble_regression", spy)
-    threads = threading.active_count()
-    cfg = default_config()
-    run_experiment(cfg, tmp_path / "out", log=quiet)
-    assert csv_writes[0] == ("bg", "trajectory_learning.csv")
-    assert calls == [(25001, 1)] and started == []
-    assert alive_at_fork and set(alive_at_fork) == {threads}  # no fork beside a worker thread
-    assert matops._background_children == 0
+    cfg = ExperimentConfig(horizon=10.0)
+    path, out = tmp_path / "short.cfg", tmp_path / "out"
+    save_config(cfg, path)
+    fds = open_fds()
+    with monkeypatch.context() as mp:
+        mp.setattr(adp, "assemble_regression", broken)
+        slow_blocks(mp)  # the child is still writing when the stage fails
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "stage 'assemble' failed: assembly broke" in capsys.readouterr().err
+    assert csv_writes == [("bg", "trajectory_learning.csv")]
+    assert_no_child_left()
+    assert open_fds() <= fds
     model, exo = cfg.scenario()
     log = collect_data(model, exo, None, cfg.noise_spec(), cfg.x0,
                        horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
-    adp.assemble_regression(log, kernel_basis(model), cfg.R, cfg.interval)
-    assert len(started) == 1
+    log.to_csv(tmp_path / "expected.csv")
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory_learning.csv"]
+    assert (out / "trajectory_learning.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_assembly_threads_are_joined_before_the_learning_csv_fork(tmp_path, monkeypatch,
+                                                                  csv_writes):
+    # two usable CPUs: the 25001-sample log is above the size floor, so
+    # assembly starts one thread, and the child writing trajectory_learning.csv
+    # is forked only once that thread is joined; one usable CPU: neither
+    events, start, fork, assemble = [], threading.Thread.start, os.fork, adp.assemble_regression
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (events.append("thread"), start(thread)))
+
+    def counted_fork():
+        events.append(("fork", threading.active_count()))
+        return fork()
+
+    def spy(log, *args):
+        events.append(("assemble", len(log)))
+        sweep = assemble(log, *args)
+        events.append("assembled")
+        return sweep
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(adp, "assemble_regression", spy)
+    threads = threading.active_count()
+    run_experiment(default_config(), tmp_path / "two", log=quiet)
+    assert events == [("assemble", 25001), "thread", "assembled", ("fork", threads)]
+    assert csv_writes[0] == ("bg", "trajectory_learning.csv")
+    events.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(matops, "_usable_cpus", lambda: 1)
+        run_experiment(default_config(), tmp_path / "one", log=quiet)
+    assert events == [("assemble", 25001), "assembled"]
     assert threading.active_count() == threads

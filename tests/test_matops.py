@@ -276,23 +276,19 @@ def test_numerical_rank_complex_pbh_pencil():
 ABOVE_FLOOR = 1 << 40
 
 
-@pytest.mark.parametrize("cpus, busy, count, values, chunks", [
-    (1, 0, 5, ABOVE_FLOOR, [(0, 5)]),
-    (3, 0, 5, ABOVE_FLOOR, [(0, 1), (1, 3), (3, 5)]),
-    (4, 0, 2, ABOVE_FLOOR, [(0, 1), (1, 2)]),
+@pytest.mark.parametrize("cpus, count, values, chunks", [
+    (1, 5, ABOVE_FLOOR, [(0, 5)]),
+    (3, 5, ABOVE_FLOOR, [(0, 1), (1, 3), (3, 5)]),
+    (4, 2, ABOVE_FLOOR, [(0, 1), (1, 2)]),
     # the size floor: fewer chunks than CPUs below one per FORK_MIN_VALUES values
-    (3, 0, 5, 2 * matops.FORK_MIN_VALUES, [(0, 2), (2, 5)]),
-    (3, 0, 5, matops.FORK_MIN_VALUES - 1, [(0, 5)]),
-    # a CPU held by a background CSV child is not free
-    (3, 1, 5, ABOVE_FLOOR, [(0, 2), (2, 5)]),
-    (2, 1, 5, ABOVE_FLOOR, [(0, 5)]),
+    (3, 5, 2 * matops.FORK_MIN_VALUES, [(0, 2), (2, 5)]),
+    (3, 5, matops.FORK_MIN_VALUES - 1, [(0, 5)]),
 ])
 @needs_fork  # where os.fork is missing, _worker_count gives one range
-def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatch, cpus, busy,
-                                                                      count, values, chunks):
+def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatch, cpus, count,
+                                                                      values, chunks):
     # every chunk waits for all the others: they can only meet on separate threads
     monkeypatch.setattr(matops, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(matops, "_background_children", busy)
     meet = threading.Barrier(len(chunks), timeout=30)
     threads = threading.active_count()
 
@@ -445,8 +441,6 @@ def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path
     pids = counting_forks(monkeypatch)
     with write_csv_in_background(path, lambda: (data, "h")):
         assert len(pids) == 1  # the child formats every row; it forks no worker
-        assert matops._background_children == 1  # its CPU is not free for threads
-    assert matops._background_children == 0
     assert path.read_bytes() == savetxt_bytes(data, "h")
     assert_no_child_left()
 
@@ -466,7 +460,6 @@ def test_write_csv_in_background_without_a_free_cpu_writes_on_entry(tmp_path, mo
     path = tmp_path / "fg.csv"
     with write_csv_in_background(path, lambda: (data, "a,b,c")):
         assert path.read_bytes() == savetxt_bytes(data, "a,b,c")
-        assert matops._background_children == 0  # no child holds a CPU
 
 
 @needs_fork
@@ -481,7 +474,6 @@ def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_p
         with write_csv_in_background(path, lambda: (data, "a,b")):
             raise KeyError("stage")
     assert path.read_bytes() == savetxt_bytes(data, "a,b")
-    assert matops._background_children == 0
     assert_no_child_left()
 
 
@@ -495,7 +487,6 @@ def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypa
         with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
             pass
     assert_no_child_left()
-    assert matops._background_children == 0
     assert open_fds() <= fds
     # an error in the block takes precedence over the child's
     with pytest.raises(KeyError):
@@ -780,23 +771,6 @@ def test_read_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
         pids.clear()
         assert np.array_equal(matops.read_csv(path)[1], expected)
         assert len(pids) == forks
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("cpus, forks", [(2, 0), (3, 1)])
-@needs_fork
-def test_read_csv_leaves_a_background_childs_cpu_free(tmp_path, monkeypatch, cpus, forks):
-    # a live write_csv_in_background child holds one usable CPU: on two,
-    # read_csv splits nothing; on three, it forks one worker. The values stay
-    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
-    path = tmp_path / "t.csv"
-    write_csv(path, data, "a,b,c,d,e,f")
-    force_ranges(monkeypatch, cpus)
-    monkeypatch.setattr(matops, "_background_children", 1)
-    pids = counting_forks(monkeypatch)
-    header, back = matops.read_csv(path)
-    assert len(pids) == forks
-    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
     assert_no_child_left()
 
 
