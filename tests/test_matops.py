@@ -278,6 +278,9 @@ ABOVE_FLOOR = 1 << 40
 
 @pytest.mark.parametrize("cpus, count, values, chunks", [
     (1, 5, ABOVE_FLOOR, [(0, 5)]),
+    (2, 1, ABOVE_FLOOR, [(0, 1)]),
+    # two usable CPUs give two chunks: nothing holds one aside for a CSV child
+    (2, 5, ABOVE_FLOOR, [(0, 2), (2, 5)]),
     (3, 5, ABOVE_FLOOR, [(0, 1), (1, 3), (3, 5)]),
     (4, 2, ABOVE_FLOOR, [(0, 1), (1, 2)]),
     # the size floor: fewer chunks than CPUs below one per FORK_MIN_VALUES values
@@ -771,6 +774,26 @@ def test_read_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
         pids.clear()
         assert np.array_equal(matops.read_csv(path)[1], expected)
         assert len(pids) == forks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
+@needs_fork
+def test_read_csv_beside_a_background_child_forks_one_worker_per_extra_cpu(tmp_path,
+                                                                           monkeypatch,
+                                                                           cpus, workers):
+    # a live write_csv_in_background child keeps no usable CPU from read_csv
+    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
+    path = tmp_path / "t.csv"
+    write_csv(path, data, "a,b,c,d,e,f")
+    force_ranges(monkeypatch, cpus)
+    pids = counting_forks(monkeypatch)
+    with write_csv_in_background(tmp_path / "bg.csv", lambda: (data, "a,b,c,d,e,f")):
+        assert len(pids) == 1
+        header, back = matops.read_csv(path)
+        assert len(pids) == 1 + workers
+    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
+    assert (tmp_path / "bg.csv").read_bytes() == path.read_bytes()
     assert_no_child_left()
 
 
