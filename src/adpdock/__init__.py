@@ -16,6 +16,7 @@ from .adp import (
     assemble_regression,
     check_rank,
     collect_data,
+    learn_controller,
     recover_model_artifacts,
     solve_problem1_datadriven,
     vi_learn,

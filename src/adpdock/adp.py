@@ -77,7 +77,7 @@ from .errors import RankDeficiencyError
 from .matops import (_split_over_cpus, check_input_weight, check_weights, kron, lstsq,
                      numerical_rank, one_blas_thread, unvec, unvecs, vecs, vecv, write_json)
 # by name: perfbench times regulator.solve_regulator_exact for the oracle's call only
-from .regulator import solve_regulator_exact
+from .regulator import feedforward_gain, solve_regulator_exact
 from .riccati import linear_balls, run_value_iteration
 from .sysmodels import Exosystem, LinearPolicy, StateSpaceModel, simulate, whole_steps
 
@@ -93,6 +93,7 @@ __all__ = [
     "vi_learn",
     "recover_model_artifacts",
     "solve_problem1_datadriven",
+    "learn_controller",
     "save_gains",
     "load_gains",
 ]
@@ -620,6 +621,49 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
                                  F=basis.F)
     exo = Exosystem(E=recovery.E_hat, v0=np.zeros(len(recovery.E_hat)))
     return solve_regulator_exact(identified, exo, Qbar, Rbar, rtol=1e-6)
+
+
+def _call(name, fn, *args):
+    """The default ``stage`` of :func:`learn_controller`: ``fn(*args)``, nothing more."""
+    return fn(*args)
+
+
+def learn_controller(sweep, basis, config, stage=_call):
+    """The data-to-controller chain: value iteration, recovery, regulator, feedforward.
+
+    ``sweep`` is the :class:`RegressionSweep` of :func:`assemble_regression`
+    and ``basis`` the :class:`regulator.KernelBasis` it was assembled
+    with. ``config`` is anything with the attributes Q, R, Qbar, Rbar,
+    eps, p0_scale, ball_base and max_k, such as
+    :class:`dockcli.ExperimentConfig`: :func:`vi_learn` starts from
+    P0 = p0_scale I and resets to the radii of
+    :func:`riccati.linear_balls` (ball_base), and the regulator solve
+    weighs its trace cost with Qbar and Rbar. The feedforward gain is
+    L = U + K X (:func:`regulator.feedforward_gain`).
+
+    Each step runs as ``stage(name, fn, *args)``, under the names
+    'learn' (:func:`vi_learn`), 'recover' (:func:`recover_model_artifacts`)
+    and 'regulator' (:func:`solve_problem1_datadriven`); the default calls
+    ``fn(*args)``. The steps are looked up at call time, so a wrapper set
+    on this module's attribute is the one that runs.
+
+    Returns (:class:`LearnedController`, :class:`riccati.ViHistory`,
+    :class:`ModelRecovery`, :class:`regulator.RegulatorSolution`). The
+    controller's rank is the required one: :func:`vi_learn` raises on a
+    data matrix that falls short of it. Raises what the steps raise.
+    """
+    bundle = sweep[0]
+    P, K, history = stage("learn", vi_learn, bundle, config.Q, config.R,
+                          config.p0_scale * np.eye(bundle.n), config.eps,
+                          linear_balls(config.ball_base), config.max_k)
+    recovery = stage("recover", recover_model_artifacts, sweep, P, K, config.R)
+    solution = stage("regulator", solve_problem1_datadriven, recovery, basis,
+                     config.Qbar, config.Rbar)
+    controller = LearnedController(
+        K=K, L=feedforward_gain(solution, K), P=P, iterations=history.iterations,
+        newton_steps=history.newton_steps, vi_stop_gap=history.vi_stop_gap,
+        resets=history.resets, rank=bundle.required_rank, rank_required=bundle.required_rank)
+    return controller, history, recovery, solution
 
 
 def save_gains(path, controller):

@@ -347,8 +347,9 @@ def _stage(name, fn, *args, **kwargs):
     except StageFailure:
         raise
     except RankDeficiencyError as exc:
-        # recovery's own rank verdict is on the first moments, not on the data matrix
-        raise StageFailure(name if name == "recover" else "rank", exc) from exc
+        # value iteration makes the one rank decision on the data matrix; recovery's
+        # is on the first moments and the regulator's on B_hat
+        raise StageFailure("rank" if name == "learn" else name, exc) from exc
     except ConvergenceError as exc:
         raise StageFailure("convergence", exc) from exc
     except Exception as exc:
@@ -391,8 +392,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     evaluation. A failed PBH check ends the run in stage 'assumptions',
     before collection; ``check`` lists every record. The rank check only
     reports: value iteration rejects a rank-deficient data matrix by the
-    same rule, in stage 'rank'. First moments that do not identify the
-    model end the run in stage 'recover'; ``report.json`` records the
+    same rule, in stage 'rank'. The learning stages are the chain of
+    :func:`adp.learn_controller`. First moments that do not identify the
+    model end the run in stage 'recover', and an identified B of deficient
+    column rank in stage 'regulator'; ``report.json`` records the
     identification's ranks and residuals, the learned gain's consistency
     with the identified B, and the residuals of the regulator equations
     solved on the identified model, beside the data matrix's rank. The
@@ -441,21 +444,19 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
                 learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         log(f"rank check: {rank['rank']}/{rank['required']}")
 
-        P0 = config.p0_scale * np.eye(model.n)
-        P, K, history = _stage(
-            "learn", adp.vi_learn, sweep[0], config.Q, config.R, P0=P0,
-            eps=config.eps, ball_schedule=riccati.linear_balls(config.ball_base),
-            max_k=config.max_k,
-        )
-        history.to_csv(out / "convergence.csv")
-        log(f"learning converged in {history.iterations} iterations and "
-            f"{history.newton_steps} Newton steps ({history.resets} resets)")
+        def stage(name, fn, *args):
+            result = _stage(name, fn, *args)
+            if name == "learn":  # written before recovery, so a later failure leaves it
+                history = result[2]
+                history.to_csv(out / "convergence.csv")
+                log(f"learning converged in {history.iterations} iterations and "
+                    f"{history.newton_steps} Newton steps ({history.resets} resets)")
+            elif name == "recover":
+                log(f"identified A and E: E rank {result.E_rank}/{result.E_required}, relative "
+                    f"residuals {result.A_residual:.3e} (A) and {result.E_residual:.3e} (E)")
+            return result
 
-        recovery = _stage("recover", adp.recover_model_artifacts, sweep, P, K, config.R)
-        log(f"identified A and E: E rank {recovery.E_rank}/{recovery.E_required}, relative "
-            f"residuals {recovery.A_residual:.3e} (A) and {recovery.E_residual:.3e} (E)")
-        solution = _stage("regulator", adp.solve_problem1_datadriven,
-                          recovery, basis, config.Qbar, config.Rbar)
+        learned, _, recovery, solution = adp.learn_controller(sweep, basis, config, stage)
         identification = {
             **{key: getattr(recovery, key) for key in
                ("E_rank", "E_required", "A_residual", "E_residual", "gain_consistency")},
@@ -463,12 +464,6 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             "regulator_residual_out": solution.residual_out,
             **{key: getattr(recovery, key) for key in ("A_hat", "E_hat")},
         }
-        L = regulator.feedforward_gain(solution, K)
-        learned = adp.LearnedController(
-            K=K, L=L, P=P, iterations=history.iterations, newton_steps=history.newton_steps,
-            vi_stop_gap=history.vi_stop_gap, resets=history.resets, rank=rank["rank"],
-            rank_required=rank["required"],
-        )
 
         # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
         # polishes it; the only stage that loads scipy

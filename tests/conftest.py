@@ -30,13 +30,7 @@ from adpdock import (
     run_experiment,
     solve_regulator_exact,
 )
-from adpdock.adp import (
-    assemble_regression,
-    collect_data,
-    recover_model_artifacts,
-    solve_problem1_datadriven,
-    vi_learn,
-)
+from adpdock.adp import assemble_regression, collect_data, learn_controller
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -146,14 +140,15 @@ def offset_bundles(docking, learning_data):
 
 @pytest.fixture(scope="session")
 def learned(docking, learning_data):
-    """Library-level learning pass: vi_learn, recovery, regulator solve."""
-    cfg = docking.config
-    P, K, history = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R)
-    recovery = recover_model_artifacts(learning_data.bundles, P, K, cfg.R)
-    solution = solve_problem1_datadriven(recovery, learning_data.basis, cfg.Qbar, cfg.Rbar)
-    L = feedforward_gain(solution, K)
-    return SimpleNamespace(P=P, K=K, L=L, history=history,
-                           recovery=recovery, solution=solution)
+    """Library-level learning pass: ``learn_controller`` on the collected sweep
+    under the default config. ``controller`` is the LearnedController, with its
+    P, K and L repeated at the top level beside the VI history, the model
+    recovery and the regulator solution."""
+    controller, history, recovery, solution = learn_controller(
+        learning_data.bundles, learning_data.basis, docking.config)
+    return SimpleNamespace(controller=controller, P=controller.P, K=controller.K,
+                           L=controller.L, history=history, recovery=recovery,
+                           solution=solution)
 
 
 @pytest.fixture(scope="session")

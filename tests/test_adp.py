@@ -1282,13 +1282,7 @@ def test_problem1_rejects_deficient_input_matrix(docking):
 
 
 def test_gains_roundtrip(tmp_path, learned, docking):
-    from adpdock import LearnedController
-    controller = LearnedController(
-        K=learned.K, L=learned.L, P=learned.P,
-        iterations=learned.history.iterations, newton_steps=learned.history.newton_steps,
-        vi_stop_gap=learned.history.vi_stop_gap, resets=learned.history.resets, rank=87,
-        rank_required=87,
-    )
+    controller = learned.controller
     path = tmp_path / "gains.json"
     save_gains(path, controller)
     back = load_gains(path)
@@ -1304,3 +1298,20 @@ def test_gains_roundtrip(tmp_path, learned, docking):
     v = rng.standard_normal(8)
     u = controller.feedback()(x, v, 0.0)
     assert np.allclose(u, -learned.K @ x + learned.L @ v, atol=1e-14)
+
+
+def test_learn_controller_reads_the_vi_knobs_of_its_config(docking, learning_data, learned):
+    # the chain starts value iteration from P0 = p0_scale I, and runs its steps
+    # as the named stages of the stage callable
+    cfg = dataclasses.replace(docking.config, p0_scale=2.0)
+    names = []
+
+    def stage(name, fn, *args):
+        names.append(name)
+        return fn(*args)
+
+    controller = adp.learn_controller(learning_data.bundles, learning_data.basis, cfg, stage)[0]
+    assert names == ["learn", "recover", "regulator"]
+    P, K, _ = vi_learn(learning_data.bundles[0], cfg.Q, cfg.R, P0=2.0 * np.eye(6))
+    assert np.array_equal(controller.P, P) and np.array_equal(controller.K, K)
+    assert not np.array_equal(controller.P, learned.P)

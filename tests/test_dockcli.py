@@ -454,6 +454,44 @@ def test_cli_exosystem_not_excited_fails_in_recover(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_deficient_identified_input_fails_in_regulator(tmp_path, capsys, monkeypatch):
+    # an identified B of zero: the data matrix has full rank and value iteration
+    # converges, so the regulator's rank check on B_hat ends the run, in stage
+    # 'regulator' with the generic code, not in stage 'rank'
+    recover = adp.recover_model_artifacts
+
+    def zero_input_matrix(*args):
+        recovery = recover(*args)
+        return dataclasses.replace(recovery, B_hat=np.zeros_like(recovery.B_hat))
+
+    monkeypatch.setattr(adp, "recover_model_artifacts", zero_input_matrix)
+    path = tmp_path / "docking.cfg"
+    save_config(ExperimentConfig(), path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'regulator' failed: B_hat is rank deficient")
+    assert (tmp_path / "out" / "convergence.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_learns_the_controller_of_the_library_chain(pipeline, learned):
+    # run and learn_controller on the same config and seed give the same bits
+    run, library = pipeline.report.learned, learned.controller
+    for field in dataclasses.fields(run):
+        a, b = getattr(run, field.name), getattr(library, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+
+def test_readme_library_example_runs():
+    # the example under "Library use" spells out the learn chain for readers
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_convergence_failure_exit_code(tmp_path):
     cfg = ExperimentConfig(max_k=5)
     path = tmp_path / "short.cfg"
@@ -619,11 +657,7 @@ model, exo = cfg.scenario()
 log = adp.collect_data(model, exo, None, cfg.noise_spec(), cfg.x0,
                        horizon=cfg.horizon, dt=cfg.dt, interval=cfg.interval)
 basis = regulator.kernel_basis(model)
-bundles = adp.assemble_regression(log, basis, cfg.R, cfg.interval)
-P, K, _ = adp.vi_learn(bundles[0], cfg.Q, cfg.R, eps=cfg.eps)
-recovery = adp.recover_model_artifacts(bundles, P, K, cfg.R)
-solution = adp.solve_problem1_datadriven(recovery, basis, cfg.Qbar, cfg.Rbar)
-regulator.feedforward_gain(solution, K)
+adp.learn_controller(adp.assemble_regression(log, basis, cfg.R, cfg.interval), basis, cfg)
 step("learn")
 
 back = adpdock.TrajectoryLog.from_csv(sys.argv[4])
