@@ -7,7 +7,8 @@ modules.
 Also the process helpers that the fork and subprocess tests share:
 ``run_python``, ``counting_forks``, ``open_fds``,
 ``assert_no_child_left``, ``slow_blocks``, ``numpy_openblas`` and
-``unpinned`` (import them with ``from conftest import ...``).
+``unpinned``, and ``assert_csv_holds``, the reference check of a CSV
+artifact (import them with ``from conftest import ...``).
 """
 
 import os
@@ -76,6 +77,35 @@ def slow_blocks(mp, seconds=0.01):
             real(data[lo:lo + matops.CSV_BLOCK_ROWS], write)
 
     mp.setattr(matops, "_format_rows", slow)
+
+
+def significant_digits(numeral):
+    """The significant digits of a decimal numeral: no sign, point, exponent or padding zeros."""
+    return numeral.lower().lstrip("+-").partition("e")[0].replace(".", "").strip("0")
+
+
+def assert_csv_holds(path, data, header):
+    """Check that the CSV at ``path`` holds ``header`` and then the rows of ``data``, bit for bit.
+
+    Every field parses with ``float`` to the bits of its value and has the
+    significant digits of ``repr(value)``, the shortest decimal that reads
+    back to it; and ``numpy.loadtxt`` of the file gives the data bit for
+    bit. The spelling of an exponent is left open.
+    """
+    data = np.asarray(data, dtype=float)
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    if header:
+        assert lines.pop(0) == header
+    fields = [line.split(",") for line in lines]
+    assert len(fields) == len(data)
+    assert all(len(row) == data.shape[1] for row in fields)
+    numerals = [numeral for row in fields for numeral in row]
+    assert np.array(list(map(float, numerals)), dtype=float).tobytes() == data.tobytes()
+    assert list(map(significant_digits, numerals)) == \
+        list(map(significant_digits, map(repr, data.ravel().tolist())))
+    if len(data):
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        assert loaded.tobytes() == data.tobytes()
 
 
 def numpy_openblas():

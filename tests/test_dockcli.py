@@ -483,6 +483,23 @@ def test_run_learns_the_controller_of_the_library_chain(pipeline, learned):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
 
+def test_learning_csv_reads_back_to_the_collected_log_and_the_learned_gains(pipeline, docking,
+                                                                           learning_data):
+    # run's trajectory_learning.csv holds the collected log bit for bit, so
+    # learning from the file gives learned_gains.json's K and L bit for bit
+    back = TrajectoryLog.from_csv(pipeline.out / "trajectory_learning.csv")
+    for name in "txuve":
+        read, collected = getattr(back, name), getattr(learning_data.log, name)
+        assert read.shape == collected.shape and read.tobytes() == collected.tobytes(), name
+    cfg, basis = docking.config, learning_data.basis
+    controller = adp.learn_controller(adp.assemble_regression(back, basis, cfg.R, cfg.interval),
+                                      basis, cfg)[0]
+    gains = json.loads((pipeline.out / "learned_gains.json").read_text())
+    for name in ("K", "L"):
+        learned, written = getattr(controller, name), np.array(gains[name])
+        assert learned.shape == written.shape and learned.tobytes() == written.tobytes(), name
+
+
 def test_readme_library_example_runs():
     # the example under "Library use" spells out the learn chain for readers
     text = (REPO / "README.md").read_text()
@@ -685,6 +702,22 @@ def test_learning_path_never_loads_scipy_linalg(pipeline):
     steps = [line for line in proc.stdout.splitlines()
              if line in ("import", "learn", "read", "check", "compare", "help")]
     assert steps == ["import", "learn", "read", "check", "compare", "help"]
+
+
+def test_setup_never_loads_orjson(pipeline):
+    # the CSV writer imports orjson on its first call, so the set-up a caller
+    # pays before any work (import, load_config, scenario and reading a
+    # trajectory) does not load it
+    proc = run_python("-c", """
+import sys
+import adpdock
+cfg = adpdock.load_config(sys.argv[1])
+cfg.scenario()
+adpdock.TrajectoryLog.from_csv(sys.argv[2])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "orjson"))
+""", str(REPO / "configs" / "docking.cfg"), str(pipeline.out / "trajectory_learning.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _ORACLE_STAGE_PIN = """

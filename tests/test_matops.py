@@ -5,7 +5,6 @@ equation in adp relies on; tolerances are machine-level.
 """
 
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -23,8 +22,8 @@ from hypothesis.extra.numpy import arrays
 
 from adpdock import matops
 from adpdock.errors import RankDeficiencyError
-from conftest import (assert_no_child_left, counting_forks, open_fds, run_python, slow_blocks,
-                      unpinned)
+from conftest import (assert_csv_holds, assert_no_child_left, counting_forks, open_fds,
+                      run_python, slow_blocks, unpinned)
 from adpdock.matops import (
     bdiag,
     check_weights,
@@ -348,23 +347,11 @@ def test_is_hurwitz():
     assert not is_hurwitz(np.array([[0.1]]))
 
 
-# --- write_csv: bytes equal to np.savetxt, the reference writer ---------
+# --- write_csv: shortest round-trip values, checked by assert_csv_holds --
 
 BLOCK = matops.CSV_BLOCK_ROWS
 SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
-                    1.0, -3.0, 2.0 ** 52, 1e16, 123456789.0, np.nan, np.inf, -np.inf])
-
-
-def savetxt_bytes(data, header):
-    buf = io.BytesIO()
-    np.savetxt(buf, data, delimiter=",", header=header, comments="", fmt="%.17g")
-    return buf.getvalue()
-
-
-def written_bytes(path, data, header):
-    write_csv(path, data, header)
-    with open(path, "rb") as fh:
-        return fh.read()
+                    1.0, -3.0, 0.1, 2.0 ** 52, 1e16, 123456789.0])
 
 
 def force_workers(mp, cpus, min_values=matops.FORK_MIN_VALUES):
@@ -392,28 +379,46 @@ def csv_tables(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(csv_tables())
-def test_write_csv_matches_savetxt(tmp_path_factory, data):
+def test_write_csv_reads_back_bit_for_bit(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(data.shape[1]))
-    assert written_bytes(path, data, header) == savetxt_bytes(data, header)
+    write_csv(path, data, header)
+    assert_csv_holds(path, data, header)
+
+
+@pytest.mark.parametrize("data, header, message", [
+    (np.ones(3), "a", r"data must be 2-D, got shape \(3,\)"),
+    (np.ones((2, 3, 1)), "a", r"data must be 2-D, got shape \(2, 3, 1\)"),
+    ([[1.0, np.nan]], "a,b", "data contains non-finite entries"),
+    ([[1.0, 2.0], [np.inf, 0.0]], "a,b", "data contains non-finite entries"),
+    ([[-np.inf]], "a", "data contains non-finite entries"),
+    ([[1.0, 2.0]], "a,\u00b5", "header must be ASCII"),
+])
+def test_write_csv_rejects_bad_input_before_opening_the_file(tmp_path, data, header, message):
+    # orjson would write null for nan and +-inf; each bad input is rejected
+    # before the file is opened, so none leaves a file behind
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, data, header)
+    assert not path.exists()
 
 
 def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch):
-    # formatting fails on the NaN-marked row, in this process: the error is
-    # raised as it is and no child is left, also with CPUs to spare
+    # formatting fails on the block holding the marked row, in this process:
+    # the error is raised as it is and no child is left, also with CPUs to spare
     real = matops._format_rows
 
-    def fail_on_nan(data, write):
-        if np.isnan(data).any():
-            raise ValueError("cannot format NaN")
+    def fail_on_mark(data, write):
+        if (data < 0).any():
+            raise ValueError("cannot format the mark")
         real(data, write)
 
-    monkeypatch.setattr(matops, "_format_rows", fail_on_nan)
+    monkeypatch.setattr(matops, "_format_rows", fail_on_mark)
     force_workers(monkeypatch, 3, min_values=1)
     pids = counting_forks(monkeypatch)
     data = np.ones((3 * BLOCK, 2))
-    data[0, 1] = np.nan
-    with pytest.raises(ValueError, match="NaN"):
+    data[0, 1] = -1.0
+    with pytest.raises(ValueError, match="mark"):
         write_csv(tmp_path / "t.csv", data, "a,b")
     assert pids == []
     assert_no_child_left()
@@ -429,8 +434,10 @@ def test_write_csv_never_forks(tmp_path, monkeypatch, cpus):
     force_workers(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
-    assert written_bytes(tmp_path / "t.csv", data, "h") == savetxt_bytes(data, "h")
-    assert written_bytes(tmp_path / "e.csv", data[:0], "") == b""
+    write_csv(tmp_path / "t.csv", data, "h")
+    assert_csv_holds(tmp_path / "t.csv", data, "h")
+    write_csv(tmp_path / "e.csv", data[:0], "")
+    assert (tmp_path / "e.csv").read_bytes() == b""
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", data[0], "h")
 
@@ -444,7 +451,9 @@ def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path
     pids = counting_forks(monkeypatch)
     with write_csv_in_background(path, lambda: (data, "h")):
         assert len(pids) == 1  # the child formats every row; it forks no worker
-    assert path.read_bytes() == savetxt_bytes(data, "h")
+    assert_csv_holds(path, data, "h")
+    write_csv(tmp_path / "fg.csv", data, "h")
+    assert path.read_bytes() == (tmp_path / "fg.csv").read_bytes()
     assert_no_child_left()
 
 
@@ -462,7 +471,7 @@ def test_write_csv_in_background_without_a_free_cpu_writes_on_entry(tmp_path, mo
     data = np.arange(6 * BLOCK, dtype=float).reshape(-1, 3) / 7.0
     path = tmp_path / "fg.csv"
     with write_csv_in_background(path, lambda: (data, "a,b,c")):
-        assert path.read_bytes() == savetxt_bytes(data, "a,b,c")
+        assert_csv_holds(path, data, "a,b,c")
 
 
 @needs_fork
@@ -476,7 +485,7 @@ def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_p
     with pytest.raises(KeyError, match="stage"):
         with write_csv_in_background(path, lambda: (data, "a,b")):
             raise KeyError("stage")
-    assert path.read_bytes() == savetxt_bytes(data, "a,b")
+    assert_csv_holds(path, data, "a,b")
     assert_no_child_left()
 
 
@@ -708,8 +717,8 @@ def loadtxt_reference(path):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(csv_tables())
 def test_read_csv_round_trips_write_csv(tmp_path_factory, data):
-    # bit for bit, so -0.0 keeps its sign and subnormals, +-1e300, nan and
-    # +-inf come back; one, two and three ranges give the same array
+    # bit for bit, so -0.0 keeps its sign and subnormals and +-1e300 come
+    # back; one, two and three ranges give the same array
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(data.shape[1]))
     write_csv(path, data, header)
@@ -721,7 +730,7 @@ def test_read_csv_round_trips_write_csv(tmp_path_factory, data):
         assert back.shape == data.shape and back.dtype == np.float64
         assert back.tobytes() == data.tobytes()
         if len(data):
-            assert np.array_equal(back, loadtxt_reference(path)[1], equal_nan=True)
+            assert np.array_equal(back, loadtxt_reference(path)[1])
     assert_no_child_left()
 
 

@@ -15,6 +15,7 @@ from adpdock import (
 )
 from adpdock.errors import ConvergenceError
 from adpdock.matops import is_hurwitz
+from conftest import assert_csv_holds
 from test_regulator import random_solvable
 
 rng = np.random.default_rng(2718)
@@ -227,12 +228,9 @@ def test_history_csv_schemas(tmp_path, oracle):
     assert len(lines) == history.iterations + 1
     # reset counter is nondecreasing
     assert np.all(np.diff(history.reset_count) >= 0)
-    # np.savetxt is the reference writer; k and eps_k are built here as
-    # the loop counts and steps, not read back from the history
+    # k and eps_k are built here as the loop counts and steps, not read
+    # back from the history; every value reads back bit for bit
     k = np.arange(1, history.iterations + 1)
     eps = [1.0 / j for j in range(1, history.iterations + 1)]
-    reference = tmp_path / "reference.csv"
-    np.savetxt(reference, np.column_stack([k, eps, history.increment, history.reset_count]),
-               delimiter=",", header=lines[0], comments="",
-               fmt=["%d", "%.17g", "%.17g", "%d"])
-    assert path.read_bytes() == reference.read_bytes()
+    assert_csv_holds(path, np.column_stack([k, eps, history.increment, history.reset_count]),
+                     lines[0])

@@ -26,6 +26,7 @@ from adpdock import (
 from adpdock.errors import DivergenceError
 from adpdock.matops import _jsonable
 from adpdock.sysmodels import _BLOCK, _CHUNK, _rk4_map
+from conftest import assert_csv_holds
 
 # frozen values for the default orbit (nbar = 0.00108, r_ref = 7000 km,
 # Re = 6378.14 km, J2 = 1.08263e-3, i = 45 deg); cos(2i) = 0 there, so
@@ -411,14 +412,14 @@ def test_trajectory_log_csv_roundtrip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,u1,u2,v1,v2,v3,e1"
     back = TrajectoryLog.from_csv(path)
-    # %.17g is lossless for doubles
+    # the shortest round-trip decimal is lossless for doubles
     for name in ("t", "x", "u", "v", "e"):
         assert np.array_equal(getattr(back, name), getattr(log, name))
 
 
-def test_trajectory_log_csv_bytes_match_savetxt(tmp_path, learning_data):
+def test_trajectory_log_csv_reads_back_bit_for_bit(tmp_path, learning_data):
     # the 25k-row collection log, with edge values spliced into x, against
-    # np.savetxt as the reference writer; the reader gives the arrays back
+    # the reference check; the reader gives the arrays back
     log = learning_data.log
     x = log.x.copy()
     x[:3, 0] = [-0.0, 5e-324, -1e300]
@@ -427,10 +428,7 @@ def test_trajectory_log_csv_bytes_match_savetxt(tmp_path, learning_data):
     log.to_csv(path)
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-    reference = tmp_path / "reference.csv"
-    np.savetxt(reference, np.hstack([log.t[:, None], log.x, log.u, log.v, log.e]),
-               delimiter=",", header=header, comments="", fmt="%.17g")
-    assert path.read_bytes() == reference.read_bytes()
+    assert_csv_holds(path, np.hstack([log.t[:, None], log.x, log.u, log.v, log.e]), header)
     back = TrajectoryLog.from_csv(path)
     for name in ("t", "x", "u", "v", "e"):
         assert np.array_equal(getattr(back, name), getattr(log, name))
