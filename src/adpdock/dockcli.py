@@ -4,11 +4,10 @@ One invocation runs the full pipeline: assumption checks, off-policy
 data collection, regression assembly, rank verification, data-driven
 value iteration, model recovery, the data-driven regulator solve, and a
 closed-loop evaluation of the learned controller, with model-based
-oracles (Kleinman PI started from the Schur CARE solution, and the
-exact regulator solver) computed alongside for comparison. The oracle
-stage of ``run`` is the only part of the command line that loads
-:mod:`scipy.linalg`; ``check``, ``compare`` and the learning stages use
-numpy alone. Everything is driven by a flat INI config whose
+oracles (Kleinman PI started from Potter's eigenvector solution of the
+CARE, and the exact regulator solver) computed alongside for comparison.
+Every command, oracle stage included, uses numpy alone: none loads
+scipy. Everything is driven by a flat INI config whose
 defaults reproduce the reference docking run; all artifacts are plain
 CSV/JSON with full-precision floats so runs diff cleanly.
 """
@@ -399,11 +398,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     identification's ranks and residuals, the learned gain's consistency
     with the identified B, and the residuals of the regulator equations
     solved on the identified model, beside the data matrix's rank. The
-    whole run holds every OpenBLAS it has loaded at one
-    thread (:class:`matops.one_blas_thread`): numpy's, and from the oracle
-    stage on scipy's own copy, whose idle worker would otherwise spin on
-    the CPU the CSV child writes on. The output directory is made when
-    collection ends. After assembly, whether it succeeds or not, a forked
+    whole run holds numpy's OpenBLAS at one thread
+    (:class:`matops.one_blas_thread`), whose idle worker would otherwise
+    spin on the CPU the CSV child writes on. The output directory is made
+    when collection ends. After assembly, whether it succeeds or not, a forked
     child writes ``trajectory_learning.csv`` while the later stages run
     (:func:`matops.write_csv_in_background`); where one CPU is usable,
     the file is written here instead, after assembly. That child is the
@@ -465,8 +463,8 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
             **{key: getattr(recovery, key) for key in ("A_hat", "E_hat")},
         }
 
-        # model-based oracles: the Schur CARE solution seeds Kleinman PI, which
-        # polishes it; the only stage that loads scipy
+        # model-based oracles: Potter's eigenvector solution of the CARE seeds
+        # Kleinman PI, which polishes it
         def oracles():
             P_star, K_star, iterates = riccati.kleinman_from_care(model, config.Q, config.R)
             exact = regulator.solve_regulator_exact(model, exo, config.Qbar, config.Rbar)

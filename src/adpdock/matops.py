@@ -35,9 +35,10 @@ an array or numpy scalar becomes its ``tolist()``, and a complex number
 
 :class:`one_blas_thread` runs a block, or a decorated function, with every
 OpenBLAS the process has loaded set to one thread: numpy's, and the
-separate copy that scipy's wheels bundle once :mod:`scipy.linalg` is
-imported. Every matrix of the learning chain is small (at most a few
-thousand by a hundred), so a second BLAS thread only adds wake-ups; and
+separate copy that scipy's wheels bundle where a caller's code imports
+:mod:`scipy.linalg` (no module of this package does). Every matrix of
+the learning chain is small (at most a few thousand by a hundred), so a
+second BLAS thread only adds wake-ups; and
 an OpenBLAS left at two threads keeps a worker thread spinning after its
 last call, on the CPU that a forked CSV writer needs. :func:`read_csv`
 and :func:`_split_over_cpus` split their work over the usable CPUs by
@@ -438,8 +439,9 @@ class one_blas_thread(ContextDecorator):
     loaded to one thread, numpy's and scipy's alike, and leaving it
     restores the count each had, also when the block raises. A library
     that loads while a block is open (scipy's, when the block imports
-    :mod:`scipy.linalg`) is set by the next entry, nested or not, and
-    restored with the others at the outermost exit. Apart from that, an
+    :mod:`scipy.linalg`, which no module of this package does) is set by
+    the next entry, nested or not, and restored with the others at the
+    outermost exit. Apart from that, an
     entry while another block is open, in this thread or another,
     changes nothing. Libraries are
     looked up on first use, never at import, and again only on an entry
@@ -449,10 +451,7 @@ class one_blas_thread(ContextDecorator):
     it is.
 
     A library left at two threads is not idle after its last call: its
-    worker spins for a while, on the CPU a forked CSV writer needs. The
-    :mod:`scipy.linalg` functions that :mod:`adpdock.riccati` calls
-    therefore enter this block after importing scipy, so their callers
-    need not.
+    worker spins for a while, on the CPU a forked CSV writer needs.
     """
 
     _lock = threading.Lock()
@@ -656,14 +655,21 @@ def _format_rows(data, write):
     Each value is the shortest decimal that reads back to the same double,
     as orjson's numpy serializer writes it; orjson would write ``null``
     for a non-finite value, which :func:`write_csv` rejects beforehand.
+    A block is dumped flat, so ``data`` needs at least one column for its
+    commas to mark the row ends.
     """
     import orjson  # here, not at module import, so that importing adpdock does not load it
 
     data = np.ascontiguousarray(data, dtype=float)
+    cols = data.shape[1]
     for lo in range(0, len(data), CSV_BLOCK_ROWS):
-        text = orjson.dumps(data[lo:lo + CSV_BLOCK_ROWS], option=orjson.OPT_SERIALIZE_NUMPY)
-        # [[a,b],[c,d]] -> a,b\nc,d\n
-        write(text[2:-2].replace(b"],[", b"\n") + b"\n")
+        block = data[lo:lo + CSV_BLOCK_ROWS].reshape(-1)
+        text = bytearray(orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY))
+        # [a,b,c,d] -> a,b\nc,d\n in place: every cols-th comma and the closing ] end a row
+        chars = np.frombuffer(text, dtype=np.uint8)
+        chars[np.flatnonzero(chars == ord(","))[cols - 1::cols]] = ord("\n")
+        chars[-1] = ord("\n")
+        write(memoryview(text)[1:])
 
 
 def write_csv(path, data, header):
@@ -687,13 +693,15 @@ def write_csv(path, data, header):
     Raises
     ------
     ValueError
-        If ``data`` is not 2-D or holds a non-finite value, or ``header``
-        is not ASCII. The input is checked before the file is opened, so
-        a rejected call leaves no file behind.
+        If ``data`` is not 2-D, has no column or holds a non-finite value,
+        or ``header`` is not ASCII. The input is checked before the file
+        is opened, so a rejected call leaves no file behind.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {data.shape}")
+    if data.shape[1] == 0:
+        raise ValueError(f"data must have at least one column, got shape {data.shape}")
     require_finite(data, "data")
     if not header.isascii():
         raise ValueError(f"header must be ASCII, got {header!r}")

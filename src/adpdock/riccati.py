@@ -13,12 +13,10 @@ The value-iteration driver is shared with the data-driven learner, which
 supplies the residual from trajectory data instead of (A, B), together
 with a Newton step on it that finishes the iteration.
 
-The Lyapunov and CARE solves come from :mod:`scipy.linalg`, imported
-where they are called: the data-driven learner, which shares this
-module's value-iteration loop, never loads scipy. scipy's wheels bundle
-an OpenBLAS of their own, so each solve enters
-:class:`matops.one_blas_thread` after the import, which sets that copy
-to one thread as well.
+The Lyapunov and CARE solves use numpy alone: the Lyapunov equation is
+one Kronecker-form linear system, and the CARE's stabilizing solution is
+seeded from the stable invariant subspace of its Hamiltonian. Neither
+this module nor any other of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .matops import check_weights, is_hurwitz, numerical_rank, one_blas_thread, write_csv
+from .matops import check_weights, is_hurwitz, numerical_rank, write_csv
 
 __all__ = [
     "ViHistory",
@@ -42,7 +40,8 @@ __all__ = [
 ]
 
 _LYAP_RTOL = 1e-9
-# kleinman_pi stops once |P_k - P_{k-1}| < _PI_TOL, within _PI_MAX_ITER iterations
+# kleinman_pi stops once |P_k - P_{k-1}| < _PI_TOL (1 + |P_k|), within _PI_MAX_ITER
+# iterations: relative, because the rounding of a Lyapunov solve grows with |P|
 _PI_TOL = 1e-10
 _PI_MAX_ITER = 100
 # a Newton try of run_value_iteration stops after this many steps even while
@@ -112,8 +111,11 @@ def _sqrt_psd(Q):
 def lyapunov_solve(a_cl, m):
     """Solve a_cl' P + P a_cl + m = 0 for symmetric P, a_cl Hurwitz.
 
-    Bartels-Stewart via :func:`scipy.linalg.solve_continuous_lyapunov`,
-    O(n^3); the residual is checked afterwards.
+    One linear system in the row-major vec(P), with the n^2 x n^2 matrix
+    kron(a_cl', I) + kron(I, a_cl') (36 x 36 on the docking plant),
+    solved by LU and symmetrized. That costs O(n^6), trivial for the
+    n <= 10 plants this package solves; the residual is checked
+    afterwards.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -124,10 +126,9 @@ def lyapunov_solve(a_cl, m):
         raise ValueError("m must be symmetric")
     if not is_hurwitz(a_cl):
         raise ValueError("a_cl must be Hurwitz for a unique definite solution")
-    from scipy.linalg import solve_continuous_lyapunov
-
-    with one_blas_thread():
-        P = _symmetrize(solve_continuous_lyapunov(a_cl.T, -m))
+    eye = np.eye(n)
+    system = np.kron(a_cl.T, eye) + np.kron(eye, a_cl.T)
+    P = _symmetrize(np.linalg.solve(system, -m.reshape(-1)).reshape(n, n))
     residual = np.linalg.norm(a_cl.T @ P + P @ a_cl + m)
     if residual > _LYAP_RTOL * (1.0 + np.linalg.norm(m)):
         raise ValueError(f"Lyapunov solve failed: residual {residual:.3e}")
@@ -162,7 +163,7 @@ def kleinman_pi(model, Q, R, K0):
         If K0 does not stabilize A - B K0 or (A, sqrt(Q)) is not
         observable (the evaluation equation would be degenerate).
     ConvergenceError
-        If 100 iterations pass without |P_k - P_{k-1}| < 1e-10.
+        If 100 iterations pass without |P_k - P_{k-1}| < 1e-10 (1 + |P_k|).
     """
     A, B = model.A, model.B
     n = model.n
@@ -184,7 +185,8 @@ def kleinman_pi(model, Q, R, K0):
         P = lyapunov_solve(A - B @ K, Q + K.T @ R @ K)
         K = np.linalg.solve(R, B.T @ P)
         iterates.append((P, K))
-        if P_prev is not None and np.linalg.norm(P - P_prev) < _PI_TOL:
+        if P_prev is not None and \
+                np.linalg.norm(P - P_prev) < _PI_TOL * (1.0 + np.linalg.norm(P)):
             return P, K, iterates
         P_prev = P
     raise ConvergenceError(
@@ -194,20 +196,38 @@ def kleinman_pi(model, Q, R, K0):
 
 
 def kleinman_from_care(model, Q, R):
-    """Kleinman policy iteration seeded with the Schur solution of the ARE.
+    """Kleinman policy iteration seeded with the eigenvector solution of the ARE.
 
-    :func:`scipy.linalg.solve_continuous_are` (Arnold & Laub, Proc. IEEE
-    1984) gives a stabilizing P whose gain K0 = R^{-1} B' P starts
-    :func:`kleinman_pi` (Kleinman, IEEE TAC 1968), which polishes it to
-    its tolerance. Returns :func:`kleinman_pi`'s (P, K, iterates).
+    The seed is Potter's (SIAM J. Appl. Math. 1966): the n eigenvectors
+    [U1; U2] of the Hamiltonian H = [[A, -B R^{-1} B'], [-Q, -A']] whose
+    eigenvalues have negative real part span the graph of the stabilizing
+    P, so P0 = Re(U2 U1^{-1}), symmetrized. Its gain K0 = R^{-1} B' P0
+    starts :func:`kleinman_pi` (Kleinman, IEEE TAC 1968), which polishes
+    it to its tolerance and rejects a K0 that does not stabilize. Returns
+    :func:`kleinman_pi`'s (P, K, iterates).
+
+    Raises ValueError, naming the count, if H does not have exactly n
+    stable eigenvalues: a mode on the imaginary axis is not stabilizable
+    or not detectable. Any other mode that is not leaves U1 singular,
+    which raises ValueError as well, or a seed that does not stabilize,
+    which :func:`kleinman_pi` rejects; so does an on-axis pair that
+    rounding moved off the axis.
     """
-    from scipy.linalg import solve_continuous_are
-
-    with one_blas_thread():
-        Q, R = check_weights(Q, R, model.n, model.m)
-        P0 = solve_continuous_are(model.A, model.B, Q, R)
-        K0 = np.linalg.solve(R, model.B.T @ P0)
-        return kleinman_pi(model, Q, R, K0)
+    A, B, n = model.A, model.B, model.n
+    Q, R = check_weights(Q, R, n, model.m)
+    hamiltonian = np.block([[A, -B @ np.linalg.solve(R, B.T)], [-Q, -A.T]])
+    w, V = np.linalg.eig(hamiltonian)
+    stable = V[:, w.real < 0]
+    if stable.shape[1] != n:
+        raise ValueError(f"the Hamiltonian has {stable.shape[1]} stable eigenvalues, "
+                         f"not {n}: (A, B) must be stabilizable and (A, sqrt(Q)) detectable")
+    try:  # P0 U1 = U2, solved as U1' P0' = U2'
+        P0 = _symmetrize(np.linalg.solve(stable[:n].T, stable[n:].T).T.real)
+    except np.linalg.LinAlgError:
+        raise ValueError("the stable eigenvectors of the Hamiltonian have a singular upper "
+                         "half: (A, B) must be stabilizable and (A, sqrt(Q)) detectable") from None
+    K0 = np.linalg.solve(R, B.T @ P0)
+    return kleinman_pi(model, Q, R, K0)
 
 
 def _newton_finish(residual_fn, newton_step, P, delta, aux, stop_eps):

@@ -21,15 +21,17 @@ from adpdock import (
     default_config,
     load_config,
     matops,
+    riccati,
     run_experiment,
     save_config,
 )
 from adpdock.adp import collect_data
-from adpdock.dockcli import _SCHEMA, main
+from adpdock.dockcli import _ARTIFACTS, _SCHEMA, main
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 from conftest import (REPO, assert_no_child_left, counting_forks, numpy_openblas, open_fds,
                       run_python, slow_blocks, unpinned)
 from test_regulator import random_solvable
+from test_riccati import imaginary_axis_plant
 
 
 def test_default_config_values():
@@ -454,6 +456,25 @@ def test_cli_exosystem_not_excited_fails_in_recover(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_oracle_plant_with_a_mode_on_the_imaginary_axis_fails_in_oracle(
+        tmp_path, capsys, monkeypatch):
+    # the oracles see a plant whose mode at 0 no input reaches: the CARE seed
+    # finds one stable eigenvalue of two, and the run ends in stage 'oracle'
+    # with the generic code after the learning artifacts are written
+    care = riccati.kleinman_from_care
+    monkeypatch.setattr(riccati, "kleinman_from_care",
+                        lambda model, Q, R: care(imaginary_axis_plant(), 1.0, 1.0))
+    path = tmp_path / "docking.cfg"
+    save_config(ExperimentConfig(), path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'oracle' failed: the Hamiltonian has 1 stable "
+                          "eigenvalues, not 2")
+    assert (tmp_path / "out" / "convergence.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_cli_deficient_identified_input_fails_in_regulator(tmp_path, capsys, monkeypatch):
     # an identified B of zero: the data matrix has full rank and value iteration
     # converges, so the regulator's rank check on B_hat ends the run, in stage
@@ -649,13 +670,14 @@ def test_python_dash_m_entry_point():
     assert "usage: adpdock" in proc.stdout
 
 
-# Runs in a fresh interpreter; prints one line per step that left
-# scipy.linalg out of sys.modules and stops at the first that did not.
+# Runs in a fresh interpreter; prints one line per step that left every
+# scipy module out of sys.modules and stops at the first that did not.
 _SCIPY_FREE_STEPS = """
 import runpy, sys
 
 def step(name):
-    assert "scipy.linalg" not in sys.modules, "scipy.linalg loaded by " + name
+    loaded = sorted(mod for mod in sys.modules if mod.split(".")[0] == "scipy")
+    assert not loaded, name + " loaded " + ", ".join(loaded)
     print(name)
 
 def cli(*argv):
@@ -681,27 +703,30 @@ back = adpdock.TrajectoryLog.from_csv(sys.argv[4])
 assert all((getattr(back, name) == getattr(log, name)).all() for name in "txuve")
 step("read")
 
-config, learned, oracle = sys.argv[1:4]
+config, learned, oracle, _, out = sys.argv[1:6]
 cli("check", "--config", config)
 step("check")
 cli("compare", "--learned", learned, "--oracle", oracle)
 step("compare")
 cli("--help")
 step("help")
+cli("run", "--config", config, "--out", out)
+step("run")
 """
 
 
-def test_learning_path_never_loads_scipy_linalg(pipeline):
-    # only the oracle stage of `run` needs scipy; import, the data->(K, L)
-    # chain, check, compare and --help must not pay for loading it
+def test_cli_and_library_never_load_scipy(pipeline, tmp_path):
+    # no part of the package needs scipy: import, the data->(K, L) chain,
+    # reading a trajectory, check, compare, --help and a whole run with its
+    # oracle stage all leave it unloaded
     proc = run_python("-c", _SCIPY_FREE_STEPS, str(REPO / "configs" / "docking.cfg"),
                       str(pipeline.out / "learned_gains.json"),
                       str(pipeline.out / "oracle_gains.json"),
-                      str(pipeline.out / "trajectory_learning.csv"))
+                      str(pipeline.out / "trajectory_learning.csv"), str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     steps = [line for line in proc.stdout.splitlines()
-             if line in ("import", "learn", "read", "check", "compare", "help")]
-    assert steps == ["import", "learn", "read", "check", "compare", "help"]
+             if line in ("import", "learn", "read", "check", "compare", "help", "run")]
+    assert steps == ["import", "learn", "read", "check", "compare", "help", "run"]
 
 
 def test_setup_never_loads_orjson(pipeline):
@@ -720,50 +745,33 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "orjson"))
     assert proc.stdout == "[]\n"
 
 
-_ORACLE_STAGE_PIN = """
-import ctypes, glob, json, os, sys
-os.environ["OPENBLAS_NUM_THREADS"] = "2"  # each OpenBLAS starts with a pool of two
-from adpdock import default_config, regulator, riccati, run_experiment
+_RUN_WITHOUT_SCIPY = """
+import runpy, sys
 
-def scipy_blas_threads():
-    import scipy
-    for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir,
-                                       "scipy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        if hasattr(lib, "scipy_openblas_get_num_threads"):
-            return lib.scipy_openblas_get_num_threads()
-    raise SystemExit("no scipy OpenBLAS thread control")
+class NoScipy:
+    # what an interpreter without scipy installed does on any import of it
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is not installed")
+        return None
 
-seen = []
-
-def spy(name, real):
-    def call(*args, **kwargs):
-        seen.append([name, scipy_blas_threads()])
-        return real(*args, **kwargs)
-    return call
-
-# kleinman_pi runs after the CARE solve, inside kleinman_from_care; the exact
-# solve runs after kleinman_from_care has returned, in the run's own block
-riccati.kleinman_pi = spy("kleinman_pi", riccati.kleinman_pi)
-regulator.solve_regulator_exact = spy("solve_regulator_exact", regulator.solve_regulator_exact)
-assert "scipy.linalg" not in sys.modules
-run_experiment(default_config(), sys.argv[1], log=lambda *args: None)
-print(json.dumps({"seen": seen, "after": scipy_blas_threads()}))
+sys.meta_path.insert(0, NoScipy())
+sys.argv = ["adpdock", *sys.argv[1:]]
+runpy.run_module("adpdock", run_name="__main__", alter_sys=True)
 """
 
 
-@pytest.mark.skipif(numpy_openblas() is None or matops._usable_cpus() < 2,
-                    reason="needs OpenBLAS thread control and two usable CPUs")
-def test_oracle_stage_runs_scipys_openblas_on_one_thread(tmp_path):
-    # scipy's wheels bundle an OpenBLAS of their own, loaded inside the run's
-    # pinned block by the oracle stage's import; the next entry pins it, the
-    # run keeps it at one thread, and its outermost exit restores the two
-    proc = run_python("-c", _ORACLE_STAGE_PIN, str(tmp_path / "out"))
-    if "no scipy OpenBLAS thread control" in proc.stderr:
-        pytest.skip("scipy's OpenBLAS thread control not found")
+def test_run_succeeds_where_scipy_cannot_be_imported(pipeline, tmp_path):
+    # scipy is a test dependency only: `run`, oracle stage included, exits 0
+    # with every artifact where importing scipy fails, and learns the gains
+    # that the pipeline fixture learned
+    out = tmp_path / "out"
+    proc = run_python("-c", _RUN_WITHOUT_SCIPY, "run",
+                      "--config", str(REPO / "configs" / "docking.cfg"), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "seen": [["kleinman_pi", 1], ["solve_regulator_exact", 1]], "after": 2}
+    assert sorted(path.name for path in out.iterdir()) == sorted(_ARTIFACTS)
+    assert (out / "learned_gains.json").read_bytes() == \
+        (pipeline.out / "learned_gains.json").read_bytes()
 
 
 _MULTI_RANGE_READ = """

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_continuous_are, solve_continuous_lyapunov
 
 from adpdock import (
     StateSpaceModel,
@@ -26,6 +28,22 @@ def scalar_model(a, b):
                            D=np.zeros((1, 1)), F=np.zeros((1, 1)))
 
 
+def imaginary_axis_plant():
+    """A = diag(0, -1), B = [0; 1]: the mode at 0 is not stabilizable.
+
+    With Q = I its Hamiltonian has eigenvalues +-sqrt(2) and a pair at 0,
+    which LAPACK's balancing isolates exactly, so one of them is stable.
+    """
+    return StateSpaceModel(A=[[0.0, 0.0], [0.0, -1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                           D=np.zeros((2, 1)), F=np.zeros((1, 1)))
+
+
+def random_weight(g, n):
+    """A random symmetric positive definite n x n weight, no smaller than I/2."""
+    factor = g.standard_normal((n, n))
+    return factor @ factor.T + 0.5 * np.eye(n)
+
+
 def test_lyapunov_diagonal_case():
     Q = np.diag([1.0, 2.0, 3.0])
     P = lyapunov_solve(-0.5 * np.eye(3), Q)
@@ -46,6 +64,20 @@ def test_lyapunov_random_stable():
         P = lyapunov_solve(a_cl, m)
         assert np.allclose(P, P.T, atol=1e-12)
         assert np.linalg.norm(a_cl.T @ P + P @ a_cl + m) <= 1e-9 * (1.0 + np.linalg.norm(m))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_lyapunov_matches_scipy_on_random_hurwitz_matrices(n, seed):
+    # scipy's Bartels-Stewart solver is the independent reference
+    g = np.random.default_rng(seed)
+    raw = g.standard_normal((n, n))
+    a_cl = raw - (np.max(np.linalg.eigvals(raw).real) + g.uniform(0.1, 2.0)) * np.eye(n)
+    m = random_weight(g, n)
+    P = lyapunov_solve(a_cl, m)
+    reference = solve_continuous_lyapunov(a_cl.T, -m)
+    assert np.array_equal(P, P.T)
+    assert np.linalg.norm(P - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 def test_lyapunov_rejects_bad_inputs():
@@ -92,7 +124,7 @@ def test_kleinman_matches_care(docking, oracle):
 
 
 def test_care_seeded_kleinman_matches_vi_seeded(docking, oracle):
-    # the run's oracle stage starts Kleinman from the Schur CARE solution;
+    # the run's oracle stage starts Kleinman from Potter's CARE solution;
     # the VI-bootstrapped oracle fixture is the reference it replaced
     cfg = docking.config
     P, K, iterates = kleinman_from_care(docking.model, cfg.Q, cfg.R)
@@ -132,6 +164,46 @@ def test_care_seeded_kleinman_random_plants():
         assert np.abs(P - P_vi).max() <= 1e-11 * (1.0 + np.abs(P_vi).max())
         compared += 1
     assert compared >= 6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_care_seeded_kleinman_matches_scipy_on_random_plants(n, m, seed):
+    # random (A, B) is stabilizable and a positive definite Q makes every
+    # plant detectable; scipy's Schur solver is the independent reference
+    g = np.random.default_rng(seed)
+    model, _ = random_solvable(n, m, 1, 1, generator=g)
+    Q, R = random_weight(g, n), random_weight(g, m)
+    P, K, _ = kleinman_from_care(model, Q, R)
+    reference = solve_continuous_are(model.A, model.B, Q, R)
+    assert is_hurwitz(model.A - model.B @ K)
+    assert np.linalg.norm(P - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
+def test_care_seed_with_a_repeated_stable_eigenvalue():
+    # the double integrator with Q = diag(1, 2) and R = 1 has the closed
+    # loop s^2 + 2 s + 1: its Hamiltonian's stable eigenvalue -1 is double
+    model = StateSpaceModel(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                            D=np.zeros((2, 1)), F=np.zeros((1, 1)))
+    Q, R = np.diag([1.0, 2.0]), np.eye(1)
+    P, K, iterates = kleinman_from_care(model, Q, R)
+    assert np.abs(P - solve_continuous_are(model.A, model.B, Q, R)).max() <= 1e-12
+    assert np.abs(P - [[2.0, 1.0], [1.0, 2.0]]).max() <= 1e-12
+    assert np.abs(K - [[1.0, 2.0]]).max() <= 1e-12
+
+
+def test_care_seed_rejects_a_mode_on_the_imaginary_axis():
+    with pytest.raises(ValueError, match="the Hamiltonian has 1 stable eigenvalues, not 2"):
+        kleinman_from_care(imaginary_axis_plant(), np.eye(2), np.eye(1))
+
+
+def test_care_seed_rejects_an_unstable_mode_no_input_reaches():
+    # A = diag(1, -1), B = [0; 1]: the Hamiltonian has its two stable
+    # eigenvalues, but their eigenvectors do not give a stabilizing P
+    model = StateSpaceModel(A=[[1.0, 0.0], [0.0, -1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+                            D=np.zeros((2, 1)), F=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="must be stabiliz"):
+        kleinman_from_care(model, np.eye(2), np.eye(1))
 
 
 def test_kleinman_fixed_point(docking, oracle):
