@@ -52,7 +52,7 @@ the jump. That term is linear in the model, so each regression is
 fitted, corrected with its own fit and refitted.
 
 Assembly, the rank check, value iteration, recovery and the regulator
-solve run on one OpenBLAS thread (:class:`matops.one_blas_thread`):
+solve run on one OpenBLAS thread (:func:`matops.one_blas_thread`):
 their matrices are at most a few thousand by a hundred, where a second
 BLAS thread costs more in wake-ups than it saves. Assembly instead
 splits the intervals into contiguous ranges, one per usable CPU, each

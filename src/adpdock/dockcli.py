@@ -398,9 +398,10 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     identification's ranks and residuals, the learned gain's consistency
     with the identified B, and the residuals of the regulator equations
     solved on the identified model, beside the data matrix's rank. The
-    whole run holds numpy's OpenBLAS at one thread
-    (:class:`matops.one_blas_thread`), whose idle worker would otherwise
-    spin on the CPU the CSV child writes on. The output directory is made
+    whole run holds numpy's OpenBLAS, the one BLAS the package loads, at
+    one thread (:func:`matops.one_blas_thread`), whose idle worker would
+    otherwise spin on the CPU the CSV child writes on, and sets its count
+    back when the run returns or raises. The output directory is made
     when collection ends. After assembly, whether it succeeds or not, a forked
     child writes ``trajectory_learning.csv`` while the later stages run
     (:func:`matops.write_csv_in_background`); where one CPU is usable,

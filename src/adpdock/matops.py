@@ -33,16 +33,13 @@ order, so each result dataclass is the schema of the artifact it becomes;
 an array or numpy scalar becomes its ``tolist()``, and a complex number
 ``[real, imag]``. Anything else raises TypeError.
 
-:class:`one_blas_thread` runs a block, or a decorated function, with every
-OpenBLAS the process has loaded set to one thread: numpy's, and the
-separate copy that scipy's wheels bundle where a caller's code imports
-:mod:`scipy.linalg` (no module of this package does). Every matrix of
-the learning chain is small (at most a few thousand by a hundred), so a
-second BLAS thread only adds wake-ups; and
-an OpenBLAS left at two threads keeps a worker thread spinning after its
-last call, on the CPU that a forked CSV writer needs. :func:`read_csv`
-and :func:`_split_over_cpus` split their work over the usable CPUs by
-the one rule of :func:`_worker_count`.
+:func:`one_blas_thread` runs a block, or a decorated function, with
+numpy's OpenBLAS set to one thread. Every matrix of the learning chain
+is small (at most a few thousand by a hundred), so a second BLAS thread
+only adds wake-ups; and an OpenBLAS left at two threads keeps a worker
+thread spinning after its last call, on the CPU that a forked CSV
+writer needs. :func:`read_csv` and :func:`_split_over_cpus` split their
+work over the usable CPUs by the one rule of :func:`_worker_count`.
 """
 
 from __future__ import annotations
@@ -53,11 +50,10 @@ import json
 import os
 import re
 import signal
-import sys
 import threading
 import warnings
-from contextlib import ContextDecorator, contextmanager
-from functools import partial
+from contextlib import contextmanager
+from functools import cache, partial
 
 import numpy as np
 
@@ -390,108 +386,79 @@ def is_hurwitz(a):
     return bool(np.all(np.linalg.eigvals(a).real < 0))
 
 
-#: (get, set) names of OpenBLAS's thread-count functions: the prefixed builds
-#: that numpy's (64-bit integers) and scipy's wheels bundle first, then plain builds.
+#: (get, set) names of OpenBLAS's thread-count functions: the prefixed build
+#: that numpy 2's wheels bundle (``scipy_openblas64_``, 64-bit integers) first,
+#: then plain builds.
 _OPENBLAS_THREAD_SYMBOLS = [(f"{prefix}_get_num_threads{suffix}",
                              f"{prefix}_set_num_threads{suffix}")
                             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
-#: Packages whose wheels bundle an OpenBLAS of their own, in ``<package>.libs``.
-_OPENBLAS_PACKAGES = ("numpy", "scipy")
 
 
+@cache
 def _find_openblas():
-    """{path: (get, set)}: the thread-count functions of every OpenBLAS this process has loaded.
+    """(get, set): the thread-count functions of numpy's OpenBLAS, or None where none is found.
 
-    Looks in the ``<package>.libs`` directory of each imported package of
-    :data:`_OPENBLAS_PACKAGES`, where its wheel bundles its own OpenBLAS,
-    and only at a library this process has already loaded
-    (``RTLD_NOLOAD``), so no further copy is ever loaded and set.
+    Looks in ``numpy.libs``, where numpy's wheel bundles its OpenBLAS, and
+    only at a library this process has already loaded (``RTLD_NOLOAD``), so
+    no further copy is ever loaded. Looked up once per process, on the
+    first call.
     """
     import ctypes
     import glob
 
-    found = {}
-    for name in _OPENBLAS_PACKAGES:
-        module = sys.modules.get(name)
-        if getattr(module, "__file__", None) is None:
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
             continue
-        libs = glob.glob(os.path.join(os.path.dirname(module.__file__), os.pardir,
-                                      f"{name}.libs", "*openblas*"))
-        for path in sorted(libs):
-            try:
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-            except OSError:
-                continue
-            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-                get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    found[path] = get, put
-                    break
-    return found
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
 
 
-class one_blas_thread(ContextDecorator):
+_pin_lock = threading.Lock()
+_pin_depth = 0  # one_blas_thread blocks open, in every thread
+_pin_restore = None  # (set, count) to apply on leaving the outermost block, or None
+
+
+@contextmanager
+def one_blas_thread():
     """Run a block, or every call of a decorated function, on one OpenBLAS thread.
 
-    Entering the outermost block sets every OpenBLAS the process has
-    loaded to one thread, numpy's and scipy's alike, and leaving it
-    restores the count each had, also when the block raises. A library
-    that loads while a block is open (scipy's, when the block imports
-    :mod:`scipy.linalg`, which no module of this package does) is set by
-    the next entry, nested or not, and restored with the others at the
-    outermost exit. Apart from that, an
-    entry while another block is open, in this thread or another,
-    changes nothing. Libraries are
-    looked up on first use, never at import, and again only on an entry
-    that finds ``sys.modules`` grown or shrunk since the last lookup, so
-    an entry that follows no import costs a length comparison. Where no
-    OpenBLAS thread control is found, the block runs with the count as
-    it is.
+    Entering the outermost block sets numpy's OpenBLAS to one thread, and
+    leaving it restores the count it had, also when the block raises; a
+    count that is already one is left alone. An entry while another block
+    is open, in this thread or another, changes nothing. The library is
+    looked up on the first entry (:func:`_find_openblas`), never at import;
+    where it has no thread control, the block runs with the count as it is.
 
     A library left at two threads is not idle after its last call: its
     worker spins for a while, on the CPU a forked CSV writer needs.
     """
-
-    _lock = threading.Lock()
-    _controls = {}  # path -> (get, set) of every OpenBLAS found loaded
-    _modules = None  # len(sys.modules) at the last lookup, None before the first
-    _depth = 0
-    _restore = ()  # (set, count) pairs to apply on leaving the outermost block
-
-    def __enter__(self):
-        cls = type(self)
-        with cls._lock:
-            cls._depth += 1
-            loaded = cls._look_up()
-            # the outermost entry sets every library; a nested one those just loaded
-            for get, put in (cls._controls.values() if cls._depth == 1 else loaded):
-                previous = get()
-                if previous != 1:
-                    put(1)
-                    cls._restore += ((put, previous),)
-
-    @classmethod
-    def _look_up(cls):
-        """The (get, set) pairs of the libraries found since the last lookup; call under the lock."""
-        if len(sys.modules) == cls._modules:
-            return []
-        cls._modules = len(sys.modules)
-        loaded = {path: control for path, control in _find_openblas().items()
-                  if path not in cls._controls}
-        cls._controls = {**cls._controls, **loaded}
-        return list(loaded.values())
-
-    def __exit__(self, *exc):
-        cls = type(self)
-        with cls._lock:
-            cls._depth -= 1
-            if cls._depth == 0:
-                for put, count in cls._restore:
-                    put(count)
-                cls._restore = ()
-        return False
+    global _pin_depth, _pin_restore
+    with _pin_lock:
+        if _pin_depth == 0 and (control := _find_openblas()) is not None:
+            get, put = control
+            count = get()
+            if count != 1:
+                put(1)
+                _pin_restore = put, count
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0 and _pin_restore is not None:
+                put, count = _pin_restore
+                _pin_restore = None
+                put(count)
 
 
 #: Rows formatted by one ``orjson.dumps`` in :func:`write_csv`. The writing
@@ -583,9 +550,10 @@ def _fork_worker(send):
     fork, and runs none of the parent's exit handlers or buffer flushes.
     The DeprecationWarning that Python 3.12+ gives for forking a
     multi-threaded process is therefore silenced. (OpenBLAS's own at-fork
-    handler stops its pool. Outside :class:`one_blas_thread` the parent
-    restarts the pool on its next BLAS call, which costs it just under
-    1 MB of resident memory once; on one thread no pool is restarted.)
+    handler stops its pool. Outside :func:`one_blas_thread` the parent
+    restarts numpy's pool on its next BLAS call, which costs it just
+    under 1 MB of resident memory once; inside it, on one thread, no pool
+    is restarted.)
     The child exits with code 0 if ``send`` returns and 1 if it raises.
     """
     read_fd, write_fd = os.pipe()

@@ -6,9 +6,11 @@ modules.
 
 Also the process helpers that the fork and subprocess tests share:
 ``run_python``, ``counting_forks``, ``open_fds``,
-``assert_no_child_left``, ``slow_blocks``, ``numpy_openblas`` and
-``unpinned``, and ``assert_csv_holds``, the reference check of a CSV
-artifact (import them with ``from conftest import ...``).
+``assert_no_child_left`` and ``slow_blocks``; ``numpy_openblas``, the
+thread control of numpy's OpenBLAS, the one BLAS the package loads, and
+``unpinned``, which hides it from ``matops.one_blas_thread``; and
+``assert_csv_holds``, the reference check of a CSV artifact (import
+them with ``from conftest import ...``).
 """
 
 import os
@@ -110,15 +112,12 @@ def assert_csv_holds(path, data, header):
 
 def numpy_openblas():
     """(get, set) thread-count functions of numpy's OpenBLAS, or None where none is found."""
-    return next((control for path, control in matops._find_openblas().items()
-                 if os.path.basename(os.path.dirname(path)) == "numpy.libs"), None)
+    return matops._find_openblas()
 
 
 def unpinned(mp):
     """Make ``one_blas_thread`` find no OpenBLAS while the patch holds: every count stays as it is."""
-    mp.setattr(matops, "_find_openblas", lambda: {})
-    mp.setattr(matops.one_blas_thread, "_controls", {})
-    mp.setattr(matops.one_blas_thread, "_modules", None)
+    mp.setattr(matops, "_find_openblas", lambda: None)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ equation in adp relies on; tolerances are machine-level.
 """
 
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 
 from adpdock import matops
 from adpdock.errors import RankDeficiencyError
-from conftest import (assert_csv_holds, assert_no_child_left, counting_forks, open_fds,
-                      run_python, slow_blocks, unpinned)
+from conftest import (assert_csv_holds, assert_no_child_left, counting_forks, numpy_openblas,
+                      open_fds, run_python, slow_blocks, unpinned)
 from adpdock.matops import (
     bdiag,
     check_weights,
@@ -533,130 +534,86 @@ def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypa
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    """Two stand-in OpenBLAS thread controls, "numpy" and "scipy", both at count 4.
+    """A stand-in for numpy's OpenBLAS thread control, at count 4.
 
-    ``loaded`` names the libraries that a lookup finds (both at first),
-    ``sets`` records every set as (library, count) and ``lookups`` counts
-    the lookups.
+    ``sets`` records every count set and ``lookups`` counts the lookups,
+    which are cached like :func:`matops._find_openblas`'s.
     """
-    state = SimpleNamespace(count={"numpy": 4, "scipy": 4}, loaded=["numpy", "scipy"], sets=[],
-                            lookups=0)
+    state = SimpleNamespace(count=4, sets=[], lookups=0)
 
-    def control(name):
-        def put(count):
-            state.sets.append((name, count))
-            state.count[name] = count
+    def put(count):
+        state.sets.append(count)
+        state.count = count
 
-        return (lambda: state.count[name]), put
-
+    @functools.cache
     def find():
         state.lookups += 1
-        return {name: control(name) for name in state.loaded}
+        return (lambda: state.count), put
 
     monkeypatch.setattr(matops, "_find_openblas", find)
-    monkeypatch.setattr(one_blas_thread, "_controls", {})
-    monkeypatch.setattr(one_blas_thread, "_modules", None)
     return state
-
-
-def import_module(monkeypatch):
-    """Grow ``sys.modules`` by one entry until the test ends, as an import does."""
-    monkeypatch.setitem(sys.modules, f"fake_import_{len(sys.modules)}", SimpleNamespace())
-
-
-BOTH = {"numpy": 1, "scipy": 1}
-RESTORED = {"numpy": 4, "scipy": 4}
-PIN_AND_RESTORE = [("numpy", 1), ("scipy", 1), ("numpy", 4), ("scipy", 4)]
 
 
 def test_one_blas_thread_restores_the_count_on_return_exception_and_nesting(fake_blas):
     with one_blas_thread():
-        assert fake_blas.count == BOTH
-    assert fake_blas.count == RESTORED
+        assert fake_blas.count == 1
+    assert fake_blas.count == 4
 
     @one_blas_thread()
     def count():
-        return dict(fake_blas.count)
+        return fake_blas.count
 
-    assert count() == BOTH and fake_blas.count == RESTORED
+    assert count() == 1 and fake_blas.count == 4
     with pytest.raises(KeyError):
         with one_blas_thread():
             raise KeyError("stage")
-    assert fake_blas.count == RESTORED
+    assert fake_blas.count == 4
     with one_blas_thread():
         with one_blas_thread():
-            assert fake_blas.count == BOTH
-        assert fake_blas.count == BOTH
-        assert count() == BOTH
+            assert fake_blas.count == 1
+        assert fake_blas.count == 1
+        assert count() == 1
         with pytest.raises(KeyError):
             with one_blas_thread():
                 raise KeyError("stage")
-        assert fake_blas.count == BOTH
-    assert fake_blas.count == RESTORED
-    # only the outermost block sets and restores; sys.modules never changed,
-    # so the libraries were looked up once
-    assert fake_blas.sets == PIN_AND_RESTORE * 4
+        assert fake_blas.count == 1
+    assert fake_blas.count == 4
+    # only the outermost block sets and restores, and the library was looked up once
+    assert fake_blas.sets == [1, 4] * 4
     assert fake_blas.lookups == 1
 
 
-def test_one_blas_thread_pins_a_library_loaded_inside_an_open_block(fake_blas, monkeypatch):
-    fake_blas.loaded.remove("scipy")
+def test_one_blas_thread_looks_up_once_even_when_sys_modules_changes(monkeypatch):
+    # the real lookup: however many blocks open, and whatever is imported
+    # between them (as of scipy.linalg), numpy's control is found once per process
     with one_blas_thread():
-        assert fake_blas.count == {"numpy": 1, "scipy": 4}
-        fake_blas.loaded.append("scipy")  # as importing scipy.linalg loads scipy's OpenBLAS
-        import_module(monkeypatch)
-        assert fake_blas.count == {"numpy": 1, "scipy": 4}  # nothing sets it before an entry
-        with one_blas_thread():
-            assert fake_blas.count == BOTH
-        assert fake_blas.count == BOTH  # a nested exit restores nothing
-        with one_blas_thread():
-            assert fake_blas.count == BOTH
-    assert fake_blas.count == RESTORED  # the outermost exit restores both
-    assert fake_blas.sets == PIN_AND_RESTORE
-    assert fake_blas.lookups == 2
-    # both are known now: the next block sets both on entry and looks up nothing
-    with one_blas_thread():
-        assert fake_blas.count == BOTH
-    assert fake_blas.sets == PIN_AND_RESTORE * 2 and fake_blas.lookups == 2
-
-
-def test_one_blas_thread_looks_up_again_only_when_sys_modules_changes(fake_blas, monkeypatch):
+        pass
+    assert matops._find_openblas.cache_info().misses == 1
+    monkeypatch.setitem(sys.modules, f"fake_import_{len(sys.modules)}", SimpleNamespace())
+    control = numpy_openblas()
     for _ in range(3):
         with one_blas_thread(), one_blas_thread():
-            pass
-    assert fake_blas.lookups == 1
-    import_module(monkeypatch)
-    with one_blas_thread():
-        pass
-    assert fake_blas.lookups == 2
-    with one_blas_thread():
-        pass
-    assert fake_blas.lookups == 2
-    assert fake_blas.sets == PIN_AND_RESTORE * 5
+            assert control is None or control[0]() == 1
+    assert matops._find_openblas.cache_info().misses == 1
 
 
-def test_one_blas_thread_keeps_the_pin_under_frequent_thread_switches(fake_blas, monkeypatch):
-    # eight threads enter and leave nested blocks, switching every microsecond,
-    # while a second library loads: inside every block each known library reads
-    # one, and once all have left both counts are restored
-    fake_blas.loaded.remove("scipy")
+def test_one_blas_thread_keeps_the_pin_under_frequent_thread_switches(fake_blas):
+    # eight threads enter and leave nested blocks, switching every microsecond:
+    # inside every block the count reads one, and once all have left it is restored
     interval, errors = sys.getswitchinterval(), []
     start = threading.Barrier(8, timeout=30)
 
-    def work(i):
+    def work():
         try:
             start.wait()
-            for k in range(200):
+            for _ in range(200):
                 with one_blas_thread():
-                    if i == 0 and k == 100:
-                        fake_blas.loaded.append("scipy")
-                        import_module(monkeypatch)
                     with one_blas_thread():
-                        assert fake_blas.count["numpy"] == 1
+                        assert fake_blas.count == 1
         except Exception as exc:  # raised by the test once every thread is joined
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    threads = [threading.Thread(target=work) for _ in range(8)]
     sys.setswitchinterval(1e-6)
     try:
         for thread in threads:
@@ -666,45 +623,53 @@ def test_one_blas_thread_keeps_the_pin_under_frequent_thread_switches(fake_blas,
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
-    assert fake_blas.count == RESTORED
-    assert one_blas_thread._depth == 0 and one_blas_thread._restore == ()
-    assert sorted(one_blas_thread._controls) == ["numpy", "scipy"]
+    assert fake_blas.count == 4 and fake_blas.lookups == 1
+    assert matops._pin_depth == 0 and matops._pin_restore is None
 
 
 def test_one_blas_thread_leaves_a_count_of_one_alone(fake_blas):
-    fake_blas.count["numpy"] = 1
+    fake_blas.count = 1
     with one_blas_thread():
-        assert fake_blas.count == BOTH
-    assert fake_blas.sets == [("scipy", 1), ("scipy", 4)]
-    assert fake_blas.count == {"numpy": 1, "scipy": 4}
+        assert fake_blas.count == 1
+    assert fake_blas.sets == [] and fake_blas.count == 1
 
 
 def test_one_blas_thread_without_a_thread_control_does_nothing(monkeypatch):
     unpinned(monkeypatch)
     with one_blas_thread():
-        assert one_blas_thread._controls == {} and one_blas_thread._restore == ()
-    assert one_blas_thread._depth == 0
+        assert matops._pin_depth == 1 and matops._pin_restore is None
+    assert matops._pin_depth == 0
 
 
-# Runs in a fresh interpreter: reads the count of numpy's OpenBLAS without
-# the package, imports the package, and checks the count and the pin.
-_IMPORT_KEEPS_COUNT = """
+# Prefix of the subprocess scripts below: ``control(module)`` reads the
+# (get, set) thread-count functions of the OpenBLAS in ``<module>.libs``
+# through ctypes, without the package.
+_OPENBLAS_CONTROL = """
 import ctypes, glob, os
+
+def control(module):
+    name = module.__name__
+    for path in glob.glob(os.path.join(os.path.dirname(module.__file__), os.pardir,
+                                       f"{name}.libs", "*openblas*")):
+        lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get is not None:
+                    return get, getattr(lib, f"{prefix}_set_num_threads{suffix}")
+    raise SystemExit(f"no OpenBLAS thread control in {name}.libs")
+"""
+
+# Reads the count of numpy's OpenBLAS without the package, imports the
+# package, and checks the count and the pin.
+_IMPORT_KEEPS_COUNT = _OPENBLAS_CONTROL + """
 import numpy as np
 
-def count():
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                       "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                return getattr(lib, name)()
-    raise SystemExit("no OpenBLAS thread control")
-
+count = control(np)[0]
 before = count()
 import adpdock
 from adpdock import matops
-assert matops.one_blas_thread._modules is None, "looked up at import"
+assert matops._find_openblas.cache_info().currsize == 0, "looked up at import"
 assert count() == before, (count(), before)
 with matops.one_blas_thread():
     assert count() == 1, count()
@@ -719,6 +684,34 @@ def test_import_leaves_the_blas_thread_count_alone():
         pytest.skip("numpy's OpenBLAS thread control not found")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok ")
+
+
+# Importing scipy.linalg loads the separate OpenBLAS that scipy's wheels
+# bundle. Both libraries are set to two threads; a block pins numpy's
+# alone and restores it.
+_SCIPY_OPENBLAS_LEFT_ALONE = _OPENBLAS_CONTROL + """
+import numpy as np
+import scipy
+import scipy.linalg
+
+(numpy_get, numpy_set), (scipy_get, scipy_set) = control(np), control(scipy)
+numpy_set(2)
+scipy_set(2)
+from adpdock import matops
+with matops.one_blas_thread():
+    assert (numpy_get(), scipy_get()) == (1, 2), (numpy_get(), scipy_get())
+    scipy.linalg.solve_continuous_are(-np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+assert (numpy_get(), scipy_get()) == (2, 2), (numpy_get(), scipy_get())
+print("ok")
+"""
+
+
+def test_one_blas_thread_pins_numpys_openblas_and_leaves_scipys_alone():
+    proc = run_python("-c", _SCIPY_OPENBLAS_LEFT_ALONE, timeout=120)
+    if "no OpenBLAS thread control" in proc.stderr:
+        pytest.skip(proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 # --- read_csv: values equal np.loadtxt, the reference reader ------------
