@@ -269,8 +269,8 @@ def assemble_regression(log, basis, R, interval):
     taken as the held (zero-order) value on each fine step, matching how
     the input was actually applied; the x factor is still averaged.
     Endpoint vecv differences form Dxx exactly. ``basis`` is the
-    :class:`regulator.KernelBasis` of the plant; its ``X1`` must be
-    n x q.
+    :class:`regulator.KernelBasis` of the plant; its C must have n
+    columns and its F q columns, one row per row of C.
 
     The products are those of z = [x; v; 1]: per interval, the
     trapezoidal integral of z z' and the held-input integral of z u'.
@@ -318,8 +318,9 @@ def assemble_regression(log, basis, R, interval):
     m = u.shape[1]
     q = v.shape[1]
     R = check_input_weight(R, m)
-    if basis.X1.shape != (n, q):
-        raise ValueError(f"basis shape {basis.X1.shape} does not match log dims ({n}, {q})")
+    if basis.C.shape[1] != n or basis.F.shape != (len(basis.C), q):
+        raise ValueError(f"basis C {basis.C.shape} and F {basis.F.shape} do not match log dims "
+                         f"n = {n}, q = {q}")
 
     d = n + q
     ix, jx = np.triu_indices(n)
@@ -600,8 +601,8 @@ def solve_problem1_datadriven(recovery, basis, Qbar=None, Rbar=None):
     """Trace-optimal regulator pair (X, U) of the model identified from data.
 
     The regulator equations X E_hat = A_hat X + B_hat U + D_hat and
-    0 = C X + F, with the C and F that ``basis`` parametrizes, are solved
-    by :func:`regulator.solve_regulator_exact` to a relative residual of
+    0 = C X + F, with ``basis``'s C and F, are solved by
+    :func:`regulator.solve_regulator_exact` to a relative residual of
     1e-6; any remaining freedom minimizes Tr(X'QbarX + U'RbarU).
 
     Raises

@@ -350,7 +350,8 @@ def _stage(name, fn, *args, **kwargs):
         # is on the first moments and the regulator's on B_hat
         raise StageFailure("rank" if name == "learn" else name, exc) from exc
     except ConvergenceError as exc:
-        raise StageFailure("convergence", exc) from exc
+        # learning's value iteration, not the oracle's policy iteration
+        raise StageFailure("convergence" if name == "learn" else name, exc) from exc
     except Exception as exc:
         raise StageFailure(name, exc) from exc
 
@@ -393,11 +394,13 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     reports: value iteration rejects a rank-deficient data matrix by the
     same rule, in stage 'rank'. The learning stages are the chain of
     :func:`adp.learn_controller`. First moments that do not identify the
-    model end the run in stage 'recover', and an identified B of deficient
-    column rank in stage 'regulator'; ``report.json`` records the
-    identification's ranks and residuals, the learned gain's consistency
-    with the identified B, and the residuals of the regulator equations
-    solved on the identified model, beside the data matrix's rank. The
+    model end the run in stage 'recover', an identified B of deficient
+    column rank in stage 'regulator', and any oracle failure, a policy
+    iteration that does not converge included, in stage 'oracle';
+    ``report.json`` records the identification's ranks and residuals, the
+    learned gain's consistency with the identified B, and the residuals
+    of the regulator equations solved on the identified model, beside the
+    data matrix's rank. The
     whole run holds numpy's OpenBLAS, the one BLAS the package loads, at
     one thread (:func:`matops.one_blas_thread`), whose idle worker would
     otherwise spin on the CPU the CSV child writes on, and sets its count

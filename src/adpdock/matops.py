@@ -69,7 +69,6 @@ __all__ = [
     "bdiag",
     "equilibrate",
     "lstsq",
-    "null_space",
     "is_hurwitz",
     "write_csv",
     "write_csv_in_background",
@@ -293,6 +292,14 @@ def numerical_rank(a, required=None):
     Singular values above ``max(rows, cols) * eps * sigma_max`` count.
     With ``required`` given, returns ``(rank, margin)`` where margin is
     the ``required``-th largest singular value (0.0 if there are fewer).
+
+    This is the package's one rank helper: the PBH checks of
+    :func:`sysmodels.check_assumptions`, the observability check of
+    :func:`riccati.kleinman_pi`, the row rank of C in
+    :func:`regulator.kernel_basis` and the column rank of the identified B
+    in :func:`adp.solve_problem1_datadriven` call it. :func:`lstsq` and
+    :func:`regulator.solve_regulator_exact` factor their matrix anyway
+    and count its singular values by the same rule (:func:`_svd_rank`).
     """
     a = np.asarray(a)
     a = _as_matrix(a, "a", dtype=np.result_type(a, float))
@@ -307,23 +314,6 @@ def _svd_rank(sv, shape):
     """Count of the singular values ``sv`` above ``max(shape) * eps * sigma_max``."""
     threshold = max(shape) * np.finfo(float).eps * sv[0] if sv.size else 0.0
     return int(np.sum(sv > threshold))
-
-
-def null_space(a):
-    """Orthonormal basis of the null space of a real matrix, one vector per column.
-
-    The basis is the trailing right singular vectors of ``a``, those past
-    its :func:`numerical_rank`, so the column count is always
-    ``cols - numerical_rank(a)``: rank is decided by the one threshold
-    ``max(rows, cols) * eps * sigma_max``. A matrix without entries (no
-    rows or no columns) has the whole space as its null space.
-    """
-    a = _as_matrix(a, "a")
-    cols = a.shape[1]
-    if a.size == 0:
-        return np.eye(cols)
-    _, sv, vh = np.linalg.svd(a, full_matrices=True)
-    return vh[_svd_rank(sv, a.shape):].T
 
 
 def _weight(value, dim, name):

@@ -1,4 +1,4 @@
-"""Regulator equations: exact solver and kernel parametrization.
+"""Regulator equations: the exact solver and the output equation.
 
 A pair (X, U) solves the regulator equations when
 
@@ -8,7 +8,9 @@ Any such pair makes x - X v an error-free steady-state manifold, and a
 stabilizing state feedback K turns it into the tracking controller
 u = -K x + (U + K X) v. Among all solutions we pick the one minimizing
 the quadratic size measure Tr(X' Qbar X + U' Rbar U), which is a
-trace-weighted least-norm problem over an affine set.
+trace-weighted least-norm problem over an affine set. The output
+equation (C, F) is what the data-driven solve takes from the plant:
+:class:`KernelBasis` holds it once it is checked.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError
-from .matops import _svd_rank, bdiag, check_weights, kron, null_space, unvec, vec
+from .matops import _svd_rank, bdiag, check_weights, kron, numerical_rank, unvec, vec
 
 __all__ = [
     "RegulatorSolution",
@@ -45,37 +47,35 @@ class RegulatorSolution:
 
 @dataclass
 class KernelBasis:
-    """Affine parametrization of {X : C X + F = 0}.
+    """The output equation C X + F = 0 of the regulator equations.
 
-    ``X1`` is a particular solution of C X = -F; every
-    constraint-satisfying X is X1 plus a matrix whose columns lie in
-    ker C, an (n - p) q-dimensional space. ``C`` and ``F`` are the output
-    equation's matrices that it parametrizes: the learned regulator
-    solve reads them, and assembly checks the log's dimensions against
-    the shape of ``X1``.
+    ``C`` (p x n, of full row rank) and ``F`` (p x q) are the plant's
+    output matrices, checked by :func:`kernel_basis`. The learned
+    regulator solve reads them, and assembly checks the log's n and q
+    against their shapes. The paper's kernel-basis parametrization, a
+    particular solution of C X = -F plus matrices whose columns lie in
+    ker C, follows from them; nothing in the learn chain needs it.
     """
 
-    X1: np.ndarray
     C: np.ndarray
     F: np.ndarray
 
 
 def kernel_basis(model):
-    """Build the :class:`KernelBasis` for C X = -F.
+    """The :class:`KernelBasis` of ``model``'s output equation C X = -F.
 
-    Raises NoSolutionError if C lacks full row rank or C X = -F has no
-    solution.
+    Raises NoSolutionError, naming the rank, if C lacks full row rank by
+    :func:`matops.numerical_rank`'s rule, and NoSolutionError if the
+    least-norm solution of C X = -F leaves a residual above 1e-8 (1 + |F|),
+    as rounding can on a C of full but ill-conditioned row rank.
     """
-    n, p = model.n, model.p
-    W = null_space(model.C)
-    if W.shape[1] != n - p:
-        raise NoSolutionError(
-            f"C must have full row rank: ker C has dimension {W.shape[1]}, expected {n - p}"
-        )
-    X1 = np.linalg.pinv(model.C) @ (-model.F)
-    if np.linalg.norm(model.C @ X1 + model.F) > _SOLVE_RTOL * (1.0 + np.linalg.norm(model.F)):
+    C, F = model.C, model.F
+    if (rank := numerical_rank(C)) < model.p:
+        raise NoSolutionError(f"C must have full row rank: rank {rank} < {model.p} rows")
+    X1 = np.linalg.pinv(C) @ (-F)
+    if np.linalg.norm(C @ X1 + F) > _SOLVE_RTOL * (1.0 + np.linalg.norm(F)):
         raise NoSolutionError("C X = -F has no solution")
-    return KernelBasis(X1=X1, C=model.C, F=model.F)
+    return KernelBasis(C=C, F=F)
 
 
 def solve_regulator_exact(model, exo, Qbar=None, Rbar=None, rtol=_SOLVE_RTOL):

@@ -40,9 +40,10 @@ __all__ = [
 ]
 
 _LYAP_RTOL = 1e-9
-# kleinman_pi stops once |P_k - P_{k-1}| < _PI_TOL (1 + |P_k|), within _PI_MAX_ITER
-# iterations: relative, because the rounding of a Lyapunov solve grows with |P|
+# kleinman_pi's step and ARE-residual tolerances (see its docstring), relative to
+# 1 + |P_k| because the rounding of a Lyapunov solve grows with |P|
 _PI_TOL = 1e-10
+_PI_ARE_RTOL = 1e-10
 _PI_MAX_ITER = 100
 # a Newton try of run_value_iteration stops after this many steps even while
 # the residual still falls; from a point that converges it needs a handful
@@ -117,8 +118,9 @@ def lyapunov_solve(a_cl, m):
     n <= 10 plants this package solves; the residual is checked
     afterwards. The system's condition grows with |P|: where |P| is
     about 1e6 or more, rounding moves the solution by 1e-9 to 1e-5
-    relative, which the residual check accepts but which limits
-    :func:`kleinman_pi`'s stop test.
+    relative, which the residual check accepts. Successive solves of
+    :func:`kleinman_pi` then never agree to its step tolerance, which is
+    why it also stops on steps that no longer shrink.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -166,14 +168,17 @@ def kleinman_pi(model, Q, R, K0):
         If K0 does not stabilize A - B K0 or (A, sqrt(Q)) is not
         observable (the evaluation equation would be degenerate).
     ConvergenceError
-        If 100 iterations pass without |P_k - P_{k-1}| < 1e-10 (1 + |P_k|).
+        If 100 iterations pass without either stop below.
 
-    The stop test compares successive :func:`lyapunov_solve` results, so
-    rounding limits it, not the iteration: on ill-conditioned plants
-    (|P*| from about 1e6; in random surveys single-input plants with
+    The iteration stops at P_k once |P_k - P_{k-1}| < 1e-10 (1 + |P_k|).
+    That test compares successive :func:`lyapunov_solve` results, so on
+    ill-conditioned plants rounding decides it, not the iteration: where
+    |P*| is about 1e6 or more (in random surveys, single-input plants with
     n = 4 to 6, a few in a thousand) successive solves keep differing by
-    1e-9 to 1e-5 relative and ConvergenceError is raised, although every
-    iterate's ARE residual is at rounding level (1e-10 relative or less).
+    1e-9 to 1e-5 relative, although every iterate's ARE residual is at
+    rounding level. So the iteration also stops at P_k once its step is
+    no shorter than the step before, the sign that only rounding moves
+    it, while the ARE residual of P_k is below 1e-10 (1 + |P_k|).
     """
     A, B = model.A, model.B
     n = model.n
@@ -190,15 +195,17 @@ def kleinman_pi(model, Q, R, K0):
             raise ValueError("(A, sqrt(Q)) must be observable")
 
     iterates = []
-    P_prev = None
+    step_prev = np.inf
     for _ in range(_PI_MAX_ITER):
         P = lyapunov_solve(A - B @ K, Q + K.T @ R @ K)
         K = np.linalg.solve(R, B.T @ P)
         iterates.append((P, K))
-        if P_prev is not None and \
-                np.linalg.norm(P - P_prev) < _PI_TOL * (1.0 + np.linalg.norm(P)):
-            return P, K, iterates
-        P_prev = P
+        if len(iterates) > 1:
+            step, scale = np.linalg.norm(P - iterates[-2][0]), 1.0 + np.linalg.norm(P)
+            if step < _PI_TOL * scale or (step >= step_prev and np.linalg.norm(
+                    A.T @ P + P @ A + Q - P @ B @ K) < _PI_ARE_RTOL * scale):
+                return P, K, iterates
+            step_prev = step
     raise ConvergenceError(
         f"policy iteration did not converge in {_PI_MAX_ITER} iterations",
         iterations=_PI_MAX_ITER,

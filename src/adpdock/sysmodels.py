@@ -333,7 +333,9 @@ class LinearPolicy:
 
 
 def build_cw_plant(params):
-    """CW/J2 plant matrices A and B; C is a zero placeholder and D, F have no exostate.
+    """CW/J2 plant matrices A and B, in a model with no outputs and no exostate (p = q = 0).
+
+    :func:`build_docking_scenario` adds the error output and the exosystem.
 
     With ``include_j2`` false the coupling constant c is 1 and the plain
     CW equations result. The cross-track row uses -nbar^2 (harmonic
@@ -348,8 +350,7 @@ def build_cw_plant(params):
     A[4, 3] = -2.0 * nbar
     A[5, 2] = -(nbar**2)
     B = np.vstack([np.zeros((3, 3)), np.eye(3)])
-    return StateSpaceModel(A=A, B=B, C=np.zeros((3, 6)), D=np.zeros((6, 0)),
-                           F=np.zeros((3, 0)))
+    return StateSpaceModel(A=A, B=B, C=np.zeros((0, 6)), D=np.zeros((6, 0)), F=np.zeros((0, 0)))
 
 
 # 0-indexed (row, col) slots of the J2 differential-acceleration coupling.

@@ -51,7 +51,7 @@ from adpdock.matops import kron, lstsq, numerical_rank, unvec, unvecs, vec, vecs
 from adpdock.regulator import KernelBasis, kernel_basis
 from adpdock.riccati import run_value_iteration
 from conftest import numpy_openblas, unpinned
-from test_regulator import kernel_directions, random_solvable
+from test_regulator import kernel_directions, particular_solution, random_solvable
 
 rng = np.random.default_rng(1618)
 
@@ -75,7 +75,8 @@ def exact_recovery(model, exo):
 
 def sweep_offsets(basis):
     """The paper's h + 2 kernel-basis offsets X_0 = 0, X_1, X_1 + N_1, ..., X_1 + N_h."""
-    return [np.zeros_like(basis.X1), basis.X1] + [basis.X1 + N for N in kernel_directions(basis)]
+    X1 = particular_solution(basis)
+    return [np.zeros_like(X1), X1] + [X1 + N for N in kernel_directions(basis)]
 
 
 def reference_assembly(log, offsets, R, interval):
@@ -186,7 +187,7 @@ def random_log_and_basis(n, m, q, n_samples, dt, generator):
                         v=generator.standard_normal((n_samples, q)),
                         e=np.zeros((n_samples, 1)))
     X1 = generator.standard_normal((n, q))
-    basis = KernelBasis(X1=X1, C=np.eye(1, n), F=-X1[:1])
+    basis = KernelBasis(C=np.eye(1, n), F=-X1[:1])
     R = generator.standard_normal((m, m))
     return log, basis, R @ R.T + np.eye(m)
 
@@ -590,7 +591,7 @@ def exostate_sweep(freqs, T, c0, dt, horizon=10.0, interval=0.1):
     g = np.random.default_rng(0)
     log = TrajectoryLog(t=t, x=g.standard_normal((len(t), 1)), u=g.standard_normal((len(t), 1)),
                         v=c @ T.T, e=np.zeros((len(t), 1)))
-    basis = KernelBasis(X1=np.ones((1, T.shape[0])), C=np.eye(1), F=-np.ones((1, T.shape[0])))
+    basis = KernelBasis(C=np.eye(1), F=-np.ones((1, T.shape[0])))
     return assemble_regression(log, basis, np.eye(1), interval)
 
 
@@ -644,8 +645,7 @@ def test_plant_identified_after_the_end_correction(n, m, q, seed):
     errors = []
     for dt in (1e-3, 5e-4):
         log = collect_data(model, exo, K0, noise, x0, horizon=5.0, dt=dt, interval=0.1)
-        sweep = assemble_regression(log, KernelBasis(X1=np.zeros((n, q)), C=model.C, F=model.F),
-                                    np.eye(m), 0.1)
+        sweep = assemble_regression(log, KernelBasis(C=model.C, F=model.F), np.eye(m), 0.1)
         for fit, corrected in ((recover_any_gain(sweep), True),
                                (recover_any_gain(without_end_correction(sweep)), False)):
             error = np.linalg.norm(np.hstack([fit.A_hat, fit.B_hat, fit.D_hat]) - truth)
@@ -715,10 +715,11 @@ def test_offset_fixture_holds_the_papers_26_offsets(docking, learning_data, offs
     offsets = offset_bundles.offsets
     h = (model.n - model.p) * model.q
     assert len(offsets) == len(offset_bundles.bundles) == h + 2 == 26
-    assert np.array_equal(offsets[0], np.zeros((6, 8))) and offsets[1] is basis.X1
+    X1 = particular_solution(basis)
+    assert np.array_equal(offsets[0], np.zeros((6, 8))) and np.array_equal(offsets[1], X1)
     for Xj in offsets[1:]:
         assert np.linalg.norm(model.C @ Xj + model.F) <= 1e-12
-    directions = np.column_stack([vec(Xj - basis.X1) for Xj in offsets[2:]])
+    directions = np.column_stack([vec(Xj - X1) for Xj in offsets[2:]])
     assert np.linalg.matrix_rank(directions) == h
 
 
@@ -1081,6 +1082,11 @@ def test_assemble_validates_inputs(docking, learning_data):
                          v=log.v[:5], e=log.e[:5])
     with pytest.raises(ValueError):
         assemble_regression(tiny, learning_data.basis, cfg.R, cfg.interval)
+    # the basis states the log's output equation: C with n columns, F with q, one row each
+    for C, F in ((np.eye(3, 5), np.eye(3, 8)), (np.eye(3, 6), np.eye(3, 7)),
+                 (np.eye(3, 6), np.eye(2, 8))):
+        with pytest.raises(ValueError, match=r"do not match log dims n = 6, q = 8$"):
+            assemble_regression(log, KernelBasis(C=C, F=F), cfg.R, cfg.interval)
 
 
 def test_assembly_and_recovery_take_every_weight_form(docking, learning_data, learned):
@@ -1120,9 +1126,9 @@ def test_recovery_against_truth(docking, learned):
     assert np.max(np.abs(recovery.D_hat - model.D)) <= 1e-2 * (1.0 + np.max(np.abs(model.D)))
     assert np.max(np.abs(recovery.B_hat - model.B)) <= 1e-2 * (1.0 + np.max(np.abs(model.B)))
     # S(X_1) from data vs the true Sylvester image
-    basis = kernel_basis(model)
-    S1_true = sylvester_image(basis.X1, model.A, exo.E)
-    S1, = identified_sylvester_images(recovery, [basis.X1])
+    X1 = particular_solution(kernel_basis(model))
+    S1_true = sylvester_image(X1, model.A, exo.E)
+    S1, = identified_sylvester_images(recovery, [X1])
     err = np.linalg.norm(S1 - S1_true)
     assert err <= 1e-2 * (1.0 + np.linalg.norm(S1_true))
 

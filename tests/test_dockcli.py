@@ -27,6 +27,7 @@ from adpdock import (
 )
 from adpdock.adp import collect_data
 from adpdock.dockcli import _ARTIFACTS, _SCHEMA, main
+from adpdock.errors import ConvergenceError
 from adpdock.sysmodels import AssumptionReport, CwParams, PbhRecord
 from conftest import (REPO, assert_no_child_left, counting_forks, numpy_openblas, open_fds,
                       run_python, slow_blocks, unpinned)
@@ -530,12 +531,31 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_convergence_failure_exit_code(tmp_path):
+def test_cli_convergence_failure_exit_code(tmp_path, capsys):
     cfg = ExperimentConfig(max_k=5)
     path = tmp_path / "short.cfg"
     save_config(cfg, path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 4
+    assert capsys.readouterr().err.startswith("error: stage 'convergence' failed: value iteration")
+
+
+def test_cli_oracle_nonconvergence_fails_in_oracle(tmp_path, capsys, monkeypatch):
+    # a policy iteration that does not converge is the oracle's failure, not
+    # learning's: stage 'oracle' with the generic code, not exit code 4
+    def no_convergence(model, Q, R):
+        raise ConvergenceError("policy iteration did not converge in 100 iterations",
+                               iterations=100)
+
+    monkeypatch.setattr(riccati, "kleinman_from_care", no_convergence)
+    path = tmp_path / "docking.cfg"
+    save_config(ExperimentConfig(), path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'oracle' failed: policy iteration did not converge")
+    assert (tmp_path / "out" / "convergence.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_assumption_failure_exit_code(tmp_path, monkeypatch):

@@ -31,7 +31,6 @@ from adpdock.matops import (
     is_hurwitz,
     kron,
     lstsq,
-    null_space,
     numerical_rank,
     one_blas_thread,
     unvec,
@@ -151,43 +150,6 @@ def test_check_weights_resolves_each_form_to_its_matrix(n, m, data):
         check_weights(np.ones((rows, cols)), scale, n, m)
     with pytest.raises(ValueError, match=f"^R needs 1, {m}, or {m * m} values, got {m + 1}$"):
         check_weights(Q, np.ones(m + 1), n, m)
-
-
-@st.composite
-def rank_deficient(draw):
-    """A rows x cols matrix whose columns repeat, negate or zero out those of a
-    random base, so its rank is below cols exactly, not only up to round-off."""
-    rows, rank = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    base = draw(arrays(float, (rows, rank), elements=finite))
-    extra = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.sampled_from([1.0, -1.0, 0.0])),
-                          min_size=1, max_size=4))
-    columns = [base[:, i] for i in range(rank)] + [sign * base[:, i] for i, sign in extra]
-    order = draw(st.permutations(range(len(columns))))
-    return np.column_stack([columns[i] for i in order])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(rank_deficient())
-def test_null_space_property(a):
-    rows, cols = a.shape
-    N = null_space(a)
-    assert N.shape == (cols, cols - numerical_rank(a))
-    assert np.allclose(N.T @ N, np.eye(N.shape[1]), rtol=0.0, atol=1e-12)
-    scale = 1.0 + np.linalg.norm(a, 2)
-    assert np.allclose(a @ N, 0.0, rtol=0.0, atol=16 * max(rows, cols) * np.finfo(float).eps * scale)
-    # the null space itself, whatever basis spans it, is scipy's
-    reference = scipy.linalg.null_space(a)
-    assert np.allclose(N @ N.T, reference @ reference.T, rtol=0.0, atol=1e-9)
-
-
-def test_null_space_edge_cases():
-    assert np.array_equal(null_space(np.zeros((0, 3))), np.eye(3))
-    N = null_space(np.zeros((2, 3)))
-    assert np.allclose(N @ N.T, np.eye(3), rtol=0.0, atol=1e-15)
-    assert null_space(np.eye(4)).shape == (4, 0)
-    assert null_space(np.ones((3, 0))).shape == (0, 0)
-    with pytest.raises(ValueError):
-        null_space(np.ones(3))
 
 
 def test_lstsq_recovers_solution():

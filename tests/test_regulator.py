@@ -1,9 +1,10 @@
-"""Exact regulator-equation solver and the kernel parametrization."""
+"""Exact regulator-equation solver and the output equation."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from adpdock import (
     Exosystem,
@@ -13,7 +14,7 @@ from adpdock import (
     solve_regulator_exact,
 )
 from adpdock.errors import NoSolutionError
-from adpdock.matops import null_space, vec
+from adpdock.matops import numerical_rank, vec
 
 rng = np.random.default_rng(99)
 
@@ -38,20 +39,26 @@ def random_solvable(n, m, p, q, generator=None, dead_inputs=0):
     return model, Exosystem(E=E, v0=np.zeros(q))
 
 
+def particular_solution(basis):
+    """X_1, the least-norm solution of C X = -F: the base point of the
+    paper's kernel-basis parametrization X = X_1 + N, C N = 0."""
+    return np.linalg.pinv(basis.C) @ (-basis.F)
+
+
 def kernel_directions(basis):
     """The h = (n - p) q directions w_s e_r' spanning {X : C X = 0}, over an
-    orthonormal basis {w_s} of ker C and the exostate coordinates e_r, with
-    r varying slowest."""
-    W, q = null_space(basis.C), basis.X1.shape[1]
+    orthonormal basis {w_s} of ker C (scipy's) and the exostate coordinates
+    e_r, with r varying slowest."""
+    W, q = null_space(basis.C), basis.F.shape[1]
     return [np.outer(W[:, s], e_r) for e_r in np.eye(q) for s in range(W.shape[1])]
 
 
 def test_kernel_basis_docking(docking):
     model = docking.model
     basis = kernel_basis(model)
-    assert [f.name for f in dataclasses.fields(basis)] == ["X1", "C", "F"]
+    assert [f.name for f in dataclasses.fields(basis)] == ["C", "F"]
     assert basis.C is model.C and basis.F is model.F
-    assert np.linalg.norm(model.C @ basis.X1 + model.F) <= 1e-12
+    assert np.linalg.norm(model.C @ particular_solution(basis) + model.F) <= 1e-12
     directions = kernel_directions(basis)
     assert len(directions) == (model.n - model.p) * model.q == 24
     stacked = np.column_stack([vec(N) for N in directions])
@@ -64,7 +71,23 @@ def test_kernel_basis_needs_full_row_rank():
     model = StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2),
                             C=[[1.0, 0.0], [2.0, 0.0]],  # rank 1
                             D=np.zeros((2, 1)), F=[[1.0], [0.0]])
-    with pytest.raises(NoSolutionError):
+    with pytest.raises(NoSolutionError, match=r"^C must have full row rank: rank 1 < 2 rows$"):
+        kernel_basis(model)
+
+
+def test_kernel_basis_rejects_an_output_equation_rounding_leaves_unsolved():
+    # C = U diag(1, 1e-12) V' has full row rank, so C X = -F is solvable in
+    # exact arithmetic; but for an F along C's smallest singular direction the
+    # solution has size 1e12, and its rounding leaves a residual near 1e-5,
+    # far above 1e-8 (1 + |F|)
+    g = np.random.default_rng(0)
+    U = np.linalg.qr(g.standard_normal((2, 2)))[0]
+    V = np.linalg.qr(g.standard_normal((3, 3)))[0][:, :2]
+    C = U @ np.diag([1.0, 1e-12]) @ V.T
+    assert numerical_rank(C) == 2 and np.linalg.cond(C) == pytest.approx(1e12, rel=1e-3)
+    model = StateSpaceModel(A=np.zeros((3, 3)), B=np.eye(3, 1), C=C,
+                            D=np.zeros((3, 1)), F=U[:, 1:])
+    with pytest.raises(NoSolutionError, match=r"^C X = -F has no solution$"):
         kernel_basis(model)
 
 
@@ -105,8 +128,6 @@ def test_exact_solver_random_instances():
 def test_exact_solver_minimizes_trace():
     # oversized input (m > p) leaves freedom; at the optimum the weighted
     # cost gradient must be orthogonal to the feasible directions
-    from scipy.linalg import null_space
-
     for dead_inputs in (0, 0, 0, 0, 0, 1, 1):
         n, m, p, q = 4, 3, 1, 3
         model, exo = random_solvable(n, m, p, q, dead_inputs=dead_inputs)

@@ -180,6 +180,23 @@ def test_care_seeded_kleinman_matches_scipy_on_random_plants(n, m, seed):
     assert np.linalg.norm(P - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
+def test_care_seeded_kleinman_stops_where_rounding_moves_the_iterates():
+    # n = 4, m = 1 with |P*| about 1.4e6: every Lyapunov solve's P has an ARE
+    # residual near 3e-13 relative, yet successive solves differ by 1.5e-8 to
+    # 2.9e-8 relative, so the step test alone never fires. The stop on a step
+    # that no longer shrinks returns such a P. scipy's own solution is 3.5e-10
+    # to 1.9e-8 away here, so it is no reference at 1e-9
+    g = np.random.default_rng(309)
+    n, m = int(g.integers(1, 7)), int(g.integers(1, 4))
+    model, _ = random_solvable(n, m, 1, 1, generator=g)
+    Q, R = random_weight(g, n), random_weight(g, m)
+    assert (n, m) == (4, 1)
+    P, K, _ = kleinman_from_care(model, Q, R)
+    assert 1e6 <= np.linalg.norm(P) <= 2e6
+    assert is_hurwitz(model.A - model.B @ K)
+    assert are_residual(model, Q, R, P) <= 1e-9 * (1.0 + np.linalg.norm(P))
+
+
 def test_care_seed_with_a_repeated_stable_eigenvalue():
     # the double integrator with Q = diag(1, 2) and R = 1 has the closed
     # loop s^2 + 2 s + 1: its Hamiltonian's stable eigenvalue -1 is double

@@ -69,6 +69,9 @@ def test_cw_plant_entries():
     expected[5, 2] = -(nbar**2)  # cross-track harmonic oscillator
     assert np.allclose(A, expected, atol=1e-18)
     assert np.array_equal(model.B, np.vstack([np.zeros((3, 3)), np.eye(3)]))
+    # the bare plant states no output and no exostate: the scenario adds both
+    assert (model.n, model.m, model.p, model.q) == (6, 3, 0, 0)
+    assert model.C.shape == (0, 6) and model.F.shape == (0, 0)
     # J2 off reduces to the plain CW coefficients
     A0 = build_cw_plant(CwParams(include_j2=False)).A
     assert abs(A0[3, 0] - 3.0 * nbar**2) <= 1e-18
