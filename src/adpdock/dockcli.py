@@ -318,8 +318,9 @@ def compare_gains(learned, oracle_K, oracle_L, oracle_P, gain_tol=1e-2, value_to
     ``learned`` is anything with K, L and P attributes: a
     :class:`adp.LearnedController`, or a loaded gains file as a namespace.
     P is compared in relative Frobenius norm (its scale tracks the cost
-    weights); gains are compared absolutely. Returns a dict with an
-    overall ``ok`` verdict against the tolerances.
+    weights); gains are compared absolutely. Against a zero oracle P the
+    relative gap is 0 for a zero P and infinite for any other. Returns a
+    dict with an overall ``ok`` verdict against the tolerances.
     """
     result = {}
     for name, a, b in (("K", learned.K, oracle_K), ("L", learned.L, oracle_L),
@@ -331,7 +332,8 @@ def compare_gains(learned, oracle_K, oracle_L, oracle_P, gain_tol=1e-2, value_to
         entry = result[name] = {"max_abs": float(np.max(np.abs(diff))),
                                 "frob": float(np.linalg.norm(diff))}
         if name == "P":
-            entry["rel_frob"] = float(entry["frob"] / np.linalg.norm(b))
+            frob, scale = entry["frob"], float(np.linalg.norm(b))
+            entry["rel_frob"] = frob / scale if scale else (math.inf if frob else 0.0)
             entry["ok"] = entry["rel_frob"] <= value_tol
         else:
             entry["ok"] = entry["max_abs"] <= gain_tol
@@ -407,19 +409,22 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
     back when the run returns or raises. The output directory is made
     when collection ends. After assembly, whether it succeeds or not, a forked
     child writes ``trajectory_learning.csv`` while the later stages run
-    (:func:`matops.write_csv_in_background`); where one CPU is usable,
-    the file is written here instead, after assembly. That child is the
-    run's only fork: every other artifact is written in this process, and
-    assembly's threads are joined before it. The learning CSV is
-    complete before the JSON artifacts are written and, in a run that
-    fails after collection, before StageFailure propagates. Every other
-    artifact is flushed as soon as its stage completes, so a failed run
-    leaves the earlier CSVs behind.
+    (:func:`matops.write_csv_in_background`), on any number of usable
+    CPUs. That child is the run's only fork: every other artifact is
+    written in this process, and assembly's threads are joined before it.
+    The child only saves time: where it does not deliver the file (it
+    failed, or ``os.fork`` is missing), this process writes it once the
+    later stages end. The learning CSV is complete before the JSON
+    artifacts are written and, in a run that fails after collection,
+    before StageFailure propagates. Every other artifact is flushed as
+    soon as its stage completes, so a failed run leaves the earlier CSVs
+    behind.
 
     Raises ValueError naming the knob for a config that fails its checks,
     before any stage runs and with no output directory made; StageFailure
-    naming the stage on any error; and OSError if the child writing the
-    learning CSV fails.
+    naming the stage on any error; and :func:`matops.write_csv`'s own
+    OSError if the learning CSV cannot be written, also over a failed
+    later stage.
     """
     config = replace(config, **({} if seed is None else {"seed": seed}))
     with one_blas_thread(), ExitStack() as learning_csv:
@@ -440,8 +445,8 @@ def run_experiment(config, out_dir=None, seed=None, log=print):
         try:
             basis, sweep, rank = _assemble(config, model, learning_log)
         finally:
-            # assembly's threads are joined; a second CPU writes the CSV while
-            # this one learns, and ExitStack waits for it
+            # assembly's threads are joined; a child writes the CSV while this
+            # process learns, and ExitStack waits for it
             learning_csv.enter_context(
                 learning_log.to_csv_in_background(out / "trajectory_learning.csv"))
         log(f"rank check: {rank['rank']}/{rank['required']}")

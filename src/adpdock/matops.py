@@ -26,6 +26,13 @@ forked workers; its values equal a serial ``numpy.loadtxt``.
 :func:`write_csv_in_background` writes :func:`write_csv`'s bytes from
 one forked child while the caller goes on with other work.
 
+A forked child only saves time. Its work counts once this process has
+received all of it, and whatever a child does not deliver, a range
+that :func:`read_csv` reads or the file that
+:func:`write_csv_in_background` writes, this process parses or writes
+itself by the serial code. So every failure raises the serial code's
+own error, and no child's exit status is read.
+
 :func:`write_json` is the one JSON artifact writer: two-space indents and
 a final newline. What the ``json`` module cannot encode itself goes
 through :func:`_jsonable`: a dataclass becomes its fields in declaration
@@ -544,7 +551,9 @@ def _fork_worker(send):
     restarts numpy's pool on its next BLAS call, which costs it just
     under 1 MB of resident memory once; inside it, on one thread, no pool
     is restarted.)
-    The child exits with code 0 if ``send`` returns and 1 if it raises.
+    The child's pipe closes when ``send`` returns or raises, and the
+    child then leaves with no traceback. Its exit status means nothing:
+    what it sent down the pipe is all it delivers.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -556,14 +565,12 @@ def _fork_worker(send):
         os.close(write_fd)
         raise
     if pid == 0:
-        status = 1
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
                 send(pipe)
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(write_fd)
     return pid, read_fd
 
@@ -574,27 +581,23 @@ def _forked(tasks):
 
     A task is called in its child with the write end of the child's pipe,
     a binary file; the read ends come in task order, for the block to do
-    this process's share of the work and read the pipes. When the block ends
-    without an error every child is reaped, and one that exited non-zero
-    raises OSError. However the block leaves, every pipe is closed and
-    every child reaped; children still running at an error are killed.
+    this process's share of the work, read the pipes and do itself what
+    a child did not send. However the block leaves, every pipe is closed
+    and every child reaped, and no exit status is read; children still
+    running at an error are killed first.
     """
     children = []
     try:
         for task in tasks:
             children.append(_fork_worker(task))
         yield [read_fd for _, read_fd in children]
-        while children:
-            pid, read_fd = children[0]
-            os.close(read_fd)
-            children.pop(0)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                raise OSError(f"CSV worker {pid} exited with code {code}")
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, read_fd in children:
             os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -670,8 +673,9 @@ def write_csv(path, data, header):
 
 
 def _write_whole(path, table, pipe):
-    """Write the CSV of ``table()``; ``pipe`` closes after the file does."""
+    """Write the CSV of ``table()``, then send one byte down ``pipe``: the file is complete."""
     write_csv(path, *table())
+    pipe.write(b"\0")
 
 
 @contextmanager
@@ -680,23 +684,23 @@ def write_csv_in_background(path, table):
 
     ``table()`` returns the ``(data, header)`` pair that :func:`write_csv`
     takes, and the file holds the same bytes. The child calls it and
-    formats every row, so this process never holds the array. Leaving
-    the block waits until the file is complete, also when the block
-    raises; the child is then reaped and, if it failed, OSError is raised
-    (an error in the block takes precedence). Where ``os.fork`` is
-    missing or one CPU is usable, the file is written here by
-    :func:`write_csv`, on entering the block.
+    formats every row, so this process never holds the array; it sends
+    one byte once :func:`write_csv` has returned. Leaving the block,
+    also when it raises, waits for that byte or the child's end, and the
+    child is reaped. Where the byte does not come (the child failed, or
+    ``os.fork`` is missing), this process writes the file itself with
+    :func:`write_csv` on leaving the block, so the file is complete
+    whenever that write succeeds. Its error propagates, also over an
+    error in the block (which becomes its ``__context__``): a write made
+    before the block, in one process, would have failed first.
     """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        write_csv(path, *table())
-        yield
-        return
-    with _forked([partial(_write_whole, path, table)]) as (read_fd,):
+    tasks = [partial(_write_whole, path, table)] if hasattr(os, "fork") else []
+    with _forked(tasks) as read_fds:
         try:
             yield
         finally:
-            # the child sends nothing: end of file means the CSV is closed
-            os.read(read_fd, 1)
+            if not any(os.read(read_fd, 1) for read_fd in read_fds):
+                write_csv(path, *table())
 
 
 def _jsonable(obj):
@@ -746,18 +750,12 @@ def _parse_range(path, start, stop):
 
 
 def _send_parsed(path, start, stop, pipe):
-    """Parse bytes ``start:stop`` of ``path`` and send the result down ``pipe``.
+    """Parse bytes ``start:stop`` of ``path``; send ``[rows, cols]`` as two int64, then the float64 rows.
 
-    The record is ``[rows, cols]`` as two int64 and then the float64 rows,
-    or ``[-1, length]`` and the UTF-8 message of the ValueError that a row
-    raised.
+    A row that does not parse raises here, in the child, which then sends
+    nothing: :func:`read_csv` parses the range itself and raises the error.
     """
-    try:
-        part = _parse_range(path, start, stop)
-    except ValueError as exc:
-        message = str(exc).encode()
-        pipe.write(np.array([-1, len(message)], dtype=np.int64).tobytes() + message)
-        return
+    part = _parse_range(path, start, stop)
     pipe.write(np.array(part.shape, dtype=np.int64).tobytes())
     pipe.write(part.reshape(-1).view(np.uint8))
 
@@ -807,11 +805,13 @@ def read_csv(path):
     The body is split into contiguous byte ranges, each starting and
     ending on a line boundary, as many as :func:`_worker_count` gives:
     one per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
-    values (a value counted as :data:`CSV_VALUE_BYTES` bytes). This process parses the first range; a forked child
-    parses each other range and sends its row count and raw float64 rows
-    down a pipe, and the rows are put into one array in file order. Every
-    range is read in bounded chunks, so the whole text is never held in
-    memory.
+    values (a value counted as :data:`CSV_VALUE_BYTES` bytes). This
+    process parses the first range; a forked child parses each other
+    range and sends its row count and raw float64 rows down a pipe, and
+    the rows are put into one array in file order. A range whose child
+    sends no row count, or fewer rows than it counted, is parsed here
+    instead, so a child that fails only costs time. Every range is read
+    in bounded chunks, so the whole text is never held in memory.
 
     Returns
     -------
@@ -826,10 +826,9 @@ def read_csv(path):
     ValueError
         If a row does not parse or holds another number of values than
         the header names. The message names the file, the byte range and,
-        for a row that ``numpy.loadtxt`` rejects, its line in the file.
-    OSError
-        If a child fails or sends a short range. Every child is reaped
-        before this function returns or raises.
+        for a row that ``numpy.loadtxt`` rejects, its line in the file,
+        whichever process parsed the row. Every child is reaped before
+        this function returns or raises.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
@@ -848,34 +847,34 @@ def read_csv(path):
     if not ranges:
         return header, np.empty((0, fields))
 
-    def parent(read_fds):
+    def parse(i):
         try:
-            first = _parse_range(path, *ranges[0])
+            return _parse_range(path, *ranges[i])
         except ValueError as exc:
-            raise _range_error(path, *ranges[0], exc) from exc
-        shapes = [first.shape]
-        for read_fd, (start, stop) in zip(read_fds, ranges[1:]):
+            raise _range_error(path, *ranges[i], exc) from exc
+
+    def parent(read_fds):
+        parsed = {0: parse(0)}  # the ranges parsed here, by index, until their rows are placed
+        shapes = [parsed[0].shape]
+        for i, read_fd in enumerate(read_fds, 1):
             head = np.zeros(2, dtype=np.int64)
             if _read_into(read_fd, head.view(np.uint8)) != head.nbytes:
-                raise OSError(f"CSV worker for bytes {start}:{stop} sent no row count")
-            rows, cols = head.tolist()
-            if rows < 0:
-                message = bytearray(cols)
-                _read_into(read_fd, message)
-                raise _range_error(path, start, stop, message.decode(errors="replace"))
-            shapes.append((rows, cols))
+                parsed[i] = parse(i)
+            shapes.append(parsed[i].shape if i in parsed else tuple(head.tolist()))
         for (start, stop), (rows, cols) in zip(ranges, shapes):
             if rows and cols != fields:
                 raise _range_error(path, start, stop,
                                    f"rows hold {cols} values, the header names {fields} columns")
         offsets = np.cumsum([0] + [rows for rows, _ in shapes])
         data = np.empty((offsets[-1], fields))
-        data[:offsets[1]] = first
-        del first  # freed before the children's rows land, so the peak is ``data`` alone
-        for read_fd, (start, stop), lo, hi in zip(read_fds, ranges[1:], offsets[1:], offsets[2:]):
+        for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            # a range parsed here is freed once its rows are placed, before the next range lands
+            if i in parsed:
+                data[lo:hi] = parsed.pop(i)
+                continue
             chunk = data[lo:hi].reshape(-1).view(np.uint8)
-            if _read_into(read_fd, chunk) != chunk.nbytes:
-                raise OSError(f"CSV worker for bytes {start}:{stop} sent a short range")
+            if _read_into(read_fds[i - 1], chunk) != chunk.nbytes:
+                data[lo:hi] = parse(i)
         return data
 
     tasks = [partial(_send_parsed, path, start, stop) for start, stop in ranges[1:]]

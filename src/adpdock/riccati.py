@@ -178,7 +178,8 @@ def kleinman_pi(model, Q, R, K0):
     1e-9 to 1e-5 relative, although every iterate's ARE residual is at
     rounding level. So the iteration also stops at P_k once its step is
     no shorter than the step before, the sign that only rounding moves
-    it, while the ARE residual of P_k is below 1e-10 (1 + |P_k|).
+    it, while the ARE residual of P_k (:func:`are_residual`) is below
+    1e-10 (1 + |P_k|).
     """
     A, B = model.A, model.B
     n = model.n
@@ -202,8 +203,8 @@ def kleinman_pi(model, Q, R, K0):
         iterates.append((P, K))
         if len(iterates) > 1:
             step, scale = np.linalg.norm(P - iterates[-2][0]), 1.0 + np.linalg.norm(P)
-            if step < _PI_TOL * scale or (step >= step_prev and np.linalg.norm(
-                    A.T @ P + P @ A + Q - P @ B @ K) < _PI_ARE_RTOL * scale):
+            if step < _PI_TOL * scale or (step >= step_prev and
+                                          are_residual(model, Q, R, P) < _PI_ARE_RTOL * scale):
                 return P, K, iterates
             step_prev = step
     raise ConvergenceError(

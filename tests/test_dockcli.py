@@ -9,6 +9,7 @@ import re
 import threading
 from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -602,6 +603,26 @@ def test_cli_compare(tmp_path, pipeline, capsys):
                  "--gain-tol", "1e-12"]) == 1
 
 
+def test_cli_compare_with_a_zero_oracle_p_is_warning_free(tmp_path):
+    # a zero P matches a zero oracle P; any other P is infinitely far from it
+    # (a relative gap would divide by zero there)
+    zero, one = tmp_path / "zero.json", tmp_path / "one.json"
+    gains = {"K": [[1.0, 2.0]], "L": [[0.5]], "P": [[0.0]]}
+    zero.write_text(json.dumps(gains))
+    one.write_text(json.dumps({**gains, "P": [[1.0]]}))
+    for learned, code, ok in ((zero, 0, "True"), (one, 1, "False")):
+        proc = run_python("-W", "error", "-m", "adpdock", "compare",
+                          "--learned", str(learned), "--oracle", str(zero))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[2].endswith(f"ok={ok}")
+    K, L, P = np.ones((1, 2)), np.ones((1, 1)), np.zeros((1, 1))
+    same = compare_gains(SimpleNamespace(K=K, L=L, P=P), K, L, P)
+    assert same["P"]["rel_frob"] == 0.0 and same["ok"]
+    off = compare_gains(SimpleNamespace(K=K, L=L, P=P + 1.0), K, L, P)
+    assert off["P"]["rel_frob"] == math.inf and not off["ok"]
+
+
 def test_cli_check(tmp_path, capsys):
     cfg_path = tmp_path / "docking.cfg"
     save_config(default_config(), cfg_path)
@@ -860,50 +881,82 @@ def csv_writes(monkeypatch):
 def test_learning_csv_bytes_match_on_background_and_foreground_paths(tmp_path, monkeypatch,
                                                                      pipeline, csv_writes):
     cfg = default_config()
-    # the learning CSV's child is the run's one fork on two usable CPUs, and
-    # on three: every other artifact is written in this process
-    for cpus, run in ((2, "bg"), (3, "three")):
+    written = []  # this process's write_csv calls; a child's land in its own memory
+    real_write = matops.write_csv
+
+    def write(path, *args):
+        written.append(Path(path).name)
+        real_write(path, *args)
+
+    monkeypatch.setattr(matops, "write_csv", write)
+    # the learning CSV's child is the run's one fork on one usable CPU, on
+    # two and on three: every other artifact is written in this process
+    for cpus in (1, 2, 3):
         with monkeypatch.context() as mp:
             mp.setattr(matops, "_usable_cpus", lambda: cpus)
             forks = counting_forks(mp)
-            run_experiment(cfg, tmp_path / run, log=quiet)
+            run_experiment(cfg, tmp_path / f"cpus{cpus}", log=quiet)
         assert len(forks) == 1, cpus
     # without a thread control the counts stay as they are; the child still writes
     with monkeypatch.context() as mp:
         unpinned(mp)
         run_experiment(cfg, tmp_path / "unpinned", log=quiet)
-    # with one usable CPU the learning CSV is written in this process, after assembly
+    assert written == []
+    # without os.fork no child delivers the file, so this process writes it
     with monkeypatch.context() as mp:
-        mp.setattr(matops, "_usable_cpus", lambda: 1)
-        forks = counting_forks(mp)
-        run_experiment(cfg, tmp_path / "fg", log=quiet)
-    assert forks == []
-    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")] * 4
+        mp.delattr(os, "fork")
+        run_experiment(cfg, tmp_path / "nofork", log=quiet)
+    assert written == ["trajectory_learning.csv"]
+    assert csv_writes == [("bg", "trajectory_learning.csv"), ("fg", "trajectory_eval.csv")] * 5
     names = sorted(p.name for p in pipeline.out.iterdir())
     assert len(names) == 6
     for name in names:
         expected = (pipeline.out / name).read_bytes()
-        for run in ("bg", "three", "unpinned", "fg"):
+        for run in ("cpus1", "cpus2", "cpus3", "unpinned", "nofork"):
             assert (tmp_path / run / name).read_bytes() == expected, (run, name)
 
 
 @needs_pin
-def test_failed_learning_csv_writer_raises_after_reaping(tmp_path, monkeypatch, csv_writes):
+def test_failed_learning_csv_child_leaves_the_file_to_this_process(tmp_path, monkeypatch,
+                                                                  pipeline, csv_writes):
     def disk_full(*args):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(matops, "_write_whole", disk_full)  # the child inherits the patch
     fds = open_fds()
     threads = threading.active_count()
-    with pytest.raises(OSError, match="exited with code 1"):
-        run_experiment(default_config(), tmp_path / "out", log=quiet)
+    run_experiment(default_config(), tmp_path / "out", log=quiet)
     assert_no_child_left()
     assert threading.active_count() == threads  # no stage leaves a thread behind
     assert open_fds() <= fds
     assert csv_writes[0] == ("bg", "trajectory_learning.csv")
-    # the writer is joined before any JSON artifact is written
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
-        ["convergence.csv", "trajectory_eval.csv"]
+    for name in _ARTIFACTS:
+        assert (tmp_path / "out" / name).read_bytes() == (pipeline.out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("path", ["one_cpu", "two_cpus", "no_fork"])
+def test_learning_csv_that_is_a_directory_fails_the_run_alike(tmp_path, monkeypatch, capsys,
+                                                              path):
+    # the child's write and this process's fail alike: every path runs each
+    # stage, leaves the same files and exits 1 naming write_csv's own error
+    out = tmp_path / "out"
+    (out / "trajectory_learning.csv").mkdir(parents=True)
+    with pytest.raises(OSError) as serial:
+        matops.write_csv(out / "trajectory_learning.csv", np.ones((1, 1)), "t")
+    if path == "no_fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(matops, "_usable_cpus", lambda: 1 if path == "one_cpu" else 2)
+    fds = open_fds()
+    assert main(["run", "--config", str(REPO / "configs" / "docking.cfg"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {serial.value}\n"
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["convergence.csv", "trajectory_eval.csv", "trajectory_learning.csv"]
+    assert not any((out / "trajectory_learning.csv").iterdir())
+    assert_no_child_left()
+    assert open_fds() <= fds
 
 
 @needs_pin
@@ -956,7 +1009,8 @@ def test_assembly_threads_are_joined_before_the_learning_csv_fork(tmp_path, monk
                                                                   csv_writes):
     # two usable CPUs: the 25001-sample log is above the size floor, so
     # assembly starts one thread, and the child writing trajectory_learning.csv
-    # is forked only once that thread is joined; one usable CPU: neither
+    # is forked only once that thread is joined; one usable CPU: no thread,
+    # and the same child
     events, start, fork, assemble = [], threading.Thread.start, os.fork, adp.assemble_regression
     monkeypatch.setattr(threading.Thread, "start",
                         lambda thread: (events.append("thread"), start(thread)))
@@ -981,5 +1035,5 @@ def test_assembly_threads_are_joined_before_the_learning_csv_fork(tmp_path, monk
     with monkeypatch.context() as mp:
         mp.setattr(matops, "_usable_cpus", lambda: 1)
         run_experiment(default_config(), tmp_path / "one", log=quiet)
-    assert events == [("assemble", 25001), "assembled"]
+    assert events == [("assemble", 25001), "assembled", ("fork", threads)]
     assert threading.active_count() == threads

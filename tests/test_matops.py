@@ -8,6 +8,8 @@ import dataclasses
 import functools
 import json
 import os
+import re
+import signal
 import sys
 import threading
 import time
@@ -428,34 +430,31 @@ def test_write_csv_never_forks(tmp_path, monkeypatch, cpus):
 
 @needs_fork
 def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path, monkeypatch):
-    force_workers(monkeypatch, 2, min_values=1)
+    # one child on one usable CPU too: the CPU count sets no path of its own
     data = np.random.default_rng(5).standard_normal((5 * BLOCK + 3, 17))
     data[::7, 3] = SPECIAL[np.arange(len(data[::7])) % len(SPECIAL)]
-    path = tmp_path / "bg.csv"
-    pids = counting_forks(monkeypatch)
-    with write_csv_in_background(path, lambda: (data, "h")):
-        assert len(pids) == 1  # the child formats every row; it forks no worker
-    assert_csv_holds(path, data, "h")
     write_csv(tmp_path / "fg.csv", data, "h")
-    assert path.read_bytes() == (tmp_path / "fg.csv").read_bytes()
+    for cpus in (1, 2):
+        path = tmp_path / f"bg{cpus}.csv"
+        with monkeypatch.context() as mp:
+            force_workers(mp, cpus, min_values=1)
+            pids = counting_forks(mp)
+            with write_csv_in_background(path, lambda: (data, "h")):
+                assert len(pids) == 1  # the child formats every row; it forks no worker
+        assert_csv_holds(path, data, "h")
+        assert path.read_bytes() == (tmp_path / "fg.csv").read_bytes()
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus, fork", [(1, True), (2, False)])
-def test_write_csv_in_background_without_a_free_cpu_writes_on_entry(tmp_path, monkeypatch,
-                                                                     cpus, fork):
-    def no_fork():
-        raise AssertionError("os.fork called without a CPU to spare")
-
-    force_workers(monkeypatch, cpus, min_values=1)
-    if fork:
-        monkeypatch.setattr(os, "fork", no_fork)
-    else:
-        monkeypatch.delattr(os, "fork", raising=False)
+def test_write_csv_in_background_without_fork_writes_on_leaving(tmp_path, monkeypatch):
+    # no child delivers the file, so this process writes it as the block is
+    # left, where a failed child's file would be written
+    monkeypatch.delattr(os, "fork", raising=False)
     data = np.arange(6 * BLOCK, dtype=float).reshape(-1, 3) / 7.0
     path = tmp_path / "fg.csv"
     with write_csv_in_background(path, lambda: (data, "a,b,c")):
-        assert_csv_holds(path, data, "a,b,c")
+        assert not path.exists()
+    assert_csv_holds(path, data, "a,b,c")
 
 
 @needs_fork
@@ -473,21 +472,69 @@ def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_p
     assert_no_child_left()
 
 
+def killed_in_child(real):
+    """``real`` wrapped so that a forked child kills itself before calling it."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    return wrapped
+
+
 @needs_fork
-def test_write_csv_in_background_failure_raises_after_reaping(tmp_path, monkeypatch):
-    # a 1-D table is no CSV, so the child exits with code 1
+@pytest.mark.parametrize("failure", ["raises", "killed", "sends_no_byte"])
+def test_write_csv_in_background_writes_the_file_here_when_the_child_fails(tmp_path, monkeypatch,
+                                                                           failure):
+    # the child raises, is killed before writing, or writes the whole file but
+    # sends no byte: this process writes write_csv's bytes on leaving the block
+    def disk_full(path, table, pipe):
+        raise OSError("no space left on device")
+
+    def no_byte(path, table, pipe):
+        write_csv(path, *table())
+
+    child = {"raises": disk_full, "killed": killed_in_child(matops._write_whole),
+             "sends_no_byte": no_byte}[failure]
+    monkeypatch.setattr(matops, "_write_whole", child)  # this process calls write_csv itself
     force_workers(monkeypatch, 2, min_values=1)
-    data = np.ones(3 * BLOCK)
+    data = np.random.default_rng(8).standard_normal((3 * BLOCK + 1, 5))
+    path = tmp_path / "t.csv"
     fds = open_fds()
-    with pytest.raises(OSError, match="exited with code 1"):
-        with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
+    with write_csv_in_background(path, lambda: (data, "a,b,c,d,e")):
+        pass
+    write_csv(tmp_path / "fg.csv", data, "a,b,c,d,e")
+    assert path.read_bytes() == (tmp_path / "fg.csv").read_bytes()
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_write_csv_in_background_failure_raises_write_csvs_own_error(tmp_path, monkeypatch, fork):
+    # a directory in the file's place fails the child and this process alike:
+    # write_csv's own error is raised, also over an error in the block
+    if not fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    force_workers(monkeypatch, 2, min_values=1)
+    data = np.ones((3 * BLOCK, 1))
+    path = tmp_path / "t.csv"
+    path.mkdir()
+    with pytest.raises(OSError) as serial:
+        write_csv(path, data, "a")
+    fds = open_fds()
+    with pytest.raises(type(serial.value), match=re.escape(str(serial.value))):
+        with write_csv_in_background(path, lambda: (data, "a")):
             pass
     assert_no_child_left()
     assert open_fds() <= fds
-    # an error in the block takes precedence over the child's
-    with pytest.raises(KeyError):
-        with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a")):
+    with pytest.raises(type(serial.value)) as raised:
+        with write_csv_in_background(path, lambda: (data, "a")):
             raise KeyError("stage")
+    assert isinstance(raised.value.__context__, KeyError)
     assert_no_child_left()
     assert open_fds() <= fds
 
@@ -845,50 +892,108 @@ def test_read_csv_checks_columns_against_header(tmp_path, monkeypatch):
             matops.read_csv(path)
 
 
-@needs_fork
+@pytest.mark.parametrize("ranges", [1, 2, 3])
 @pytest.mark.parametrize("row", [0, BLOCK, 3 * BLOCK - 1])
 @pytest.mark.parametrize("bad", [b"1.5", b"1.5,2.5,x"])
-def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, row, bad):
+def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, ranges, row, bad):
     # a short row or one that does not parse, in the range this process
-    # parses (row 0), in the first child's range or in the last one's; the
-    # message names its file line (the header is line 1), except that a
-    # short first row sets the range's width, so the next line is named
+    # parses (row 0), in a child's range or in the last one's; the message
+    # names its file line (the header is line 1) whichever process parsed
+    # the row, except that a short first row sets the range's width, so
+    # the next line is named
+    if ranges > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
     lines = [b"%d.5,%d.5,3" % (k, k) for k in range(3 * BLOCK)]
     lines[row] = bad
     path = tmp_path / "bad.csv"
     path.write_bytes(b"a,b,c\n" + b"\n".join(lines) + b"\n")
-    force_ranges(monkeypatch, 3)
+    force_ranges(monkeypatch, ranges)
     pids = counting_forks(monkeypatch)
     fds = open_fds()
     line = row + 3 if (row, bad) == (0, b"1.5") else row + 2
     with pytest.raises(ValueError, match=rf"bad.csv, bytes \d+:\d+: .* at line {line}\b"):
         matops.read_csv(path)
+    assert len(pids) == ranges - 1
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+class ShortPipe:
+    """A child's pipe that sends one float64 too few of every write longer than the row count."""
+
+    def __init__(self, pipe):
+        self.pipe = pipe
+
+    def write(self, b):
+        self.pipe.write(b[:-8] if len(b) > 16 else b)
+
+
+class DyingPipe(ShortPipe):
+    """A child's pipe whose child is killed halfway through sending the rows."""
+
+    def write(self, b):
+        if len(b) <= 16:
+            return self.pipe.write(b)
+        self.pipe.write(memoryview(b)[:len(b) // 2])
+        self.pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["killed_before_sending", "killed_while_sending",
+                                     "short_range"])
+def test_read_csv_parses_a_range_its_child_did_not_deliver(tmp_path, monkeypatch, failure):
+    # every child inherits the patch and fails; this process parses their
+    # ranges, so the rows still equal a serial np.loadtxt
+    real = matops._send_parsed
+    pipe_kind = DyingPipe if failure == "killed_while_sending" else ShortPipe
+
+    def send(path, start, stop, pipe):
+        real(path, start, stop, pipe_kind(pipe))
+
+    monkeypatch.setattr(matops, "_send_parsed",
+                        killed_in_child(real) if failure == "killed_before_sending" else send)
+    force_ranges(monkeypatch, 3)
+    data = np.random.default_rng(9).standard_normal((3 * BLOCK, 2))
+    write_csv(tmp_path / "t.csv", data, "a,b")
+    pids = counting_forks(monkeypatch)
+    fds = open_fds()
+    header, back = matops.read_csv(tmp_path / "t.csv")
     assert len(pids) == 2
+    assert header == "a,b" and back.tobytes() == data.tobytes()
+    assert np.array_equal(back, loadtxt_reference(tmp_path / "t.csv")[1])
     assert_no_child_left()
     assert open_fds() <= fds
 
 
 @needs_fork
-def test_read_csv_short_range_raises_and_reaps(tmp_path, monkeypatch):
-    # the forked children inherit the patch: each sends one float64 too few
-    class Short:
-        def __init__(self, pipe):
-            self.pipe = pipe
+def test_forked_children_do_the_work_on_the_normal_path(tmp_path, monkeypatch):
+    # the spies record only this process's calls: a child's land in its own memory
+    parsed, written = [], []
+    real_parse, real_write = matops._parse_range, matops.write_csv
 
-        def write(self, b):
-            self.pipe.write(b[:-8] if len(b) > 16 else b)
+    def parse(path, start, stop):
+        parsed.append((start, stop))
+        return real_parse(path, start, stop)
 
-    real = matops._send_parsed
-    monkeypatch.setattr(matops, "_send_parsed",
-                        lambda path, start, stop, pipe: real(path, start, stop, Short(pipe)))
+    def write(path, *args):
+        written.append(path)
+        real_write(path, *args)
+
+    monkeypatch.setattr(matops, "_parse_range", parse)
+    monkeypatch.setattr(matops, "write_csv", write)
     force_ranges(monkeypatch, 3)
-    data = np.ones((3 * BLOCK, 2))
-    write_csv(tmp_path / "t.csv", data, "a,b")
-    fds = open_fds()
-    with pytest.raises(OSError, match="sent a short range"):
-        matops.read_csv(tmp_path / "t.csv")
+    data = np.random.default_rng(10).standard_normal((3 * BLOCK, 4))
+    path = tmp_path / "t.csv"
+    pids = counting_forks(monkeypatch)
+    with write_csv_in_background(path, lambda: (data, "a,b,c,d")):
+        pass
+    assert written == [] and len(pids) == 1
+    header, back = matops.read_csv(path)
+    assert back.tobytes() == data.tobytes() and len(pids) == 3
+    body = len("a,b,c,d\n")
+    assert len(parsed) == 1 and parsed[0][0] == body and parsed[0][1] < path.stat().st_size
     assert_no_child_left()
-    assert open_fds() <= fds
 
 
 @needs_fork
