@@ -56,11 +56,11 @@ solve run on one OpenBLAS thread (:func:`matops.one_blas_thread`):
 their matrices are at most a few thousand by a hundred, where a second
 BLAS thread costs more in wake-ups than it saves. Assembly instead
 splits the intervals into contiguous ranges, one per usable CPU, each
-integrated on a thread of its own (:func:`matops._split_over_cpus`).
-:func:`matops._worker_count` is the rule: a log below its size floor
-stays in the calling thread. Every interval is integrated by products
-of its own, so Theta, Dxx and the first moments, and all that is
-learned from them, have the same bits on any number of threads.
+integrated on a thread of its own (:func:`matops._split_over_cpus`);
+a log below its size floor stays in the calling thread. Every interval
+is integrated by products of its own, so Theta, Dxx and the first
+moments, and all that is learned from them, have the same bits on any
+number of threads.
 """
 
 from __future__ import annotations
@@ -287,10 +287,9 @@ def assemble_regression(log, basis, R, interval):
     R takes every weight form of :func:`matops.check_weights`.
 
     The intervals are split into contiguous ranges, one per usable CPU
-    (:func:`matops._split_over_cpus`, by :func:`matops._worker_count`'s
-    rule). Below one range per :data:`matops.FORK_MIN_VALUES` values of
-    samples x (n + m + q), the whole log is integrated in the calling
-    thread. A range
+    (:func:`matops._split_over_cpus`). Below one range per
+    :data:`matops.THREAD_MIN_VALUES` values of samples x (n + m + q), the
+    whole log is integrated in the calling thread. A range
     integrates its intervals a block at a time: it copies a block's rows
     of z into a buffer of its own, of at most
     :data:`ASSEMBLY_BLOCK_VALUES` values, runs the batched products on it

@@ -530,7 +530,8 @@ def _cmd_compare(args):
                            gain_tol=args.gain_tol, value_tol=args.value_tol)
     for name in ("K", "L", "P"):
         entry = result[name]
-        print(f"{name}: max_abs={entry['max_abs']:.6e} frob={entry['frob']:.6e} "
+        rel = f" rel_frob={entry['rel_frob']:.6e}" if "rel_frob" in entry else ""
+        print(f"{name}: max_abs={entry['max_abs']:.6e} frob={entry['frob']:.6e}{rel} "
               f"ok={entry['ok']}")
     print(f"overall: {'ok' if result['ok'] else 'FAIL'}")
     return 0 if result["ok"] else _GENERIC_FAILURE

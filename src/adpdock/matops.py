@@ -21,17 +21,17 @@ orderings are frozen because they define regression column layouts.
 as the shortest round-trip decimal (orjson's compiled formatter), so
 values read back bit for bit with :func:`read_csv`, ``numpy.loadtxt``
 or ``float``, and it formats the rows in the calling process.
-:func:`read_csv` reads such a file back, splitting the parsing across
-forked workers; its values equal a serial ``numpy.loadtxt``.
-:func:`write_csv_in_background` writes :func:`write_csv`'s bytes from
-one forked child while the caller goes on with other work.
+:func:`read_csv` reads such a file back in one pass of chunks in this
+process, with orjson where a chunk is plain numbers and
+``numpy.loadtxt`` elsewhere; its values equal a whole-file
+``numpy.loadtxt``. :func:`write_csv_in_background` writes
+:func:`write_csv`'s bytes from one forked child while the caller goes
+on with other work.
 
-A forked child only saves time. Its work counts once this process has
-received all of it, and whatever a child does not deliver, a range
-that :func:`read_csv` reads or the file that
-:func:`write_csv_in_background` writes, this process parses or writes
-itself by the serial code. So every failure raises the serial code's
-own error, and no child's exit status is read.
+That child only saves time. Its work counts once this process has
+received its one byte, and where the byte does not come, this process
+writes the file itself by the serial code. So every failure raises the
+serial code's own error, and the child's exit status is not read.
 
 :func:`write_json` is the one JSON artifact writer: two-space indents and
 a final newline. What the ``json`` module cannot encode itself goes
@@ -45,8 +45,8 @@ numpy's OpenBLAS set to one thread. Every matrix of the learning chain
 is small (at most a few thousand by a hundred), so a second BLAS thread
 only adds wake-ups; and an OpenBLAS left at two threads keeps a worker
 thread spinning after its last call, on the CPU that a forked CSV
-writer needs. :func:`read_csv` and :func:`_split_over_cpus` split their
-work over the usable CPUs by the one rule of :func:`_worker_count`.
+writer needs. :func:`_split_over_cpus` splits assembly over threads, one
+per usable CPU above a size floor.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -463,17 +464,29 @@ def one_blas_thread():
 #: formats one, so a block keeps its peak memory flat; the 25,001 x 21
 #: learning table took 54 ms at 1024 rows and 72 ms at 256.
 CSV_BLOCK_ROWS = 1024
-#: Fewest values worth a range of their own: a forked :func:`read_csv` worker
-#: or an assembly thread. On a 2-vCPU VM a second read range broke even near
-#: 20k values and read 64k in 8.6 ms instead of 12.5; a second assembly
-#: thread broke even near 15k samples (255k values) and cost at most 0.16 ms
-#: below that.
-FORK_MIN_VALUES = 1 << 16
-#: Bytes that :func:`read_csv` counts as one value when it sizes its ranges:
-#: a shortest round-trip double with its delimiter averages about 19.3 bytes
-#: (40.5 MB for the 2.1M values of a 100 s trajectory).
-CSV_VALUE_BYTES = 20
-_READ_BUFFER_BYTES = 1 << 16
+#: Fewest values worth a thread of their own in :func:`_split_over_cpus`, so
+#: a second thread starts from twice this (262k values). On a 2-vCPU VM a
+#: second assembly thread cost 0.1-0.16 ms at 7.7k and 10k samples of 17
+#: values, broke even near 15k samples (255k values) and saved 2 ms at 100k.
+THREAD_MIN_VALUES = 1 << 17
+#: Bytes of whole lines that :func:`read_csv` parses with one ``orjson.loads``.
+CSV_CHUNK_BYTES = 1 << 16
+#: Bytes that :func:`read_csv` reads at a time while it counts the lines. A
+#: freed block this large raises glibc's mmap threshold above the learning
+#: chain's temporaries, which then reuse heap pages instead of faulting in
+#: fresh ones. On a 2-vCPU VM, reading learn-long's 40.5 MB log before the
+#: chain (perfbench, 6 rounds): 1 MiB blocks made the chain's ``run_s``
+#: 26.6 ms against 25.0 ms at 8 MiB (slower in 5 of 6), and 32 MiB blocks
+#: raised peak RSS from 57.5 to 71.3 MB, the heap keeping a block resident.
+_COUNT_BLOCK_BYTES = 8 << 20
+#: Bytes that send a chunk to ``numpy.loadtxt``. JSON's true, false, null,
+#: strings, lists and objects hold one of them, and orjson would read each
+#: where ``numpy.loadtxt`` rejects it; so do nan and inf, which JSON lacks.
+_NOT_NUMBERS = (b"t", b"f", b"n", b'"', b"[", b"]", b"{")
+#: The integer token ``-0``, which orjson reads as 0 and so drops its sign.
+#: A pattern, not a compiled one: ``re`` compiles it on the first use, not
+#: at import.
+_INTEGER_MINUS_ZERO = rb"-0(?![\d.eE])"
 
 
 def _usable_cpus():
@@ -483,26 +496,13 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _worker_count(values):
-    """Ranges to split ``values`` values of work into.
-
-    One per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
-    values, at least one, and a single range where ``os.fork`` is
-    missing. :func:`read_csv` and :func:`_split_over_cpus` both split by
-    this rule.
-    """
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_usable_cpus(), values // FORK_MIN_VALUES))
-
-
 def _split_over_cpus(task, count, values):
     """``[task(chunk) for chunk in chunks]``, the chunks cut contiguously from ``range(count)``.
 
-    There is one chunk, a ``slice``, per range that :func:`_worker_count`
-    gives for ``values`` values of work, one per usable CPU at most, and
-    no more chunks than ``count``; so a task below that size floor, or on
-    one usable CPU, runs whole in the calling thread.
+    There is one chunk, a ``slice``, per usable CPU, but no more than one
+    per :data:`THREAD_MIN_VALUES` of the ``values`` values of work, and
+    no more than ``count``; so a task below that size floor, or on one
+    usable CPU, runs whole in the calling thread.
     The first chunk runs in the calling
     thread and every other one in a thread of its own; that pays where
     ``task`` spends its time in numpy calls that release the GIL. Every
@@ -511,7 +511,7 @@ def _split_over_cpus(task, count, values):
     exception raised by ``task`` is raised here, the earliest chunk's
     first.
     """
-    parts = max(1, min(_worker_count(values), count))
+    parts = max(1, min(_usable_cpus(), values // THREAD_MIN_VALUES, count))
     chunks = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
     results, errors = [None] * parts, [None] * parts
 
@@ -541,10 +541,9 @@ def _fork_worker(send):
     """Fork a child that calls ``send(pipe)`` on the write end of a new pipe; returns (pid, read fd).
 
     Forking with OpenBLAS threads alive is safe because the child only
-    writes a CSV file, or parses a range of one and sends the values down
-    its pipe, and leaves through ``os._exit``: it calls no
-    BLAS routine, takes no lock another thread could have held at the
-    fork, and runs none of the parent's exit handlers or buffer flushes.
+    writes a CSV file, sends one byte and leaves through ``os._exit``: it
+    calls no BLAS routine, takes no lock another thread could have held at
+    the fork, and runs none of the parent's exit handlers or buffer flushes.
     The DeprecationWarning that Python 3.12+ gives for forking a
     multi-threaded process is therefore silenced. (OpenBLAS's own at-fork
     handler stops its pool. Outside :func:`one_blas_thread` the parent
@@ -573,41 +572,6 @@ def _fork_worker(send):
             os._exit(0)
     os.close(write_fd)
     return pid, read_fd
-
-
-@contextmanager
-def _forked(tasks):
-    """Run each of ``tasks`` in a forked child; yields the read ends of their pipes.
-
-    A task is called in its child with the write end of the child's pipe,
-    a binary file; the read ends come in task order, for the block to do
-    this process's share of the work, read the pipes and do itself what
-    a child did not send. However the block leaves, every pipe is closed
-    and every child reaped, and no exit status is read; children still
-    running at an error are killed first.
-    """
-    children = []
-    try:
-        for task in tasks:
-            children.append(_fork_worker(task))
-        yield [read_fd for _, read_fd in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-
-
-def _read_into(fd, buf):
-    """Fill the 1-D byte buffer ``buf`` from ``fd``; returns the bytes read, fewer only at EOF."""
-    view = memoryview(buf)
-    got = 0
-    while got < len(view) and (size := os.readv(fd, [view[got:]])):
-        got += size
-    return got
 
 
 def _format_rows(data, write):
@@ -692,15 +656,27 @@ def write_csv_in_background(path, table):
     :func:`write_csv` on leaving the block, so the file is complete
     whenever that write succeeds. Its error propagates, also over an
     error in the block (which becomes its ``__context__``): a write made
-    before the block, in one process, would have failed first.
+    before the block, in one process, would have failed first. The child
+    is reaped before that write, and killed first if the wait for its
+    byte is interrupted; its exit status is not read.
     """
-    tasks = [partial(_write_whole, path, table)] if hasattr(os, "fork") else []
-    with _forked(tasks) as read_fds:
-        try:
-            yield
-        finally:
-            if not any(os.read(read_fd, 1) for read_fd in read_fds):
-                write_csv(path, *table())
+    child = _fork_worker(partial(_write_whole, path, table)) if hasattr(os, "fork") else None
+    try:
+        yield
+    finally:
+        delivered = False
+        if child is not None:
+            pid, read_fd = child
+            try:
+                delivered = os.read(read_fd, 1) == b"\0"
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.close(read_fd)
+                os.waitpid(pid, 0)
+        if not delivered:
+            write_csv(path, *table())
 
 
 def _jsonable(obj):
@@ -721,43 +697,47 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-class _Bounded(io.RawIOBase):
-    """The next ``size`` bytes of a binary file, as a stream of their own."""
+def _json_chunk(text, fields):
+    """The rows of ``text``, whole lines of plain JSON numbers, parsed by orjson; None otherwise.
 
-    def __init__(self, raw, size):
-        super().__init__()
-        self._raw, self._left = raw, size
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        size = self._raw.readinto(memoryview(buf)[:self._left])
-        self._left -= size
-        return size
-
-
-def _parse_range(path, start, stop):
-    """``numpy.loadtxt`` of bytes ``start:stop`` of ``path``, whole lines, read in bounded chunks."""
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        text = io.TextIOWrapper(io.BufferedReader(_Bounded(raw, stop - start), _READ_BUFFER_BYTES),
-                                encoding="ascii")
-        with warnings.catch_warnings():
-            # a range of blank lines holds no rows, which a serial read would not warn about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(text, delimiter=",", ndmin=2)
-
-
-def _send_parsed(path, start, stop, pipe):
-    """Parse bytes ``start:stop`` of ``path``; send ``[rows, cols]`` as two int64, then the float64 rows.
-
-    A row that does not parse raises here, in the child, which then sends
-    nothing: :func:`read_csv` parses the range itself and raises the error.
+    None also where a row holds other than ``fields`` values or ``text``
+    holds the integer ``-0``, which orjson reads without its sign. Each
+    line becomes a JSON list of its own whose length is checked, so a
+    short row and a long one cannot make up each other's count.
     """
-    part = _parse_range(path, start, stop)
-    pipe.write(np.array(part.shape, dtype=np.int64).tobytes())
-    pipe.write(part.reshape(-1).view(np.uint8))
+    import orjson  # here, not at module import, so that importing adpdock does not load it
+
+    if any(char in text for char in _NOT_NUMBERS):
+        return None
+    try:
+        rows = orjson.loads(b"[[" + text.rstrip(b"\n").replace(b"\n", b"],[") + b"]]")
+    except orjson.JSONDecodeError:
+        return None
+    if set(map(len, rows)) != {fields}:
+        return None
+    part = np.fromiter(chain.from_iterable(rows), float, len(rows) * fields).reshape(-1, fields)
+    return None if (part == 0).any() and re.search(_INTEGER_MINUS_ZERO, text) else part
+
+
+def _loadtxt_chunk(path, start, text, fields):
+    """``numpy.loadtxt`` of ``text``, the whole lines at byte ``start`` of ``path``.
+
+    An error names the file, the chunk's byte range and, for a bad row,
+    its file line (:func:`_range_error`); so does a row width other than
+    ``fields``.
+    """
+    stop = start + len(text)
+    try:
+        with warnings.catch_warnings():
+            # a chunk of blank lines holds no rows, which a whole-file read would not warn about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            part = np.loadtxt(io.StringIO(text.decode("ascii")), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise _range_error(path, start, stop, exc) from exc
+    if len(part) and part.shape[1] != fields:
+        raise _range_error(path, start, stop,
+                           f"rows hold {part.shape[1]} values, the header names {fields} columns")
+    return part
 
 
 def _range_error(path, start, stop, reason):
@@ -800,18 +780,18 @@ def read_csv(path):
 
     The counterpart of :func:`write_csv`. The values equal those of
     ``numpy.loadtxt(fh, delimiter=",", ndmin=2)`` with ``fh`` positioned
-    after the header line.
+    after the header line, bit for bit; lines end in ``\\n`` or ``\\r\\n``.
 
-    The body is split into contiguous byte ranges, each starting and
-    ending on a line boundary, as many as :func:`_worker_count` gives:
-    one per usable CPU, but no more than one per :data:`FORK_MIN_VALUES`
-    values (a value counted as :data:`CSV_VALUE_BYTES` bytes). This
-    process parses the first range; a forked child parses each other
-    range and sends its row count and raw float64 rows down a pipe, and
-    the rows are put into one array in file order. A range whose child
-    sends no row count, or fewer rows than it counted, is parsed here
-    instead, so a child that fails only costs time. Every range is read
-    in bounded chunks, so the whole text is never held in memory.
+    One pass counts the body's lines, :data:`_COUNT_BLOCK_BYTES` at a
+    time, and the rows are put into one array of that many rows. A second
+    pass parses the body in chunks of whole lines, each
+    :data:`CSV_CHUNK_BYTES` bytes and the rest of its last line, so the
+    whole text is never held in memory. A chunk of plain JSON numbers,
+    every row holding as many as the header names, is parsed as one JSON
+    list of rows by orjson, which is imported on the first call. Any
+    other chunk, and one that holds the integer ``-0`` (orjson reads it
+    as 0), is parsed by ``numpy.loadtxt``: ``nan``, ``inf``, ``+1``,
+    ``.5``, blank and ``#`` lines, and rows that do not parse.
 
     Returns
     -------
@@ -825,59 +805,27 @@ def read_csv(path):
     ------
     ValueError
         If a row does not parse or holds another number of values than
-        the header names. The message names the file, the byte range and,
-        for a row that ``numpy.loadtxt`` rejects, its line in the file,
-        whichever process parsed the row. Every child is reaped before
-        this function returns or raises.
+        the header names. The message names the file, the byte range of
+        the chunk that holds the row and, for a row that
+        ``numpy.loadtxt`` rejects, its line in the file.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "replace").rstrip("\r\n")
-        bounds = [fh.tell()]
-        size = os.fstat(fh.fileno()).st_size
-        workers = _worker_count((size - bounds[0]) // CSV_VALUE_BYTES)
-        for offset in [bounds[0] + (size - bounds[0]) * i // workers for i in range(1, workers)]:
-            # the next range starts after the first newline at or past offset - 1
-            fh.seek(offset - 1)
-            fh.readline()
-            bounds.append(fh.tell())
-    bounds.append(size)
-    ranges = [(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]) if start < stop]
-    fields = header.count(",") + 1
-    if not ranges:
-        return header, np.empty((0, fields))
-
-    def parse(i):
-        try:
-            return _parse_range(path, *ranges[i])
-        except ValueError as exc:
-            raise _range_error(path, *ranges[i], exc) from exc
-
-    def parent(read_fds):
-        parsed = {0: parse(0)}  # the ranges parsed here, by index, until their rows are placed
-        shapes = [parsed[0].shape]
-        for i, read_fd in enumerate(read_fds, 1):
-            head = np.zeros(2, dtype=np.int64)
-            if _read_into(read_fd, head.view(np.uint8)) != head.nbytes:
-                parsed[i] = parse(i)
-            shapes.append(parsed[i].shape if i in parsed else tuple(head.tolist()))
-        for (start, stop), (rows, cols) in zip(ranges, shapes):
-            if rows and cols != fields:
-                raise _range_error(path, start, stop,
-                                   f"rows hold {cols} values, the header names {fields} columns")
-        offsets = np.cumsum([0] + [rows for rows, _ in shapes])
-        data = np.empty((offsets[-1], fields))
-        for i, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-            # a range parsed here is freed once its rows are placed, before the next range lands
-            if i in parsed:
-                data[lo:hi] = parsed.pop(i)
-                continue
-            chunk = data[lo:hi].reshape(-1).view(np.uint8)
-            if _read_into(read_fds[i - 1], chunk) != chunk.nbytes:
-                data[lo:hi] = parse(i)
-        return data
-
-    tasks = [partial(_send_parsed, path, start, stop) for start, stop in ranges[1:]]
-    with _forked(tasks) as read_fds:
-        data = parent(read_fds)
-    return header, data
+        fields = header.count(",") + 1
+        start = fh.tell()
+        lines, end = 0, b"\n"
+        while block := fh.read(_COUNT_BLOCK_BYTES):
+            lines, end = lines + block.count(b"\n"), block[-1:]
+        data = np.empty((lines + (end != b"\n"), fields))
+        fh.seek(start)
+        rows = 0
+        while text := fh.read(CSV_CHUNK_BYTES):
+            text += fh.readline()  # the rest of the chunk's last line
+            part = _json_chunk(text, fields)
+            if part is None:
+                part = _loadtxt_chunk(path, start, text, fields)
+            data[rows:rows + len(part)] = part
+            rows += len(part)
+            start += len(text)
+    return header, data[:rows]

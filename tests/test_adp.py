@@ -2,7 +2,6 @@
 and the data-driven regulator solve."""
 
 import dataclasses
-import os
 import re
 import threading
 from types import SimpleNamespace
@@ -337,10 +336,6 @@ def test_assembly_matches_the_one_pass_reference(case):
         assert np.array_equal(got, want)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="where os.fork is missing, assembly starts no thread")
-
-
 def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
     """assemble_regression with ``cpus`` usable CPUs, no size floor and blocks of
     ``block_values`` values (None for the default): (sweep, threads started).
@@ -359,7 +354,7 @@ def assemble_on_cpus(mp, cpus, block_values, log, basis, R, interval):
 
     mp.setattr(np, "empty", poisoned)
     mp.setattr(matops, "_usable_cpus", lambda: cpus)
-    mp.setattr(matops, "FORK_MIN_VALUES", 1)
+    mp.setattr(matops, "THREAD_MIN_VALUES", 1)
     if block_values is not None:
         mp.setattr(adp, "ASSEMBLY_BLOCK_VALUES", block_values)
     started, start = [], threading.Thread.start
@@ -391,7 +386,6 @@ def assert_same_bits_on_1_2_3_threads(log, basis, R, interval, block_values=None
     return sweeps
 
 
-@needs_fork
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(random_assembly_case(), st.integers(1, 400))
 def test_assembly_bits_do_not_depend_on_the_thread_count(case, block_values):
@@ -399,14 +393,12 @@ def test_assembly_bits_do_not_depend_on_the_thread_count(case, block_values):
     assert_same_bits_on_1_2_3_threads(*case, block_values=block_values)
 
 
-@needs_fork
 def test_docking_assembly_bits_do_not_depend_on_the_thread_count(docking, learning_data):
     cfg = docking.config
     assert_same_bits_on_1_2_3_threads(learning_data.log, learning_data.basis, cfg.R,
                                       cfg.interval)
 
 
-@needs_fork
 def test_learned_gains_do_not_depend_on_the_assembly_thread_count_at_1000_intervals(docking):
     # a 100 s docking log sampled at 10 ms: 1000 intervals, split 1000, 500 + 500
     # and 333 + 333 + 334

@@ -610,12 +610,16 @@ def test_cli_compare_with_a_zero_oracle_p_is_warning_free(tmp_path):
     gains = {"K": [[1.0, 2.0]], "L": [[0.5]], "P": [[0.0]]}
     zero.write_text(json.dumps(gains))
     one.write_text(json.dumps({**gains, "P": [[1.0]]}))
-    for learned, code, ok in ((zero, 0, "True"), (one, 1, "False")):
+    # the P line prints rel_frob, the gap its verdict is judged by; K and L have none
+    for learned, code, rel, ok in ((zero, 0, "0.000000e+00", "True"), (one, 1, "inf", "False")):
         proc = run_python("-W", "error", "-m", "adpdock", "compare",
                           "--learned", str(learned), "--oracle", str(zero))
         assert proc.returncode == code, proc.stderr
         assert proc.stderr == ""
-        assert proc.stdout.splitlines()[2].endswith(f"ok={ok}")
+        lines = proc.stdout.splitlines()
+        assert lines[2].startswith("P: ") and lines[2].endswith(f" rel_frob={rel} ok={ok}")
+        assert all(line.startswith(("K: ", "L: ")) and "rel_frob" not in line
+                   for line in lines[:2])
     K, L, P = np.ones((1, 2)), np.ones((1, 1)), np.zeros((1, 1))
     same = compare_gains(SimpleNamespace(K=K, L=L, P=P), K, L, P)
     assert same["P"]["rel_frob"] == 0.0 and same["ok"]
@@ -771,19 +775,24 @@ def test_cli_and_library_never_load_scipy(pipeline, tmp_path):
 
 
 def test_setup_never_loads_orjson(pipeline):
-    # the CSV writer imports orjson on its first call, so the set-up a caller
-    # pays before any work (import, load_config, scenario and reading a
-    # trajectory) does not load it
+    # the CSV writer and reader import orjson on their first call, so the
+    # set-up a caller pays before any work (import, load_config, scenario)
+    # does not load it; reading a trajectory does
     proc = run_python("-c", """
 import sys
 import adpdock
+
+def loaded():
+    print(any(name.split(".")[0] == "orjson" for name in sys.modules))
+
 cfg = adpdock.load_config(sys.argv[1])
 cfg.scenario()
+loaded()
 adpdock.TrajectoryLog.from_csv(sys.argv[2])
-print(sorted(name for name in sys.modules if name.split(".")[0] == "orjson"))
+loaded()
 """, str(REPO / "configs" / "docking.cfg"), str(pipeline.out / "trajectory_learning.csv"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "False\nTrue\n"
 
 
 _RUN_WITHOUT_SCIPY = """
@@ -815,7 +824,7 @@ def test_run_succeeds_where_scipy_cannot_be_imported(pipeline, tmp_path):
         (pipeline.out / "learned_gains.json").read_bytes()
 
 
-_MULTI_RANGE_READ = """
+_TRAJECTORY_READ = """
 import os, sys
 from adpdock import TrajectoryLog, matops
 
@@ -823,15 +832,15 @@ forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(None))
 matops._usable_cpus = lambda: 3
 log = TrajectoryLog.from_csv(sys.argv[1])
-assert len(forks) == 2 and len(log) > 0, (len(forks), len(log))
+assert len(forks) == 0 and len(log) > 0, (len(forks), len(log))
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_multi_range_read_is_warning_free(pipeline):
-    # the forked CSV reader runs under -W error with BLAS threads alive
-    # (Python 3.12+ warns about forking a multi-threaded process)
-    proc = run_python("-W", "error", "-c", _MULTI_RANGE_READ,
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs os.register_at_fork")
+def test_trajectory_read_is_warning_free_and_forks_nothing(pipeline):
+    # the CSV reader parses in this process under -W error, on three usable
+    # CPUs too: orjson and numpy.loadtxt warn about nothing, and nothing forks
+    proc = run_python("-W", "error", "-c", _TRAJECTORY_READ,
                       str(pipeline.out / "trajectory_learning.csv"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

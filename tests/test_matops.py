@@ -247,11 +247,16 @@ ABOVE_FLOOR = 1 << 40
     (2, 5, ABOVE_FLOOR, [(0, 2), (2, 5)]),
     (3, 5, ABOVE_FLOOR, [(0, 1), (1, 3), (3, 5)]),
     (4, 2, ABOVE_FLOOR, [(0, 1), (1, 2)]),
-    # the size floor: fewer chunks than CPUs below one per FORK_MIN_VALUES values
-    (3, 5, 2 * matops.FORK_MIN_VALUES, [(0, 2), (2, 5)]),
-    (3, 5, matops.FORK_MIN_VALUES - 1, [(0, 5)]),
+    # the size floor: fewer chunks than CPUs below one per THREAD_MIN_VALUES values
+    (3, 5, 2 * matops.THREAD_MIN_VALUES, [(0, 2), (2, 5)]),
+    (3, 5, matops.THREAD_MIN_VALUES - 1, [(0, 5)]),
+    # on two CPUs a second thread starts from two floors' worth of values
+    (2, 5, 2 * matops.THREAD_MIN_VALUES - 1, [(0, 5)]),
+    (2, 5, 2 * matops.THREAD_MIN_VALUES, [(0, 2), (2, 5)]),
+    # the docking-ref and learn-long logs, 25,001 and 100,001 samples x (n + m + q) = 17
+    (2, 5, 25_001 * 17, [(0, 2), (2, 5)]),
+    (2, 5, 100_001 * 17, [(0, 2), (2, 5)]),
 ])
-@needs_fork  # where os.fork is missing, _worker_count gives one range
 def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatch, cpus, count,
                                                                       values, chunks):
     # every chunk waits for all the others: they can only meet on separate threads
@@ -270,7 +275,6 @@ def test_split_over_cpus_runs_each_contiguous_chunk_on_its_own_thread(monkeypatc
     assert threading.active_count() == threads
 
 
-@needs_fork
 def test_split_over_cpus_raises_the_earliest_chunks_error_after_joining(monkeypatch):
     monkeypatch.setattr(matops, "_usable_cpus", lambda: 3)
     threads = threading.active_count()
@@ -289,7 +293,6 @@ def test_split_over_cpus_raises_the_earliest_chunks_error_after_joining(monkeypa
     assert threading.active_count() == threads
 
 
-@needs_fork
 def test_split_over_cpus_keeps_every_result_under_frequent_thread_switches(monkeypatch):
     # more threads than CPUs, switching every microsecond, each storing its chunk's result
     monkeypatch.setattr(matops, "_usable_cpus", lambda: 8)
@@ -319,11 +322,9 @@ SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e3
                     1.0, -3.0, 0.1, 2.0 ** 52, 1e16, 123456789.0])
 
 
-def force_workers(mp, cpus, min_values=matops.FORK_MIN_VALUES):
-    """Make ``cpus`` CPUs usable and a worker worth ``min_values`` values."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    mp.setattr(os, "cpu_count", lambda: cpus)
-    mp.setattr(matops, "FORK_MIN_VALUES", min_values)
+def force_cpus(mp, cpus):
+    """Make ``cpus`` CPUs usable."""
+    mp.setattr(matops, "_usable_cpus", lambda: cpus)
 
 
 @st.composite
@@ -400,7 +401,7 @@ def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch):
         real(data, write)
 
     monkeypatch.setattr(matops, "_format_rows", fail_on_mark)
-    force_workers(monkeypatch, 3, min_values=1)
+    force_cpus(monkeypatch, 3)
     pids = counting_forks(monkeypatch)
     data = np.ones((3 * BLOCK, 2))
     data[0, 1] = -1.0
@@ -412,14 +413,13 @@ def test_write_csv_failure_raises_and_reaps(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_write_csv_never_forks(tmp_path, monkeypatch, cpus):
-    # every row is formatted in this process, at any CPU count and far above
-    # the size floor of a forked range
+    # every row is formatted in this process, at any CPU count
     def no_fork():
         raise AssertionError(f"os.fork called by write_csv with {cpus} usable CPUs")
 
-    force_workers(monkeypatch, cpus)
+    force_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    data = np.arange(3 * matops.FORK_MIN_VALUES, dtype=float).reshape(-1, 8) / 7.0
+    data = np.arange(3 << 16, dtype=float).reshape(-1, 8) / 7.0
     write_csv(tmp_path / "t.csv", data, "h")
     assert_csv_holds(tmp_path / "t.csv", data, "h")
     write_csv(tmp_path / "e.csv", data[:0], "")
@@ -437,7 +437,7 @@ def test_write_csv_in_background_writes_write_csvs_bytes_from_one_child(tmp_path
     for cpus in (1, 2):
         path = tmp_path / f"bg{cpus}.csv"
         with monkeypatch.context() as mp:
-            force_workers(mp, cpus, min_values=1)
+            force_cpus(mp, cpus)
             pids = counting_forks(mp)
             with write_csv_in_background(path, lambda: (data, "h")):
                 assert len(pids) == 1  # the child formats every row; it forks no worker
@@ -461,7 +461,7 @@ def test_write_csv_in_background_without_fork_writes_on_leaving(tmp_path, monkey
 def test_write_csv_in_background_waits_for_the_child_when_the_block_raises(tmp_path,
                                                                          monkeypatch):
     # the child takes 0.2 s; the block fails at once, and leaving it waits
-    force_workers(monkeypatch, 2, min_values=1)
+    force_cpus(monkeypatch, 2)
     slow_blocks(monkeypatch)
     data = np.arange(20 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
     path = tmp_path / "t.csv"
@@ -499,7 +499,7 @@ def test_write_csv_in_background_writes_the_file_here_when_the_child_fails(tmp_p
     child = {"raises": disk_full, "killed": killed_in_child(matops._write_whole),
              "sends_no_byte": no_byte}[failure]
     monkeypatch.setattr(matops, "_write_whole", child)  # this process calls write_csv itself
-    force_workers(monkeypatch, 2, min_values=1)
+    force_cpus(monkeypatch, 2)
     data = np.random.default_rng(8).standard_normal((3 * BLOCK + 1, 5))
     path = tmp_path / "t.csv"
     fds = open_fds()
@@ -519,7 +519,7 @@ def test_write_csv_in_background_failure_raises_write_csvs_own_error(tmp_path, m
         monkeypatch.delattr(os, "fork", raising=False)
     elif not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    force_workers(monkeypatch, 2, min_values=1)
+    force_cpus(monkeypatch, 2)
     data = np.ones((3 * BLOCK, 1))
     path = tmp_path / "t.csv"
     path.mkdir()
@@ -535,6 +535,57 @@ def test_write_csv_in_background_failure_raises_write_csvs_own_error(tmp_path, m
         with write_csv_in_background(path, lambda: (data, "a")):
             raise KeyError("stage")
     assert isinstance(raised.value.__context__, KeyError)
+    assert_no_child_left()
+    assert open_fds() <= fds
+
+
+@needs_fork
+def test_write_csv_in_background_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
+    # Python 3.12+ warns in the parent when it forks with threads alive; the
+    # child only writes the file, sends a byte and exits, so the writer
+    # ignores that one
+    real_fork = os.fork
+    forks = []
+
+    def warn():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning)
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            warn()
+        return pid
+
+    data = np.arange(4 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with write_csv_in_background(tmp_path / "t.csv", lambda: (data, "a,b")):
+            pass
+        with pytest.raises(DeprecationWarning):
+            warn()  # the same warning outside the writer is an error
+    assert len(forks) == 1
+    assert_csv_holds(tmp_path / "t.csv", data, "a,b")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_write_csv_in_background_failed_fork_raises_and_leaves_nothing_open(tmp_path,
+                                                                           monkeypatch):
+    # the fork fails on entering the block: its error is raised there, the
+    # block does not run, no file is written and no pipe is left open
+    def fork_fails():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork_fails)
+    fds = open_fds()
+    ran = []
+    with pytest.raises(BlockingIOError):
+        with write_csv_in_background(tmp_path / "t.csv", lambda: (np.ones((3, 2)), "a,b")):
+            ran.append(True)
+    assert ran == [] and not (tmp_path / "t.csv").exists()
     assert_no_child_left()
     assert open_fds() <= fds
 
@@ -725,159 +776,107 @@ def test_one_blas_thread_pins_numpys_openblas_and_leaves_scipys_alone():
 
 # --- read_csv: values equal np.loadtxt, the reference reader ------------
 
-def force_ranges(mp, cpus, min_values=1):
-    """Make ``cpus`` CPUs usable and a parsing range worth ``min_values`` values."""
-    mp.setattr(matops, "_usable_cpus", lambda: cpus)
-    mp.setattr(matops, "FORK_MIN_VALUES", min_values)
-
-
 def loadtxt_reference(path):
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         return header, np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
+def small_chunks(mp, chunk_bytes, count_bytes=5):
+    """Make read_csv parse ``chunk_bytes`` and count ``count_bytes`` bytes at a time."""
+    mp.setattr(matops, "CSV_CHUNK_BYTES", chunk_bytes)
+    mp.setattr(matops, "_COUNT_BLOCK_BYTES", count_bytes)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(csv_tables())
 def test_read_csv_round_trips_write_csv(tmp_path_factory, data):
     # bit for bit, so -0.0 keeps its sign and subnormals and +-1e300 come
-    # back; one, two and three ranges give the same array
+    # back; chunks of the default size and of a few lines give the same array
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(data.shape[1]))
     write_csv(path, data, header)
-    for cpus in (1, 2, 3):
+    for chunk_bytes in (matops.CSV_CHUNK_BYTES, 1 << 9):
         with pytest.MonkeyPatch.context() as mp:
-            force_ranges(mp, cpus)
+            small_chunks(mp, chunk_bytes, count_bytes=1 << 12)
             back_header, back = matops.read_csv(path)
         assert back_header == header
         assert back.shape == data.shape and back.dtype == np.float64
         assert back.tobytes() == data.tobytes()
         if len(data):
             assert np.array_equal(back, loadtxt_reference(path)[1])
-    assert_no_child_left()
 
 
-@needs_fork
-def test_read_csv_splits_on_line_boundaries(tmp_path, monkeypatch):
-    # rows of growing width move the split offsets across every position in
-    # a line, including onto a newline and just past one; with and without
-    # a trailing newline the array equals a serial np.loadtxt
-    path = tmp_path / "t.csv"
-    hits = set()
-    for rows in range(4, 40):
-        data = np.arange(2 * rows).reshape(rows, 2) * 7
-        for trailing in (True, False):
-            write_csv(path, data, "a,b")
-            text = path.read_bytes()
-            if not trailing:
-                path.write_bytes(text[:-1])
-                text = text[:-1]
-            body = text.index(b"\n") + 1
-            for ranges in (2, 3):
-                values = (len(text) - body) // matops.CSV_VALUE_BYTES
-                if values < ranges:
-                    continue
-                for i in range(1, ranges):
-                    offset = body + (len(text) - body) * i // ranges
-                    hits.add("after" if text[offset - 1:offset] == b"\n" else
-                             "on" if text[offset:offset + 1] == b"\n" else "inside")
-                with pytest.MonkeyPatch.context() as mp:
-                    force_ranges(mp, ranges)
-                    pids = counting_forks(mp)
-                    header, back = matops.read_csv(path)
-                assert pids, "the table was read in one range"
-                assert header == "a,b"
-                assert np.array_equal(back, loadtxt_reference(path)[1])
-                assert np.array_equal(back, data)
-    assert hits == {"after", "on", "inside"}
-    assert_no_child_left()
+def doubles(fmt):
+    return st.floats(allow_nan=False, allow_infinity=False).map(fmt)
 
 
-@needs_fork
-def test_read_csv_forks_one_worker_per_extra_cpu(tmp_path, monkeypatch):
-    # a range is worth FORK_MIN_VALUES values, counted as CSV_VALUE_BYTES bytes each
-    path = tmp_path / "t.csv"
-    path.write_bytes(b"h\n" + b"1\n" * (4 * matops.CSV_VALUE_BYTES // 2))
-    expected = loadtxt_reference(path)[1]
-    force_ranges(monkeypatch, 3)
-    pids = counting_forks(monkeypatch)
-    for min_values, forks in ((1, 2), (2, 1), (3, 0), (5, 0)):
-        monkeypatch.setattr(matops, "FORK_MIN_VALUES", min_values)
-        pids.clear()
-        assert np.array_equal(matops.read_csv(path)[1], expected)
-        assert len(pids) == forks
-    assert_no_child_left()
+#: Tokens that are JSON numbers: doubles as repr, %.17g and %.25e write them,
+#: integers past 2**53 and 2**64, and the integer -0, which orjson reads as 0
+PLAIN = st.one_of(doubles(repr), doubles("%.17g".__mod__), doubles("%.25e".__mod__),
+                  st.integers(-2**70, 2**70).map(str), st.just("-0"))
+#: Tokens numpy.loadtxt reads and JSON does not, or not as a number
+ODD = st.sampled_from(["nan", "-nan", "inf", "-inf", "+1", ".5", "-.5", "1.", "1e400"])
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 1), (3, 2)])
-@needs_fork
-def test_read_csv_beside_a_background_child_forks_one_worker_per_extra_cpu(tmp_path,
-                                                                           monkeypatch,
-                                                                           cpus, workers):
-    # a live write_csv_in_background child keeps no usable CPU from read_csv
-    data = np.random.default_rng(7).standard_normal((4 * BLOCK + 5, 6))
-    path = tmp_path / "t.csv"
-    write_csv(path, data, "a,b,c,d,e,f")
-    force_ranges(monkeypatch, cpus)
-    pids = counting_forks(monkeypatch)
-    with write_csv_in_background(tmp_path / "bg.csv", lambda: (data, "a,b,c,d,e,f")):
-        assert len(pids) == 1
-        header, back = matops.read_csv(path)
-        assert len(pids) == 1 + workers
-    assert header == "a,b,c,d,e,f" and back.tobytes() == data.tobytes()
-    assert (tmp_path / "bg.csv").read_bytes() == path.read_bytes()
-    assert_no_child_left()
+@st.composite
+def csv_texts(draw):
+    """(text, cols): a header and rows of drawn tokens, with blank and '#' lines
+    mixed in where the draw says, CRLF or LF line ends and an optional final one."""
+    cols = draw(st.integers(1, 4))
+    odd = draw(st.booleans())
+    token = st.one_of(PLAIN, ODD) if odd else PLAIN
+    row = st.lists(token, min_size=cols, max_size=cols).map(",".join)
+    extra = st.sampled_from(["", "# note", "#1,2"])
+    lines = draw(st.lists(st.one_of(row, extra) if odd else row, min_size=1, max_size=30))
+    lines.insert(draw(st.integers(0, len(lines))), draw(row))  # at least one row
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = ",".join(f"c{j}" for j in range(cols))
+    text = header + end + end.join(lines) + (end if draw(st.booleans()) else "")
+    return text.encode("ascii"), cols
 
 
-@needs_fork
-def test_read_csv_silences_multithreaded_fork_warning(tmp_path, monkeypatch):
-    # Python 3.12+ warns in the parent when it forks with threads alive;
-    # the worker only parses, sends and exits, so the reader ignores that one
-    real_fork = os.fork
-    forks = []
-
-    def warn():
-        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
-                      "may lead to deadlocks in the child.", DeprecationWarning)
-
-    def warning_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-            warn()
-        return pid
-
-    data = np.arange(4 * BLOCK, dtype=float).reshape(-1, 2) / 3.0
-    write_csv(tmp_path / "t.csv", data, "a,b")
-    force_ranges(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", warning_fork)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.array_equal(matops.read_csv(tmp_path / "t.csv")[1], data)
-        with pytest.raises(DeprecationWarning):
-            warn()  # the same warning outside the reader is an error
-    assert len(forks) == 1
-    assert_no_child_left()
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csv_texts(), st.sampled_from([1, 7, 64, 1 << 16]), st.sampled_from([1, 5, 1 << 20]))
+def test_read_csv_equals_loadtxt_bit_for_bit(tmp_path_factory, case, chunk_bytes, count_bytes):
+    # at the small chunk sizes a chunk's read ends inside a row, which the
+    # reader completes; a chunk holding anything orjson would read otherwise
+    # than numpy.loadtxt is read by numpy.loadtxt
+    text, cols = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text)
+    _, expected = loadtxt_reference(path)
+    with pytest.MonkeyPatch.context() as mp:
+        small_chunks(mp, chunk_bytes, count_bytes)
+        _, back = matops.read_csv(path)
+    assert back.shape == expected.shape == (len(back), cols)
+    assert back.tobytes() == expected.tobytes()
 
 
-def test_read_csv_one_cpu_never_forks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_read_csv_never_forks(tmp_path, monkeypatch, cpus):
+    # every chunk is parsed in this process and thread, at any CPU count
     def no_fork():
-        raise AssertionError("os.fork called with one usable CPU")
+        raise AssertionError(f"os.fork called by read_csv with {cpus} usable CPUs")
 
-    force_ranges(monkeypatch, 1)
+    force_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    data = np.arange(3 * BLOCK, dtype=float).reshape(-1, 3) / 7.0
-    write_csv(tmp_path / "t.csv", data, "a,b,c")
-    assert np.array_equal(matops.read_csv(tmp_path / "t.csv")[1], data)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: (started.append(thread), start(thread)))
+    data = np.random.default_rng(cpus).standard_normal((20 * BLOCK, 8))
+    write_csv(tmp_path / "t.csv", data, "a,b,c,d,e,f,g,h")
+    assert (tmp_path / "t.csv").stat().st_size > 4 * matops.CSV_CHUNK_BYTES
+    assert matops.read_csv(tmp_path / "t.csv")[1].tobytes() == data.tobytes()
+    assert started == []
 
 
 def test_read_csv_checks_columns_against_header(tmp_path, monkeypatch):
     # a header-only file, or one with only blank lines after the header,
-    # reads as no rows, and a range of blank lines as none of its rows,
-    # without numpy's empty-input warning (the forked children inherit
-    # the warning filter)
+    # reads as no rows, and a chunk of blank lines as none of its rows,
+    # without numpy's empty-input warning
     path = tmp_path / "t.csv"
-    force_ranges(monkeypatch, 2)
+    small_chunks(monkeypatch, 64)
     for text, rows in ((b"a,b,c\n", 0), (b"a,b,c\n" + b"\n" * 60, 0),
                        (b"a,b,c\n" + b"1,2,3\n" * 30 + b"\n" * 200, 30)):
         path.write_bytes(text)
@@ -892,131 +891,85 @@ def test_read_csv_checks_columns_against_header(tmp_path, monkeypatch):
             matops.read_csv(path)
 
 
-@pytest.mark.parametrize("ranges", [1, 2, 3])
-@pytest.mark.parametrize("row", [0, BLOCK, 3 * BLOCK - 1])
+@pytest.mark.parametrize("body, line", [
+    (b"1,2\n3\n4,5,6\n7,8\n", 3),  # one value short, then one long: eight values in all
+    (b"1,2\n3,true\n", 3),
+    (b"1,2\nfalse,4\n", 3),
+    (b"null,2\n", 2),
+    (b'1,2\n3,"4"\n', 3),
+    (b"1,[2]\n", 2),
+    (b"1,2\n{},4\n", 3),
+])
+def test_read_csv_rejects_what_loadtxt_rejects(tmp_path, body, line):
+    # JSON reads each of these bodies as numbers or as a list of the right
+    # length; numpy.loadtxt rejects each row, and so does read_csv
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\n" + body)
+    with pytest.raises(ValueError):
+        loadtxt_reference(path)
+    with pytest.raises(ValueError, match=rf"t.csv, bytes 4:{4 + len(body)}: .* at line {line}\b"):
+        matops.read_csv(path)
+
+
+#: Rows of 16 bytes each, so that a chunk of 1023 bytes and the rest of its
+#: last line holds 64 whole rows
+ROW_BYTES, CHUNK_ROWS = 16, 64
+
+
+@pytest.mark.parametrize("row", [0, CHUNK_ROWS, 3 * CHUNK_ROWS - 1], ids=["first", "edge", "last"])
 @pytest.mark.parametrize("bad", [b"1.5", b"1.5,2.5,x"])
-def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, ranges, row, bad):
-    # a short row or one that does not parse, in the range this process
-    # parses (row 0), in a child's range or in the last one's; the message
-    # names its file line (the header is line 1) whichever process parsed
-    # the row, except that a short first row sets the range's width, so
-    # the next line is named
-    if ranges > 1 and not hasattr(os, "fork"):
-        pytest.skip("needs os.fork")
-    lines = [b"%d.5,%d.5,3" % (k, k) for k in range(3 * BLOCK)]
+def test_read_csv_bad_row_raises_and_reaps(tmp_path, monkeypatch, row, bad):
+    # a short row or one that does not parse: the first row, the first row of
+    # the second chunk, or the last row. The message names the chunk's bytes
+    # and the row's file line (the header is line 1), except that a short row
+    # that opens its chunk sets the chunk's width, so the next line is named
+    lines = [b"%04d.5,%04d.5,3" % (k, k) for k in range(3 * CHUNK_ROWS)]
+    assert {len(line) + 1 for line in lines} == {ROW_BYTES}
     lines[row] = bad
     path = tmp_path / "bad.csv"
     path.write_bytes(b"a,b,c\n" + b"\n".join(lines) + b"\n")
-    force_ranges(monkeypatch, ranges)
+    small_chunks(monkeypatch, CHUNK_ROWS * ROW_BYTES - 1)
     pids = counting_forks(monkeypatch)
     fds = open_fds()
-    line = row + 3 if (row, bad) == (0, b"1.5") else row + 2
-    with pytest.raises(ValueError, match=rf"bad.csv, bytes \d+:\d+: .* at line {line}\b"):
+    line = row + 3 if (row % CHUNK_ROWS, bad) == (0, b"1.5") else row + 2
+    with pytest.raises(ValueError, match=rf"bad.csv, bytes \d+:\d+: .* at line {line}\b") as exc:
         matops.read_csv(path)
-    assert len(pids) == ranges - 1
+    start, stop = map(int, re.search(r"bytes (\d+):(\d+)", str(exc.value)).groups())
+    offset = len(b"a,b,c\n") + ROW_BYTES * row
+    assert start <= offset < stop and stop - start < (CHUNK_ROWS + 1) * ROW_BYTES
+    if row == CHUNK_ROWS:
+        assert start == offset  # the bad row opens the second chunk
+    assert pids == []
     assert_no_child_left()
     assert open_fds() <= fds
 
 
-class ShortPipe:
-    """A child's pipe that sends one float64 too few of every write longer than the row count."""
+@pytest.mark.parametrize("line", [b"1.5,nan,3", b"1.5,-inf,3", b"1.5,+1,3", b"1.5,.5,3",
+                                  b"1.5,1.,3", b"1.5,-0,3", b"", b"# note"],
+                         ids=["nan", "inf", "plus", "no_lead", "no_trail", "minus_zero", "blank",
+                              "comment"])
+def test_read_csv_reads_only_the_chunk_orjson_would_misread_with_loadtxt(tmp_path, monkeypatch,
+                                                                          line):
+    # one line in the second of three chunks: that chunk alone goes to
+    # numpy.loadtxt, and the whole array equals numpy.loadtxt's bit for bit.
+    # The other rows are JSON numbers: no leading zeros
+    lines = [b"%d.5,%d.5,3" % (k, k) for k in range(1000, 1000 + 3 * CHUNK_ROWS)]
+    lines[CHUNK_ROWS + 5] = line
+    text = b"a,b,c\n" + b"\n".join(lines) + b"\n"
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text)
+    small_chunks(monkeypatch, CHUNK_ROWS * ROW_BYTES - 1)
+    ranges, loadtxt_chunk = [], matops._loadtxt_chunk
 
-    def __init__(self, pipe):
-        self.pipe = pipe
+    def spy(path, start, chunk, fields):
+        ranges.append((start, start + len(chunk)))
+        return loadtxt_chunk(path, start, chunk, fields)
 
-    def write(self, b):
-        self.pipe.write(b[:-8] if len(b) > 16 else b)
-
-
-class DyingPipe(ShortPipe):
-    """A child's pipe whose child is killed halfway through sending the rows."""
-
-    def write(self, b):
-        if len(b) <= 16:
-            return self.pipe.write(b)
-        self.pipe.write(memoryview(b)[:len(b) // 2])
-        self.pipe.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-@needs_fork
-@pytest.mark.parametrize("failure", ["killed_before_sending", "killed_while_sending",
-                                     "short_range"])
-def test_read_csv_parses_a_range_its_child_did_not_deliver(tmp_path, monkeypatch, failure):
-    # every child inherits the patch and fails; this process parses their
-    # ranges, so the rows still equal a serial np.loadtxt
-    real = matops._send_parsed
-    pipe_kind = DyingPipe if failure == "killed_while_sending" else ShortPipe
-
-    def send(path, start, stop, pipe):
-        real(path, start, stop, pipe_kind(pipe))
-
-    monkeypatch.setattr(matops, "_send_parsed",
-                        killed_in_child(real) if failure == "killed_before_sending" else send)
-    force_ranges(monkeypatch, 3)
-    data = np.random.default_rng(9).standard_normal((3 * BLOCK, 2))
-    write_csv(tmp_path / "t.csv", data, "a,b")
-    pids = counting_forks(monkeypatch)
-    fds = open_fds()
-    header, back = matops.read_csv(tmp_path / "t.csv")
-    assert len(pids) == 2
-    assert header == "a,b" and back.tobytes() == data.tobytes()
-    assert np.array_equal(back, loadtxt_reference(tmp_path / "t.csv")[1])
-    assert_no_child_left()
-    assert open_fds() <= fds
-
-
-@needs_fork
-def test_forked_children_do_the_work_on_the_normal_path(tmp_path, monkeypatch):
-    # the spies record only this process's calls: a child's land in its own memory
-    parsed, written = [], []
-    real_parse, real_write = matops._parse_range, matops.write_csv
-
-    def parse(path, start, stop):
-        parsed.append((start, stop))
-        return real_parse(path, start, stop)
-
-    def write(path, *args):
-        written.append(path)
-        real_write(path, *args)
-
-    monkeypatch.setattr(matops, "_parse_range", parse)
-    monkeypatch.setattr(matops, "write_csv", write)
-    force_ranges(monkeypatch, 3)
-    data = np.random.default_rng(10).standard_normal((3 * BLOCK, 4))
-    path = tmp_path / "t.csv"
-    pids = counting_forks(monkeypatch)
-    with write_csv_in_background(path, lambda: (data, "a,b,c,d")):
-        pass
-    assert written == [] and len(pids) == 1
-    header, back = matops.read_csv(path)
-    assert back.tobytes() == data.tobytes() and len(pids) == 3
-    body = len("a,b,c,d\n")
-    assert len(parsed) == 1 and parsed[0][0] == body and parsed[0][1] < path.stat().st_size
-    assert_no_child_left()
-
-
-@needs_fork
-def test_read_csv_failed_fork_raises_and_reaps(tmp_path, monkeypatch):
-    # the second fork fails: the first worker is reaped and no pipe is left open
-    real_fork = os.fork
-    forks = []
-
-    def second_fork_fails():
-        forks.append(None)
-        if len(forks) == 2:
-            raise BlockingIOError("fork: resource temporarily unavailable")
-        return real_fork()
-
-    write_csv(tmp_path / "t.csv", np.ones((3 * BLOCK, 2)), "a,b")
-    force_ranges(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", second_fork_fails)
-    fds = open_fds()
-    with pytest.raises(BlockingIOError):
-        matops.read_csv(tmp_path / "t.csv")
-    assert len(forks) == 2
-    assert_no_child_left()
-    assert open_fds() <= fds
+    monkeypatch.setattr(matops, "_loadtxt_chunk", spy)
+    _, back = matops.read_csv(path)
+    assert back.tobytes() == loadtxt_reference(path)[1].tobytes()
+    offset = text.index(b"\n" + line + b"\n") + 1
+    assert len(ranges) == 1 and ranges[0][0] <= offset < ranges[0][1]
 
 
 def test_write_json_encodes_dataclasses_arrays_and_complex(tmp_path):
